@@ -10,8 +10,9 @@ extraction on a unique solution.
 
 from importlib import resources
 
-from .discrimination import (answer_signature, partition_types,
-                             tables_report, UnsupportedQuestionError)
+from .discrimination import (answer_signature, filter_types_by_signature,
+                             partition_types, tables_report,
+                             UnsupportedQuestionError)
 from .extraction import (Category, ExtractionConfig, ExtractionError,
                          encode_person, extract_word, value_to_letter)
 from .parser import (ParseError, parse_puzzle_file, parse_statement,
@@ -23,8 +24,7 @@ from .semantics import (ALL_TYPES, AgentState, Answer, Ask, ExtendedType,
                         simulate_person, type_from_label, would_assert)
 from .solver import (Budget, BudgetExceededError, CheckResult, SolveResult,
                      SolveStatus, brute_force_solve, check_world,
-                     enumerate_worlds, explain_solution,
-                     filter_types_by_signature, solve_all)
+                     enumerate_worlds, explain_solution, solve_all)
 from .statements import (SemanticError, Statement, eval_closed,
                          render_statement)
 from .worlds import FluentDecl, World

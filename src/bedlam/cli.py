@@ -23,11 +23,11 @@ import click
 from .discrimination import tables_report
 from .extraction import ExtractionError, extract_word, encode_person, person_triple, value_to_letter
 from .parser import ParseError, parse_puzzle_file, parse_world_file
-from .puzzle import PuzzleSpec, QuestionRound
-from .semantics import AgentState, advance, answer_yes_no, would_assert
-from .solver import (Budget, BudgetExceededError, SolveResult, SolveStatus,
-                     check_world, explain_solution, solve_all)
-from .statements import SemanticError, render_statement
+from .puzzle import PuzzleSpec
+from .semantics import AgentState, answer_yes_no, would_assert
+from .solver import (Budget, BudgetExceededError, SolveStatus, check_world,
+                     explain_solution, solve_all)
+from .statements import SemanticError
 from .worlds import World
 
 EXIT_OK = 0
@@ -71,7 +71,8 @@ def _load_puzzle(path: str) -> tuple[PuzzleSpec, str]:
               type=click.Choice(["text", "structured"]),
               help="Human text or a stable JSON document.")
 @click.option("--workers", type=int, default=1, metavar="N",
-              help="Parallel search workers (output is identical for any N).")
+              help="Accepted for compatibility; the search is serial and N "
+                   "never changes the output.")
 def solve(puzzle_path, explain, extract_flag, expect_unique,
           budget_nodes, budget_seconds, output_format, workers):
     """Enumerate all worlds consistent with PUZZLE."""
@@ -79,7 +80,7 @@ def solve(puzzle_path, explain, extract_flag, expect_unique,
     budget = Budget(
         max_nodes=budget_nodes if budget_nodes is not None else Budget.max_nodes,
         max_seconds=budget_seconds if budget_seconds is not None else Budget.max_seconds)
-    result = solve_all(puzzle, budget=budget, workers=max(1, workers))
+    result = solve_all(puzzle, budget=budget, workers=workers)
     word = None
     letters = None
     if extract_flag:
@@ -229,22 +230,21 @@ def simulate(puzzle_path, world_path):
     """Print the transcript the WORLD's population would produce."""
     puzzle, _ = _load_puzzle(puzzle_path)
     world = parse_world_file(_read(world_path), puzzle)
-    states = {name: AgentState(world.type_of(name))
-              for name in puzzle.person_names}
-    for ri, rnd in enumerate(puzzle.rounds):
-        if isinstance(rnd, QuestionRound):
-            click.echo(f"round {ri} question \"{rnd.label}\":")
-            for person in rnd.addressed:
-                answer, states[person] = answer_yes_no(
-                    states[person], world, rnd.statement, person)
-                click.echo(f"  {person}: {answer.value}")
+    shown_round = None
+    for step in puzzle.transcript:
+        ri = step.round_index
+        if ri != shown_round:
+            shown_round = ri
+            click.echo(f"round {ri} statements:" if step.answer is None
+                       else f"round {ri} question \"{step.label}\":")
+        state = AgentState(world.types[step.person_index], step.count)
+        if step.answer is None:
+            consistent = would_assert(state, world, step.statement, step.person)
+            mark = "consistent" if consistent else "INCONSISTENT"
+            click.echo(f"  {step.person}: {step.label} [{mark}]")
         else:
-            click.echo(f"round {ri} statements:")
-            for person, stmt in rnd.utterances:
-                consistent = would_assert(states[person], world, stmt, person)
-                states[person] = advance(states[person])
-                mark = "consistent" if consistent else "INCONSISTENT"
-                click.echo(f"  {person}: {render_statement(stmt)} [{mark}]")
+            answer, _ = answer_yes_no(state, world, step.statement, step.person)
+            click.echo(f"  {step.person}: {answer.value}")
     sys.exit(EXIT_OK)
 
 

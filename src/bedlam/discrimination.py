@@ -3,10 +3,8 @@
 A signature is the string of Y/N answers one behavioral type gives to a
 fixed list of self-referential questions.  The phase letters of the type
 passed in (or reported back) always describe the answerer at the moment
-the first listed question is asked; `epoch_offset` records how many
-utterances the person already made in the surrounding transcript, so
-callers holding transcript-anchored types can convert with
-``ExtendedType.advanced``.
+the first listed question is asked; callers holding transcript-anchored
+types convert with ``ExtendedType.advanced``.
 """
 
 from __future__ import annotations
@@ -33,11 +31,8 @@ class UnsupportedQuestionError(Exception):
     """The question cannot be answered from the answerer's type alone."""
 
 
-def answer_signature(type_: ExtendedType, questions,
-                     epoch_offset: int = 0) -> str:
+def answer_signature(type_: ExtendedType, questions) -> str:
     """Y/N answers this type gives to the questions, as one string."""
-    if epoch_offset < 0:
-        raise ValueError("epoch_offset must be non-negative")
     _check_questions(questions)
     world = SoloTypeWorld(SUBJECT, type_)
     state = AgentState(type_)
@@ -76,18 +71,17 @@ class TypePartition:
         return dict(self.classes)
 
 
-def partition_types(questions, epoch_offset: int = 0) -> TypePartition:
+def partition_types(questions) -> TypePartition:
     """Group all sixteen types by signature; classes keep canonical order."""
     groups: dict[str, list[ExtendedType]] = {}
     for t in ALL_TYPES:
-        groups.setdefault(answer_signature(t, questions, epoch_offset), []).append(t)
+        groups.setdefault(answer_signature(t, questions), []).append(t)
     # Order classes by their first member's canonical position.
     ordered = sorted(groups.items(), key=lambda kv: ALL_TYPES.index(kv[1][0]))
     return TypePartition(tuple((sig, tuple(ts)) for sig, ts in ordered))
 
 
-def filter_types_by_signature(questions, answers,
-                              epoch_offset: int = 0) -> frozenset[ExtendedType]:
+def filter_types_by_signature(questions, answers) -> frozenset[ExtendedType]:
     """Types whose answers to the questions match the recorded ones."""
     signature = _as_signature(answers)
     if len(signature) != len(tuple(questions)):
@@ -96,7 +90,7 @@ def filter_types_by_signature(questions, answers,
             f"{len(tuple(questions))} questions")
     return frozenset(
         t for t in ALL_TYPES
-        if answer_signature(t, questions, epoch_offset) == signature)
+        if answer_signature(t, questions) == signature)
 
 
 def _as_signature(answers) -> str:
@@ -159,7 +153,7 @@ def tables_report() -> str:
     out.append("asked after one earlier utterance; labels give the state at")
     out.append("the first of the three questions")
     out.append("")
-    partition = partition_types(THREE_QUESTION_PLAN, epoch_offset=1)
+    partition = partition_types(THREE_QUESTION_PLAN)
     for signature, types in partition.classes:
         names = ", ".join(t.label for t in types)
         out.append(f"  {signature} → {names}")

@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import statements as st
 from .extraction import Category, ExtractionConfig
 from .puzzle import (PuzzleSpec, QuestionRound, StatementsRound,
                      validate_statement_in_context)
@@ -550,6 +549,7 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
         raise cur.error_here("world entries begin on the following lines")
     types: dict[str, object] = {}
     values: dict[str, dict[str, object]] = {}
+    entries: dict[str, Token] = {}
     while True:
         line = fp.peek_line()
         if line is None:
@@ -568,6 +568,7 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
         if person in types:
             raise ParseError(f"duplicate entry for '{person}'",
                              name_tok.line, name_tok.col)
+        entries[person] = name_tok
         lcur.next(expect_text=":")
         label_tok = lcur.next(expect_kind="word", what="a type label")
         try:
@@ -587,12 +588,15 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
             values[person][fluent_tok.text] = _fluent_value(decl, value_tok)
     missing = [p for p in puzzle.person_names if p not in types]
     if missing:
-        raise ParseError(f"no entry for person '{missing[0]}'", 1, 1)
+        start = header.tokens[0]
+        raise ParseError(f"no entry for person '{missing[0]}'",
+                         start.line, start.col)
     for person, assigned in values.items():
         for decl in puzzle.fluent_decls:
             if decl.name not in assigned:
                 raise ParseError(
-                    f"no value of '{decl.name}' for '{person}'", 1, 1)
+                    f"no value of '{decl.name}' for '{person}'",
+                    entries[person].line, entries[person].col)
     return World(
         puzzle.person_names,
         tuple(types[p] for p in puzzle.person_names),

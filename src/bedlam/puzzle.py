@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from . import statements as st
 from .extraction import (ExtractionConfig, SANITY_CATEGORY,
                          TRUTHFULNESS_CATEGORY)
-from .semantics import Answer
-from .statements import Believes, SemanticError, Statement
-from .worlds import FluentDecl, PersonId
+from .semantics import Answer, ExtendedType, asserted_truth
+from .statements import Believes, SemanticError, Statement, render_statement
+from .worlds import FluentDecl
 
 
 def validate_statement_in_context(stmt: Statement, where: str,
@@ -63,9 +64,6 @@ class QuestionRound:
     addressed: tuple[str, ...]
     answers: tuple[Answer, ...]
 
-    def answer_of(self, person: str) -> Answer:
-        return self.answers[self.addressed.index(person)]
-
 
 @dataclass(frozen=True)
 class StatementsRound:
@@ -78,16 +76,23 @@ Round = Union[QuestionRound, StatementsRound]
 
 
 @dataclass(frozen=True)
-class ScheduledUtterance:
-    """One slot in a person's utterance history."""
+class Step:
+    """One utterance of the transcript, compiled for replay."""
 
     round_index: int
-    statement: Statement
+    person: str
+    person_index: int
+    count: int                # the speaker's utterance ordinal
+    statement: Statement      # as spoken
+    body: Statement           # believes wrapper peeled off
+    is_belief: bool
     answer: Optional[Answer]  # None for volunteered statements
+    label: str                # question label or rendered statement
 
-    @property
-    def is_question(self) -> bool:
-        return self.answer is not None
+    def required(self, type_: ExtendedType) -> bool:
+        """The truth value the body must have for a `type_` speaker."""
+        target = asserted_truth(type_, self.count, self.is_belief)
+        return not target if self.answer is Answer.NO else target
 
 
 @dataclass(frozen=True)
@@ -100,29 +105,36 @@ class PuzzleSpec:
     rounds: tuple[Round, ...]
     extraction: Optional[ExtractionConfig] = None
 
-    @property
-    def persons(self) -> tuple[PersonId, ...]:
-        return tuple(PersonId(i, n) for i, n in enumerate(self.person_names))
-
     def fluent_decl(self, name: str) -> FluentDecl:
         for decl in self.fluent_decls:
             if decl.name == name:
                 return decl
         raise SemanticError(f"undeclared fluent '{name}'")
 
-    def utterance_schedule(self) -> dict[str, list[ScheduledUtterance]]:
-        """Each person's utterances in order; list position is their counter."""
-        schedule: dict[str, list[ScheduledUtterance]] = {
-            name: [] for name in self.person_names}
-        for i, rnd in enumerate(self.rounds):
+    @cached_property
+    def transcript(self) -> tuple[Step, ...]:
+        """Every utterance in round order, numbered per speaker.
+
+        Compiled once per spec: the brute-force oracle replays one puzzle
+        against every world of its space.
+        """
+        index = {name: k for k, name in enumerate(self.person_names)}
+        counts = [0] * len(self.person_names)
+        steps = []
+        for ri, rnd in enumerate(self.rounds):
             if isinstance(rnd, QuestionRound):
-                for person, answer in zip(rnd.addressed, rnd.answers):
-                    schedule[person].append(
-                        ScheduledUtterance(i, rnd.statement, answer))
+                said = [(person, rnd.statement, answer, rnd.label)
+                        for person, answer in zip(rnd.addressed, rnd.answers)]
             else:
-                for speaker, stmt in rnd.utterances:
-                    schedule[speaker].append(ScheduledUtterance(i, stmt, None))
-        return schedule
+                said = [(person, stmt, None, render_statement(stmt))
+                        for person, stmt in rnd.utterances]
+            for person, stmt, answer, label in said:
+                pi = index[person]
+                body, is_belief = st.peel_believes(stmt)
+                steps.append(Step(ri, person, pi, counts[pi], stmt, body,
+                                  is_belief, answer, label))
+                counts[pi] += 1
+        return tuple(steps)
 
     def validate(self) -> None:
         """Raise SemanticError on any declaration or round inconsistency."""

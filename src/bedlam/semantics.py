@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
-from .statements import Statement, SemanticError, eval_closed, peel_believes, Not
+from .statements import Statement, eval_closed, peel_believes, Not
 
 
 class Sanity(Enum):
@@ -85,16 +86,19 @@ class ExtendedType:
             second = "At" if self.truthful_at_start else "Al"
         return first + second
 
+    @cached_property
+    def phases(self) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
+        """(truthful_now, sane_now) at even and at odd utterance ordinals."""
+        truthful, sane = self.truthful_at_start, self.sane_at_start
+        return ((truthful, sane),
+                (truthful != (self.truthfulness is Truthfulness.ALTERNATOR),
+                 sane != (self.sanity is Sanity.PARTIAL)))
+
     def advanced(self, steps: int = 1) -> "ExtendedType":
         """The label this type carries when re-anchored `steps` utterances later."""
         if steps % 2 == 0:
             return self
-        truthful = self.truthful_at_start
-        sane = self.sane_at_start
-        if self.truthfulness is Truthfulness.ALTERNATOR:
-            truthful = not truthful
-        if self.sanity is Sanity.PARTIAL:
-            sane = not sane
+        truthful, sane = self.phases[1]
         return replace(self, truthful_at_start=truthful, sane_at_start=sane)
 
     def __repr__(self):
@@ -150,14 +154,7 @@ class AgentState:
 
 def current_phases(state: AgentState) -> tuple[bool, bool]:
     """(truthful_now, sane_now) for the state's utterance count."""
-    odd = state.utterances_made % 2 == 1
-    truthful = state.type.truthful_at_start
-    if state.type.truthfulness is Truthfulness.ALTERNATOR and odd:
-        truthful = not truthful
-    sane = state.type.sane_at_start
-    if state.type.sanity is Sanity.PARTIAL and odd:
-        sane = not sane
-    return truthful, sane
+    return state.type.phases[state.utterances_made % 2]
 
 
 def advance(state: AgentState) -> AgentState:
@@ -165,19 +162,23 @@ def advance(state: AgentState) -> AgentState:
     return AgentState(state.type, state.utterances_made + 1)
 
 
+def asserted_truth(type_: ExtendedType, ordinal: int, is_belief: bool) -> bool:
+    """The truth value a body must have for the type to assert it.
+
+    `ordinal` counts the person's earlier utterances.  ``believes(S)``
+    is asserted when ``truthful_now == value(S)``, regardless of sanity;
+    a bare statement when ``(truthful_now == sane_now) == value``.
+    """
+    truthful, sane = type_.phases[ordinal % 2]
+    return truthful if is_belief else truthful == sane
+
+
 def would_assert(state: AgentState, world, stmt: Statement,
                  speaker: Optional[str] = None) -> bool:
-    """Whether an agent in this state would utter the statement.
-
-    ``believes(S)`` collapses to ``truthful_now == value(S)`` regardless of
-    sanity; a bare statement follows ``(truthful_now == sane_now) == value``.
-    """
+    """Whether an agent in this state would utter the statement."""
     body, is_belief = peel_believes(stmt)
-    value = eval_closed(world, body, speaker)
-    truthful, sane = current_phases(state)
-    if is_belief:
-        return truthful == value
-    return (truthful == sane) == value
+    return eval_closed(world, body, speaker) == asserted_truth(
+        state.type, state.utterances_made, is_belief)
 
 
 def answer_yes_no(state: AgentState, world, question: Statement,
@@ -239,9 +240,9 @@ def decode_assertion(state: AgentState, stmt: Statement) -> Statement:
     participates as well.
     """
     body, is_belief = peel_believes(stmt)
-    truthful, sane = current_phases(state)
-    positive = truthful if is_belief else truthful == sane
-    return body if positive else Not(body)
+    if asserted_truth(state.type, state.utterances_made, is_belief):
+        return body
+    return Not(body)
 
 
 def decode_answer(state: AgentState, question: Statement,

@@ -1,33 +1,31 @@
 """World enumeration: consistency checking, staged search, derivations.
 
-`check_world` replays a transcript against one candidate world and is the
-single source of truth for consistency.  `brute_force_solve` filters it
-over the full cartesian world space and serves as the checking oracle for
-small puzzles.  `solve_all` must agree with the oracle wherever the space
-is enumerable; it gets there faster by pruning each person's type against
-their own question answers, then backtracking over fluent values with
-three-valued constraint evaluation.
+`check_world` replays a puzzle's compiled transcript against one
+candidate world and is the single source of truth for consistency.
+`brute_force_solve` filters it over the full cartesian world space and
+serves as the checking oracle for small puzzles.  `solve_all` must agree
+with the oracle wherever the space is enumerable; it gets there faster by
+pruning each person's type against their own question answers, then
+backtracking over fluent values with three-valued constraint evaluation.
+The search is serial and visits worlds in canonical order, so it returns
+them sorted without sorting.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
 from . import statements as st
-from .discrimination import filter_types_by_signature  # noqa: F401  (re-export)
-from .puzzle import PuzzleSpec, QuestionRound, ScheduledUtterance, StatementsRound
+from .puzzle import PuzzleSpec
 from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
-                        advance, answer_yes_no, current_phases,
-                        decode_answer, decode_assertion, would_assert)
+                        current_phases, decode_answer, decode_assertion)
 from .statements import (SemanticError, Statement, UNKNOWN, eval_closed,
                          eval_partial, render_statement)
-from .worlds import FluentDecl, SoloTypeWorld, World, builtin_truth
+from .worlds import SoloTypeWorld, World, builtin_truth
 
 
 class SolveStatus(Enum):
@@ -90,63 +88,10 @@ class CheckResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class _CheckStep:
-    round_index: int
-    person: str
-    person_index: int
-    count: int                    # the speaker's utterance ordinal
-    body: Statement               # believes wrapper peeled off
-    is_belief: bool
-    expected_yes: Optional[bool]  # None for volunteered statements
-    label: str                    # question label or rendered statement
-
-
-def _check_plan(puzzle: PuzzleSpec) -> list[_CheckStep]:
-    index = {name: k for k, name in enumerate(puzzle.person_names)}
-    counts = [0] * len(puzzle.person_names)
-    plan = []
-    for ri, rnd in enumerate(puzzle.rounds):
-        if isinstance(rnd, QuestionRound):
-            body, is_belief = st.peel_believes(rnd.statement)
-            for person, recorded in zip(rnd.addressed, rnd.answers):
-                pi = index[person]
-                plan.append(_CheckStep(ri, person, pi, counts[pi], body,
-                                       is_belief, recorded is Answer.YES,
-                                       rnd.label))
-                counts[pi] += 1
-        else:
-            for person, stmt in rnd.utterances:
-                pi = index[person]
-                body, is_belief = st.peel_believes(stmt)
-                plan.append(_CheckStep(ri, person, pi, counts[pi], body,
-                                       is_belief, None,
-                                       render_statement(stmt)))
-                counts[pi] += 1
-    return plan
-
-
-# Replaying one puzzle against many worlds is the oracle's hot loop, so
-# the flattened plan is cached per puzzle object.
-_PLAN_CACHE: dict[int, tuple[PuzzleSpec, list[_CheckStep]]] = {}
-
-
-def _cached_plan(puzzle: PuzzleSpec) -> list[_CheckStep]:
-    entry = _PLAN_CACHE.get(id(puzzle))
-    if entry is not None and entry[0] is puzzle:
-        return entry[1]
-    plan = _check_plan(puzzle)
-    if len(_PLAN_CACHE) >= 64:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[id(puzzle)] = (puzzle, plan)
-    return plan
-
-
 def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
     """True iff the world satisfies every axiom and transcript round.
 
-    Each person's utterance counter is threaded through the rounds in
-    order; the first violation found is reported.
+    The first violation found, in round order, is reported.
     """
     if world.person_names != puzzle.person_names:
         raise SemanticError("world persons do not match the puzzle")
@@ -158,24 +103,17 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
                 False, None, None,
                 f"axiom {i + 1} is violated: {render_statement(axiom)}")
     types = world.types
-    for step in _cached_plan(puzzle):
+    for step in puzzle.transcript:
         type_ = types[step.person_index]
-        truthful, sane = current_phases(AgentState(type_, step.count))
-        target = truthful if step.is_belief else truthful == sane
-        if step.expected_yes is None:
-            required = target
-        else:
-            required = target if step.expected_yes else not target
-        if eval_closed(world, step.body, step.person) != required:
-            if step.expected_yes is None:
+        if eval_closed(world, step.body, step.person) != step.required(type_):
+            if step.answer is None:
                 message = (f"round {step.round_index}: {step.person} "
                            f"({type_.label}) would not say: {step.label}")
             else:
-                recorded = "yes" if step.expected_yes else "no"
-                would = "no" if step.expected_yes else "yes"
+                would = "no" if step.answer is Answer.YES else "yes"
                 message = (f"round {step.round_index}: {step.person} answered "
-                           f"{recorded} to \"{step.label}\" but a {type_.label} "
-                           f"in this world would answer {would}")
+                           f"{step.answer.value} to \"{step.label}\" but a "
+                           f"{type_.label} in this world would answer {would}")
             return CheckResult(False, step.round_index, step.person, message)
     return CheckResult(True, None, None, "consistent")
 
@@ -201,24 +139,6 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
 
 # --- Staged search ---
 
-@dataclass(frozen=True)
-class _Utterance:
-    person_index: int
-    person: str
-    count: int                 # the speaker's utterance ordinal
-    body: Statement            # believes wrapper peeled off
-    is_belief: bool
-    expected_yes: Optional[bool]  # None for volunteered statements
-    fluent_deps: frozenset     # of (fluent_index, person_index | None)
-    type_local: bool
-
-
-@dataclass(frozen=True)
-class _Axiom:
-    body: Statement
-    fluent_deps: frozenset
-
-
 class _Analysis:
     """Per-puzzle precomputation shared by every type combination."""
 
@@ -227,27 +147,15 @@ class _Analysis:
         names = puzzle.person_names
         self.person_index = {name: i for i, name in enumerate(names)}
         self.fluent_index = {d.name: i for i, d in enumerate(puzzle.fluent_decls)}
-        self.utterances: list[_Utterance] = []
-        for person, slots in puzzle.utterance_schedule().items():
-            for count, slot in enumerate(slots):
-                self.utterances.append(self._analyze(person, count, slot))
-        self.axioms = [
-            _Axiom(ax, self._deps(ax, None)) for ax in puzzle.axioms]
+        # Each step and axiom with the (fluent, person | None) slots it reads.
+        self.steps = [(step, self._deps(step.body, step.person))
+                      for step in puzzle.transcript]
+        self.axioms = [(ax, self._deps(ax, None)) for ax in puzzle.axioms]
         # Search variables: one per (fluent, person), declaration order.
         self.variables = [
             (fi, pi)
             for fi in range(len(puzzle.fluent_decls))
             for pi in range(len(names))]
-        self.var_index = {v: i for i, v in enumerate(self.variables)}
-
-    def _analyze(self, person: str, count: int,
-                 slot: ScheduledUtterance) -> _Utterance:
-        body, is_belief = st.peel_believes(slot.statement)
-        expected = None if slot.answer is None else slot.answer is Answer.YES
-        return _Utterance(
-            self.person_index[person], person, count, body, is_belief,
-            expected, self._deps(body, person),
-            st.is_type_local(body, person))
 
     def _deps(self, body: Statement, speaker: Optional[str]) -> frozenset:
         deps = set()
@@ -268,63 +176,18 @@ class _Analysis:
 
     def type_candidates(self) -> list[list[ExtendedType]]:
         """Per-person types consistent with their own type-local utterances."""
-        by_person: dict[int, list[_Utterance]] = {}
-        for u in self.utterances:
-            by_person.setdefault(u.person_index, []).append(u)
+        names = self.puzzle.person_names
         candidates = []
-        for pi, person in enumerate(self.puzzle.person_names):
-            locals_ = [u for u in by_person.get(pi, ()) if u.type_local]
-            survivors = []
-            for t in ALL_TYPES:
-                world = _SpeakerOnlyWorld(self.puzzle.person_names, person, t)
-                ok = True
-                for u in locals_:
-                    value = eval_closed(world, u.body, person)
-                    if _required_value(t, u) != value:
-                        ok = False
-                        break
-                if ok:
-                    survivors.append(t)
-            candidates.append(survivors)
+        for person in names:
+            locals_ = [step for step in self.puzzle.transcript
+                       if step.person == person
+                       and st.is_type_local(step.body, person)]
+            candidates.append([
+                t for t in ALL_TYPES
+                if all(eval_closed(SoloTypeWorld(person, t, names),
+                                   step.body, person) == step.required(t)
+                       for step in locals_)])
         return candidates
-
-
-class _SpeakerOnlyWorld:
-    """Full person set, but only the speaker's type is known.
-
-    Type-local statements never query anyone else, while quantifiers
-    still range over the real domain (its size is observable through
-    constructs like `atleast 2 x . patient(me)`).
-    """
-
-    __slots__ = ("person_names", "speaker", "type")
-
-    def __init__(self, person_names, speaker, type_):
-        self.person_names = person_names
-        self.speaker = speaker
-        self.type = type_
-
-    def type_of(self, person: str) -> ExtendedType:
-        if person != self.speaker:
-            raise SemanticError(
-                f"type of '{person}' is not fixed at this search stage")
-        return self.type
-
-    def builtin_value(self, predicate: str, person: str) -> bool:
-        return builtin_truth(self.type_of(person), predicate)
-
-    def fluent_value(self, fluent: str, person: str):
-        raise SemanticError(
-            f"fluent '{fluent}' is not assigned at this search stage")
-
-
-def _required_value(type_: ExtendedType, utterance: _Utterance) -> bool:
-    """The truth value the utterance's body must have in the world."""
-    truthful, sane = current_phases(AgentState(type_, utterance.count))
-    target = truthful if utterance.is_belief else truthful == sane
-    if utterance.expected_yes is None or utterance.expected_yes:
-        return target
-    return not target
 
 
 class _PartialWorld:
@@ -357,45 +220,30 @@ class _PartialWorld:
         return self.values[fi][self._pindex[person]]
 
 
-class _Ticker:
-    """Node counter with shared budget enforcement."""
+class _Progress:
+    """Node counter that enforces the budget every 2,048 nodes."""
 
-    _FLUSH = 2048
+    _CHECK_EVERY = 2048
 
-    def __init__(self, shared: "_SharedProgress"):
-        self.shared = shared
-        self.local = 0
+    def __init__(self, budget: Budget):
+        self.budget = budget
+        self.started = time.perf_counter()
+        self.nodes = 0
 
     def tick(self) -> None:
-        self.local += 1
-        if self.local % self._FLUSH == 0:
-            self.shared.add(self._FLUSH)
-            self.local = 0
+        self.nodes += 1
+        if self.nodes % self._CHECK_EVERY == 0:
+            self.check()
 
-    def finish(self) -> None:
-        self.shared.add(self.local)
-        self.local = 0
-
-
-class _SharedProgress:
-    def __init__(self, budget: Budget, started: float):
-        self.budget = budget
-        self.started = started
-        self.total = 0
-        self.lock = threading.Lock()
-
-    def add(self, n: int) -> None:
-        with self.lock:
-            self.total += n
-            total = self.total
-        if total > self.budget.max_nodes:
+    def check(self) -> None:
+        if self.nodes > self.budget.max_nodes:
             raise BudgetExceededError(
                 f"node budget of {self.budget.max_nodes} exceeded",
-                SolveStatistics(nodes=total, elapsed=self.elapsed()))
+                SolveStatistics(nodes=self.nodes, elapsed=self.elapsed()))
         if self.elapsed() > self.budget.max_seconds:
             raise BudgetExceededError(
                 f"time budget of {self.budget.max_seconds}s exceeded",
-                SolveStatistics(nodes=total, elapsed=self.elapsed()))
+                SolveStatistics(nodes=self.nodes, elapsed=self.elapsed()))
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
@@ -405,24 +253,19 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
               workers: int = 1) -> SolveResult:
     """All worlds consistent with the puzzle, canonically ordered.
 
-    The result is deterministic for any worker count.  Exceeding the
-    budget raises BudgetExceededError; it never truncates silently.
+    The search is serial: type candidates follow `ALL_TYPES` order and
+    fluent variables run fluent-major, person-minor, so worlds come out in
+    `World.sort_key` order without a sort.  `workers` is accepted for
+    compatibility and never changes the result.  Exceeding the budget
+    raises BudgetExceededError; it never truncates silently.
     """
-    budget = budget or Budget()
-    started = time.perf_counter()
-    progress = _SharedProgress(budget, started)
+    progress = _Progress(budget or Budget())
     analysis = _Analysis(puzzle)
     candidates = analysis.type_candidates()
     worlds: list[World] = []
-    if all(candidates) or not candidates:
-        if workers <= 1 or not candidates or len(candidates[0]) == 1:
-            ticker = _Ticker(progress)
-            worlds = _search_combos(puzzle, analysis, candidates, ticker)
-            ticker.finish()
-        else:
-            worlds = _search_parallel(puzzle, analysis, candidates,
-                                      progress, workers)
-    worlds.sort(key=lambda w: w.sort_key())
+    if all(candidates):
+        worlds = _search_combos(puzzle, analysis, candidates, progress)
+        progress.check()
     if not worlds:
         status = SolveStatus.NONE
     elif len(worlds) == 1:
@@ -431,52 +274,35 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
         status = SolveStatus.MULTIPLE
     report = _build_report(puzzle, worlds[0]) if status is SolveStatus.UNIQUE else None
     stats = SolveStatistics(
-        nodes=progress.total, elapsed=time.perf_counter() - started,
+        nodes=progress.nodes, elapsed=progress.elapsed(),
         worlds_found=len(worlds))
     return SolveResult(status, tuple(worlds), report, stats)
 
 
-def _search_parallel(puzzle, analysis, candidates, progress, workers):
-    slices = [candidates[0][w::workers] for w in range(workers)]
-    results: list[list[World]] = []
-
-    def run(first_slice):
-        ticker = _Ticker(progress)
-        found = _search_combos(puzzle, analysis,
-                               [first_slice] + candidates[1:], ticker)
-        ticker.finish()
-        return found
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(run, slices):
-            results.append(found)
-    return [w for found in results for w in found]
-
-
-def _search_combos(puzzle, analysis, candidates, ticker) -> list[World]:
+def _search_combos(puzzle, analysis, candidates, progress) -> list[World]:
     found: list[World] = []
     for types in itertools.product(*candidates):
-        ticker.tick()
-        _search_fluents(puzzle, analysis, types, ticker, found)
+        progress.tick()
+        _search_fluents(puzzle, analysis, types, progress, found)
     return found
 
 
-def _search_fluents(puzzle, analysis, types, ticker, found) -> None:
+def _search_fluents(puzzle, analysis, types, progress, found) -> None:
     world = _PartialWorld(puzzle, analysis, types)
     pending = []
-    for u in analysis.utterances:
-        required = _required_value(types[u.person_index], u)
-        if not u.fluent_deps:
-            if eval_closed(world, u.body, u.person) != required:
+    for step, deps in analysis.steps:
+        required = step.required(types[step.person_index])
+        if not deps:
+            if eval_closed(world, step.body, step.person) != required:
                 return
         else:
-            pending.append((u.body, u.person, required, u.fluent_deps))
-    for ax in analysis.axioms:
-        if not ax.fluent_deps:
-            if not eval_closed(world, ax.body):
+            pending.append((step.body, step.person, required, deps))
+    for axiom, deps in analysis.axioms:
+        if not deps:
+            if not eval_closed(world, axiom):
                 return
         else:
-            pending.append((ax.body, None, True, ax.fluent_deps))
+            pending.append((axiom, None, True, deps))
 
     variables = analysis.variables
     # Constraints to re-check when a variable gets assigned.
@@ -500,7 +326,7 @@ def _search_fluents(puzzle, analysis, types, ticker, found) -> None:
             return
         fi, pi = variables[depth]
         for value in decls[fi].values():
-            ticker.tick()
+            progress.tick()
             world.values[fi][pi] = value
             ok = True
             for body, speaker, required, _ in watchers[depth]:
@@ -558,29 +384,17 @@ def explain_solution(puzzle: PuzzleSpec,
     check = check_world(puzzle, world)
     if not check:
         raise SemanticError(f"world is not consistent: {check.message}")
-    index = {name: i for i, name in enumerate(puzzle.person_names)}
-    counts = [0] * len(puzzle.person_names)
     steps = []
-    for ri, rnd in enumerate(puzzle.rounds):
-        if isinstance(rnd, QuestionRound):
-            for person, recorded in zip(rnd.addressed, rnd.answers):
-                pi = index[person]
-                state = AgentState(world.types[pi], counts[pi])
-                counts[pi] += 1
-                truthful, sane = current_phases(state)
-                fact = decode_answer(
-                    state, st.substitute_me(rnd.statement, person), recorded)
-                spoken = f"\"{rnd.label}\" answered {recorded.value}"
-                steps.append(DerivationStep(ri, person, truthful, sane,
-                                            spoken, fact))
+    for step in puzzle.transcript:
+        state = AgentState(world.types[step.person_index], step.count)
+        truthful, sane = current_phases(state)
+        said = st.substitute_me(step.statement, step.person)
+        if step.answer is None:
+            fact = decode_assertion(state, said)
+            spoken = f"says {step.label}"
         else:
-            for person, stmt in rnd.utterances:
-                pi = index[person]
-                state = AgentState(world.types[pi], counts[pi])
-                counts[pi] += 1
-                truthful, sane = current_phases(state)
-                fact = decode_assertion(state, st.substitute_me(stmt, person))
-                spoken = f"says {render_statement(stmt)}"
-                steps.append(DerivationStep(ri, person, truthful, sane,
-                                            spoken, fact))
+            fact = decode_answer(state, said, step.answer)
+            spoken = f"\"{step.label}\" answered {step.answer.value}"
+        steps.append(DerivationStep(step.round_index, step.person, truthful,
+                                    sane, spoken, fact))
     return tuple(steps)

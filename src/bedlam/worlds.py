@@ -10,14 +10,6 @@ from .semantics import ExtendedType, Sanity, Truthfulness, TYPE_INDEX
 from .statements import SemanticError
 
 
-@dataclass(frozen=True)
-class PersonId:
-    """A person's position in declaration order plus their display name."""
-
-    index: int
-    name: str
-
-
 def builtin_truth(type_: ExtendedType, predicate: str) -> bool:
     """Truth of a builtin predicate for a person of the given type."""
     if predicate == "patient":
@@ -41,14 +33,20 @@ def builtin_truth(type_: ExtendedType, predicate: str) -> bool:
 
 @dataclass(frozen=True)
 class SoloTypeWorld:
-    """A one-person world exposing only type-derived predicates."""
+    """A world where only one person's type is known.
+
+    Quantifiers range over `domain`, or over that person alone when it is
+    empty.  A statement that depends only on the speaker's own type may
+    still observe the domain's size, as in `atleast 2 x . patient(me)`.
+    """
 
     name: str
     type: ExtendedType
+    domain: tuple[str, ...] = ()
 
     @property
     def person_names(self) -> tuple[str, ...]:
-        return (self.name,)
+        return self.domain or (self.name,)
 
     def type_of(self, person: str) -> ExtendedType:
         if person != self.name:

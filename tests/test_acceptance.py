@@ -87,7 +87,7 @@ ROUND_FIVE_FACTS = {
 
 def test_criterion_1_four_question_table():
     started = time.perf_counter()
-    signatures = {t.label: answer_signature(t, FOUR_QUESTION_PLAN, 0)
+    signatures = {t.label: answer_signature(t, FOUR_QUESTION_PLAN)
                   for t in ALL_TYPES}
     assert signatures == FOUR_QUESTION_TABLE
     assert len(set(signatures.values())) == 16
@@ -99,7 +99,7 @@ def test_criterion_1_four_question_table():
 
 def test_criterion_2_three_question_partition():
     started = time.perf_counter()
-    partition = partition_types(THREE_QUESTION_PLAN, epoch_offset=1)
+    partition = partition_types(THREE_QUESTION_PLAN)
     classes = {sig: {t.label for t in types}
                for sig, types in partition.classes}
     assert classes == THREE_QUESTION_TABLE

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output surfaces, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -182,3 +183,33 @@ def test_solve_explain_appends_derivation(runner):
     assert "derivation:" in result.output
     assert "round 0 Beth (lying, insane): says lover(me) => lover(Beth)" \
         in result.output
+
+
+# Whole-output pins: any change to solving, rendering or replay order
+# shows up as a different digest.
+STRUCTURED_SOLVE_SHA256 = \
+    "af26c6eb9888134b764145d3f6ab7fec9d86d51093a6778b319ecb5563fcfb61"
+SIMULATE_SHA256 = \
+    "5dd4b20908be8686963432e1f813fbcfd27a6a3b6c5030296bc9b54a2b9c6abd"
+TABLES_SHA256 = \
+    "2d12a26ec20aed7fbb8c6a1baf12e8ffaa6afda9adb5e18795c1e7f38bf09f0f"
+
+
+def _digest(result) -> str:
+    assert result.exit_code == 0
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+def test_structured_solve_output_bytes_are_pinned(runner):
+    result = runner.invoke(cli, ["solve", ASYLUM, "--format", "structured",
+                                 "--extract", "--explain"])
+    assert _digest(result) == STRUCTURED_SOLVE_SHA256
+
+
+def test_simulate_output_bytes_are_pinned(runner):
+    result = runner.invoke(cli, ["simulate", ASYLUM, SOLUTION])
+    assert _digest(result) == SIMULATE_SHA256
+
+
+def test_tables_output_bytes_are_pinned(runner):
+    assert _digest(runner.invoke(cli, ["tables"])) == TABLES_SHA256

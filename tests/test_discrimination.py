@@ -6,10 +6,10 @@ from bedlam.discrimination import (BELIEF_QUESTION, FOUR_QUESTION_PLAN,
                                    LEGACY_TWO_QUESTION_SIGNATURES,
                                    PATIENT_QUESTION, THREE_QUESTION_PLAN,
                                    TWO_QUESTION_PLAN, UnsupportedQuestionError,
-                                   answer_signature, partition_types,
-                                   tables_report, two_question_table)
+                                   answer_signature, filter_types_by_signature,
+                                   partition_types, tables_report,
+                                   two_question_table)
 from bedlam.semantics import ALL_TYPES, Answer, TYPES_BY_LABEL
-from bedlam.solver import filter_types_by_signature
 from bedlam.statements import Atom, ME
 
 # The full four-question table, one column per type.
@@ -31,7 +31,7 @@ THREE_QUESTION_PAIRS = {
 def test_answer_signature_examples():
     assert answer_signature(TYPES_BY_LABEL["PsAt"], FOUR_QUESTION_PLAN) == "YYYN"
     assert answer_signature(TYPES_BY_LABEL["PiAt"], FOUR_QUESTION_PLAN) == "NNYN"
-    assert answer_signature(TYPES_BY_LABEL["DT"], [], epoch_offset=3) == ""
+    assert answer_signature(TYPES_BY_LABEL["DT"], []) == ""
 
 
 def test_four_question_table_full():
@@ -49,7 +49,7 @@ def test_four_question_signatures_are_a_bijection():
 
 
 def test_three_question_partition_is_the_eight_pairs():
-    partition = partition_types(THREE_QUESTION_PLAN, epoch_offset=1)
+    partition = partition_types(THREE_QUESTION_PLAN)
     classes = {sig: {t.label for t in types}
                for sig, types in partition.classes}
     assert classes == THREE_QUESTION_PAIRS
@@ -57,13 +57,13 @@ def test_three_question_partition_is_the_eight_pairs():
 
 
 def test_four_question_partition_is_discrete():
-    partition = partition_types(FOUR_QUESTION_PLAN, epoch_offset=0)
+    partition = partition_types(FOUR_QUESTION_PLAN)
     assert partition.is_discrete
     assert len(partition.classes) == 16
 
 
 def test_single_question_partition_splits_in_half():
-    partition = partition_types([PATIENT_QUESTION], epoch_offset=0)
+    partition = partition_types([PATIENT_QUESTION])
     sizes = sorted(len(types) for _, types in partition.classes)
     assert sizes == [8, 8]
 
@@ -93,23 +93,18 @@ def test_repeated_question_flip_laws():
 
 def test_filter_types_by_signature_examples():
     assert {t.label for t in filter_types_by_signature(
-        THREE_QUESTION_PLAN, "YYY", epoch_offset=1)} == {"SL", "PsAt"}
+        THREE_QUESTION_PLAN, "YYY")} == {"SL", "PsAt"}
     assert {t.label for t in filter_types_by_signature(
-        THREE_QUESTION_PLAN, "NNN", epoch_offset=1)} == {"ST", "PsAl"}
-    assert filter_types_by_signature([], [], epoch_offset=0) == frozenset(ALL_TYPES)
+        THREE_QUESTION_PLAN, "NNN")} == {"ST", "PsAl"}
+    assert filter_types_by_signature([], []) == frozenset(ALL_TYPES)
     answers = [Answer.YES, Answer.YES, Answer.YES]
-    assert filter_types_by_signature(THREE_QUESTION_PLAN, answers, 1) == \
-        filter_types_by_signature(THREE_QUESTION_PLAN, "YYY", 1)
+    assert filter_types_by_signature(THREE_QUESTION_PLAN, answers) == \
+        filter_types_by_signature(THREE_QUESTION_PLAN, "YYY")
 
 
 def test_filter_length_mismatch():
     with pytest.raises(ValueError):
-        filter_types_by_signature(THREE_QUESTION_PLAN, "YY", epoch_offset=1)
-
-
-def test_negative_offset_rejected():
-    with pytest.raises(ValueError):
-        answer_signature(TYPES_BY_LABEL["ST"], TWO_QUESTION_PLAN, epoch_offset=-1)
+        filter_types_by_signature(THREE_QUESTION_PLAN, "YY")
 
 
 def test_two_question_table_and_documented_divergence():

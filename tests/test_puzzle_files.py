@@ -153,3 +153,31 @@ def test_comments_and_blank_lines_ignored():
     text = "# heading\n\npersons: Ann # trailing\n\n# done\n"
     puzzle = parse_puzzle_file(text)
     assert puzzle.person_names == ("Ann",)
+
+
+def _world_entries(asylum, skip_fluent_of=None):
+    lines = []
+    for p in asylum.person_names:
+        carried = "" if p == skip_fluent_of else ", carried=no"
+        lines.append(f"  {p}: ST, lover=no, guilt=innocent, strong=no, "
+                     f"unlocked=no{carried}")
+    return lines
+
+
+def test_world_file_missing_person_is_reported_at_the_header(asylum):
+    text = "\n".join(["# no Ian here", "", "world:"]
+                     + _world_entries(asylum)[:-1])
+    with pytest.raises(ParseError) as err:
+        parse_world_file(text, asylum)
+    assert "no entry for person 'Ian'" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
+def test_world_file_missing_value_is_reported_at_the_entry(asylum):
+    text = "\n".join(["# Eve lacks a value", "world:"]
+                     + _world_entries(asylum, skip_fluent_of="Eve"))
+    with pytest.raises(ParseError) as err:
+        parse_world_file(text, asylum)
+    assert "no value of 'carried' for 'Eve'" in str(err.value)
+    eve_line = 3 + asylum.person_names.index("Eve")
+    assert (err.value.line, err.value.col) == (eve_line, 3)

@@ -49,6 +49,22 @@ def test_type_swap_alone_breaks_at_round_zero(asylum, solution_world):
     assert outcome.person == "Ann"
 
 
+def test_check_world_messages_are_pinned(asylum, solution_world, ann_sl_world):
+    assert check_world(asylum, ann_sl_world).message == \
+        "round 4: Ann (SL) would not say: lover(Beth)"
+    expected = {
+        "ST": 'round 1: Ann answered yes to "are you a patient" '
+              'but a ST in this world would answer no',
+        "SAt": 'round 2: Ann answered yes to "are you a patient, again" '
+               'but a SAt in this world would answer no',
+        "DL": 'round 3: Ann answered yes to "do you believe you are a '
+              'patient" but a DL in this world would answer no',
+    }
+    for label, message in expected.items():
+        world = solution_world.with_type("Ann", TYPES_BY_LABEL[label])
+        assert check_world(asylum, world).message == message
+
+
 def test_check_world_flags_axiom_violations(asylum, solution_world):
     world = solution_world.with_fluent("unlocked", "Eve", False)
     outcome = check_world(asylum, world)
