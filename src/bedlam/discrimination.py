@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import ALL_TYPES, AgentState, Answer, ExtendedType, answer_yes_no
+from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
+                        TYPES_BY_LABEL, answer_yes_no)
 from .statements import Atom, Believes, ME, Statement, fluents_used
 from .worlds import SoloTypeWorld
 
@@ -61,15 +62,6 @@ class TypePartition:
     def is_discrete(self) -> bool:
         return all(len(types) == 1 for _, types in self.classes)
 
-    def types_for(self, signature: str) -> tuple[ExtendedType, ...]:
-        for sig, types in self.classes:
-            if sig == signature:
-                return types
-        return ()
-
-    def as_dict(self) -> dict[str, tuple[ExtendedType, ...]]:
-        return dict(self.classes)
-
 
 def partition_types(questions) -> TypePartition:
     """Group all sixteen types by signature; classes keep canonical order."""
@@ -115,14 +107,12 @@ NON_SWITCHING_LABELS = ("ST", "SL", "DT", "DL")
 
 def two_question_table() -> dict[str, str]:
     """Signatures of the four non-switching types under [fact, belief]."""
-    from .semantics import TYPES_BY_LABEL
     return {label: answer_signature(TYPES_BY_LABEL[label], TWO_QUESTION_PLAN)
             for label in NON_SWITCHING_LABELS}
 
 
 def tables_report() -> str:
     """The three reference tables in a fixed, golden-comparable layout."""
-    from .semantics import TYPES_BY_LABEL
     out = []
     out.append("Two-question signatures [are you a patient? / "
                "do you believe you are a patient?]")

@@ -136,6 +136,11 @@ class PuzzleSpec:
                 counts[pi] += 1
         return tuple(steps)
 
+    @cached_property
+    def rendered_axioms(self) -> tuple[str, ...]:
+        """Each axiom's canonical text, for `check_world`'s messages."""
+        return tuple(render_statement(axiom) for axiom in self.axioms)
+
     def validate(self) -> None:
         """Raise SemanticError on any declaration or round inconsistency."""
         if len(set(self.person_names)) != len(self.person_names):

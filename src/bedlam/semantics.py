@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 from .statements import Statement, eval_closed, peel_believes, Not
 
@@ -65,10 +65,6 @@ class ExtendedType:
             raise ValueError("sane people start sane")
         if self.sanity is Sanity.DELUSIONAL and self.sane_at_start:
             raise ValueError("delusional people start insane")
-
-    @property
-    def is_patient(self) -> bool:
-        return self.sanity is not Sanity.SANE
 
     @property
     def label(self) -> str:
@@ -202,9 +198,6 @@ class Ask:
 class Say:
     """Plan item: the person utters a statement of their own."""
     statement: Statement
-
-
-PlanItem = Union[Ask, Say]
 
 
 @dataclass(frozen=True)

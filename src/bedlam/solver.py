@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from . import statements as st
-from .puzzle import PuzzleSpec
+from .puzzle import PuzzleSpec, Step
 from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
                         current_phases, decode_answer, decode_assertion)
 from .statements import (SemanticError, Statement, UNKNOWN, eval_closed,
@@ -101,7 +101,7 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
         if not eval_closed(world, axiom):
             return CheckResult(
                 False, None, None,
-                f"axiom {i + 1} is violated: {render_statement(axiom)}")
+                f"axiom {i + 1} is violated: {puzzle.rendered_axioms[i]}")
     types = world.types
     for step in puzzle.transcript:
         type_ = types[step.person_index]
@@ -139,85 +139,108 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
 
 # --- Staged search ---
 
+@dataclass(slots=True)
+class _Constraint:
+    """A statement that must evaluate to `required`; axioms require True."""
+
+    body: Statement
+    speaker: Optional[str]
+    step: Optional[Step] = None
+    required: bool = True
+
+
 class _Analysis:
-    """Per-puzzle precomputation shared by every type combination."""
+    """Per-puzzle precomputation shared by every type combination.
+
+    Every transcript step and axiom lands in exactly one stage:
+    `local[p]` holds the steps that read only person p's own type and
+    filter p's candidate types; `closed` the constraints that read no
+    (fluent, person) variable, checked once per type combination; and
+    `watchers[v]` the rest, each re-checked whenever a variable it reads
+    is assigned, so it is decided at the last of them.
+    """
 
     def __init__(self, puzzle: PuzzleSpec):
         self.puzzle = puzzle
         names = puzzle.person_names
         self.person_index = {name: i for i, name in enumerate(names)}
         self.fluent_index = {d.name: i for i, d in enumerate(puzzle.fluent_decls)}
-        # Each step and axiom with the (fluent, person | None) slots it reads.
-        self.steps = [(step, self._deps(step.body, step.person))
-                      for step in puzzle.transcript]
-        self.axioms = [(ax, self._deps(ax, None)) for ax in puzzle.axioms]
+        self.domains = [d.values() for d in puzzle.fluent_decls]
         # Search variables: one per (fluent, person), declaration order.
-        self.variables = [
-            (fi, pi)
-            for fi in range(len(puzzle.fluent_decls))
-            for pi in range(len(names))]
+        self.variables = list(itertools.product(
+            range(len(puzzle.fluent_decls)), range(len(names))))
+        self.local: list[list[Step]] = [[] for _ in names]
+        self.closed: list[_Constraint] = []
+        self.watchers: list[list[_Constraint]] = [[] for _ in self.variables]
+        self.watched_steps: list[_Constraint] = []
+        for step in puzzle.transcript:
+            if st.is_type_local(step.body, step.person):
+                self.local[step.person_index].append(step)
+            else:
+                self._place(_Constraint(step.body, step.person, step))
+        for axiom in puzzle.axioms:
+            self._place(_Constraint(axiom, None))
 
-    def _deps(self, body: Statement, speaker: Optional[str]) -> frozenset:
-        deps = set()
-        for node in st.walk(body):
-            if not isinstance(node, st.Atom):
-                continue
-            if node.predicate in st.BUILTIN_PREDICATES:
+    def _place(self, constraint: _Constraint) -> None:
+        """Watch the constraint on each (fluent, person) variable it reads.
+
+        A quantified fluent atom reads its fluent for every person, so in
+        a puzzle without persons it reads nothing and is closed.
+        """
+        reads = set()
+        for node in st.walk(constraint.body):
+            if (not isinstance(node, st.Atom)
+                    or node.predicate in st.BUILTIN_PREDICATES):
                 continue
             fi = self.fluent_index[node.predicate]
             term = node.term
             if isinstance(term, st.Person):
-                deps.add((fi, self.person_index[term.name]))
+                reads.add((fi, self.person_index[term.name]))
             elif isinstance(term, st.Me):
-                deps.add((fi, self.person_index[speaker]))
+                reads.add((fi, self.person_index[constraint.speaker]))
             else:
-                deps.add((fi, None))
-        return frozenset(deps)
+                reads.update((fi, pi) for pi in self.person_index.values())
+        for variable, watchers in zip(self.variables, self.watchers):
+            if variable in reads:
+                watchers.append(constraint)
+        if not reads:
+            self.closed.append(constraint)
+        elif constraint.step is not None:
+            self.watched_steps.append(constraint)
 
     def type_candidates(self) -> list[list[ExtendedType]]:
         """Per-person types consistent with their own type-local utterances."""
         names = self.puzzle.person_names
-        candidates = []
-        for person in names:
-            locals_ = [step for step in self.puzzle.transcript
-                       if step.person == person
-                       and st.is_type_local(step.body, person)]
-            candidates.append([
-                t for t in ALL_TYPES
-                if all(eval_closed(SoloTypeWorld(person, t, names),
-                                   step.body, person) == step.required(t)
-                       for step in locals_)])
-        return candidates
+        return [
+            [t for t in ALL_TYPES
+             if all(eval_closed(SoloTypeWorld(person, t, names),
+                                step.body, person) == step.required(t)
+                    for step in steps)]
+            for person, steps in zip(names, self.local)]
 
 
 class _PartialWorld:
-    """Mutable world with UNKNOWN fluent slots, for three-valued checks."""
+    """Mutable world with UNKNOWN fluent slots, for three-valued checks.
+
+    One per solve: the search sets `types` for each type combination and
+    assigns `values` in place.  The analysis has resolved every name.
+    """
 
     __slots__ = ("person_names", "types", "_pindex", "_findex", "values")
 
-    def __init__(self, puzzle: PuzzleSpec, analysis: _Analysis, types):
-        self.person_names = puzzle.person_names
-        self.types = types
+    def __init__(self, analysis: _Analysis):
+        self.person_names = analysis.puzzle.person_names
+        self.types = ()
         self._pindex = analysis.person_index
         self._findex = analysis.fluent_index
-        self.values = [[UNKNOWN] * len(puzzle.person_names)
-                       for _ in puzzle.fluent_decls]
-
-    def type_of(self, person: str):
-        try:
-            return self.types[self._pindex[person]]
-        except KeyError:
-            raise SemanticError(f"unknown person '{person}'") from None
+        self.values = [[UNKNOWN] * len(self.person_names)
+                       for _ in analysis.domains]
 
     def builtin_value(self, predicate: str, person: str) -> bool:
-        return builtin_truth(self.type_of(person), predicate)
+        return builtin_truth(self.types[self._pindex[person]], predicate)
 
     def fluent_value(self, fluent: str, person: str):
-        try:
-            fi = self._findex[fluent]
-        except KeyError:
-            raise SemanticError(f"undeclared predicate '{fluent}'") from None
-        return self.values[fi][self._pindex[person]]
+        return self.values[self._findex[fluent]][self._pindex[person]]
 
 
 class _Progress:
@@ -237,13 +260,14 @@ class _Progress:
 
     def check(self) -> None:
         if self.nodes > self.budget.max_nodes:
-            raise BudgetExceededError(
-                f"node budget of {self.budget.max_nodes} exceeded",
-                SolveStatistics(nodes=self.nodes, elapsed=self.elapsed()))
-        if self.elapsed() > self.budget.max_seconds:
-            raise BudgetExceededError(
-                f"time budget of {self.budget.max_seconds}s exceeded",
-                SolveStatistics(nodes=self.nodes, elapsed=self.elapsed()))
+            limit = f"node budget of {self.budget.max_nodes}"
+        elif self.elapsed() > self.budget.max_seconds:
+            limit = f"time budget of {self.budget.max_seconds}s"
+        else:
+            return
+        raise BudgetExceededError(
+            f"{limit} exceeded",
+            SolveStatistics(nodes=self.nodes, elapsed=self.elapsed()))
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
@@ -264,7 +288,7 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     candidates = analysis.type_candidates()
     worlds: list[World] = []
     if all(candidates):
-        worlds = _search_combos(puzzle, analysis, candidates, progress)
+        worlds = _search(analysis, candidates, progress)
         progress.check()
     if not worlds:
         status = SolveStatus.NONE
@@ -279,66 +303,50 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     return SolveResult(status, tuple(worlds), report, stats)
 
 
-def _search_combos(puzzle, analysis, candidates, progress) -> list[World]:
+def _search(analysis: _Analysis, candidates,
+            progress: _Progress) -> list[World]:
+    world = _PartialWorld(analysis)
     found: list[World] = []
     for types in itertools.product(*candidates):
         progress.tick()
-        _search_fluents(puzzle, analysis, types, progress, found)
+        world.types = types
+        for constraint in analysis.closed:
+            step = constraint.step
+            required = (True if step is None
+                        else step.required(types[step.person_index]))
+            if eval_closed(world, constraint.body,
+                           constraint.speaker) != required:
+                break
+        else:
+            # A watched step's required value follows its speaker's type.
+            for constraint in analysis.watched_steps:
+                step = constraint.step
+                constraint.required = step.required(types[step.person_index])
+            _descend(world, analysis, progress, found, 0)
     return found
 
 
-def _search_fluents(puzzle, analysis, types, progress, found) -> None:
-    world = _PartialWorld(puzzle, analysis, types)
-    pending = []
-    for step, deps in analysis.steps:
-        required = step.required(types[step.person_index])
-        if not deps:
-            if eval_closed(world, step.body, step.person) != required:
-                return
+def _descend(world: _PartialWorld, analysis: _Analysis, progress: _Progress,
+             found: list[World], depth: int) -> None:
+    """Assign variables from `depth` on, keeping worlds that pass."""
+    if depth == len(analysis.variables):
+        found.append(World(
+            world.person_names, world.types, analysis.puzzle.fluent_decls,
+            tuple(tuple(row) for row in world.values)))
+        return
+    fi, pi = analysis.variables[depth]
+    row = world.values[fi]
+    watchers = analysis.watchers[depth]
+    for value in analysis.domains[fi]:
+        progress.tick()
+        row[pi] = value
+        for constraint in watchers:
+            result = eval_partial(world, constraint.body, constraint.speaker)
+            if result is not UNKNOWN and result != constraint.required:
+                break
         else:
-            pending.append((step.body, step.person, required, deps))
-    for axiom, deps in analysis.axioms:
-        if not deps:
-            if not eval_closed(world, axiom):
-                return
-        else:
-            pending.append((axiom, None, True, deps))
-
-    variables = analysis.variables
-    # Constraints to re-check when a variable gets assigned.
-    watchers: list[list[tuple]] = [[] for _ in variables]
-    for constraint in pending:
-        _, _, _, deps = constraint
-        for vi, (fi, pi) in enumerate(variables):
-            if (fi, pi) in deps or (fi, None) in deps:
-                watchers[vi].append(constraint)
-
-    decls = puzzle.fluent_decls
-
-    def descend(depth: int) -> None:
-        if depth == len(variables):
-            for body, speaker, required, _ in pending:
-                if eval_closed(world, body, speaker) != required:
-                    return
-            found.append(World(
-                puzzle.person_names, types, decls,
-                tuple(tuple(row) for row in world.values)))
-            return
-        fi, pi = variables[depth]
-        for value in decls[fi].values():
-            progress.tick()
-            world.values[fi][pi] = value
-            ok = True
-            for body, speaker, required, _ in watchers[depth]:
-                result = eval_partial(world, body, speaker)
-                if result is not UNKNOWN and result != required:
-                    ok = False
-                    break
-            if ok:
-                descend(depth + 1)
-        world.values[fi][pi] = UNKNOWN
-
-    descend(0)
+            _descend(world, analysis, progress, found, depth + 1)
+    row[pi] = UNKNOWN
 
 
 def _build_report(puzzle: PuzzleSpec,

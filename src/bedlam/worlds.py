@@ -48,13 +48,10 @@ class SoloTypeWorld:
     def person_names(self) -> tuple[str, ...]:
         return self.domain or (self.name,)
 
-    def type_of(self, person: str) -> ExtendedType:
+    def builtin_value(self, predicate: str, person: str) -> bool:
         if person != self.name:
             raise SemanticError(f"unknown person '{person}'")
-        return self.type
-
-    def builtin_value(self, predicate: str, person: str) -> bool:
-        return builtin_truth(self.type_of(person), predicate)
+        return builtin_truth(self.type, predicate)
 
     def fluent_value(self, fluent: str, person: str):
         raise SemanticError(f"undeclared predicate '{fluent}'")

@@ -8,7 +8,8 @@ from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import (ALL_TYPES, AgentState, Answer, advance,
                               would_assert)
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
-                               Implies, ME, Not, Or, Person, Statement, Var)
+                               Implies, ME, Not, Or, Person, Statement, Var,
+                               eval_closed)
 from bedlam.worlds import FluentDecl, World
 
 NAME_POOL = ("Ann", "Beth", "Cedric")
@@ -142,5 +143,125 @@ def random_puzzle(rng: random.Random) -> PuzzleSpec:
             rounds.append(StatementsRound(tuple(utterances)))
 
     puzzle = PuzzleSpec(tuple(persons), decls, tuple(axioms), tuple(rounds))
+    puzzle.validate()
+    return puzzle
+
+
+MOOD = FluentDecl("mood", ("calm", "tense", "wild"))
+CONNECTIVES = (lambda a, b: And((a, b)), lambda a, b: Or((a, b)), Implies)
+
+
+def random_categorical_statement(rng: random.Random, depth: int, persons,
+                                 decls, allow_me: bool = True,
+                                 bound=()) -> Statement:
+    """A random closed statement whose fluent atoms carry domain values.
+
+    Categorical fluents get a value argument and booleans none; with no
+    `decls` the statement is fluent-free.
+    """
+    bound = list(bound)
+
+    def atom() -> Statement:
+        terms = [Person(rng.choice(persons))]
+        if allow_me:
+            terms.append(ME)
+        if bound:
+            terms.append(Var(rng.choice(bound)))
+        term = rng.choice(terms)
+        if decls and rng.random() < 0.6:
+            decl = rng.choice(decls)
+            value = None if decl.is_boolean else rng.choice(decl.domain)
+            return Atom(decl.name, term, value)
+        return Atom(rng.choice(BUILTINS), term)
+
+    def node(d: int) -> Statement:
+        if d <= 0 or rng.random() < 0.3:
+            return atom()
+        kind = rng.randrange(6)
+        if kind == 0:
+            return Not(node(d - 1))
+        if kind <= 2:
+            return rng.choice(CONNECTIVES)(node(d - 1), node(d - 1))
+        var = rng.choice([v for v in VAR_NAMES if v not in bound] or VAR_NAMES)
+        bound.append(var)
+        body = node(d - 1)
+        bound.pop()
+        return _quantify(rng, var, body, len(persons))
+
+    return node(depth)
+
+
+def _quantify(rng: random.Random, var: str, body: Statement,
+              n_persons: int) -> Statement:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Exists(var, body)
+    if kind == 1:
+        return ForAll(var, body)
+    return AtLeast(rng.randint(1, n_persons), var, body)
+
+
+def random_categorical_puzzle(rng: random.Random, hidden: bool) -> PuzzleSpec:
+    """A two-person puzzle over a three-valued fluent and at most one boolean.
+
+    Among its utterances are a quantified statement over the categorical
+    fluent and a fluent-free statement about both persons.  With `hidden`
+    every answer and statement replays a random hidden world, so at least
+    that world is consistent; otherwise answers are arbitrary.
+    """
+    persons = NAME_POOL[:2]
+    decls = (MOOD,) + ((FluentDecl("shifty"),) if rng.random() < 0.5 else ())
+    world = random_world(rng, persons, decls) if hidden else None
+    counts = {p: 0 for p in persons}
+
+    def asserted(person: str, stmt: Statement) -> bool:
+        state = AgentState(world.type_of(person), counts[person])
+        return would_assert(state, world, stmt, person)
+
+    quantified = _quantify(rng, "x", rng.choice(CONNECTIVES)(
+        Atom(MOOD.name, Var("x"), rng.choice(MOOD.domain)),
+        random_categorical_statement(rng, 1, persons, decls, bound=("x",))),
+        len(persons))
+    both = rng.choice(CONNECTIVES)(*(Atom(rng.choice(BUILTINS), Person(p))
+                                     for p in persons))
+    said = [quantified, both] + [
+        random_categorical_statement(rng, 2, persons, decls)
+        for _ in range(rng.randint(0, 2))]
+    rng.shuffle(said)
+
+    rounds = []
+    for stmt in said:
+        if rng.random() < 0.3:
+            stmt = Believes(stmt)
+        if rng.random() < 0.5:
+            addressed = tuple(p for p in persons if rng.random() < 0.7)
+            addressed = addressed or (rng.choice(persons),)
+            answers = []
+            for person in addressed:
+                if world is None:
+                    answers.append(rng.choice((Answer.YES, Answer.NO)))
+                else:
+                    answers.append(Answer.YES if asserted(person, stmt)
+                                   else Answer.NO)
+                counts[person] += 1
+            rounds.append(QuestionRound("probe", stmt, addressed,
+                                        tuple(answers)))
+        else:
+            speaker = rng.choice(persons)
+            if world is not None and not asserted(speaker, stmt):
+                stmt = (Believes(Not(stmt.body)) if isinstance(stmt, Believes)
+                        else Not(stmt))
+            counts[speaker] += 1
+            rounds.append(StatementsRound(((speaker, stmt),)))
+
+    axioms = []
+    if rng.random() < 0.5:
+        axiom = random_categorical_statement(rng, 2, persons, decls,
+                                             allow_me=False)
+        if world is not None and not eval_closed(world, axiom):
+            axiom = Not(axiom)
+        axioms.append(axiom)
+
+    puzzle = PuzzleSpec(persons, decls, tuple(axioms), tuple(rounds))
     puzzle.validate()
     return puzzle

@@ -1,6 +1,7 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import and private helper is used."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bedlam
@@ -30,4 +31,40 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> list[ast.AST]:
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    names = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            names[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            names[child.name] += 1
+    return names
+
+
+def test_no_unreferenced_private_helpers():
+    # A private module-level function or class must be referenced somewhere
+    # in the package outside its own definition.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert trees
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere += _referenced_names(tree)
+    unused = [f"{path.name}:{definition.lineno} {definition.name}"
+              for path, tree in trees.items()
+              for definition in _private_definitions(tree)
+              if everywhere[definition.name]
+              <= _referenced_names(definition)[definition.name]]
     assert unused == []

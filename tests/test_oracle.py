@@ -3,7 +3,7 @@
 import random
 
 from bedlam.solver import SolveStatus, brute_force_solve, solve_all
-from support import random_puzzle
+from support import random_categorical_puzzle, random_puzzle
 
 
 def test_solver_matches_oracle_on_mixed_sizes():
@@ -37,3 +37,18 @@ def test_hidden_world_is_always_found():
             checked += 1
             assert result.status in (SolveStatus.UNIQUE, SolveStatus.MULTIPLE)
     assert checked == 15
+
+
+def test_solver_matches_oracle_on_categorical_fluents():
+    # Two persons, a three-valued fluent and at most one boolean: quantified
+    # fluent atoms are watched by every person's variable, and fluent-free
+    # statements about both persons are checked per type combination.
+    rng = random.Random(0xCA7)
+    satisfiable = 0
+    for i in range(24):
+        puzzle = random_categorical_puzzle(rng, hidden=i % 2 == 0)
+        expected = brute_force_solve(puzzle)
+        assert solve_all(puzzle).worlds == expected
+        if expected:
+            satisfiable += 1
+    assert satisfiable >= 12

@@ -1,6 +1,8 @@
 """World checking, staged search, and derivations on the fixture."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -113,6 +115,36 @@ def test_fixture_report_triples(asylum):
     assert rows["Ann"].guilt == "guilty"
     assert rows["Cedric"].sanity == "sane"
     assert rows["Cedric"].guilt == "innocent"
+
+
+def test_fixture_search_counts_are_pinned(asylum):
+    statistics = solve_all(asylum).statistics
+    assert statistics.nodes == 3798
+    assert statistics.worlds_found == 1
+
+
+def test_quantified_fluent_axiom_without_persons_is_checked():
+    # No persons means no fluent variables, so nothing watches the axiom;
+    # it must still be checked, and an empty domain makes it false.
+    puzzle = parse_puzzle_file(
+        "persons:\nfluent f : bool\naxiom exists x . f(x)\n")
+    assert brute_force_solve(puzzle) == ()
+    result = solve_all(puzzle)
+    assert result.status is SolveStatus.NONE
+    assert result.worlds == ()
+
+
+def test_found_worlds_die_with_their_result():
+    # Reference counting alone must free the search's worlds.
+    puzzle = parse_puzzle_file("persons: Ann\nfluent f : bool\naxiom f(Ann)\n")
+    gc.disable()
+    try:
+        result = solve_all(puzzle)
+        ref = weakref.ref(result.worlds[0])
+        del result
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_contradictory_axioms_give_no_world():
