@@ -86,10 +86,6 @@ def solve(puzzle_path, explain, extract_flag, expect_unique,
     if extract_flag:
         if puzzle.extraction is None:
             raise SemanticError("puzzle declares no extraction section")
-        if result.status is not SolveStatus.UNIQUE:
-            raise ExtractionError(
-                f"extraction requires a unique solution (status is "
-                f"{result.status.value})")
         word = extract_word(result, puzzle.extraction)
         letters = _letter_rows(puzzle, result.worlds[0])
     derivation = None

@@ -414,15 +414,17 @@ def _parse_fluent_line(line: _Line) -> FluentDecl:
     tok = cur.peek()
     if tok is not None and tok.text == "bool":
         cur.next()
-        decl = FluentDecl(name_tok.text, None)
+        domain = None
     else:
         cur.next(expect_text="{")
-        values = _parse_name_list(cur)
+        domain = tuple(_parse_name_list(cur))
         cur.next(expect_text="}")
-        decl = FluentDecl(name_tok.text, tuple(values))
     if not cur.at_end():
         raise cur.error_here("unexpected text after fluent declaration")
-    return decl
+    try:
+        return FluentDecl(name_tok.text, domain)
+    except ValueError as exc:
+        raise ParseError(str(exc), name_tok.line, name_tok.col) from None
 
 
 def _parse_axiom_line(line: _Line) -> Statement:

@@ -90,6 +90,21 @@ class ExtendedType:
                 (truthful != (self.truthfulness is Truthfulness.ALTERNATOR),
                  sane != (self.sanity is Sanity.PARTIAL)))
 
+    @cached_property
+    def builtins(self) -> dict[str, bool]:
+        """Truth of each builtin predicate for a person of this type."""
+        sane = self.sanity is Sanity.SANE
+        return {
+            "patient": not sane,
+            "doctor": sane,
+            "sane": sane,
+            "delusional": self.sanity is Sanity.DELUSIONAL,
+            "partial": self.sanity is Sanity.PARTIAL,
+            "truthteller": self.truthfulness is Truthfulness.TRUTHTELLER,
+            "liar": self.truthfulness is Truthfulness.LIAR,
+            "alternator": self.truthfulness is Truthfulness.ALTERNATOR,
+        }
+
     def advanced(self, steps: int = 1) -> "ExtendedType":
         """The label this type carries when re-anchored `steps` utterances later."""
         if steps % 2 == 0:

@@ -25,7 +25,7 @@ from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
                         current_phases, decode_answer, decode_assertion)
 from .statements import (SemanticError, Statement, UNKNOWN, eval_closed,
                          eval_partial, render_statement)
-from .worlds import SoloTypeWorld, World, builtin_truth
+from .worlds import World
 
 
 class SolveStatus(Enum):
@@ -208,22 +208,30 @@ class _Analysis:
         elif constraint.step is not None:
             self.watched_steps.append(constraint)
 
-    def type_candidates(self) -> list[list[ExtendedType]]:
-        """Per-person types consistent with their own type-local utterances."""
-        names = self.puzzle.person_names
-        return [
-            [t for t in ALL_TYPES
-             if all(eval_closed(SoloTypeWorld(person, t, names),
-                                step.body, person) == step.required(t)
-                    for step in steps)]
-            for person, steps in zip(names, self.local)]
+    def type_candidates(self,
+                        world: _PartialWorld) -> list[list[ExtendedType]]:
+        """Per-person types consistent with their own type-local utterances.
+
+        Each type is tried with everyone given it: a type-local step reads
+        only its speaker's type, but its quantifiers range over everyone,
+        as in `atleast 2 x . patient(me)`.
+        """
+        candidates: list[list[ExtendedType]] = [[] for _ in self.local]
+        for t in ALL_TYPES:
+            world.types = (t,) * len(self.local)
+            for steps, kept in zip(self.local, candidates):
+                if all(eval_closed(world, step.body, step.person)
+                       == step.required(t) for step in steps):
+                    kept.append(t)
+        return candidates
 
 
 class _PartialWorld:
     """Mutable world with UNKNOWN fluent slots, for three-valued checks.
 
-    One per solve: the search sets `types` for each type combination and
-    assigns `values` in place.  The analysis has resolved every name.
+    One per solve: type pruning gives everyone each type in turn, then the
+    search sets `types` for each type combination and assigns `values` in
+    place.  The analysis has resolved every name.
     """
 
     __slots__ = ("person_names", "types", "_pindex", "_findex", "values")
@@ -237,7 +245,7 @@ class _PartialWorld:
                        for _ in analysis.domains]
 
     def builtin_value(self, predicate: str, person: str) -> bool:
-        return builtin_truth(self.types[self._pindex[person]], predicate)
+        return self.types[self._pindex[person]].builtins[predicate]
 
     def fluent_value(self, fluent: str, person: str):
         return self.values[self._findex[fluent]][self._pindex[person]]
@@ -285,10 +293,11 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     """
     progress = _Progress(budget or Budget())
     analysis = _Analysis(puzzle)
-    candidates = analysis.type_candidates()
+    world = _PartialWorld(analysis)
+    candidates = analysis.type_candidates(world)
     worlds: list[World] = []
     if all(candidates):
-        worlds = _search(analysis, candidates, progress)
+        worlds = _search(world, analysis, candidates, progress)
         progress.check()
     if not worlds:
         status = SolveStatus.NONE
@@ -303,9 +312,8 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     return SolveResult(status, tuple(worlds), report, stats)
 
 
-def _search(analysis: _Analysis, candidates,
+def _search(world: _PartialWorld, analysis: _Analysis, candidates,
             progress: _Progress) -> list[World]:
-    world = _PartialWorld(analysis)
     found: list[World] = []
     for types in itertools.product(*candidates):
         progress.tick()

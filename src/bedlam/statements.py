@@ -386,32 +386,34 @@ def _eval(world, stmt, speaker, env):
             return UNKNOWN
         return False
     if isinstance(stmt, Exists):
-        return _eval_counting(world, stmt.var, stmt.body, speaker, env, minimum=1)
+        return _eval_counting(world, stmt.var, stmt.body, speaker, env, 1, True)
     if isinstance(stmt, ForAll):
-        inner = _eval_counting(world, stmt.var, Not(stmt.body), speaker, env,
-                               minimum=1)
+        # True unless at least one person makes the body false.
+        inner = _eval_counting(world, stmt.var, stmt.body, speaker, env, 1,
+                               False)
         return UNKNOWN if inner is UNKNOWN else not inner
     if isinstance(stmt, AtLeast):
         return _eval_counting(world, stmt.var, stmt.body, speaker, env,
-                              minimum=stmt.count)
+                              stmt.count, True)
     if isinstance(stmt, Believes):
         raise SemanticError("believes cannot be evaluated as a fact")
     raise TypeError(f"not a statement node: {stmt!r}")
 
 
-def _eval_counting(world, var, body, speaker, env, minimum):
+def _eval_counting(world, var, body, speaker, env, minimum, wanted):
+    """Whether at least `minimum` persons give the body the `wanted` value."""
     if minimum == 0:
         return True
     shadowed = env.get(var, _MISSING)
-    trues = 0
+    hits = 0
     unknowns = 0
     try:
         for name in world.person_names:
             env[var] = name
             v = _eval(world, body, speaker, env)
-            if v is True:
-                trues += 1
-                if trues >= minimum:
+            if v is wanted:
+                hits += 1
+                if hits >= minimum:
                     return True
             elif v is UNKNOWN:
                 unknowns += 1
@@ -420,7 +422,7 @@ def _eval_counting(world, var, body, speaker, env, minimum):
             env.pop(var, None)
         else:
             env[var] = shadowed
-    if trues + unknowns >= minimum:
+    if hits + unknowns >= minimum:
         return UNKNOWN
     return False
 

@@ -3,50 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
-from .semantics import ExtendedType, Sanity, Truthfulness, TYPE_INDEX
+from .semantics import ExtendedType, TYPE_INDEX
 from .statements import SemanticError
 
 
 def builtin_truth(type_: ExtendedType, predicate: str) -> bool:
     """Truth of a builtin predicate for a person of the given type."""
-    if predicate == "patient":
-        return type_.sanity is not Sanity.SANE
-    if predicate == "doctor":
-        return type_.sanity is Sanity.SANE
-    if predicate == "sane":
-        return type_.sanity is Sanity.SANE
-    if predicate == "delusional":
-        return type_.sanity is Sanity.DELUSIONAL
-    if predicate == "partial":
-        return type_.sanity is Sanity.PARTIAL
-    if predicate == "truthteller":
-        return type_.truthfulness is Truthfulness.TRUTHTELLER
-    if predicate == "liar":
-        return type_.truthfulness is Truthfulness.LIAR
-    if predicate == "alternator":
-        return type_.truthfulness is Truthfulness.ALTERNATOR
-    raise SemanticError(f"unknown builtin predicate '{predicate}'")
+    try:
+        return type_.builtins[predicate]
+    except KeyError:
+        raise SemanticError(f"unknown builtin predicate '{predicate}'") from None
 
 
 @dataclass(frozen=True)
 class SoloTypeWorld:
-    """A world where only one person's type is known.
-
-    Quantifiers range over `domain`, or over that person alone when it is
-    empty.  A statement that depends only on the speaker's own type may
-    still observe the domain's size, as in `atleast 2 x . patient(me)`.
-    """
+    """A world of one person whose type is known and who has no fluents."""
 
     name: str
     type: ExtendedType
-    domain: tuple[str, ...] = ()
 
     @property
     def person_names(self) -> tuple[str, ...]:
-        return self.domain or (self.name,)
+        return (self.name,)
 
     def builtin_value(self, predicate: str, person: str) -> bool:
         if person != self.name:
@@ -75,20 +55,12 @@ class FluentDecl:
     def is_boolean(self) -> bool:
         return self.domain is None
 
-    @cached_property
-    def _values(self) -> tuple:
-        return (False, True) if self.domain is None else self.domain
-
-    @cached_property
-    def _value_set(self) -> frozenset:
-        return frozenset(self._values)
-
     def values(self) -> tuple:
         """Domain values in canonical order (False before True for booleans)."""
-        return self._values
+        return (False, True) if self.domain is None else self.domain
 
     def value_index(self, value) -> int:
-        return self._values.index(value)
+        return self.values().index(value)
 
 
 @dataclass(frozen=True)
@@ -112,23 +84,22 @@ class World:
         for decl, values in zip(self.fluent_decls, self.fluent_values):
             if len(values) != len(self.person_names):
                 raise ValueError(f"fluent '{decl.name}' must cover every person")
+            domain = decl.values()
             for v in values:
-                if v not in decl._value_set:
+                if v not in domain:
                     raise ValueError(f"value {v!r} not in domain of '{decl.name}'")
-
-    @cached_property
-    def _person_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.person_names)}
-
-    @cached_property
-    def _fluent_index(self) -> dict[str, int]:
-        return {decl.name: i for i, decl in enumerate(self.fluent_decls)}
 
     def index_of(self, person: str) -> int:
         try:
-            return self._person_index[person]
-        except KeyError:
+            return self.person_names.index(person)
+        except ValueError:
             raise SemanticError(f"unknown person '{person}'") from None
+
+    def _fluent_row(self, fluent: str) -> int:
+        for i, decl in enumerate(self.fluent_decls):
+            if decl.name == fluent:
+                return i
+        raise SemanticError(f"undeclared predicate '{fluent}'")
 
     def type_of(self, person: str) -> ExtendedType:
         return self.types[self.index_of(person)]
@@ -137,11 +108,8 @@ class World:
         return builtin_truth(self.type_of(person), predicate)
 
     def fluent_value(self, fluent: str, person: str):
-        try:
-            fi = self._fluent_index[fluent]
-        except KeyError:
-            raise SemanticError(f"undeclared predicate '{fluent}'") from None
-        return self.fluent_values[fi][self.index_of(person)]
+        row = self.fluent_values[self._fluent_row(fluent)]
+        return row[self.index_of(person)]
 
     def with_type(self, person: str, new_type: ExtendedType) -> "World":
         types = list(self.types)
@@ -150,9 +118,8 @@ class World:
                      self.fluent_decls, self.fluent_values)
 
     def with_fluent(self, fluent: str, person: str, value) -> "World":
-        fi = self._fluent_index[fluent]
         values = [list(v) for v in self.fluent_values]
-        values[fi][self.index_of(person)] = value
+        values[self._fluent_row(fluent)][self.index_of(person)] = value
         return World(self.person_names, self.types,
                      self.fluent_decls, tuple(tuple(v) for v in values))
 

@@ -55,6 +55,28 @@ def test_expect_unique_with_multiple_worlds_exits_11(runner, tmp_path):
     assert result.exit_code == 11
 
 
+EXTRACTION = """\
+extraction:
+  category sanity: partial, delusional, sane
+  category truthfulness: alternator, liar, truth-teller
+  category guilt: accomplice, guilty, innocent
+"""
+
+
+@pytest.mark.parametrize("axioms, status", [
+    ("", "multiple"),
+    ("axiom sane(Ann)\naxiom not sane(Ann)\n", "none"),
+])
+def test_extract_needs_a_unique_solution(axioms, status, tmp_path, capsys):
+    path = tmp_path / "open.puzzle"
+    path.write_text("persons: Ann\nfluent guilt : { accomplice, guilty, "
+                    "innocent }\n" + axioms + EXTRACTION)
+    assert main(["solve", str(path), "--extract"]) == 1
+    assert capsys.readouterr().err == (
+        "error: extraction requires a unique solution "
+        f"(status is {status})\n")
+
+
 def test_parse_error_exits_1():
     assert main(["solve", "/nonexistent/puzzle"]) == 1
 

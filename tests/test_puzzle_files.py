@@ -2,6 +2,7 @@
 
 import pytest
 
+from bedlam.cli import main
 from bedlam.parser import ParseError, parse_puzzle_file, parse_world_file
 from bedlam.puzzle import QuestionRound, StatementsRound
 from bedlam.semantics import Answer
@@ -124,6 +125,23 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_puzzle_file(text)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("values, problem", [
+    ("{ a }", "needs at least two values"),
+    ("{ a, a }", "has duplicate values"),
+])
+def test_bad_fluent_domain_is_a_positioned_parse_error(values, problem,
+                                                       tmp_path, capsys):
+    text = f"persons: Ann\nfluent f : {values}\n"
+    message = f"line 2, column 8: fluent 'f' {problem}"
+    with pytest.raises(ParseError) as err:
+        parse_puzzle_file(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.puzzle"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_world_file_round_trips(asylum, solution_world):

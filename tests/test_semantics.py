@@ -9,9 +9,9 @@ from bedlam.semantics import (ALL_TYPES, AgentState, Answer, Ask, ExtendedType,
                               advance, answer_yes_no, current_phases,
                               decode_assertion, simulate_person,
                               type_from_label, would_assert)
-from bedlam.statements import (And, Atom, Believes, ME, Not, Person,
-                               SemanticError)
-from bedlam.worlds import FluentDecl, SoloTypeWorld, World
+from bedlam.statements import (And, Atom, BUILTIN_PREDICATES, Believes, ME,
+                               Not, Person, SemanticError)
+from bedlam.worlds import FluentDecl, SoloTypeWorld, World, builtin_truth
 
 FLAG = Atom("flag", ME)
 
@@ -35,6 +35,20 @@ def test_type_invariants_enforced():
         ExtendedType(Sanity.DELUSIONAL, Truthfulness.LIAR, False, True)
     with pytest.raises(ValueError):
         type_from_label("XQ")
+
+
+def test_builtin_tables_list_exactly_the_builtin_predicates():
+    for t in ALL_TYPES:
+        assert set(t.builtins) == BUILTIN_PREDICATES
+        with pytest.raises(SemanticError,
+                           match="unknown builtin predicate 'bogus'"):
+            builtin_truth(t, "bogus")
+
+
+def test_with_fluent_rejects_an_undeclared_fluent():
+    world = flag_world(TYPES_BY_LABEL["ST"], True)
+    with pytest.raises(SemanticError, match="undeclared predicate 'nope'"):
+        world.with_fluent("nope", "Subject", True)
 
 
 def test_current_phases_examples():

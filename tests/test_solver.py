@@ -1,6 +1,8 @@
 """World checking, staged search, and derivations on the fixture."""
 
+import dataclasses
 import gc
+import hashlib
 import random
 import weakref
 
@@ -14,6 +16,7 @@ from bedlam.solver import (Budget, BudgetExceededError, SolveStatus,
                            solve_all)
 from bedlam.statements import (Atom, Not, Person, SemanticError,
                                render_statement)
+from bedlam.worlds import World
 
 EXPECTED_TYPES = {
     "Ann": "PiAl", "Beth": "DL", "Cedric": "SAl", "David": "PsL",
@@ -65,6 +68,12 @@ def test_check_world_messages_are_pinned(asylum, solution_world, ann_sl_world):
     for label, message in expected.items():
         world = solution_world.with_type("Ann", TYPES_BY_LABEL[label])
         assert check_world(asylum, world).message == message
+
+
+def test_checked_world_holds_only_its_fields(asylum, solution_world):
+    assert check_world(asylum, solution_world)
+    assert set(vars(solution_world)) == {
+        field.name for field in dataclasses.fields(World)}
 
 
 def test_check_world_flags_axiom_violations(asylum, solution_world):
@@ -121,6 +130,31 @@ def test_fixture_search_counts_are_pinned(asylum):
     statistics = solve_all(asylum).statistics
     assert statistics.nodes == 3798
     assert statistics.worlds_found == 1
+
+
+# Digest of repr([(nodes, status, [sort_key of each world]), ...]) over
+# the generated puzzles below; any change to what the solver computes or
+# how many nodes it visits moves it.
+GENERATED_SOLVES_SHA256 = (
+    "1027aafb2dfa97ee46da33356d4ab65484a492f028b34f5dc5054db6019b6f3f")
+
+
+def test_generated_solves_are_pinned():
+    import support
+    rng = random.Random(123)
+    puzzles = [support.random_puzzle(rng) for _ in range(50)]
+    rng = random.Random(456)
+    puzzles += [support.random_categorical_puzzle(rng, hidden=i % 2 == 0)
+                for i in range(12)]
+    runs = []
+    for puzzle in puzzles:
+        result = solve_all(puzzle)
+        runs.append((result.statistics.nodes, result.status.value,
+                     [world.sort_key() for world in result.worlds]))
+    assert sum(nodes for nodes, _, _ in runs) == 269_342
+    assert sum(len(keys) for _, _, keys in runs) == 77_437
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == GENERATED_SOLVES_SHA256
 
 
 def test_quantified_fluent_axiom_without_persons_is_checked():

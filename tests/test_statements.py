@@ -1,5 +1,6 @@
 """Statement DSL: parsing, canonical rendering, and evaluation laws."""
 
+import itertools
 import random
 
 import pytest
@@ -9,8 +10,9 @@ import support
 from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
-                               Var, eval_closed, free_variables,
-                               render_statement, substitute_me)
+                               UNKNOWN, Var, eval_closed, eval_partial,
+                               free_variables, render_statement,
+                               substitute_me)
 from bedlam.worlds import FluentDecl
 from support import random_statement, random_utterance, random_world
 
@@ -145,6 +147,43 @@ def test_atleast_zero_is_vacuous(seed):
     world = random_world(rng, support.NAME_POOL, DECLS)
     stmt = AtLeast(0, "x", random_statement(rng, depth=1, bound=("x",)))
     assert eval_closed(world, stmt, "Ann") is True
+
+
+class _HiddenSlots:
+    """A world whose listed (fluent, person) slots read as UNKNOWN."""
+
+    def __init__(self, world, hidden):
+        self.world = world
+        self.person_names = world.person_names
+        self.hidden = set(hidden)
+
+    def builtin_value(self, predicate, person):
+        return self.world.builtin_value(predicate, person)
+
+    def fluent_value(self, fluent, person):
+        if (fluent, person) in self.hidden:
+            return UNKNOWN
+        return self.world.fluent_value(fluent, person)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_partial_eval_is_unknown_or_every_completions_value(seed):
+    rng = random.Random(seed)
+    persons = support.NAME_POOL[:rng.randint(1, 3)]
+    world = random_world(rng, persons, DECLS)
+    hidden = [(decl.name, person) for decl in DECLS for person in persons
+              if rng.random() < 0.5]
+    stmt = random_statement(rng, persons=persons)
+    speaker = rng.choice(persons)
+    partial = eval_partial(_HiddenSlots(world, hidden), stmt, speaker)
+    if partial is UNKNOWN:
+        return
+    for values in itertools.product((False, True), repeat=len(hidden)):
+        completion = world
+        for (fluent, person), value in zip(hidden, values):
+            completion = completion.with_fluent(fluent, person, value)
+        assert eval_closed(completion, stmt, speaker) == partial
 
 
 def test_forall_over_empty_person_set_is_true():
