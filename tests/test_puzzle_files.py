@@ -1,9 +1,17 @@
 """Puzzle and world file parsing."""
 
+import hashlib
+import random
+import re
+from collections import Counter
+
 import pytest
 
+from bedlam import fixture_path
 from bedlam.cli import main
-from bedlam.parser import ParseError, parse_puzzle_file, parse_world_file
+from bedlam.extraction import ExtractionError
+from bedlam.parser import (ParseError, parse_puzzle_file, parse_statement,
+                           parse_world_file)
 from bedlam.puzzle import QuestionRound, StatementsRound
 from bedlam.semantics import Answer
 from bedlam.solver import solve_all
@@ -199,3 +207,91 @@ def test_world_file_missing_value_is_reported_at_the_entry(asylum):
     assert "no value of 'carried' for 'Eve'" in str(err.value)
     eve_line = 3 + asylum.person_names.index("Eve")
     assert (err.value.line, err.value.col) == (eve_line, 3)
+
+
+# --- Parse-outcome pin ---
+#
+# Seeded mutations of the fixture files, of a small puzzle whose
+# extraction section is most of its text, and of three statements, each
+# parsed and recorded as the result's repr or the error's type, position
+# and message.  A parser change that keeps the grammar and the messages
+# keeps the digest; a deliberate change re-pins it.
+
+FUZZ_STATEMENTS = (
+    "believes((exists x . unlocked(x)) and "
+    "(forall x . unlocked(x) implies doctor(x)))",
+    "atleast 2 x . guilt(x, guilty) or not strong(Ann) and lover(me)",
+    "(exists y . carried(y) and not sane(me)) implies forall z . patient(z)",
+)
+FUZZ_EXTRACTION = """\
+persons: Ann, Beth
+fluent guilt : { accomplice, guilty, innocent }
+extraction:
+  category sanity: partial, delusional, sane
+  category truthfulness: alternator, liar, truth-teller
+  category guilt: accomplice, guilty, innocent
+  order: alphabetical
+"""
+FUZZ_VOCABULARY = (
+    "believes", "not", "and", "or", "implies", "exists", "forall",
+    "atleast", "me", "persons", "fluent", "axiom", "round", "statements",
+    "question", "to", "all", "answers", "extraction", "category", "order",
+    "alphabetical", "world", "bool", "yes", "no", "Ann", "Zed", "x",
+    "guilt", "guilty", "sanity", "truthfulness", "partial", "liar", "ST",
+    "2", '"q"', "(", ")", "{", "}", ",", ".", ":", "=", "#", "\n", " ", "$",
+)
+
+
+def mutate(rng, text: str) -> str:
+    pieces = re.findall(r"\s+|[\w-]+|.", text, re.S)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(pieces) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            del pieces[i:i + rng.randint(1, 3)]
+        elif op == 1:
+            pieces.insert(i, rng.choice(FUZZ_VOCABULARY))
+        else:
+            j = min(i + rng.randint(1, 12), len(pieces))
+            k = rng.randrange(len(pieces) + 1)
+            pieces[k:k] = pieces[i:j]
+    return "".join(pieces)
+
+
+def parse_outcome(parse, text: str) -> str:
+    try:
+        return repr(parse(text))
+    except (ParseError, SemanticError, ExtractionError) as exc:
+        return (f"{type(exc).__name__} {getattr(exc, 'line', 0)} "
+                f"{getattr(exc, 'col', 0)} {exc}")
+
+
+def fuzz_outcomes(asylum, asylum_text, count: int) -> list[str]:
+    rng = random.Random(20180326)
+    world_text = fixture_path("asylum.solution.world").read_text()
+    sources = [
+        (parse_puzzle_file, asylum_text),
+        (parse_puzzle_file, FUZZ_EXTRACTION),
+        (lambda text: parse_world_file(text, asylum), world_text),
+    ] + [
+        (lambda text: parse_statement(text, asylum.person_names,
+                                      asylum.fluent_decls), stmt)
+        for stmt in FUZZ_STATEMENTS
+    ]
+    outcomes = []
+    for n in range(count):
+        parse, text = sources[n % len(sources)]
+        outcomes.append(parse_outcome(parse, mutate(rng, text)))
+    return outcomes
+
+
+def test_parse_outcomes_are_pinned(asylum, asylum_text):
+    outcomes = fuzz_outcomes(asylum, asylum_text, 1500)
+    kinds = Counter(outcome.split(" ", 1)[0].split("(", 1)[0]
+                    for outcome in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert kinds == {"ParseError": 1326, "PuzzleSpec": 69, "SemanticError": 67,
+                     "World": 18, "ExtractionError": 9, "AtLeast": 4,
+                     "Believes": 4, "Implies": 3}
+    assert digest == ("88722fc52d40c25121697b2ff007d202"
+                      "d34878095538ec6836b892a870e12fd3")
