@@ -134,6 +134,22 @@ class _TokenCursor:
         self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is `text`."""
+        tok = self.peek()
+        if tok is not None and tok.text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def name(self, what: str) -> Token:
+        """Read a word that is not a reserved word."""
+        tok = self.next(expect_kind="word", what=what)
+        if tok.text in RESERVED:
+            raise ParseError(f"'{tok.text}' is a reserved word",
+                             tok.line, tok.col)
+        return tok
+
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
@@ -152,9 +168,7 @@ class _StatementParser:
         self.bound: list[str] = []
 
     def parse_top(self) -> Statement:
-        tok = self.cursor.peek()
-        if tok is not None and tok.text == "believes":
-            self.cursor.next()
+        if self.cursor.accept("believes"):
             self.cursor.next(expect_text="(")
             body = self.parse_body()
             self.cursor.next(expect_text=")")
@@ -162,33 +176,20 @@ class _StatementParser:
         return self.parse_body()
 
     def parse_body(self) -> Statement:
-        return self.parse_implies()
-
-    def parse_implies(self) -> Statement:
         left = self.parse_or()
-        tok = self.cursor.peek()
-        if tok is not None and tok.text == "implies":
-            self.cursor.next()
-            return Implies(left, self.parse_implies())
+        if self.cursor.accept("implies"):
+            return Implies(left, self.parse_body())
         return left
 
     def parse_or(self) -> Statement:
         items = [self.parse_and()]
-        while True:
-            tok = self.cursor.peek()
-            if tok is None or tok.text != "or":
-                break
-            self.cursor.next()
+        while self.cursor.accept("or"):
             items.append(self.parse_and())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def parse_and(self) -> Statement:
         items = [self.parse_unary()]
-        while True:
-            tok = self.cursor.peek()
-            if tok is None or tok.text != "and":
-                break
-            self.cursor.next()
+        while self.cursor.accept("and"):
             items.append(self.parse_unary())
         return items[0] if len(items) == 1 else And(tuple(items))
 
@@ -196,32 +197,25 @@ class _StatementParser:
         tok = self.cursor.peek()
         if tok is None:
             raise self.cursor.error_here("expected a statement")
-        if tok.text == "not":
-            self.cursor.next()
+        if self.cursor.accept("not"):
             return Not(self.parse_unary())
-        if tok.text in ("exists", "forall"):
-            self.cursor.next()
-            var = self._bind_variable()
-            self.cursor.next(expect_text=".")
-            body = self.parse_body()
-            self.bound.pop()
-            return Exists(var, body) if tok.text == "exists" else ForAll(var, body)
-        if tok.text == "atleast":
-            self.cursor.next()
-            count_tok = self.cursor.next(expect_kind="nat", what="a count")
-            var = self._bind_variable()
-            self.cursor.next(expect_text=".")
-            body = self.parse_body()
-            self.bound.pop()
-            return AtLeast(int(count_tok.text), var, body)
-        return self.parse_primary()
+        if tok.text not in ("exists", "forall", "atleast"):
+            return self.parse_primary()
+        self.cursor.next()
+        count = (int(self.cursor.next(expect_kind="nat", what="a count").text)
+                 if tok.text == "atleast" else None)
+        var = self.cursor.name("a variable name").text
+        self.cursor.next(expect_text=".")
+        self.bound.append(var)
+        body = self.parse_body()
+        self.bound.pop()
+        if count is not None:
+            return AtLeast(count, var, body)
+        return Exists(var, body) if tok.text == "exists" else ForAll(var, body)
 
     def parse_primary(self) -> Statement:
-        tok = self.cursor.peek()
-        if tok is None:
-            raise self.cursor.error_here("expected a statement")
-        if tok.text == "(":
-            self.cursor.next()
+        tok = self.cursor.peek()  # not None: parse_unary checked
+        if self.cursor.accept("("):
             body = self.parse_body()
             self.cursor.next(expect_text=")")
             return body
@@ -233,37 +227,16 @@ class _StatementParser:
                              tok.line, tok.col)
         self.cursor.next()
         self.cursor.next(expect_text="(")
-        term = self._parse_term()
+        if self.cursor.accept("me"):
+            term = ME
+        else:
+            name = self.cursor.name("a term").text
+            term = Var(name) if name in self.bound else Person(name)
         value = None
-        comma = self.cursor.peek()
-        if comma is not None and comma.text == ",":
-            self.cursor.next()
-            value_tok = self.cursor.next(expect_kind="word", what="a value name")
-            if value_tok.text in RESERVED:
-                raise ParseError(f"'{value_tok.text}' is a reserved word",
-                                 value_tok.line, value_tok.col)
-            value = value_tok.text
+        if self.cursor.accept(","):
+            value = self.cursor.name("a value name").text
         self.cursor.next(expect_text=")")
         return Atom(tok.text, term, value)
-
-    def _parse_term(self):
-        tok = self.cursor.next(expect_kind="word", what="a term")
-        if tok.text == "me":
-            return ME
-        if tok.text in RESERVED:
-            raise ParseError(f"'{tok.text}' is a reserved word",
-                             tok.line, tok.col)
-        if tok.text in self.bound:
-            return Var(tok.text)
-        return Person(tok.text)
-
-    def _bind_variable(self) -> str:
-        tok = self.cursor.next(expect_kind="word", what="a variable name")
-        if tok.text in RESERVED:
-            raise ParseError(f"'{tok.text}' is a reserved word",
-                             tok.line, tok.col)
-        self.bound.append(tok.text)
-        return tok.text
 
 
 def _parse_statement_tokens(cursor: _TokenCursor) -> Statement:
@@ -392,28 +365,18 @@ def _parse_persons_line(line: _Line) -> list[str]:
 def _parse_name_list(cur: _TokenCursor) -> list[str]:
     names = []
     while not cur.at_end():
-        tok = cur.next(expect_kind="word", what="a name")
-        if tok.text in RESERVED:
-            raise ParseError(f"'{tok.text}' is a reserved word",
-                             tok.line, tok.col)
-        names.append(tok.text)
-        if cur.at_end() or cur.peek().text != ",":
+        names.append(cur.name("a name").text)
+        if not cur.accept(","):
             break
-        cur.next()
     return names
 
 
 def _parse_fluent_line(line: _Line) -> FluentDecl:
     cur = line.cursor()
     cur.next(expect_text="fluent")
-    name_tok = cur.next(expect_kind="word", what="a fluent name")
-    if name_tok.text in RESERVED:
-        raise ParseError(f"'{name_tok.text}' is a reserved word",
-                         name_tok.line, name_tok.col)
+    name_tok = cur.name("a fluent name")
     cur.next(expect_text=":")
-    tok = cur.peek()
-    if tok is not None and tok.text == "bool":
-        cur.next()
+    if cur.accept("bool"):
         domain = None
     else:
         cur.next(expect_text="{")
@@ -459,9 +422,7 @@ def _parse_round(fp: _FileParser, persons: list[str]):
     if kind.text == "question":
         label_tok = cur.next(expect_kind="string", what="a question label")
         cur.next(expect_text="to")
-        tok = cur.peek()
-        if tok is not None and tok.text == "all":
-            cur.next()
+        if cur.accept("all"):
             addressed = list(persons)
         else:
             addressed = _parse_name_list(cur)
@@ -476,7 +437,7 @@ def _parse_round(fp: _FileParser, persons: list[str]):
 
 def _parse_answers_line(line: _Line, addressed: list[str]) -> tuple[Answer, ...]:
     cur = line.cursor()
-    cur.next(expect_text="answers", what="an answers line")
+    cur.next(expect_text="answers")
     cur.next(expect_text=":")
     recorded: dict[str, Answer] = {}
     while not cur.at_end():
