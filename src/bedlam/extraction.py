@@ -32,6 +32,13 @@ class Category:
         if len(set(self.values)) != 3:
             raise ExtractionError(
                 f"category '{self.name}' has duplicate values")
+        if self.name == SANITY_CATEGORY and set(self.values) != SANITY_VALUES:
+            raise ExtractionError(
+                "sanity category must order exactly the three sanity classes")
+        if (self.name == TRUTHFULNESS_CATEGORY
+                and set(self.values) != TRUTHFULNESS_VALUES):
+            raise ExtractionError(
+                "truthfulness category must order exactly the three classes")
 
     def digit(self, value: str) -> int:
         try:
@@ -56,14 +63,6 @@ class ExtractionConfig:
             raise ExtractionError("extraction categories must be distinct")
         if self.ordering != "alphabetical":
             raise ExtractionError(f"unknown ordering rule '{self.ordering}'")
-        for cat in self.categories:
-            if cat.name == SANITY_CATEGORY and set(cat.values) != SANITY_VALUES:
-                raise ExtractionError(
-                    "sanity category must order exactly the three sanity classes")
-            if (cat.name == TRUTHFULNESS_CATEGORY
-                    and set(cat.values) != TRUTHFULNESS_VALUES):
-                raise ExtractionError(
-                    "truthfulness category must order exactly the three classes")
 
 
 def encode_person(triple: Sequence[str], config: ExtractionConfig) -> tuple[str, int]:

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .extraction import Category, ExtractionConfig
+from .extraction import Category, ExtractionConfig, ExtractionError
 from .puzzle import (PuzzleSpec, QuestionRound, StatementsRound,
                      validate_statement_in_context)
 from .semantics import Answer, type_from_label
@@ -487,7 +487,10 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
             if len(values) != 3:
                 raise ParseError("a category lists exactly three values",
                                  name_tok.line, name_tok.col)
-            categories.append(Category(name_tok.text, tuple(values)))
+            try:
+                categories.append(Category(name_tok.text, tuple(values)))
+            except ExtractionError as exc:
+                raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         else:
             lcur.next(expect_text=":")
             ordering = lcur.next(expect_text="alphabetical").text
@@ -496,7 +499,10 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
     if len(categories) != 3:
         raise ParseError("extraction needs exactly three categories",
                          header.number, 1)
-    return ExtractionConfig(tuple(categories), ordering)
+    try:
+        return ExtractionConfig(tuple(categories), ordering)
+    except ExtractionError as exc:
+        raise ParseError(str(exc), header.number, 1) from None
 
 
 # --- World files ---

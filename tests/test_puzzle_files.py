@@ -6,16 +6,18 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bedlam import fixture_path
 from bedlam.cli import main
 from bedlam.extraction import ExtractionError
 from bedlam.parser import (ParseError, parse_puzzle_file, parse_statement,
                            parse_world_file)
-from bedlam.puzzle import QuestionRound, StatementsRound
+from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer
 from bedlam.solver import solve_all
-from bedlam.statements import SemanticError
+from bedlam.statements import SemanticError, Statement
+from bedlam.worlds import World
 
 MINIMAL = "persons: Ann\n"
 
@@ -143,6 +145,37 @@ def test_bad_fluent_domain_is_a_positioned_parse_error(values, problem,
                                                        tmp_path, capsys):
     text = f"persons: Ann\nfluent f : {values}\n"
     message = f"line 2, column 8: fluent 'f' {problem}"
+    with pytest.raises(ParseError) as err:
+        parse_puzzle_file(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.puzzle"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+EXTRACTION_PUZZLE = """\
+persons: Ann
+fluent guilt : { accomplice, guilty, innocent }
+extraction:
+  category sanity: partial, delusional, sane
+  category truthfulness: alternator, liar, truth-teller
+  category guilt: accomplice, guilty, innocent
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("alternator, liar, truth-teller", "truth-teller, liar, liar",
+     "line 5, column 12: category 'truthfulness' has duplicate values"),
+    ("partial, delusional, sane", "partial, delusional, mad",
+     "line 4, column 12: sanity category must order exactly the three "
+     "sanity classes"),
+    ("sanity: partial, delusional, sane", "guilt: accomplice, guilty, innocent",
+     "line 3, column 1: extraction categories must be distinct"),
+], ids=["duplicate-values", "foreign-sanity-value", "repeated-name"])
+def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
+                                                            tmp_path, capsys):
+    text = EXTRACTION_PUZZLE.replace(old, new)
     with pytest.raises(ParseError) as err:
         parse_puzzle_file(text)
     assert str(err.value) == message
@@ -290,8 +323,43 @@ def test_parse_outcomes_are_pinned(asylum, asylum_text):
     kinds = Counter(outcome.split(" ", 1)[0].split("(", 1)[0]
                     for outcome in outcomes)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert kinds == {"ParseError": 1326, "PuzzleSpec": 69, "SemanticError": 67,
-                     "World": 18, "ExtractionError": 9, "AtLeast": 4,
-                     "Believes": 4, "Implies": 3}
-    assert digest == ("88722fc52d40c25121697b2ff007d202"
-                      "d34878095538ec6836b892a870e12fd3")
+    assert kinds == {"ParseError": 1335, "PuzzleSpec": 69, "SemanticError": 67,
+                     "World": 18, "AtLeast": 4, "Believes": 4, "Implies": 3}
+    assert digest == ("a9d00e1ae08970f15f5d36f12eb4e135"
+                      "46c928a833629cda2fe1cb1147364fb4")
+
+
+# --- Parser fuzz ---
+
+FUZZ_SOURCES = {
+    "puzzle": ("asylum.puzzle", FUZZ_EXTRACTION),
+    "world": ("asylum.solution.world",),
+    "statement": FUZZ_STATEMENTS,
+}
+
+
+@example(kind="puzzle", seed=None, text=EXTRACTION_PUZZLE.replace(
+    "sanity: partial, delusional, sane", "guilt: accomplice, guilty, innocent"))
+@given(kind=st.sampled_from(sorted(FUZZ_SOURCES)),
+       seed=st.none() | st.integers(0, 2**32 - 1),
+       text=st.text() | st.lists(st.sampled_from(FUZZ_VOCABULARY)).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_parsers_return_a_result_or_a_positioned_error(asylum, kind, seed, text):
+    # With a seed, the text is a mutated fixture or statement instead.
+    if seed is not None:
+        rng = random.Random(seed)
+        source = rng.choice(FUZZ_SOURCES[kind])
+        if source.startswith("asylum."):
+            source = fixture_path(source).read_text()
+        text = mutate(rng, source)
+    parse, result_type = {
+        "puzzle": (parse_puzzle_file, PuzzleSpec),
+        "world": (lambda t: parse_world_file(t, asylum), World),
+        "statement": (lambda t: parse_statement(t, asylum.person_names,
+                                                asylum.fluent_decls), Statement),
+    }[kind]
+    try:
+        result = parse(text)
+    except (ParseError, SemanticError):
+        return
+    assert isinstance(result, result_type)
