@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
                         TYPES_BY_LABEL, answer_yes_no)
 from .statements import Atom, Believes, ME, Statement, fluents_used
-from .worlds import SoloTypeWorld
+from .worlds import World
 
 SUBJECT = "subject"
 
@@ -35,7 +35,7 @@ class UnsupportedQuestionError(Exception):
 def answer_signature(type_: ExtendedType, questions) -> str:
     """Y/N answers this type gives to the questions, as one string."""
     _check_questions(questions)
-    world = SoloTypeWorld(SUBJECT, type_)
+    world = World((SUBJECT,), (type_,))
     state = AgentState(type_)
     letters = []
     for question in questions:

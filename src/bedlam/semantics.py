@@ -136,14 +136,7 @@ def _make_all_types() -> tuple[ExtendedType, ...]:
     return tuple(types)
 
 
-def _canonical_order(types) -> tuple[ExtendedType, ...]:
-    order = ["ST", "SL", "SAt", "SAl", "DT", "DL", "DAt", "DAl",
-             "PiT", "PiL", "PiAt", "PiAl", "PsT", "PsL", "PsAt", "PsAl"]
-    by_label = {t.label: t for t in types}
-    return tuple(by_label[label] for label in order)
-
-
-ALL_TYPES: tuple[ExtendedType, ...] = _canonical_order(_make_all_types())
+ALL_TYPES: tuple[ExtendedType, ...] = _make_all_types()
 TYPES_BY_LABEL: dict[str, ExtendedType] = {t.label: t for t in ALL_TYPES}
 TYPE_INDEX: dict[ExtendedType, int] = {t: i for i, t in enumerate(ALL_TYPES)}
 

@@ -18,26 +18,6 @@ def builtin_truth(type_: ExtendedType, predicate: str) -> bool:
 
 
 @dataclass(frozen=True)
-class SoloTypeWorld:
-    """A world of one person whose type is known and who has no fluents."""
-
-    name: str
-    type: ExtendedType
-
-    @property
-    def person_names(self) -> tuple[str, ...]:
-        return (self.name,)
-
-    def builtin_value(self, predicate: str, person: str) -> bool:
-        if person != self.name:
-            raise SemanticError(f"unknown person '{person}'")
-        return builtin_truth(self.type, predicate)
-
-    def fluent_value(self, fluent: str, person: str):
-        raise SemanticError(f"undeclared predicate '{fluent}'")
-
-
-@dataclass(frozen=True)
 class FluentDecl:
     """A per-person attribute: boolean, or one of an enumerated value list."""
 

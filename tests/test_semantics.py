@@ -11,7 +11,7 @@ from bedlam.semantics import (ALL_TYPES, AgentState, Answer, Ask, ExtendedType,
                               type_from_label, would_assert)
 from bedlam.statements import (And, Atom, BUILTIN_PREDICATES, Believes, ME,
                                Not, Person, SemanticError)
-from bedlam.worlds import FluentDecl, SoloTypeWorld, World, builtin_truth
+from bedlam.worlds import FluentDecl, World, builtin_truth
 
 FLAG = Atom("flag", ME)
 
@@ -140,12 +140,12 @@ def test_would_assert_examples():
 def test_answer_yes_no_examples():
     patient_q = Atom("patient", ME)
     belief_q = Believes(Atom("patient", ME))
-    st_world = SoloTypeWorld("Subject", TYPES_BY_LABEL["ST"])
+    st_world = World(("Subject",), (TYPES_BY_LABEL["ST"],))
     answer, state = answer_yes_no(AgentState(TYPES_BY_LABEL["ST"]), st_world,
                                   patient_q, "Subject")
     assert answer is Answer.NO
     assert state.utterances_made == 1
-    dl_world = SoloTypeWorld("Subject", TYPES_BY_LABEL["DL"])
+    dl_world = World(("Subject",), (TYPES_BY_LABEL["DL"],))
     state = AgentState(TYPES_BY_LABEL["DL"])
     for _ in range(2):  # both belief rounds of a DL answer no
         answer, state = answer_yes_no(state, dl_world, belief_q, "Subject")
@@ -157,7 +157,7 @@ def test_exactly_one_answer():
     patient_q = Atom("patient", ME)
     belief_q = Believes(Atom("patient", ME))
     for t in ALL_TYPES:
-        world = SoloTypeWorld("Subject", t)
+        world = World(("Subject",), (t,))
         for parity in (0, 1):
             for question in (patient_q, belief_q):
                 state = AgentState(t, parity)
@@ -169,14 +169,14 @@ def test_exactly_one_answer():
 def test_simulate_person_psat_column():
     plan = [Ask(Atom("patient", ME)), Ask(Atom("patient", ME)),
             Ask(Believes(Atom("patient", ME))), Ask(Believes(Atom("patient", ME)))]
-    world = SoloTypeWorld("Subject", TYPES_BY_LABEL["PsAt"])
+    world = World(("Subject",), (TYPES_BY_LABEL["PsAt"],))
     fragment = simulate_person(TYPES_BY_LABEL["PsAt"], world, plan, "Subject")
     assert [a.letter for a in fragment.results] == ["Y", "Y", "Y", "N"]
     assert fragment.state.utterances_made == 4
 
 
 def test_simulate_person_empty_plan():
-    world = SoloTypeWorld("Subject", TYPES_BY_LABEL["DT"])
+    world = World(("Subject",), (TYPES_BY_LABEL["DT"],))
     fragment = simulate_person(TYPES_BY_LABEL["DT"], world, [], "Subject")
     assert fragment.results == ()
     assert fragment.state == AgentState(TYPES_BY_LABEL["DT"], 0)
