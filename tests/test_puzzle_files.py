@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from bedlam import fixture_path
 from bedlam.cli import main
-from bedlam.extraction import ExtractionError
 from bedlam.parser import (ParseError, parse_puzzle_file, parse_statement,
                            parse_world_file)
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
@@ -294,23 +293,28 @@ def mutate(rng, text: str) -> str:
 def parse_outcome(parse, text: str) -> str:
     try:
         return repr(parse(text))
-    except (ParseError, SemanticError, ExtractionError) as exc:
+    except (ParseError, SemanticError) as exc:
         return (f"{type(exc).__name__} {getattr(exc, 'line', 0)} "
                 f"{getattr(exc, 'col', 0)} {exc}")
 
 
-def fuzz_outcomes(asylum, asylum_text, count: int) -> list[str]:
-    rng = random.Random(20180326)
+def fuzz_sources(asylum, asylum_text) -> list:
+    """(parser, text to mutate) pairs."""
     world_text = fixture_path("asylum.solution.world").read_text()
-    sources = [
+
+    def statement(text):
+        return parse_statement(text, asylum.person_names, asylum.fluent_decls)
+
+    return [
         (parse_puzzle_file, asylum_text),
         (parse_puzzle_file, FUZZ_EXTRACTION),
         (lambda text: parse_world_file(text, asylum), world_text),
-    ] + [
-        (lambda text: parse_statement(text, asylum.person_names,
-                                      asylum.fluent_decls), stmt)
-        for stmt in FUZZ_STATEMENTS
-    ]
+    ] + [(statement, stmt) for stmt in FUZZ_STATEMENTS]
+
+
+def fuzz_outcomes(asylum, asylum_text, count: int) -> list[str]:
+    rng = random.Random(20180326)
+    sources = fuzz_sources(asylum, asylum_text)
     outcomes = []
     for n in range(count):
         parse, text = sources[n % len(sources)]
@@ -331,35 +335,18 @@ def test_parse_outcomes_are_pinned(asylum, asylum_text):
 
 # --- Parser fuzz ---
 
-FUZZ_SOURCES = {
-    "puzzle": ("asylum.puzzle", FUZZ_EXTRACTION),
-    "world": ("asylum.solution.world",),
-    "statement": FUZZ_STATEMENTS,
-}
-
-
-@example(kind="puzzle", seed=None, text=EXTRACTION_PUZZLE.replace(
+@example(source=1, seed=None, text=EXTRACTION_PUZZLE.replace(
     "sanity: partial, delusional, sane", "guilt: accomplice, guilty, innocent"))
-@given(kind=st.sampled_from(sorted(FUZZ_SOURCES)),
-       seed=st.none() | st.integers(0, 2**32 - 1),
+@given(source=st.integers(0, 5), seed=st.none() | st.integers(0, 2**32 - 1),
        text=st.text() | st.lists(st.sampled_from(FUZZ_VOCABULARY)).map("".join))
 @settings(max_examples=300, deadline=None)
-def test_parsers_return_a_result_or_a_positioned_error(asylum, kind, seed, text):
-    # With a seed, the text is a mutated fixture or statement instead.
+def test_parsers_return_a_result_or_a_positioned_error(asylum, asylum_text,
+                                                       source, seed, text):
+    parse, base = fuzz_sources(asylum, asylum_text)[source]
     if seed is not None:
-        rng = random.Random(seed)
-        source = rng.choice(FUZZ_SOURCES[kind])
-        if source.startswith("asylum."):
-            source = fixture_path(source).read_text()
-        text = mutate(rng, source)
-    parse, result_type = {
-        "puzzle": (parse_puzzle_file, PuzzleSpec),
-        "world": (lambda t: parse_world_file(t, asylum), World),
-        "statement": (lambda t: parse_statement(t, asylum.person_names,
-                                                asylum.fluent_decls), Statement),
-    }[kind]
+        text = mutate(random.Random(seed), base)
     try:
         result = parse(text)
     except (ParseError, SemanticError):
         return
-    assert isinstance(result, result_type)
+    assert isinstance(result, (PuzzleSpec, World, Statement))
