@@ -343,7 +343,7 @@ def test_parse_outcomes_are_pinned(asylum, asylum_text):
 def test_parsers_return_a_result_or_a_positioned_error(asylum, asylum_text,
                                                        source, seed, text):
     parse, base = fuzz_sources(asylum, asylum_text)[source]
-    if seed is not None:
+    if seed is not None:  # a mutated source in place of the drawn text
         text = mutate(random.Random(seed), base)
     try:
         result = parse(text)
