@@ -6,7 +6,7 @@ candidate world and is the single source of truth for consistency.
 serves as the checking oracle for small puzzles.  `solve_all` must agree
 with the oracle wherever the space is enumerable; it gets there faster by
 pruning each person's type against their own question answers, then
-backtracking over fluent values with three-valued constraint evaluation.
+backtracking over fluent values with compiled three-valued checks.
 The search is serial and visits worlds in canonical order, so it returns
 them sorted without sorting.
 """
@@ -139,116 +139,60 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
 
 # --- Staged search ---
 
-@dataclass(slots=True)
-class _Constraint:
-    """A statement that must evaluate to `required`; axioms require True."""
-
-    body: Statement
-    speaker: Optional[str]
-    step: Optional[Step] = None
-    required: bool = True
-
-
 class _Analysis:
     """Per-puzzle precomputation shared by every type combination.
 
-    Every transcript step and axiom lands in exactly one stage:
-    `local[p]` holds the steps that read only person p's own type and
-    filter p's candidate types; `closed` the constraints that read no
-    (fluent, person) variable, checked once per type combination; and
-    `watchers[v]` the rest, each re-checked whenever a variable it reads
-    is assigned, so it is decided at the last of them.
+    Type-local steps, which read only their speaker's type, leave each
+    person p the `candidates[p]` they allow.  The other steps and the
+    axioms become compiled checks over the search's `types` and `values`
+    rows: `closed` holds those that read no slot, run once per type
+    combination; `watchers[v]` those that read slot v, re-run whenever v
+    is assigned, so each is decided at the last slot it reads.
     """
 
     def __init__(self, puzzle: PuzzleSpec):
         self.puzzle = puzzle
         names = puzzle.person_names
-        self.person_index = {name: i for i, name in enumerate(names)}
-        self.fluent_index = {d.name: i for i, d in enumerate(puzzle.fluent_decls)}
+        fluent_names = [d.name for d in puzzle.fluent_decls]
         self.domains = [d.values() for d in puzzle.fluent_decls]
         # Search variables: one per (fluent, person), declaration order.
         self.variables = list(itertools.product(
-            range(len(puzzle.fluent_decls)), range(len(names))))
-        self.local: list[list[Step]] = [[] for _ in names]
-        self.closed: list[_Constraint] = []
-        self.watchers: list[list[_Constraint]] = [[] for _ in self.variables]
-        self.watched_steps: list[_Constraint] = []
+            range(len(fluent_names)), range(len(names))))
+        local: list[list[Step]] = [[] for _ in names]
+        checks = []
         for step in puzzle.transcript:
             if st.is_type_local(step.body, step.person):
-                self.local[step.person_index].append(step)
+                local[step.person_index].append(step)
             else:
-                self._place(_Constraint(step.body, step.person, step))
-        for axiom in puzzle.axioms:
-            self._place(_Constraint(axiom, None))
-
-    def _place(self, constraint: _Constraint) -> None:
-        """Watch the constraint on each (fluent, person) variable it reads.
-
-        A quantified fluent atom reads its fluent for every person, so in
-        a puzzle without persons it reads nothing and is closed.
-        """
-        reads = set()
-        for node in st.walk(constraint.body):
-            if (not isinstance(node, st.Atom)
-                    or node.predicate in st.BUILTIN_PREDICATES):
-                continue
-            fi = self.fluent_index[node.predicate]
-            term = node.term
-            if isinstance(term, st.Person):
-                reads.add((fi, self.person_index[term.name]))
-            elif isinstance(term, st.Me):
-                reads.add((fi, self.person_index[constraint.speaker]))
-            else:
-                reads.update((fi, pi) for pi in self.person_index.values())
-        for variable, watchers in zip(self.variables, self.watchers):
-            if variable in reads:
-                watchers.append(constraint)
-        if not reads:
-            self.closed.append(constraint)
-        elif constraint.step is not None:
-            self.watched_steps.append(constraint)
-
-    def type_candidates(self,
-                        world: _PartialWorld) -> list[list[ExtendedType]]:
-        """Per-person types consistent with their own type-local utterances.
-
-        Each type is tried with everyone given it: a type-local step reads
-        only its speaker's type, but its quantifiers range over everyone,
-        as in `atleast 2 x . patient(me)`.
-        """
-        candidates: list[list[ExtendedType]] = [[] for _ in self.local]
+                body, reads = st.compile_statement(
+                    step.body, step.person, names, fluent_names)
+                checks.append((_step_check(step, body), reads))
+        checks += [st.compile_statement(axiom, None, names, fluent_names)
+                   for axiom in puzzle.axioms]
+        # A quantified fluent atom reads its fluent for every person, so in
+        # a puzzle without persons it reads nothing and is closed.
+        self.closed = [check for check, reads in checks if not reads]
+        self.watchers = [[check for check, reads in checks if v in reads]
+                         for v in self.variables]
+        # Each type is tried with everyone given it, since quantifiers
+        # range over everyone, as in `atleast 2 x . patient(me)`.  With no
+        # fluent slots the reference evaluator always answers definitely.
+        self.candidates: list[list[ExtendedType]] = [[] for _ in names]
         for t in ALL_TYPES:
-            world.types = (t,) * len(self.local)
-            for steps, kept in zip(self.local, candidates):
-                if all(eval_closed(world, step.body, step.person)
+            world = World(names, (t,) * len(names))
+            for steps, kept in zip(local, self.candidates):
+                if all(eval_partial(world, step.body, step.person)
                        == step.required(t) for step in steps):
                     kept.append(t)
-        return candidates
 
 
-class _PartialWorld:
-    """Mutable world with UNKNOWN fluent slots, for three-valued checks.
-
-    One per solve: type pruning gives everyone each type in turn, then the
-    search sets `types` for each type combination and assigns `values` in
-    place.  The analysis has resolved every name.
-    """
-
-    __slots__ = ("person_names", "types", "_pindex", "_findex", "values")
-
-    def __init__(self, analysis: _Analysis):
-        self.person_names = analysis.puzzle.person_names
-        self.types = ()
-        self._pindex = analysis.person_index
-        self._findex = analysis.fluent_index
-        self.values = [[UNKNOWN] * len(self.person_names)
-                       for _ in analysis.domains]
-
-    def builtin_value(self, predicate: str, person: str) -> bool:
-        return self.types[self._pindex[person]].builtins[predicate]
-
-    def fluent_value(self, fluent: str, person: str):
-        return self.values[self._findex[fluent]][self._pindex[person]]
+def _step_check(step: Step, body):
+    """The step's compiled body, held to what its speaker's type requires."""
+    def check(types, values):
+        value = body(types, values)
+        return (value if value is UNKNOWN
+                else value == step.required(types[step.person_index]))
+    return check
 
 
 class _Progress:
@@ -293,11 +237,17 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     """
     progress = _Progress(budget or Budget())
     analysis = _Analysis(puzzle)
-    world = _PartialWorld(analysis)
-    candidates = analysis.type_candidates(world)
     worlds: list[World] = []
-    if all(candidates):
-        worlds = _search(world, analysis, candidates, progress)
+    if all(analysis.candidates):
+        values = [[UNKNOWN] * len(puzzle.person_names)
+                  for _ in analysis.domains]
+        for types in itertools.product(*analysis.candidates):
+            progress.tick()
+            for check in analysis.closed:
+                if check(types, values) is False:
+                    break
+            else:
+                _descend(analysis, progress, types, values, worlds, 0)
         progress.check()
     if not worlds:
         status = SolveStatus.NONE
@@ -312,48 +262,25 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     return SolveResult(status, tuple(worlds), report, stats)
 
 
-def _search(world: _PartialWorld, analysis: _Analysis, candidates,
-            progress: _Progress) -> list[World]:
-    found: list[World] = []
-    for types in itertools.product(*candidates):
-        progress.tick()
-        world.types = types
-        for constraint in analysis.closed:
-            step = constraint.step
-            required = (True if step is None
-                        else step.required(types[step.person_index]))
-            if eval_closed(world, constraint.body,
-                           constraint.speaker) != required:
-                break
-        else:
-            # A watched step's required value follows its speaker's type.
-            for constraint in analysis.watched_steps:
-                step = constraint.step
-                constraint.required = step.required(types[step.person_index])
-            _descend(world, analysis, progress, found, 0)
-    return found
-
-
-def _descend(world: _PartialWorld, analysis: _Analysis, progress: _Progress,
+def _descend(analysis: _Analysis, progress: _Progress, types, values,
              found: list[World], depth: int) -> None:
     """Assign variables from `depth` on, keeping worlds that pass."""
     if depth == len(analysis.variables):
-        found.append(World(
-            world.person_names, world.types, analysis.puzzle.fluent_decls,
-            tuple(tuple(row) for row in world.values)))
+        puzzle = analysis.puzzle
+        found.append(World(puzzle.person_names, types, puzzle.fluent_decls,
+                           tuple(tuple(row) for row in values)))
         return
     fi, pi = analysis.variables[depth]
-    row = world.values[fi]
+    row = values[fi]
     watchers = analysis.watchers[depth]
     for value in analysis.domains[fi]:
         progress.tick()
         row[pi] = value
-        for constraint in watchers:
-            result = eval_partial(world, constraint.body, constraint.speaker)
-            if result is not UNKNOWN and result != constraint.required:
+        for check in watchers:
+            if check(types, values) is False:
                 break
         else:
-            _descend(world, analysis, progress, found, depth + 1)
+            _descend(analysis, progress, types, values, found, depth + 1)
     row[pi] = UNKNOWN
 
 

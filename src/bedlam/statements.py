@@ -5,9 +5,10 @@ connectives, quantifiers ranging over the puzzle's person set, and a
 ``believes`` wrapper that may only appear as the outermost node of an
 uttered statement.  Everything here is immutable and safe to share.
 
-Evaluation is three-valued so the solver can test statements against
-partially assigned worlds: ``eval_partial`` returns True, False, or the
+Evaluation is three-valued: ``eval_partial`` returns True, False, or the
 ``UNKNOWN`` sentinel, and ``eval_closed`` insists on a definite answer.
+These tree walkers are the reference; ``compile_statement`` gives the
+solver's search the same answers from closures over index rows.
 """
 
 from __future__ import annotations
@@ -458,3 +459,72 @@ def _eval_atom(world, atom, speaker, env):
         raise SemanticError(
             f"boolean fluent '{atom.predicate}' takes no value argument")
     return value == atom.value
+
+
+# --- Compilation ---
+
+def compile_statement(stmt: Statement, speaker: Optional[str],
+                      person_names, fluent_names):
+    """Compile a validated, believes-free statement into `(check, reads)`.
+
+    `check(types, values)` is `eval_partial` on the world where person p
+    has type `types[p]` and fluent f the value `values[f][p]`, which may be
+    UNKNOWN; `reads` holds the (f, p) slots it reads.  Names are resolved
+    once, and quantifiers unrolled over the persons.
+    """
+    persons = {Person(name): p for p, name in enumerate(person_names)}
+    persons[ME] = persons.get(Person(speaker))  # None outside an utterance
+    reads: set[tuple[int, int]] = set()
+
+    def compile_(node, env):
+        if isinstance(node, Not):
+            return _at_least(1, False, [compile_(node.body, env)])
+        if isinstance(node, (And, Or)):
+            items = [compile_(item, env) for item in node.items]
+            return _at_least(len(items) if isinstance(node, And) else 1,
+                             True, items)
+        if isinstance(node, Implies):
+            left = _at_least(1, False, [compile_(node.left, env)])
+            return _at_least(1, True, [left, compile_(node.right, env)])
+        if isinstance(node, (Exists, ForAll, AtLeast)):
+            # Bodies under a constant count are compiled too, so that
+            # `reads` names every slot the statement mentions.
+            items = [compile_(node.body, {**env, Var(node.var): p})
+                     for p in range(len(person_names))]
+            count = (node.count if isinstance(node, AtLeast)
+                     else 1 if isinstance(node, Exists) else len(items))
+            return _at_least(count, True, items)
+        p, predicate, wanted = env[node.term], node.predicate, node.value
+        if predicate in BUILTIN_PREDICATES:
+            return lambda types, values: types[p].builtins[predicate]
+        f = fluent_names.index(predicate)
+        reads.add((f, p))
+        if wanted is None:
+            return lambda types, values: values[f][p]
+        return lambda types, values: (
+            UNKNOWN if (value := values[f][p]) is UNKNOWN else value == wanted)
+
+    return compile_(stmt, persons), reads
+
+
+def _at_least(k: int, wanted: bool, items):
+    """A check: do at least `k` items give `wanted`?  Stops once decided."""
+    slack = len(items) - k  # definite misses that still leave k hits
+    if k <= 0 or slack < 0:
+        constant = k <= 0
+        return lambda types, values: constant
+
+    def check(types, values):
+        hits = misses = 0
+        for item in items:
+            value = item(types, values)
+            if value is wanted:
+                hits += 1
+                if hits == k:
+                    return True
+            elif value is not UNKNOWN:
+                misses += 1
+                if misses > slack:
+                    return False
+        return UNKNOWN
+    return check

@@ -10,8 +10,8 @@ import support
 from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
-                               UNKNOWN, Var, eval_closed, eval_partial,
-                               free_variables, render_statement,
+                               UNKNOWN, Var, compile_statement, eval_closed,
+                               eval_partial, free_variables, render_statement,
                                substitute_me)
 from bedlam.worlds import FluentDecl
 from support import random_statement, random_utterance, random_world
@@ -184,6 +184,43 @@ def test_partial_eval_is_unknown_or_every_completions_value(seed):
         for (fluent, person), value in zip(hidden, values):
             completion = completion.with_fluent(fluent, person, value)
         assert eval_closed(completion, stmt, speaker) == partial
+
+
+CATEGORICAL_DECLS = (support.MOOD, FluentDecl("shifty"))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_compiled_check_is_the_tree_walker(seed):
+    # Boolean statements cover `atleast` 0..n+1, categorical ones fluent
+    # values; both cover `forall` and `me`.
+    rng = random.Random(seed)
+    persons = support.NAME_POOL[:rng.randint(1, 3)]
+    if rng.random() < 0.5:
+        decls = DECLS
+        stmt = random_statement(rng, persons=persons)
+    else:
+        decls = CATEGORICAL_DECLS
+        stmt = support.random_categorical_statement(rng, 3, persons, decls)
+    world = random_world(rng, persons, decls)
+    slots = [(f, p) for f in range(len(decls)) for p in range(len(persons))]
+    hidden = [slot for slot in slots if rng.random() < 0.5]
+    speaker = rng.choice(persons)
+    check, reads = compile_statement(stmt, speaker, persons,
+                                     [decl.name for decl in decls])
+    values = [list(row) for row in world.fluent_values]
+    for f, p in hidden:
+        values[f][p] = UNKNOWN
+    expected = eval_partial(
+        _HiddenSlots(world, [(decls[f].name, persons[p]) for f, p in hidden]),
+        stmt, speaker)
+    assert check(world.types, values) is expected
+    assert reads <= set(slots)
+    for f, p in set(slots) - reads:
+        for value in decls[f].values() + (UNKNOWN,):
+            changed = [list(row) for row in values]
+            changed[f][p] = value
+            assert check(world.types, changed) is expected
 
 
 def test_forall_over_empty_person_set_is_true():
