@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from bedlam.discrimination import FOUR_QUESTION_PLAN
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import (ALL_TYPES, AgentState, Answer, advance,
                               would_assert)
@@ -265,3 +266,53 @@ def random_categorical_puzzle(rng: random.Random, hidden: bool) -> PuzzleSpec:
     puzzle = PuzzleSpec(persons, decls, tuple(axioms), tuple(rounds))
     puzzle.validate()
     return puzzle
+
+
+WIDE_NAME_POOL = NAME_POOL + ("David", "Eve")
+WIDE_FLUENT_POOL = (FluentDecl("shifty"), FluentDecl("hungry"), MOOD)
+
+
+def random_probed_puzzle(rng: random.Random) -> tuple[PuzzleSpec, World]:
+    """A 4-5 person puzzle replaying a hidden world, and that world.
+
+    The world has one or two boolean or categorical fluents.  Everyone
+    first answers `FOUR_QUESTION_PLAN`'s probes, so each person keeps few
+    types; random utterances and axioms follow, each flipped to hold in
+    the hidden world.
+    """
+    persons = WIDE_NAME_POOL[:rng.randint(4, 5)]
+    decls = tuple(rng.sample(WIDE_FLUENT_POOL, rng.randint(1, 2)))
+    world = random_world(rng, persons, decls)
+    counts = {p: 0 for p in persons}
+
+    def asserted(person: str, stmt: Statement) -> bool:
+        state = AgentState(world.type_of(person), counts[person])
+        counts[person] += 1
+        return would_assert(state, world, stmt, person)
+
+    rounds = []
+    for question in FOUR_QUESTION_PLAN:
+        answers = tuple(Answer.YES if asserted(p, question) else Answer.NO
+                        for p in persons)
+        rounds.append(QuestionRound("probe", question, persons, answers))
+    for _ in range(rng.randint(1, 3)):
+        utterances = []
+        for speaker in rng.sample(persons, rng.randint(1, 3)):
+            stmt = random_categorical_statement(rng, 2, persons, decls)
+            if rng.random() < 0.3:
+                stmt = Believes(stmt)
+            if not asserted(speaker, stmt):
+                stmt = (Believes(Not(stmt.body)) if isinstance(stmt, Believes)
+                        else Not(stmt))
+            utterances.append((speaker, stmt))
+        rounds.append(StatementsRound(tuple(utterances)))
+
+    axioms = []
+    for _ in range(rng.randint(0, 2)):
+        axiom = random_categorical_statement(rng, 2, persons, decls,
+                                             allow_me=False)
+        axioms.append(axiom if eval_closed(world, axiom) else Not(axiom))
+
+    puzzle = PuzzleSpec(persons, decls, tuple(axioms), tuple(rounds))
+    puzzle.validate()
+    return puzzle, world

@@ -1,9 +1,12 @@
 """Staged solver versus the brute-force oracle on random puzzles."""
 
+import itertools
 import random
 
-from bedlam.solver import SolveStatus, brute_force_solve, solve_all
-from support import random_categorical_puzzle, random_puzzle
+from bedlam.solver import SolveStatus, brute_force_solve, check_world, solve_all
+from bedlam.worlds import World
+from support import (random_categorical_puzzle, random_probed_puzzle,
+                     random_puzzle)
 
 
 def test_solver_matches_oracle_on_mixed_sizes():
@@ -52,3 +55,20 @@ def test_solver_matches_oracle_on_categorical_fluents():
         if expected:
             satisfiable += 1
     assert satisfiable >= 12
+
+
+def test_solver_matches_a_restricted_oracle_on_wider_puzzles():
+    # Four or five persons have too many worlds to enumerate, so the oracle
+    # fixes the hidden world's types and enumerates only the fluent rows.
+    rng = random.Random(0x45)
+    for _ in range(40):
+        puzzle, hidden = random_probed_puzzle(rng)
+        n = len(puzzle.person_names)
+        rows = itertools.product(*(itertools.product(decl.values(), repeat=n)
+                                   for decl in puzzle.fluent_decls))
+        expected = [row for row in rows if check_world(puzzle, World(
+            puzzle.person_names, hidden.types, puzzle.fluent_decls, row))]
+        found = [world.fluent_values for world in solve_all(puzzle).worlds
+                 if world.types == hidden.types]
+        assert found == expected
+        assert hidden.fluent_values in found
