@@ -162,10 +162,19 @@ class _TokenCursor:
 
 # --- Statement parsing ---
 
+# Deepest nesting of `parse_body` and `parse_unary` calls a statement may
+# need.  At this bound the parser and every later recursive pass over the
+# tree (validation, rendering, the tree walker, the compiler and its
+# checks) need under 400 frames, well inside Python's default recursion
+# limit of 1,000.
+MAX_NESTING = 100
+
+
 class _StatementParser:
     def __init__(self, cursor: _TokenCursor):
         self.cursor = cursor
         self.bound: list[str] = []
+        self.depth = 0
 
     def parse_top(self) -> Statement:
         if self.cursor.accept("believes"):
@@ -175,11 +184,19 @@ class _StatementParser:
             return Believes(body)
         return self.parse_body()
 
+    def descend(self) -> None:
+        """Enter one more nesting level, refusing to pass MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise self.cursor.error_here("statement is nested too deeply")
+        self.depth += 1
+
     def parse_body(self) -> Statement:
-        left = self.parse_or()
+        self.descend()
+        stmt = self.parse_or()
         if self.cursor.accept("implies"):
-            return Implies(left, self.parse_body())
-        return left
+            stmt = Implies(stmt, self.parse_body())
+        self.depth -= 1
+        return stmt
 
     def parse_or(self) -> Statement:
         items = [self.parse_and()]
@@ -197,10 +214,17 @@ class _StatementParser:
         tok = self.cursor.peek()
         if tok is None:
             raise self.cursor.error_here("expected a statement")
+        self.descend()
         if self.cursor.accept("not"):
-            return Not(self.parse_unary())
-        if tok.text not in ("exists", "forall", "atleast"):
-            return self.parse_primary()
+            stmt = Not(self.parse_unary())
+        elif tok.text in ("exists", "forall", "atleast"):
+            stmt = self.parse_quantified(tok)
+        else:
+            stmt = self.parse_primary()
+        self.depth -= 1
+        return stmt
+
+    def parse_quantified(self, tok: Token) -> Statement:
         self.cursor.next()
         count = (int(self.cursor.next(expect_kind="nat", what="a count").text)
                  if tok.text == "atleast" else None)

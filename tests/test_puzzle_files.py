@@ -14,7 +14,7 @@ from bedlam.parser import (ParseError, parse_puzzle_file, parse_statement,
                            parse_world_file)
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer
-from bedlam.solver import solve_all
+from bedlam.solver import brute_force_solve, explain_solution, solve_all
 from bedlam.statements import SemanticError, Statement
 from bedlam.worlds import World
 
@@ -182,6 +182,56 @@ def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
     path.write_text(text)
     assert main(["solve", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_deep_nesting_is_a_positioned_parse_error(tmp_path, capsys):
+    text = "persons: A\naxiom " + "(" * 3000 + "patient(A)" + ")" * 3000 + "\n"
+    message = "line 2, column 57: statement is nested too deeply"
+    with pytest.raises(ParseError) as err:
+        parse_puzzle_file(text)
+    assert str(err.value) == message
+    path = tmp_path / "deep.puzzle"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Statement shapes that nest `k` levels of one construct each.
+NESTED_SHAPES = {
+    "parentheses": lambda k: "(" * k + "patient(A)" + ")" * k,
+    "not": lambda k: "not " * k + "patient(A)",
+    "implies": lambda k: " implies ".join(["sane(A)"] * (k + 1)),
+    "left-implies": lambda k: ("(" * k + "sane(A)"
+                               + " implies sane(A))" * k),
+    "quantifiers": lambda k: "".join(
+        f"exists x{i} . sane(x{i}) or doctor(A) and " for i in range(k))
+    + "f(A)",
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_statements_at_the_nesting_bound_pass_every_stage(shape, tmp_path):
+    # The deepest statement the parser accepts gets through validation,
+    # the compiled search, the tree walker, rendering and derivations.
+    make = NESTED_SHAPES[shape]
+    k = 1
+    while True:
+        try:
+            parse_statement(make(k + 1))
+        except ParseError as err:
+            assert "nested too deeply" in str(err)
+            break
+        k += 1
+    text = (f"persons: A\nfluent f : bool\naxiom f(A) or {make(k)}\n"
+            f"round statements:\n  A: {make(k)}\n")
+    path = tmp_path / "deep.puzzle"
+    path.write_text(text)
+    assert main(["solve", str(path), "--format", "structured"]) == 0
+    puzzle = parse_puzzle_file(text)
+    worlds = solve_all(puzzle).worlds
+    assert worlds and worlds == brute_force_solve(puzzle)
+    for world in worlds:
+        explain_solution(puzzle, world)
 
 
 def test_world_file_round_trips(asylum, solution_world):
