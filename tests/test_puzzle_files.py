@@ -204,8 +204,8 @@ NESTED_SHAPES = {
     "left-implies": lambda k: ("(" * k + "sane(A)"
                                + " implies sane(A))" * k),
     "quantifiers": lambda k: "".join(
-        f"exists x{i} . sane(x{i}) or doctor(A) and " for i in range(k))
-    + "f(A)",
+        f"exists x{i} . sane(x{i}) or doctor(A) and "
+        for i in range(k)) + "f(A)",
 }
 
 
