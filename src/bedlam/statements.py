@@ -470,10 +470,14 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     `check(types, values)` is `eval_partial` on the world where person p
     has type `types[p]` and fluent f the value `values[f][p]`, which may be
     UNKNOWN; `reads` holds the (f, p) slots it reads.  Names are resolved
-    once, and quantifiers unrolled over the persons.
+    once.  A term reads its person from a slot of `bound`: slot p holds
+    person p, and a quantifier's own slot holds each person in turn while
+    its body, compiled once, runs.  A check grows with its statement only.
     """
-    persons = {Person(name): p for p, name in enumerate(person_names)}
-    persons[ME] = persons.get(Person(speaker))  # None outside an utterance
+    n = len(person_names)
+    bound = list(range(n))
+    slots = {Person(name): p for p, name in enumerate(person_names)}
+    slots[ME] = slots.get(Person(speaker))  # None outside an utterance
     reads: set[tuple[int, int]] = set()
 
     def compile_(node, env):
@@ -487,24 +491,27 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             left = _at_least(1, False, [compile_(node.left, env)])
             return _at_least(1, True, [left, compile_(node.right, env)])
         if isinstance(node, (Exists, ForAll, AtLeast)):
+            slot = len(bound)
+            bound.append(None)
             # Bodies under a constant count are compiled too, so that
             # `reads` names every slot the statement mentions.
-            items = [compile_(node.body, {**env, Var(node.var): p})
-                     for p in range(len(person_names))]
+            body = compile_(node.body, {**env, Var(node.var): slot})
             count = (node.count if isinstance(node, AtLeast)
-                     else 1 if isinstance(node, Exists) else len(items))
-            return _at_least(count, True, items)
-        p, predicate, wanted = env[node.term], node.predicate, node.value
+                     else 1 if isinstance(node, Exists) else n)
+            return _at_least(count, True, [_bind(bound, slot, p, body)
+                                           for p in range(n)])
+        slot, predicate, wanted = env[node.term], node.predicate, node.value
         if predicate in BUILTIN_PREDICATES:
-            return lambda types, values: types[p].builtins[predicate]
+            return lambda types, values: types[bound[slot]].builtins[predicate]
         f = fluent_names.index(predicate)
-        reads.add((f, p))
+        reads.update((f, p) for p in (range(n) if slot >= n else (slot,)))
         if wanted is None:
-            return lambda types, values: values[f][p]
+            return lambda types, values: values[f][bound[slot]]
         return lambda types, values: (
-            UNKNOWN if (value := values[f][p]) is UNKNOWN else value == wanted)
+            UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
+            else value == wanted)
 
-    return compile_(stmt, persons), reads
+    return compile_(stmt, slots), reads
 
 
 def _at_least(k: int, wanted: bool, items):
@@ -527,4 +534,12 @@ def _at_least(k: int, wanted: bool, items):
                 if misses > slack:
                     return False
         return UNKNOWN
+    return check
+
+
+def _bind(bound, slot, p, body):
+    """A check: `body` run with person p in `bound[slot]`."""
+    def check(types, values):
+        bound[slot] = p
+        return body(types, values)
     return check

@@ -168,6 +168,20 @@ def test_quantified_fluent_axiom_without_persons_is_checked():
     assert result.worlds == ()
 
 
+def test_deep_quantifiers_solve_as_the_oracle_does():
+    # Twelve nested quantifiers over three persons: the compiled checks
+    # stay as small as the statements, and the search finds what the
+    # oracle finds.  Each chain stops at its first definite miss.
+    def chain(atom):
+        return " and ".join(f"exists x{i} . {atom}(x{i})" for i in range(12))
+    puzzle = parse_puzzle_file(
+        "persons: A, B, C\nfluent f : bool\n"
+        f"axiom sane(C) implies {chain('f')}\n"
+        f"round statements:\n  A: {chain('doctor')}\n  B: not f(A)\n")
+    worlds = solve_all(puzzle).worlds
+    assert worlds and worlds == brute_force_solve(puzzle)
+
+
 def test_found_worlds_die_with_their_result():
     # Reference counting alone must free the search's worlds.
     puzzle = parse_puzzle_file("persons: Ann\nfluent f : bool\naxiom f(Ann)\n")

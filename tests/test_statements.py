@@ -222,6 +222,35 @@ def test_compiled_check_is_the_tree_walker(seed):
             assert check(world.types, changed) is expected
 
 
+def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
+    # Each quantifier's body is compiled once, where unrolling it over
+    # three persons would build 3**12 copies of the innermost atom.  The
+    # chain stops at each level's first definite miss, which keeps the
+    # tree walker fast.
+    persons = support.NAME_POOL
+    stmt = parse_statement(
+        "forall x0 . hungry(x0) or doctor(x0) and hungry(me) or "
+        + " and ".join(f"exists x{i} . shifty(x{i})" for i in range(1, 12)))
+    check, reads = compile_statement(stmt, "Beth", persons,
+                                     support.FLUENT_POOL)
+    slots = [(f, p) for f in range(2) for p in range(3)]
+    assert reads == set(slots)
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(40):
+        world = random_world(rng, persons, DECLS)
+        hidden = rng.sample(slots, rng.randint(0, 3))
+        values = [list(row) for row in world.fluent_values]
+        for f, p in hidden:
+            values[f][p] = UNKNOWN
+        expected = eval_partial(
+            _HiddenSlots(world, [(DECLS[f].name, persons[p])
+                                 for f, p in hidden]), stmt, "Beth")
+        assert check(world.types, values) is expected
+        seen.add(expected)
+    assert seen == {True, False, UNKNOWN}
+
+
 def test_forall_over_empty_person_set_is_true():
     from bedlam.worlds import World
     empty = World((), (), (), ())
