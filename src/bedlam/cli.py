@@ -64,7 +64,8 @@ def _load_puzzle(path: str) -> tuple[PuzzleSpec, str]:
 @click.option("--expect-unique", is_flag=True,
               help="Fail unless exactly one world is consistent.")
 @click.option("--budget-nodes", type=int, default=None, metavar="N",
-              help="Abort after exploring N search nodes.")
+              help="Abort after N search nodes: the reported `nodes`, "
+                   "defined by bedlam.solver.SolveStatistics.")
 @click.option("--budget-seconds", type=float, default=None, metavar="S",
               help="Abort after S seconds of search.")
 @click.option("--format", "output_format", default="text",

@@ -4,16 +4,20 @@
 candidate world and is the single source of truth for consistency.
 `brute_force_solve` filters it over the full cartesian world space and
 serves as the checking oracle for small puzzles.  `solve_all` must agree
-with the oracle wherever the space is enumerable; it gets there faster by
-pruning each person's type against their own question answers, then
-backtracking over fluent values with compiled three-valued checks.
-The search is serial and visits worlds in canonical order, so it returns
-them sorted without sorting.
+with the oracle wherever the space is enumerable; it gets there faster
+with compiled checks in three stages: each person's type candidates are
+pruned against what that person says about themselves; persons are then
+typed one by one, and each fluent-free check runs once the last type it
+reads is set, so a failure skips every combination under that prefix;
+finally fluent values are backtracked over, each fluent check decided at
+the last fluent slot it reads.  The search is serial and visits worlds
+in canonical order, so it returns them sorted without sorting.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +48,13 @@ class Budget:
 
 @dataclass
 class SolveStatistics:
+    """What a solve explored.
+
+    `nodes` counts search nodes: one per complete combination of candidate
+    types, whether searched or skipped with a ruled-out prefix, plus one
+    per fluent value tried.  The node budget is checked against it.
+    """
+
     nodes: int = 0
     elapsed: float = 0.0
     worlds_found: int = 0
@@ -140,14 +151,18 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
 # --- Staged search ---
 
 class _Analysis:
-    """Per-puzzle precomputation shared by every type combination.
+    """Per-puzzle precomputation shared by the whole search.
 
-    Type-local steps, which read only their speaker's type, leave each
-    person p the `candidates[p]` they allow.  The other steps and the
-    axioms become compiled checks over the search's `types` and `values`
-    rows: `closed` holds those that read no slot, run once per type
-    combination; `watchers[v]` those that read slot v, re-run whenever v
-    is assigned, so each is decided at the last slot it reads.
+    The search runs three stages, each check at the first point where it
+    is decided.  Type-local steps, which read only their speaker's type,
+    leave each person p the `candidates[p]` they allow.  The other steps
+    and the axioms become compiled checks over the search's `types` and
+    `values` rows.  Those that read no fluent slot are fluent-free:
+    `decided[p]` holds those whose last type read is person p's, run as
+    soon as types up to p are set, and `constant` those that read no type
+    at all.  `watchers[v]` holds the checks that read fluent slot v,
+    re-run whenever v is assigned, so each is decided at the last fluent
+    slot it reads.
     """
 
     def __init__(self, puzzle: PuzzleSpec):
@@ -159,21 +174,31 @@ class _Analysis:
         self.variables = list(itertools.product(
             range(len(fluent_names)), range(len(names))))
         local: list[list[Step]] = [[] for _ in names]
-        checks = []
+        checks = []  # (check, reads, statement, speaker)
         for step in puzzle.transcript:
             if st.is_type_local(step.body, step.person):
                 local[step.person_index].append(step)
             else:
                 body, reads = st.compile_statement(
                     step.body, step.person, names, fluent_names)
-                checks.append((_step_check(step, body), reads))
-        checks += [st.compile_statement(axiom, None, names, fluent_names)
-                   for axiom in puzzle.axioms]
+                checks.append((_step_check(step, body), reads, step.body,
+                               step.person))
+        checks += [(*st.compile_statement(axiom, None, names, fluent_names),
+                    axiom, None) for axiom in puzzle.axioms]
         # A quantified fluent atom reads its fluent for every person, so in
-        # a puzzle without persons it reads nothing and is closed.
-        self.closed = [check for check, reads in checks if not reads]
-        self.watchers = [[check for check, reads in checks if v in reads]
-                         for v in self.variables]
+        # a puzzle without persons it reads nothing and is fluent-free.  A
+        # step also reads its speaker's type, to know what they must say.
+        self.decided: list[list] = [[] for _ in names]
+        self.constant = []
+        for check, reads, stmt, speaker in checks:
+            if not reads:
+                last = st.last_type_read(stmt, speaker, names)
+                if speaker is not None:
+                    last = max(last, names.index(speaker))
+                (self.decided[last] if last >= 0
+                 else self.constant).append(check)
+        self.watchers = [[check for check, reads, _, _ in checks
+                          if v in reads] for v in self.variables]
         # Each type is tried with everyone given it, since quantifiers
         # range over everyone, as in `atleast 2 x . patient(me)`.  With no
         # fluent slots the reference evaluator always answers definitely.
@@ -184,6 +209,10 @@ class _Analysis:
                 if all(eval_partial(world, step.body, step.person)
                        == step.required(t) for step in steps):
                     kept.append(t)
+        # Type combinations under one type of person p: a prefix ruled
+        # out there skips that many.
+        self.below = [math.prod(map(len, self.candidates[p + 1:]))
+                      for p in range(len(names))]
 
 
 def _step_check(step: Step, body):
@@ -208,6 +237,13 @@ class _Progress:
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes % self._CHECK_EVERY == 0:
+            self.check()
+
+    def skip(self, count: int) -> None:
+        """Count `count` nodes at once, as that many ticks would."""
+        before = self.nodes
+        self.nodes += count
+        if before // self._CHECK_EVERY != self.nodes // self._CHECK_EVERY:
             self.check()
 
     def check(self) -> None:
@@ -239,15 +275,9 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
     analysis = _Analysis(puzzle)
     worlds: list[World] = []
     if all(analysis.candidates):
-        values = [[UNKNOWN] * len(puzzle.person_names)
-                  for _ in analysis.domains]
-        for types in itertools.product(*analysis.candidates):
-            progress.tick()
-            for check in analysis.closed:
-                if check(types, values) is False:
-                    break
-            else:
-                _descend(analysis, progress, types, values, worlds, 0)
+        types = [None] * len(puzzle.person_names)
+        values = [[UNKNOWN] * len(types) for _ in analysis.domains]
+        _choose(analysis, progress, types, values, worlds, 0)
         progress.check()
     if not worlds:
         status = SolveStatus.NONE
@@ -260,6 +290,31 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
         nodes=progress.nodes, elapsed=progress.elapsed(),
         worlds_found=len(worlds))
     return SolveResult(status, tuple(worlds), report, stats)
+
+
+def _choose(analysis: _Analysis, progress: _Progress, types, values,
+            found: list[World], p: int) -> None:
+    """Type persons from `p` on, skipping each prefix a check rules out.
+
+    Every complete type combination counts as one node, whether it is
+    tried or skipped with its prefix.
+    """
+    if p == len(types):
+        progress.tick()
+        for check in analysis.constant:
+            if check(types, values) is False:
+                return
+        _descend(analysis, progress, tuple(types), values, found, 0)
+        return
+    checks, below = analysis.decided[p], analysis.below[p]
+    for t in analysis.candidates[p]:
+        types[p] = t
+        for check in checks:
+            if check(types, values) is False:
+                progress.skip(below)
+                break
+        else:
+            _choose(analysis, progress, types, values, found, p + 1)
 
 
 def _descend(analysis: _Analysis, progress: _Progress, types, values,

@@ -262,6 +262,24 @@ def is_type_local(stmt: Statement, speaker: str) -> bool:
     return True
 
 
+def last_type_read(stmt: Statement, speaker: Optional[str],
+                   person_names) -> int:
+    """The highest index of a person whose type the statement reads, or -1.
+
+    A builtin atom reads its person's type; on a bound variable it reads
+    every person's.  Once those types are set, no later person's type can
+    change the statement's value.
+    """
+    last = -1
+    for node in walk(stmt):
+        if isinstance(node, Atom) and node.predicate in BUILTIN_PREDICATES:
+            if isinstance(node.term, Var):
+                return len(person_names) - 1
+            name = speaker if isinstance(node.term, Me) else node.term.name
+            last = max(last, person_names.index(name))
+    return last
+
+
 # --- Rendering ---
 
 # Higher binds tighter; quantifiers extend to the end of their context.

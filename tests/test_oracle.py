@@ -1,8 +1,11 @@
-"""Staged solver versus the brute-force oracle on random puzzles."""
+"""Staged solver versus the brute-force oracle, and metamorphic laws, on
+random puzzles."""
 
+import dataclasses
 import itertools
 import random
 
+from bedlam.puzzle import PuzzleSpec
 from bedlam.solver import SolveStatus, brute_force_solve, check_world, solve_all
 from bedlam.worlds import World
 from support import (random_categorical_puzzle, random_probed_puzzle,
@@ -72,3 +75,46 @@ def test_solver_matches_a_restricted_oracle_on_wider_puzzles():
                  if world.types == hidden.types]
         assert found == expected
         assert hidden.fluent_values in found
+
+
+def _metamorphic_puzzles(rng):
+    """Small random puzzles, then wider probed ones."""
+    return ([random_puzzle(rng) for _ in range(12)]
+            + [random_probed_puzzle(rng)[0] for _ in range(40)])
+
+
+def test_reordering_persons_maps_the_world_set():
+    # A new person order moves the last type each check reads, so the
+    # search prunes other prefixes; the worlds must be the same worlds.
+    rng = random.Random(0x0DE5)
+    for puzzle in _metamorphic_puzzles(rng):
+        order = list(range(len(puzzle.person_names)))
+        rng.shuffle(order)
+        reordered = dataclasses.replace(
+            puzzle, person_names=tuple(puzzle.person_names[i] for i in order))
+        reordered.validate()
+        result, moved = solve_all(puzzle), solve_all(reordered)
+        assert moved.status is result.status
+        assert len(moved.worlds) == len(result.worlds)
+        assert {(world.types, world.fluent_values)
+                for world in moved.worlds} == {
+            (tuple(world.types[i] for i in order),
+             tuple(tuple(row[i] for i in order)
+                   for row in world.fluent_values))
+            for world in result.worlds}
+
+
+def test_a_duplicated_axiom_changes_nothing():
+    rng = random.Random(0xD0B1)
+    duplicated = 0
+    for puzzle in _metamorphic_puzzles(rng):
+        if not puzzle.axioms:
+            continue
+        twice = dataclasses.replace(
+            puzzle, axioms=puzzle.axioms + (rng.choice(puzzle.axioms),))
+        result, again = solve_all(puzzle), solve_all(twice)
+        assert again.worlds == result.worlds
+        assert again.status is result.status
+        assert again.statistics.nodes == result.statistics.nodes
+        duplicated += 1
+    assert duplicated >= 15

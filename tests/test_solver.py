@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from bedlam import statements
 from bedlam.parser import parse_puzzle_file, parse_statement
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import TYPES_BY_LABEL
@@ -239,6 +240,42 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError) as err:
         solve_all(parse_puzzle_file(text), budget=Budget(max_nodes=100))
     assert err.value.statistics.nodes > 0
+
+
+FOUR_PERSONS = "persons: Ann, Beth, Cedric, David\n"
+
+
+def test_fluent_free_check_runs_once_its_last_type_is_set(monkeypatch):
+    # Beth's utterance reads only Ann's and Beth's types, so it is decided
+    # once per pair of their types, not once per type combination.
+    calls = {}
+    compile_statement = statements.compile_statement
+
+    def counting(stmt, speaker, *args):
+        check, reads = compile_statement(stmt, speaker, *args)
+
+        def counted(types, values):
+            calls[speaker] = calls.get(speaker, 0) + 1
+            return check(types, values)
+        return counted, reads
+
+    monkeypatch.setattr(statements, "compile_statement", counting)
+    puzzle = parse_puzzle_file(
+        FOUR_PERSONS + "round statements:\n  Beth: doctor(Ann) or liar(me)\n")
+    result = solve_all(puzzle)
+    assert 0 < calls["Beth"] <= 256
+    assert result.statistics.nodes == 65_536
+    assert result.worlds == brute_force_solve(puzzle)
+
+
+def test_a_prefix_ruled_out_still_counts_its_combinations():
+    puzzle = parse_puzzle_file(
+        FOUR_PERSONS + "axiom doctor(Ann) and not doctor(Ann)\n")
+    result = solve_all(puzzle)
+    assert result.status is SolveStatus.NONE
+    assert result.statistics.nodes == 65_536
+    with pytest.raises(BudgetExceededError):
+        solve_all(puzzle, budget=Budget(max_nodes=100))
 
 
 def test_deterministic_across_workers(asylum):

@@ -11,8 +11,9 @@ from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
                                UNKNOWN, Var, compile_statement, eval_closed,
-                               eval_partial, free_variables, render_statement,
-                               substitute_me)
+                               eval_partial, free_variables, last_type_read,
+                               render_statement, substitute_me)
+from bedlam.semantics import ALL_TYPES
 from bedlam.worlds import FluentDecl
 from support import random_statement, random_utterance, random_world
 
@@ -220,6 +221,35 @@ def test_compiled_check_is_the_tree_walker(seed):
             changed = [list(row) for row in values]
             changed[f][p] = value
             assert check(world.types, changed) is expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_types_after_the_last_type_read_never_change_a_check(seed):
+    # The solver runs a fluent-free check as soon as the type of the
+    # person `last_type_read` names is set, so no later person's type may
+    # move its value, whatever the fluent slots hold.
+    rng = random.Random(seed)
+    persons = support.WIDE_NAME_POOL[:rng.randint(1, 4)]
+    if rng.random() < 0.5:
+        decls = DECLS
+        stmt = random_statement(rng, persons=persons)
+    else:
+        decls = CATEGORICAL_DECLS
+        stmt = support.random_categorical_statement(rng, 3, persons, decls)
+    speaker = rng.choice(persons)
+    check, _ = compile_statement(stmt, speaker, persons,
+                                 [decl.name for decl in decls])
+    last = last_type_read(stmt, speaker, persons)
+    world = random_world(rng, persons, decls)
+    values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
+              for row in world.fluent_values]
+    expected = check(world.types, values)
+    for p in range(last + 1, len(persons)):
+        for t in ALL_TYPES:
+            types = list(world.types)
+            types[p] = t
+            assert check(types, values) is expected
 
 
 def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
