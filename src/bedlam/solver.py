@@ -213,6 +213,10 @@ class _Analysis:
         # out there skips that many.
         self.below = [math.prod(map(len, self.candidates[p + 1:]))
                       for p in range(len(names))]
+        # No fluent-free check reads a type from person `typed` on, so
+        # the search takes those types as one product.
+        self.typed = max((p + 1 for p, checks in enumerate(self.decided)
+                          if checks), default=0)
 
 
 def _step_check(step: Step, body):
@@ -297,14 +301,18 @@ def _choose(analysis: _Analysis, progress: _Progress, types, values,
     """Type persons from `p` on, skipping each prefix a check rules out.
 
     Every complete type combination counts as one node, whether it is
-    tried or skipped with its prefix.
+    searched or skipped with its prefix.
     """
-    if p == len(types):
-        progress.tick()
-        for check in analysis.constant:
-            if check(types, values) is False:
-                return
-        _descend(analysis, progress, tuple(types), values, found, 0)
+    if p == analysis.typed:
+        prefix = tuple(types[:p])
+        for rest in itertools.product(*analysis.candidates[p:]):
+            progress.tick()
+            combination = prefix + rest
+            for check in analysis.constant:
+                if check(combination, values) is False:
+                    break
+            else:
+                _descend(analysis, progress, combination, values, found, 0)
         return
     checks, below = analysis.decided[p], analysis.below[p]
     for t in analysis.candidates[p]:
