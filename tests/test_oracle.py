@@ -5,7 +5,6 @@ import dataclasses
 import itertools
 import random
 
-from bedlam.puzzle import PuzzleSpec
 from bedlam.solver import SolveStatus, brute_force_solve, check_world, solve_all
 from bedlam.worlds import World
 from support import (random_categorical_puzzle, random_probed_puzzle,
