@@ -9,7 +9,7 @@ from typing import Optional, Union
 from . import statements as st
 from .extraction import (ExtractionConfig, SANITY_CATEGORY,
                          TRUTHFULNESS_CATEGORY)
-from .semantics import Answer, ExtendedType, asserted_truth
+from .semantics import ALL_TYPES, Answer, ExtendedType, asserted_truth
 from .statements import Believes, SemanticError, Statement, render_statement
 from .worlds import FluentDecl
 
@@ -91,8 +91,21 @@ class Step:
 
     def required(self, type_: ExtendedType) -> bool:
         """The truth value the body must have for a `type_` speaker."""
-        target = asserted_truth(type_, self.count, self.is_belief)
-        return not target if self.answer is Answer.NO else target
+        return self.required_by_phases[type_.phases[self.count % 2]]
+
+    @cached_property
+    def required_by_phases(self) -> dict[tuple[bool, bool], bool]:
+        """`required` by the speaker's (truthful_now, sane_now) at the step.
+
+        The speaker's type matters only through those phases, so replaying
+        the step against many worlds looks the answer up instead.
+        """
+        table = {}
+        for type_ in ALL_TYPES:
+            target = asserted_truth(type_, self.count, self.is_belief)
+            table[type_.phases[self.count % 2]] = (
+                not target if self.answer is Answer.NO else target)
+        return table
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,11 @@ class ExtendedType:
                  sane != (self.sanity is Sanity.PARTIAL)))
 
     @cached_property
+    def index(self) -> int:
+        """The type's position in ALL_TYPES: a small int that keys it fast."""
+        return TYPE_INDEX[self]
+
+    @cached_property
     def builtins(self) -> dict[str, bool]:
         """Truth of each builtin predicate for a person of this type."""
         sane = self.sanity is Sanity.SANE

@@ -99,6 +99,9 @@ class CheckResult:
         return self.ok
 
 
+_CONSISTENT = CheckResult(True, None, None, "consistent")
+
+
 def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
     """True iff the world satisfies every axiom and transcript round.
 
@@ -126,7 +129,7 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
                            f"{step.answer.value} to \"{step.label}\" but a "
                            f"{type_.label} in this world would answer {would}")
             return CheckResult(False, step.round_index, step.person, message)
-    return CheckResult(True, None, None, "consistent")
+    return _CONSISTENT
 
 
 # --- Brute-force oracle ---
@@ -159,8 +162,9 @@ class _Analysis:
     and the axioms become compiled checks over the search's `types` and
     `values` rows.  Those that read no fluent slot are fluent-free:
     `decided[p]` holds those whose last type read is person p's, run as
-    soon as types up to p are set, and `constant` those that read no type
-    at all.  `watchers[v]` holds the checks that read fluent slot v,
+    soon as types up to p are set; one that skips an earlier person runs
+    once per combination of the types it reads.  `constant` holds those
+    that read no type at all.  `watchers[v]` holds the checks that read fluent slot v,
     re-run whenever v is assigned, so each is decided at the last fluent
     slot it reads.
     """
@@ -192,11 +196,18 @@ class _Analysis:
         self.constant = []
         for check, reads, stmt, speaker in checks:
             if not reads:
-                last = st.last_type_read(stmt, speaker, names)
+                persons = st.types_read(stmt, speaker, names)
                 if speaker is not None:
-                    last = max(last, names.index(speaker))
-                (self.decided[last] if last >= 0
-                 else self.constant).append(check)
+                    persons.add(names.index(speaker))
+                last = max(persons, default=-1)
+                if last < 0:
+                    self.constant.append(check)
+                else:
+                    # It runs once per prefix of types up to `last`; when
+                    # it skips a person there, most of those runs repeat.
+                    if len(persons) <= last:
+                        check = _memoized(check, sorted(persons))
+                    self.decided[last].append(check)
         self.watchers = [[check for check, reads, _, _ in checks
                           if v in reads] for v in self.variables]
         # Each type is tried with everyone given it, since quantifiers
@@ -221,11 +232,27 @@ class _Analysis:
 
 def _step_check(step: Step, body):
     """The step's compiled body, held to what its speaker's type requires."""
+    speaker, parity = step.person_index, step.count % 2
+    required = step.required_by_phases
+
     def check(types, values):
         value = body(types, values)
         return (value if value is UNKNOWN
-                else value == step.required(types[step.person_index]))
+                else value == required[types[speaker].phases[parity]])
     return check
+
+
+def _memoized(check, persons: list[int]):
+    """A fluent-free check, run once per combination of its persons' types."""
+    memo = {}
+
+    def check_once(types, values):
+        key = tuple([types[p].index for p in persons])
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = check(types, values)
+        return result
+    return check_once
 
 
 class _Progress:

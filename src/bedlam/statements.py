@@ -262,22 +262,32 @@ def is_type_local(stmt: Statement, speaker: str) -> bool:
     return True
 
 
+def types_read(stmt: Statement, speaker: Optional[str],
+               person_names) -> set[int]:
+    """The indices of the persons whose types the statement reads.
+
+    A builtin atom reads its person's type; on a bound variable it reads
+    every person's.  The statement's value is a function of those types
+    and of the fluent slots it reads.
+    """
+    read = set()
+    for node in walk(stmt):
+        if isinstance(node, Atom) and node.predicate in BUILTIN_PREDICATES:
+            if isinstance(node.term, Var):
+                return set(range(len(person_names)))
+            name = speaker if isinstance(node.term, Me) else node.term.name
+            read.add(person_names.index(name))
+    return read
+
+
 def last_type_read(stmt: Statement, speaker: Optional[str],
                    person_names) -> int:
     """The highest index of a person whose type the statement reads, or -1.
 
-    A builtin atom reads its person's type; on a bound variable it reads
-    every person's.  Once those types are set, no later person's type can
-    change the statement's value.
+    Once those types are set, no later person's type can change the
+    statement's value.
     """
-    last = -1
-    for node in walk(stmt):
-        if isinstance(node, Atom) and node.predicate in BUILTIN_PREDICATES:
-            if isinstance(node.term, Var):
-                return len(person_names) - 1
-            name = speaker if isinstance(node.term, Me) else node.term.name
-            last = max(last, person_names.index(name))
-    return last
+    return max(types_read(stmt, speaker, person_names), default=-1)
 
 
 # --- Rendering ---
@@ -359,7 +369,7 @@ def _render(stmt: Statement, min_level: int) -> str:
 
 def eval_closed(world, stmt: Statement, speaker: Optional[str] = None) -> bool:
     """Classical evaluation of a closed, believes-free statement."""
-    result = eval_partial(world, stmt, speaker)
+    result = _eval(world, stmt, speaker, {})
     if result is UNKNOWN:
         raise SemanticError("statement not determined by a partial world")
     return result
@@ -423,9 +433,14 @@ def _eval_counting(world, var, body, speaker, env, minimum, wanted):
     """Whether at least `minimum` persons give the body the `wanted` value."""
     if minimum == 0:
         return True
+    # Definite misses that still leave `minimum` hits possible; one more
+    # decides False, as in the compiled `_quantified`.
+    slack = len(world.person_names) - minimum
+    if slack < 0:
+        return False
     shadowed = env.get(var, _MISSING)
     hits = 0
-    unknowns = 0
+    misses = 0
     try:
         for name in world.person_names:
             env[var] = name
@@ -434,16 +449,16 @@ def _eval_counting(world, var, body, speaker, env, minimum, wanted):
                 hits += 1
                 if hits >= minimum:
                     return True
-            elif v is UNKNOWN:
-                unknowns += 1
+            elif v is not UNKNOWN:
+                misses += 1
+                if misses > slack:
+                    return False
     finally:
         if shadowed is _MISSING:
             env.pop(var, None)
         else:
             env[var] = shadowed
-    if hits + unknowns >= minimum:
-        return UNKNOWN
-    return False
+    return UNKNOWN
 
 
 def _eval_atom(world, atom, speaker, env):
@@ -456,10 +471,8 @@ def _eval_atom(world, atom, speaker, env):
         if term.name not in env:
             raise SemanticError(f"unbound variable '{term.name}'")
         name = env[term.name]
-    else:
+    else:  # the world's lookups reject an unknown person
         name = term.name
-        if name not in world.person_names:
-            raise SemanticError(f"unknown person '{name}'")
     if atom.predicate in BUILTIN_PREDICATES:
         if atom.value is not None:
             raise SemanticError(
@@ -500,14 +513,13 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
 
     def compile_(node, env):
         if isinstance(node, Not):
-            return _at_least(1, False, [compile_(node.body, env)])
+            return _negation(compile_(node.body, env))
         if isinstance(node, (And, Or)):
             items = [compile_(item, env) for item in node.items]
-            return _at_least(len(items) if isinstance(node, And) else 1,
-                             True, items)
+            return (_every if isinstance(node, And) else _some)(items)
         if isinstance(node, Implies):
-            left = _at_least(1, False, [compile_(node.left, env)])
-            return _at_least(1, True, [left, compile_(node.right, env)])
+            return _some([_negation(compile_(node.left, env)),
+                          compile_(node.right, env)])
         if isinstance(node, (Exists, ForAll, AtLeast)):
             slot = len(bound)
             bound.append(None)
@@ -516,8 +528,7 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             body = compile_(node.body, {**env, Var(node.var): slot})
             count = (node.count if isinstance(node, AtLeast)
                      else 1 if isinstance(node, Exists) else n)
-            return _at_least(count, True, [_bind(bound, slot, p, body)
-                                           for p in range(n)])
+            return _quantified(count, bound, slot, n, body)
         slot, predicate, wanted = env[node.term], node.predicate, node.value
         if predicate in BUILTIN_PREDICATES:
             return lambda types, values: types[bound[slot]].builtins[predicate]
@@ -532,18 +543,57 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     return compile_(stmt, slots), reads
 
 
-def _at_least(k: int, wanted: bool, items):
-    """A check: do at least `k` items give `wanted`?  Stops once decided."""
-    slack = len(items) - k  # definite misses that still leave k hits
-    if k <= 0 or slack < 0:
+def _negation(item):
+    """A check: the three-valued negation of `item`."""
+    return lambda types, values: (
+        UNKNOWN if (value := item(types, values)) is UNKNOWN else not value)
+
+
+def _some(items):
+    """A check: is some item true?  The first true item decides."""
+    def check(types, values):
+        result = False
+        for item in items:
+            value = item(types, values)
+            if value is True:
+                return True
+            if value is UNKNOWN:
+                result = UNKNOWN
+        return result
+    return check
+
+
+def _every(items):
+    """A check: is every item true?  The first false item decides."""
+    def check(types, values):
+        result = True
+        for item in items:
+            value = item(types, values)
+            if value is False:
+                return False
+            if value is UNKNOWN:
+                result = UNKNOWN
+        return result
+    return check
+
+
+def _quantified(k: int, bound, slot: int, n: int, body):
+    """A check: do at least `k` persons make `body` true?
+
+    Each of the n persons is put in `bound[slot]` in turn; the count stops
+    once it is decided.
+    """
+    if k <= 0 or k > n:
         constant = k <= 0
         return lambda types, values: constant
+    slack = n - k  # definite misses that still leave k hits
 
     def check(types, values):
         hits = misses = 0
-        for item in items:
-            value = item(types, values)
-            if value is wanted:
+        for p in range(n):
+            bound[slot] = p
+            value = body(types, values)
+            if value is True:
                 hits += 1
                 if hits == k:
                     return True
@@ -552,12 +602,4 @@ def _at_least(k: int, wanted: bool, items):
                 if misses > slack:
                     return False
         return UNKNOWN
-    return check
-
-
-def _bind(bound, slot, p, body):
-    """A check: `body` run with person p in `bound[slot]`."""
-    def check(types, values):
-        bound[slot] = p
-        return body(types, values)
     return check

@@ -85,11 +85,13 @@ class World:
         return self.types[self.index_of(person)]
 
     def builtin_value(self, predicate: str, person: str) -> bool:
-        return builtin_truth(self.type_of(person), predicate)
+        return builtin_truth(self.types[self.index_of(person)], predicate)
 
     def fluent_value(self, fluent: str, person: str):
-        row = self.fluent_values[self._fluent_row(fluent)]
-        return row[self.index_of(person)]
+        for decl, row in zip(self.fluent_decls, self.fluent_values):
+            if decl.name == fluent:
+                return row[self.index_of(person)]
+        raise SemanticError(f"undeclared predicate '{fluent}'")
 
     def with_type(self, person: str, new_type: ExtendedType) -> "World":
         types = list(self.types)

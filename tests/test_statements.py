@@ -10,9 +10,10 @@ import support
 from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
-                               UNKNOWN, Var, compile_statement, eval_closed,
-                               eval_partial, free_variables, last_type_read,
-                               render_statement, substitute_me)
+                               UNKNOWN, Var, compile_statement,
+                               eval_closed, eval_partial, free_variables,
+                               last_type_read, render_statement,
+                               substitute_me, types_read)
 from bedlam.semantics import ALL_TYPES
 from bedlam.worlds import FluentDecl
 from support import random_statement, random_utterance, random_world
@@ -246,6 +247,34 @@ def test_types_after_the_last_type_read_never_change_a_check(seed):
               for row in world.fluent_values]
     expected = check(world.types, values)
     for p in range(last + 1, len(persons)):
+        for t in ALL_TYPES:
+            types = list(world.types)
+            types[p] = t
+            assert check(types, values) is expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_types_outside_types_read_never_change_a_check(seed):
+    # The solver memoizes a fluent-free check on the types of the persons
+    # `types_read` names, so no other person's type may move its value.
+    rng = random.Random(seed)
+    persons = support.WIDE_NAME_POOL[:rng.randint(1, 4)]
+    if rng.random() < 0.5:
+        decls = DECLS
+        stmt = random_statement(rng, persons=persons)
+    else:
+        decls = CATEGORICAL_DECLS
+        stmt = support.random_categorical_statement(rng, 3, persons, decls)
+    speaker = rng.choice(persons)
+    check, _ = compile_statement(stmt, speaker, persons,
+                                 [decl.name for decl in decls])
+    read = types_read(stmt, speaker, persons)
+    world = random_world(rng, persons, decls)
+    values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
+              for row in world.fluent_values]
+    expected = check(world.types, values)
+    for p in set(range(len(persons))) - read:
         for t in ALL_TYPES:
             types = list(world.types)
             types[p] = t
