@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
-                        TYPES_BY_LABEL, answer_yes_no)
+from .semantics import (ALL_TYPES, Answer, Ask, ExtendedType, TYPES_BY_LABEL,
+                        simulate_person)
 from .statements import Atom, Believes, ME, Statement, fluents_used
 from .worlds import World
 
@@ -35,13 +35,10 @@ class UnsupportedQuestionError(Exception):
 def answer_signature(type_: ExtendedType, questions) -> str:
     """Y/N answers this type gives to the questions, as one string."""
     _check_questions(questions)
-    world = World((SUBJECT,), (type_,))
-    state = AgentState(type_)
-    letters = []
-    for question in questions:
-        answer, state = answer_yes_no(state, world, question, speaker=SUBJECT)
-        letters.append(answer.letter)
-    return "".join(letters)
+    fragment = simulate_person(type_, World((SUBJECT,), (type_,)),
+                               [Ask(question) for question in questions],
+                               SUBJECT)
+    return "".join(answer.letter for answer in fragment.results)
 
 
 def _check_questions(questions) -> None:
@@ -68,9 +65,8 @@ def partition_types(questions) -> TypePartition:
     groups: dict[str, list[ExtendedType]] = {}
     for t in ALL_TYPES:
         groups.setdefault(answer_signature(t, questions), []).append(t)
-    # Order classes by their first member's canonical position.
-    ordered = sorted(groups.items(), key=lambda kv: ALL_TYPES.index(kv[1][0]))
-    return TypePartition(tuple((sig, tuple(ts)) for sig, ts in ordered))
+    # Built in `ALL_TYPES` order, the classes come first-member first.
+    return TypePartition(tuple((sig, tuple(ts)) for sig, ts in groups.items()))
 
 
 def filter_types_by_signature(questions, answers) -> frozenset[ExtendedType]:

@@ -160,13 +160,15 @@ class _Analysis:
     is decided.  Type-local steps, which read only their speaker's type,
     leave each person p the `candidates[p]` they allow.  The other steps
     and the axioms become compiled checks over the search's `types` and
-    `values` rows.  Those that read no fluent slot are fluent-free:
-    `decided[p]` holds those whose last type read is person p's, run as
-    soon as types up to p are set; one that skips an earlier person runs
-    once per combination of the types it reads.  `constant` holds those
-    that read no type at all.  `watchers[v]` holds the checks that read fluent slot v,
-    re-run whenever v is assigned, so each is decided at the last fluent
-    slot it reads.
+    `values` rows, filed by the fluent slots and types that
+    `compile_statement` reports they read; a step also reads its speaker's
+    type.  Those that read no fluent slot are fluent-free: `decided[p]`
+    holds those whose last type read is person p's, run as soon as types
+    up to p are set; one that skips an earlier person runs once per
+    combination of the types it reads.  `constant` holds those that read
+    no type at all.  `watchers[v]` holds the checks that read fluent slot
+    v, re-run whenever v is assigned, so each is decided at the last
+    fluent slot it reads.
     """
 
     def __init__(self, puzzle: PuzzleSpec):
@@ -178,38 +180,37 @@ class _Analysis:
         self.variables = list(itertools.product(
             range(len(fluent_names)), range(len(names))))
         local: list[list[Step]] = [[] for _ in names]
-        checks = []  # (check, reads, statement, speaker)
+        checks = []  # (check, reads, typed), as `compile_statement` gives
         for step in puzzle.transcript:
             if st.is_type_local(step.body, step.person):
                 local[step.person_index].append(step)
             else:
-                body, reads = st.compile_statement(
+                body, reads, typed = st.compile_statement(
                     step.body, step.person, names, fluent_names)
-                checks.append((_step_check(step, body), reads, step.body,
-                               step.person))
-        checks += [(*st.compile_statement(axiom, None, names, fluent_names),
-                    axiom, None) for axiom in puzzle.axioms]
+                # A step also reads its speaker's type, to know what they
+                # must say.
+                checks.append((_step_check(step, body), reads,
+                               typed | {step.person_index}))
+        checks += [st.compile_statement(axiom, None, names, fluent_names)
+                   for axiom in puzzle.axioms]
         # A quantified fluent atom reads its fluent for every person, so in
-        # a puzzle without persons it reads nothing and is fluent-free.  A
-        # step also reads its speaker's type, to know what they must say.
+        # a puzzle without persons it reads nothing and is fluent-free.
         self.decided: list[list] = [[] for _ in names]
         self.constant = []
-        for check, reads, stmt, speaker in checks:
-            if not reads:
-                persons = st.types_read(stmt, speaker, names)
-                if speaker is not None:
-                    persons.add(names.index(speaker))
-                last = max(persons, default=-1)
-                if last < 0:
-                    self.constant.append(check)
-                else:
-                    # It runs once per prefix of types up to `last`; when
-                    # it skips a person there, most of those runs repeat.
-                    if len(persons) <= last:
-                        check = _memoized(check, sorted(persons))
-                    self.decided[last].append(check)
-        self.watchers = [[check for check, reads, _, _ in checks
-                          if v in reads] for v in self.variables]
+        for check, reads, typed in checks:
+            if reads:
+                continue
+            if not typed:
+                self.constant.append(check)
+                continue
+            last = max(typed)
+            # It runs once per prefix of types up to `last`; when it skips
+            # a person there, most of those runs repeat.
+            if len(typed) <= last:
+                check = _memoized(check, sorted(typed))
+            self.decided[last].append(check)
+        self.watchers = [[check for check, reads, _ in checks if v in reads]
+                         for v in self.variables]
         # Each type is tried with everyone given it, since quantifiers
         # range over everyone, as in `atleast 2 x . patient(me)`.  With no
         # fluent slots the reference evaluator always answers definitely.

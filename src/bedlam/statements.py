@@ -8,7 +8,8 @@ uttered statement.  Everything here is immutable and safe to share.
 Evaluation is three-valued: ``eval_partial`` returns True, False, or the
 ``UNKNOWN`` sentinel, and ``eval_closed`` insists on a definite answer.
 These tree walkers are the reference; ``compile_statement`` gives the
-solver's search the same answers from closures over index rows.
+solver's search the same answers from closures over index rows, and
+reports which fluent slots and which persons' types each check reads.
 """
 
 from __future__ import annotations
@@ -262,34 +263,6 @@ def is_type_local(stmt: Statement, speaker: str) -> bool:
     return True
 
 
-def types_read(stmt: Statement, speaker: Optional[str],
-               person_names) -> set[int]:
-    """The indices of the persons whose types the statement reads.
-
-    A builtin atom reads its person's type; on a bound variable it reads
-    every person's.  The statement's value is a function of those types
-    and of the fluent slots it reads.
-    """
-    read = set()
-    for node in walk(stmt):
-        if isinstance(node, Atom) and node.predicate in BUILTIN_PREDICATES:
-            if isinstance(node.term, Var):
-                return set(range(len(person_names)))
-            name = speaker if isinstance(node.term, Me) else node.term.name
-            read.add(person_names.index(name))
-    return read
-
-
-def last_type_read(stmt: Statement, speaker: Optional[str],
-                   person_names) -> int:
-    """The highest index of a person whose type the statement reads, or -1.
-
-    Once those types are set, no later person's type can change the
-    statement's value.
-    """
-    return max(types_read(stmt, speaker, person_names), default=-1)
-
-
 # --- Rendering ---
 
 # Higher binds tighter; quantifiers extend to the end of their context.
@@ -496,20 +469,24 @@ def _eval_atom(world, atom, speaker, env):
 
 def compile_statement(stmt: Statement, speaker: Optional[str],
                       person_names, fluent_names):
-    """Compile a validated, believes-free statement into `(check, reads)`.
+    """Compile a validated statement into `(check, reads, typed)`.
 
-    `check(types, values)` is `eval_partial` on the world where person p
-    has type `types[p]` and fluent f the value `values[f][p]`, which may be
-    UNKNOWN; `reads` holds the (f, p) slots it reads.  Names are resolved
-    once.  A term reads its person from a slot of `bound`: slot p holds
-    person p, and a quantifier's own slot holds each person in turn while
-    its body, compiled once, runs.  A check grows with its statement only.
+    The statement must be believes-free.  `check(types, values)` is
+    `eval_partial` on the world where person p has type `types[p]` and
+    fluent f the value `values[f][p]`, which may be UNKNOWN.  `reads` holds
+    the (f, p) slots it reads, and `typed` the persons p whose `types[p]`
+    it reads; an atom on a quantified variable reads every person's slot.
+    Names are resolved once.  A term reads its person from a slot of
+    `bound`: slot p holds person p, and a quantifier's own slot holds each
+    person in turn while its body, compiled once, runs.  A check grows
+    with its statement only.
     """
     n = len(person_names)
     bound = list(range(n))
     slots = {Person(name): p for p, name in enumerate(person_names)}
     slots[ME] = slots.get(Person(speaker))  # None outside an utterance
     reads: set[tuple[int, int]] = set()
+    typed: set[int] = set()
 
     def compile_(node, env):
         if isinstance(node, Not):
@@ -524,23 +501,25 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             slot = len(bound)
             bound.append(None)
             # Bodies under a constant count are compiled too, so that
-            # `reads` names every slot the statement mentions.
+            # `reads` and `typed` name every slot the statement mentions.
             body = compile_(node.body, {**env, Var(node.var): slot})
             count = (node.count if isinstance(node, AtLeast)
                      else 1 if isinstance(node, Exists) else n)
             return _quantified(count, bound, slot, n, body)
         slot, predicate, wanted = env[node.term], node.predicate, node.value
+        persons = range(n) if slot >= n else (slot,)
         if predicate in BUILTIN_PREDICATES:
+            typed.update(persons)
             return lambda types, values: types[bound[slot]].builtins[predicate]
         f = fluent_names.index(predicate)
-        reads.update((f, p) for p in (range(n) if slot >= n else (slot,)))
+        reads.update((f, p) for p in persons)
         if wanted is None:
             return lambda types, values: values[f][bound[slot]]
         return lambda types, values: (
             UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
             else value == wanted)
 
-    return compile_(stmt, slots), reads
+    return compile_(stmt, slots), reads, typed
 
 
 def _negation(item):

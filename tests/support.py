@@ -316,3 +316,55 @@ def random_probed_puzzle(rng: random.Random) -> tuple[PuzzleSpec, World]:
     puzzle = PuzzleSpec(persons, decls, tuple(axioms), tuple(rounds))
     puzzle.validate()
     return puzzle, world
+
+
+def random_categorical_trio(rng: random.Random, hidden: bool) -> PuzzleSpec:
+    """A three-person puzzle over one three-valued fluent, `MOOD`.
+
+    Two to four random statements are each asked of some persons or said
+    by one.  With `hidden` every answer, statement and axiom replays a
+    random hidden world, so at least that world is consistent; otherwise
+    answers and statements are arbitrary.
+    """
+    persons, decls = NAME_POOL, (MOOD,)
+    world = random_world(rng, persons, decls) if hidden else None
+    counts = {p: 0 for p in persons}
+
+    def says(person: str, stmt: Statement) -> bool:
+        """Whether `person` says `stmt` next: as in `world`, or at random."""
+        ordinal = counts[person]
+        counts[person] += 1
+        if world is None:
+            return rng.random() < 0.5
+        state = AgentState(world.type_of(person), ordinal)
+        return would_assert(state, world, stmt, person)
+
+    rounds = []
+    for _ in range(rng.randint(2, 4)):
+        stmt = random_categorical_statement(rng, 2, persons, decls)
+        if rng.random() < 0.3:
+            stmt = Believes(stmt)
+        if rng.random() < 0.5:
+            addressed = (tuple(p for p in persons if rng.random() < 0.7)
+                         or (rng.choice(persons),))
+            answers = tuple(Answer.YES if says(p, stmt) else Answer.NO
+                            for p in addressed)
+            rounds.append(QuestionRound("probe", stmt, addressed, answers))
+        else:
+            speaker = rng.choice(persons)
+            if not says(speaker, stmt):
+                stmt = (Believes(Not(stmt.body)) if isinstance(stmt, Believes)
+                        else Not(stmt))
+            rounds.append(StatementsRound(((speaker, stmt),)))
+
+    axioms = []
+    if rng.random() < 0.5:
+        axiom = random_categorical_statement(rng, 2, persons, decls,
+                                             allow_me=False)
+        if world is not None and not eval_closed(world, axiom):
+            axiom = Not(axiom)
+        axioms.append(axiom)
+
+    puzzle = PuzzleSpec(persons, decls, tuple(axioms), tuple(rounds))
+    puzzle.validate()
+    return puzzle

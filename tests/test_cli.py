@@ -77,6 +77,25 @@ def test_extract_needs_a_unique_solution(axioms, status, tmp_path, capsys):
         f"(status is {status})\n")
 
 
+def test_extract_needs_an_extraction_section(tmp_path, capsys):
+    path = tmp_path / "plain.puzzle"
+    path.write_text("persons: Ann\naxiom sane(Ann) and truthteller(Ann)\n")
+    assert main(["solve", str(path), "--extract"]) == 1
+    assert capsys.readouterr().err == (
+        "error: puzzle declares no extraction section\n")
+
+
+def test_explain_needs_a_unique_solution(tmp_path, capsys):
+    path = tmp_path / "open.puzzle"
+    path.write_text("persons: Ann\n")
+    assert main(["solve", str(path), "--explain"]) == 0
+    captured = capsys.readouterr()
+    assert "status: multiple" in captured.out
+    assert "derivation:" not in captured.out
+    assert captured.err == (
+        "derivation: only available for a unique solution\n")
+
+
 def test_parse_error_exits_1():
     assert main(["solve", "/nonexistent/puzzle"]) == 1
 

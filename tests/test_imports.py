@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import and private helper is used."""
+"""Source hygiene: every module-level import and helper is used."""
 
 import ast
 from collections import Counter
@@ -53,18 +53,40 @@ def _referenced_names(node: ast.AST) -> Counter:
     return names
 
 
-def test_no_unreferenced_private_helpers():
-    # A private module-level function or class must be referenced somewhere
-    # in the package outside its own definition.
+def _package_references() -> tuple[dict, Counter]:
+    """Each module's tree, and how often the package references each name."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert trees
     everywhere = Counter()
     for tree in trees.values():
         everywhere += _referenced_names(tree)
+    return trees, everywhere
+
+
+def test_no_unreferenced_private_helpers():
+    # A private module-level function or class must be referenced somewhere
+    # in the package outside its own definition.
+    trees, everywhere = _package_references()
     unused = [f"{path.name}:{definition.lineno} {definition.name}"
               for path, tree in trees.items()
               for definition in _private_definitions(tree)
               if everywhere[definition.name]
               <= _referenced_names(definition)[definition.name]]
+    assert unused == []
+
+
+def test_no_unreferenced_public_functions():
+    # An undecorated public module-level function must be referenced in
+    # the package outside its own definition, or re-exported by
+    # __init__.py.  Decorated ones, such as CLI commands, register
+    # themselves.
+    trees, everywhere = _package_references()
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path, tree in trees.items() if path.name != "__init__.py"
+              for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_") and not node.decorator_list
+              and everywhere[node.name]
+              <= _referenced_names(node)[node.name]]
     assert unused == []

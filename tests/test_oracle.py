@@ -4,10 +4,15 @@ random puzzles."""
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
+from bedlam.puzzle import QuestionRound, StatementsRound
+from bedlam.semantics import AgentState, Answer, would_assert
 from bedlam.solver import SolveStatus, brute_force_solve, check_world, solve_all
+from bedlam.statements import Believes, Not
 from bedlam.worlds import World
-from support import (random_categorical_puzzle, random_probed_puzzle,
+from support import (random_categorical_puzzle, random_categorical_statement,
+                     random_categorical_trio, random_probed_puzzle,
                      random_puzzle)
 
 
@@ -57,6 +62,18 @@ def test_solver_matches_oracle_on_categorical_fluents():
         if expected:
             satisfiable += 1
     assert satisfiable >= 12
+
+
+def test_solver_matches_oracle_on_three_persons_with_a_categorical_fluent():
+    # 16**3 type combinations times 3**3 fluent rows: the widest space the
+    # oracle enumerates here, with quantifiers over three persons.
+    rng = random.Random(0x3CA7)
+    for i in range(5):
+        puzzle = random_categorical_trio(rng, hidden=i % 2 == 0)
+        expected = brute_force_solve(puzzle)
+        assert solve_all(puzzle).worlds == expected
+        if i % 2 == 0:
+            assert expected
 
 
 def test_solver_matches_a_restricted_oracle_on_wider_puzzles():
@@ -117,3 +134,44 @@ def test_a_duplicated_axiom_changes_nothing():
         assert again.statistics.nodes == result.statistics.nodes
         duplicated += 1
     assert duplicated >= 15
+
+
+def test_the_hidden_world_survives_any_utterance_it_would_make():
+    # A new round that the hidden world replays can rule worlds out, but
+    # never the hidden world.
+    rng = random.Random(0x5A1D)
+    shrunk = 0
+    for _ in range(40):
+        puzzle, hidden = random_probed_puzzle(rng)
+        persons = puzzle.person_names
+        made = Counter(step.person for step in puzzle.transcript)
+        stmt = random_categorical_statement(rng, 2, persons,
+                                            puzzle.fluent_decls)
+        if rng.random() < 0.3:
+            stmt = Believes(stmt)
+
+        def says(person):
+            state = AgentState(hidden.type_of(person), made[person])
+            return would_assert(state, hidden, stmt, person)
+
+        if rng.random() < 0.5:
+            addressed = (tuple(p for p in persons if rng.random() < 0.5)
+                         or (rng.choice(persons),))
+            new_round = QuestionRound(
+                "probe", stmt, addressed,
+                tuple(Answer.YES if says(p) else Answer.NO
+                      for p in addressed))
+        else:
+            speaker = rng.choice(persons)
+            if not says(speaker):
+                stmt = (Believes(Not(stmt.body))
+                        if isinstance(stmt, Believes) else Not(stmt))
+            new_round = StatementsRound(((speaker, stmt),))
+        extended = dataclasses.replace(puzzle,
+                                       rounds=puzzle.rounds + (new_round,))
+        extended.validate()
+        before, after = solve_all(puzzle).worlds, solve_all(extended).worlds
+        assert hidden in after
+        assert set(after) <= set(before)
+        shrunk += len(after) < len(before)
+    assert shrunk >= 20

@@ -252,12 +252,12 @@ def test_fluent_free_check_runs_once_its_last_type_is_set(monkeypatch):
     compile_statement = statements.compile_statement
 
     def counting(stmt, speaker, *args):
-        check, reads = compile_statement(stmt, speaker, *args)
+        check, reads, typed = compile_statement(stmt, speaker, *args)
 
         def counted(types, values):
             calls[speaker] = calls.get(speaker, 0) + 1
             return check(types, values)
-        return counted, reads
+        return counted, reads, typed
 
     monkeypatch.setattr(statements, "compile_statement", counting)
     puzzle = parse_puzzle_file(

@@ -12,8 +12,7 @@ from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
                                UNKNOWN, Var, compile_statement,
                                eval_closed, eval_partial, free_variables,
-                               last_type_read, render_statement,
-                               substitute_me, types_read)
+                               render_statement, substitute_me)
 from bedlam.semantics import ALL_TYPES
 from bedlam.worlds import FluentDecl
 from support import random_statement, random_utterance, random_world
@@ -208,8 +207,8 @@ def test_compiled_check_is_the_tree_walker(seed):
     slots = [(f, p) for f in range(len(decls)) for p in range(len(persons))]
     hidden = [slot for slot in slots if rng.random() < 0.5]
     speaker = rng.choice(persons)
-    check, reads = compile_statement(stmt, speaker, persons,
-                                     [decl.name for decl in decls])
+    check, reads, _ = compile_statement(stmt, speaker, persons,
+                                        [decl.name for decl in decls])
     values = [list(row) for row in world.fluent_values]
     for f, p in hidden:
         values[f][p] = UNKNOWN
@@ -226,38 +225,10 @@ def test_compiled_check_is_the_tree_walker(seed):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_types_after_the_last_type_read_never_change_a_check(seed):
-    # The solver runs a fluent-free check as soon as the type of the
-    # person `last_type_read` names is set, so no later person's type may
-    # move its value, whatever the fluent slots hold.
-    rng = random.Random(seed)
-    persons = support.WIDE_NAME_POOL[:rng.randint(1, 4)]
-    if rng.random() < 0.5:
-        decls = DECLS
-        stmt = random_statement(rng, persons=persons)
-    else:
-        decls = CATEGORICAL_DECLS
-        stmt = support.random_categorical_statement(rng, 3, persons, decls)
-    speaker = rng.choice(persons)
-    check, _ = compile_statement(stmt, speaker, persons,
-                                 [decl.name for decl in decls])
-    last = last_type_read(stmt, speaker, persons)
-    world = random_world(rng, persons, decls)
-    values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
-              for row in world.fluent_values]
-    expected = check(world.types, values)
-    for p in range(last + 1, len(persons)):
-        for t in ALL_TYPES:
-            types = list(world.types)
-            types[p] = t
-            assert check(types, values) is expected
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
 def test_types_outside_types_read_never_change_a_check(seed):
-    # The solver memoizes a fluent-free check on the types of the persons
-    # `types_read` names, so no other person's type may move its value.
+    # The solver decides a fluent-free check once the last person in
+    # `typed` is typed, and memoizes it on their types, so no other
+    # person's type may move its value, whatever the fluent slots hold.
     rng = random.Random(seed)
     persons = support.WIDE_NAME_POOL[:rng.randint(1, 4)]
     if rng.random() < 0.5:
@@ -267,14 +238,13 @@ def test_types_outside_types_read_never_change_a_check(seed):
         decls = CATEGORICAL_DECLS
         stmt = support.random_categorical_statement(rng, 3, persons, decls)
     speaker = rng.choice(persons)
-    check, _ = compile_statement(stmt, speaker, persons,
-                                 [decl.name for decl in decls])
-    read = types_read(stmt, speaker, persons)
+    check, _, typed = compile_statement(stmt, speaker, persons,
+                                        [decl.name for decl in decls])
     world = random_world(rng, persons, decls)
     values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
               for row in world.fluent_values]
     expected = check(world.types, values)
-    for p in set(range(len(persons))) - read:
+    for p in set(range(len(persons))) - typed:
         for t in ALL_TYPES:
             types = list(world.types)
             types[p] = t
@@ -290,10 +260,11 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
     stmt = parse_statement(
         "forall x0 . hungry(x0) or doctor(x0) and hungry(me) or "
         + " and ".join(f"exists x{i} . shifty(x{i})" for i in range(1, 12)))
-    check, reads = compile_statement(stmt, "Beth", persons,
-                                     support.FLUENT_POOL)
+    check, reads, typed = compile_statement(stmt, "Beth", persons,
+                                            support.FLUENT_POOL)
     slots = [(f, p) for f in range(2) for p in range(3)]
     assert reads == set(slots)
+    assert typed == {0, 1, 2}
     rng = random.Random(12)
     seen = set()
     for _ in range(40):
