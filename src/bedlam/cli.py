@@ -24,7 +24,7 @@ from .discrimination import tables_report
 from .extraction import ExtractionError, extract_word, encode_person, person_triple, value_to_letter
 from .parser import ParseError, parse_puzzle_file, parse_world_file
 from .puzzle import PuzzleSpec
-from .semantics import AgentState, answer_yes_no, would_assert
+from .semantics import Answer
 from .solver import (Budget, BudgetExceededError, SolveStatus, check_world,
                      explain_solution, solve_all)
 from .statements import SemanticError
@@ -227,21 +227,24 @@ def simulate(puzzle_path, world_path):
     """Print the transcript the WORLD's population would produce."""
     puzzle, _ = _load_puzzle(puzzle_path)
     world = parse_world_file(_read(world_path), puzzle)
+    types, values = world.types, world.fluent_values
+    _, bodies = puzzle.compiled
     shown_round = None
-    for step in puzzle.transcript:
+    for step, (check, _, _) in zip(puzzle.transcript, bodies):
         ri = step.round_index
         if ri != shown_round:
             shown_round = ri
             click.echo(f"round {ri} statements:" if step.answer is None
                        else f"round {ri} question \"{step.label}\":")
-        state = AgentState(world.types[step.person_index], step.count)
+        # Whether the speaker's type would give the recorded utterance.
+        kept = check(types, values) == step.required(types[step.person_index])
         if step.answer is None:
-            consistent = would_assert(state, world, step.statement, step.person)
-            mark = "consistent" if consistent else "INCONSISTENT"
+            mark = "consistent" if kept else "INCONSISTENT"
             click.echo(f"  {step.person}: {step.label} [{mark}]")
         else:
-            answer, _ = answer_yes_no(state, world, step.statement, step.person)
-            click.echo(f"  {step.person}: {answer.value}")
+            # A kept answer is the one given; otherwise it is the other.
+            yes = kept == (step.answer is Answer.YES)
+            click.echo(f"  {step.person}: {'yes' if yes else 'no'}")
     sys.exit(EXIT_OK)
 
 

@@ -1,7 +1,14 @@
-"""Puzzle specifications: persons, fluents, axioms, and transcript rounds."""
+"""Puzzle specifications: persons, fluents, axioms, and transcript rounds.
+
+A spec compiles itself on first use, once: `transcript` numbers every
+utterance, and `compiled` holds each axiom and step body as the checks
+`statements.compile_statement` makes, compiled once per thread.
+`check_world`, `bedlam simulate` and the solver's search all run them.
+"""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -148,6 +155,32 @@ class PuzzleSpec:
                                   is_belief, answer, label))
                 counts[pi] += 1
         return tuple(steps)
+
+    @property
+    def compiled(self) -> tuple[tuple, tuple]:
+        """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed)`
+        for each axiom and, in `transcript` order, each step's body.
+
+        Compiled on first use in each thread: a check writes its
+        quantifiers' persons into a list of its own, so two threads must
+        not run one check at once.
+        """
+        local = self._per_thread
+        try:
+            return local.compiled
+        except AttributeError:
+            pass
+        names, decls = self.person_names, self.fluent_decls
+        local.compiled = (
+            tuple(st.compile_statement(axiom, None, names, decls)
+                  for axiom in self.axioms),
+            tuple(st.compile_statement(step.body, step.person, names, decls)
+                  for step in self.transcript))
+        return local.compiled
+
+    @cached_property
+    def _per_thread(self) -> threading.local:
+        return threading.local()
 
     @cached_property
     def rendered_axioms(self) -> tuple[str, ...]:

@@ -1,12 +1,13 @@
 """World enumeration: consistency checking, staged search, derivations.
 
-`check_world` replays a puzzle's compiled transcript against one
-candidate world and is the single source of truth for consistency.
+`check_world` replays a puzzle's transcript against one candidate world
+and is the single source of truth for consistency.
 `brute_force_solve` filters it over the full cartesian world space and
 serves as the checking oracle for small puzzles.  `solve_all` must agree
-with the oracle wherever the space is enumerable; it gets there faster
-with compiled checks in three stages: each person's type candidates are
-pruned against what that person says about themselves; persons are then
+with the oracle wherever the space is enumerable.  Both run the checks
+`PuzzleSpec.compiled` holds, compiled once per puzzle and thread; the
+search gets there faster in three stages: each person's type candidates
+are pruned against what that person says about themselves; persons are then
 typed one by one, and each fluent-free check runs once the last type it
 reads is set, so a failure skips every combination under that prefix;
 finally fluent values are backtracked over, each fluent check decided at
@@ -27,9 +28,12 @@ from . import statements as st
 from .puzzle import PuzzleSpec, Step
 from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
                         current_phases, decode_answer, decode_assertion)
-from .statements import (SemanticError, Statement, UNKNOWN, eval_closed,
-                         eval_partial, render_statement)
+from .statements import (SemanticError, Statement, UNKNOWN,
+                         render_statement)
 from .worlds import World
+
+# Unused here; bench/tracing.py wraps the reference evaluators by these names.
+eval_closed, eval_partial = st.eval_closed, st.eval_partial
 
 
 class SolveStatus(Enum):
@@ -105,21 +109,23 @@ _CONSISTENT = CheckResult(True, None, None, "consistent")
 def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
     """True iff the world satisfies every axiom and transcript round.
 
-    The first violation found, in round order, is reported.
+    The first violation found, in round order, is reported.  The puzzle's
+    compiled checks run on the world's rows, where no slot is UNKNOWN.
     """
     if world.person_names != puzzle.person_names:
         raise SemanticError("world persons do not match the puzzle")
     if world.fluent_decls != puzzle.fluent_decls:
         raise SemanticError("world fluents do not match the puzzle")
-    for i, axiom in enumerate(puzzle.axioms):
-        if not eval_closed(world, axiom):
+    axioms, bodies = puzzle.compiled
+    types, values = world.types, world.fluent_values
+    for i, (check, _, _) in enumerate(axioms):
+        if not check(types, values):
             return CheckResult(
                 False, None, None,
                 f"axiom {i + 1} is violated: {puzzle.rendered_axioms[i]}")
-    types = world.types
-    for step in puzzle.transcript:
+    for step, (check, _, _) in zip(puzzle.transcript, bodies):
         type_ = types[step.person_index]
-        if eval_closed(world, step.body, step.person) != step.required(type_):
+        if check(types, values) != step.required(type_):
             if step.answer is None:
                 message = (f"round {step.round_index}: {step.person} "
                            f"({type_.label}) would not say: {step.label}")
@@ -159,8 +165,8 @@ class _Analysis:
     The search runs three stages, each check at the first point where it
     is decided.  Type-local steps, which read only their speaker's type,
     leave each person p the `candidates[p]` they allow.  The other steps
-    and the axioms become compiled checks over the search's `types` and
-    `values` rows, filed by the fluent slots and types that
+    and the axioms run as the puzzle's compiled checks over the search's
+    `types` and `values` rows, filed by the fluent slots and types that
     `compile_statement` reports they read; a step also reads its speaker's
     type.  Those that read no fluent slot are fluent-free: `decided[p]`
     holds those whose last type read is person p's, run as soon as types
@@ -174,25 +180,22 @@ class _Analysis:
     def __init__(self, puzzle: PuzzleSpec):
         self.puzzle = puzzle
         names = puzzle.person_names
-        fluent_names = [d.name for d in puzzle.fluent_decls]
         self.domains = [d.values() for d in puzzle.fluent_decls]
         # Search variables: one per (fluent, person), declaration order.
         self.variables = list(itertools.product(
-            range(len(fluent_names)), range(len(names))))
-        local: list[list[Step]] = [[] for _ in names]
+            range(len(self.domains)), range(len(names))))
+        axioms, bodies = puzzle.compiled
+        local: list[list] = [[] for _ in names]  # (step, body) pairs
         checks = []  # (check, reads, typed), as `compile_statement` gives
-        for step in puzzle.transcript:
+        for step, (body, reads, typed) in zip(puzzle.transcript, bodies):
             if st.is_type_local(step.body, step.person):
-                local[step.person_index].append(step)
+                local[step.person_index].append((step, body))
             else:
-                body, reads, typed = st.compile_statement(
-                    step.body, step.person, names, fluent_names)
                 # A step also reads its speaker's type, to know what they
                 # must say.
                 checks.append((_step_check(step, body), reads,
                                typed | {step.person_index}))
-        checks += [st.compile_statement(axiom, None, names, fluent_names)
-                   for axiom in puzzle.axioms]
+        checks += axioms
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
         self.decided: list[list] = [[] for _ in names]
@@ -212,14 +215,14 @@ class _Analysis:
         self.watchers = [[check for check, reads, _ in checks if v in reads]
                          for v in self.variables]
         # Each type is tried with everyone given it, since quantifiers
-        # range over everyone, as in `atleast 2 x . patient(me)`.  With no
-        # fluent slots the reference evaluator always answers definitely.
+        # range over everyone, as in `atleast 2 x . patient(me)`.  A check
+        # that reads no fluent slot always answers definitely.
         self.candidates: list[list[ExtendedType]] = [[] for _ in names]
         for t in ALL_TYPES:
-            world = World(names, (t,) * len(names))
+            row = (t,) * len(names)
             for steps, kept in zip(local, self.candidates):
-                if all(eval_partial(world, step.body, step.person)
-                       == step.required(t) for step in steps):
+                if all(body(row, ()) == step.required(t)
+                       for step, body in steps):
                     kept.append(t)
         # Type combinations under one type of person p: a prefix ruled
         # out there skips that many.

@@ -8,8 +8,12 @@ uttered statement.  Everything here is immutable and safe to share.
 Evaluation is three-valued: ``eval_partial`` returns True, False, or the
 ``UNKNOWN`` sentinel, and ``eval_closed`` insists on a definite answer.
 These tree walkers are the reference; ``compile_statement`` gives the
-solver's search the same answers from closures over index rows, and
-reports which fluent slots and which persons' types each check reads.
+same answers from closures over index rows, and reports which fluent
+slots and which persons' types each check reads.  ``PuzzleSpec.compiled``
+compiles each axiom and utterance once per puzzle and thread, for
+``check_world``, ``bedlam simulate`` and the solver's search.  A compiled
+check is not safe to share between threads: it binds quantified persons
+in a list of its own.
 """
 
 from __future__ import annotations
@@ -468,23 +472,25 @@ def _eval_atom(world, atom, speaker, env):
 # --- Compilation ---
 
 def compile_statement(stmt: Statement, speaker: Optional[str],
-                      person_names, fluent_names):
-    """Compile a validated statement into `(check, reads, typed)`.
+                      person_names, fluent_decls):
+    """Compile a believes-free statement into `(check, reads, typed)`.
 
-    The statement must be believes-free.  `check(types, values)` is
-    `eval_partial` on the world where person p has type `types[p]` and
-    fluent f the value `values[f][p]`, which may be UNKNOWN.  `reads` holds
-    the (f, p) slots it reads, and `typed` the persons p whose `types[p]`
-    it reads; an atom on a quantified variable reads every person's slot.
-    Names are resolved once.  A term reads its person from a slot of
-    `bound`: slot p holds person p, and a quantifier's own slot holds each
-    person in turn while its body, compiled once, runs.  A check grows
-    with its statement only.
+    `check(types, values)` is `eval_partial` on the world where person p
+    has type `types[p]` and fluent f the value `values[f][p]`, which may be
+    UNKNOWN.  `reads` holds the (f, p) slots it reads, and `typed` the
+    persons p whose `types[p]` it reads; an atom on a quantified variable
+    reads every person's slot.  Names are resolved once, to their index in
+    `person_names` or `fluent_decls`; an atom the tree walker would reject
+    raises its SemanticError here, even one that evaluation would
+    short-circuit past.  A term reads its person from a slot of `bound`:
+    slot p holds person p, and a quantifier's own slot holds each person in
+    turn while its body, compiled once, runs.  A check grows with its
+    statement only.  Running it writes `bound`, so one check must not run
+    in two threads at once.
     """
     n = len(person_names)
+    fluent_names = [decl.name for decl in fluent_decls]
     bound = list(range(n))
-    slots = {Person(name): p for p, name in enumerate(person_names)}
-    slots[ME] = slots.get(Person(speaker))  # None outside an utterance
     reads: set[tuple[int, int]] = set()
     typed: set[int] = set()
 
@@ -502,16 +508,38 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             bound.append(None)
             # Bodies under a constant count are compiled too, so that
             # `reads` and `typed` name every slot the statement mentions.
-            body = compile_(node.body, {**env, Var(node.var): slot})
+            body = compile_(node.body, {**env, node.var: slot})
             count = (node.count if isinstance(node, AtLeast)
                      else 1 if isinstance(node, Exists) else n)
             return _quantified(count, bound, slot, n, body)
-        slot, predicate, wanted = env[node.term], node.predicate, node.value
+        if isinstance(node, Believes):
+            raise SemanticError("believes cannot be evaluated as a fact")
+        # Names resolve in the order the tree walker's lookups reject them.
+        term, predicate, wanted = node.term, node.predicate, node.value
+        name = speaker if isinstance(term, Me) else term.name
+        if isinstance(term, Var):
+            if name not in env:
+                raise SemanticError(f"unbound variable '{name}'")
+        elif name is None:
+            raise SemanticError("'me' used outside any utterance")
+        builtin = predicate in BUILTIN_PREDICATES
+        if builtin and wanted is not None:
+            raise SemanticError(
+                f"builtin predicate '{predicate}' takes no value")
+        f = None if builtin else _index(fluent_names, predicate,
+                                        "undeclared predicate")
+        slot = (env[name] if isinstance(term, Var)
+                else _index(person_names, name, "unknown person"))
         persons = range(n) if slot >= n else (slot,)
-        if predicate in BUILTIN_PREDICATES:
+        if builtin:
             typed.update(persons)
             return lambda types, values: types[bound[slot]].builtins[predicate]
-        f = fluent_names.index(predicate)
+        if wanted is None and not fluent_decls[f].is_boolean:
+            raise SemanticError(
+                f"fluent '{predicate}' needs a value argument")
+        if wanted is not None and fluent_decls[f].is_boolean:
+            raise SemanticError(
+                f"boolean fluent '{predicate}' takes no value argument")
         reads.update((f, p) for p in persons)
         if wanted is None:
             return lambda types, values: values[f][bound[slot]]
@@ -519,7 +547,15 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
             else value == wanted)
 
-    return compile_(stmt, slots), reads, typed
+    return compile_(stmt, {}), reads, typed
+
+
+def _index(names, name: str, what: str) -> int:
+    """`name`'s position in `names`, or the tree walker's SemanticError."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise SemanticError(f"{what} '{name}'") from None
 
 
 def _negation(item):

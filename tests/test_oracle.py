@@ -7,13 +7,15 @@ import random
 from collections import Counter
 
 from bedlam.puzzle import QuestionRound, StatementsRound
-from bedlam.semantics import AgentState, Answer, would_assert
-from bedlam.solver import SolveStatus, brute_force_solve, check_world, solve_all
-from bedlam.statements import Believes, Not
+from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
+from bedlam.solver import (CheckResult, SolveStatus, brute_force_solve,
+                           check_world, solve_all)
+from bedlam.statements import (Atom, Believes, Not, Person, Statement,
+                               eval_closed, render_statement)
 from bedlam.worlds import World
 from support import (random_categorical_puzzle, random_categorical_statement,
                      random_categorical_trio, random_probed_puzzle,
-                     random_puzzle)
+                     random_puzzle, random_world)
 
 
 def test_solver_matches_oracle_on_mixed_sizes():
@@ -93,6 +95,71 @@ def test_solver_matches_a_restricted_oracle_on_wider_puzzles():
         assert hidden.fluent_values in found
 
 
+def _walked_check(puzzle, world):
+    """`check_world`'s result, replayed with the reference `eval_closed`."""
+    for i, axiom in enumerate(puzzle.axioms):
+        if not eval_closed(world, axiom):
+            return CheckResult(False, None, None, f"axiom {i + 1} is "
+                               f"violated: {render_statement(axiom)}")
+    for step in puzzle.transcript:
+        type_ = world.types[step.person_index]
+        if eval_closed(world, step.body, step.person) == step.required(type_):
+            continue
+        if step.answer is None:
+            message = (f"round {step.round_index}: {step.person} "
+                       f"({type_.label}) would not say: {step.label}")
+        else:
+            would = "no" if step.answer is Answer.YES else "yes"
+            message = (f"round {step.round_index}: {step.person} answered "
+                       f"{step.answer.value} to \"{step.label}\" but a "
+                       f"{type_.label} in this world would answer {would}")
+        return CheckResult(False, step.round_index, step.person, message)
+    return CheckResult(True, None, None, "consistent")
+
+
+def _one_cell_mutations(world):
+    """Every world that differs from `world` in one type or fluent cell."""
+    for p in range(len(world.person_names)):
+        for t in ALL_TYPES:
+            if t != world.types[p]:
+                types = world.types[:p] + (t,) + world.types[p + 1:]
+                yield dataclasses.replace(world, types=types)
+        for f, decl in enumerate(world.fluent_decls):
+            row = world.fluent_values[f]
+            for value in decl.values():
+                if value != row[p]:
+                    rows = list(world.fluent_values)
+                    rows[f] = row[:p] + (value,) + row[p + 1:]
+                    yield dataclasses.replace(world, fluent_values=tuple(rows))
+
+
+def test_check_world_is_the_tree_walkers_replay(asylum, solution_world,
+                                                ann_sl_world):
+    # check_world runs compiled checks; its whole result, message
+    # included, must be the replay that walks each statement's tree.
+    rng = random.Random(0xC4EC)
+    cases = []
+    for i in range(30):
+        puzzle = (random_puzzle(rng) if i % 2
+                  else random_categorical_trio(rng, hidden=i % 4 == 0))
+        worlds = [random_world(rng, puzzle.person_names, puzzle.fluent_decls)
+                  for _ in range(20)]
+        cases.append((puzzle, worlds + list(solve_all(puzzle).worlds[:20])))
+    for _ in range(8):
+        puzzle, hidden = random_probed_puzzle(rng)
+        cases.append((puzzle, [hidden, *_one_cell_mutations(hidden)]))
+    for world in (solution_world, ann_sl_world):
+        cases.append((asylum, [world, *_one_cell_mutations(world)]))
+    outcomes = Counter()
+    for puzzle, worlds in cases:
+        for world in worlds:
+            expected = _walked_check(puzzle, world)
+            assert check_world(puzzle, world) == expected
+            outcomes[expected.ok, expected.round_index is None] += 1
+    # Consistent worlds, axiom violations and round violations all occur.
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 3
+
+
 def _metamorphic_puzzles(rng):
     """Small random puzzles, then wider probed ones."""
     return ([random_puzzle(rng) for _ in range(12)]
@@ -118,6 +185,57 @@ def test_reordering_persons_maps_the_world_set():
              tuple(tuple(row[i] for i in order)
                    for row in world.fluent_values))
             for world in result.worlds}
+
+
+def _renamed(node, names: dict):
+    """The statement with each named person renamed by `names`."""
+    if isinstance(node, Atom):
+        if isinstance(node.term, Person):
+            return Atom(node.predicate, Person(names[node.term.name]),
+                        node.value)
+        return node
+    changes = {}
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, Statement):
+            changes[field.name] = _renamed(value, names)
+        elif isinstance(value, tuple):
+            changes[field.name] = tuple(_renamed(item, names)
+                                        for item in value)
+    return dataclasses.replace(node, **changes)
+
+
+def test_renaming_persons_maps_the_world_set():
+    # New names, some of them swapped with old ones, change no index, so
+    # the same rows are found in as many nodes.
+    rng = random.Random(0x4A3E)
+    for puzzle in _metamorphic_puzzles(rng):
+        persons = puzzle.person_names
+        pool = persons + ("Zoe", "Yann", "Xia", "Walt", "Vera")
+        names = dict(zip(persons, rng.sample(pool, len(persons))))
+        rounds = []
+        for rnd in puzzle.rounds:
+            if isinstance(rnd, QuestionRound):
+                rounds.append(dataclasses.replace(
+                    rnd, statement=_renamed(rnd.statement, names),
+                    addressed=tuple(names[p] for p in rnd.addressed)))
+            else:
+                rounds.append(StatementsRound(tuple(
+                    (names[p], _renamed(stmt, names))
+                    for p, stmt in rnd.utterances)))
+        renamed = dataclasses.replace(
+            puzzle, person_names=tuple(names[p] for p in persons),
+            axioms=tuple(_renamed(axiom, names) for axiom in puzzle.axioms),
+            rounds=tuple(rounds))
+        renamed.validate()
+        result, moved = solve_all(puzzle), solve_all(renamed)
+        assert moved.status is result.status
+        assert moved.statistics.nodes == result.statistics.nodes
+        assert [(world.types, world.fluent_values)
+                for world in moved.worlds] == [
+            (world.types, world.fluent_values) for world in result.worlds]
+        assert all(world.person_names == renamed.person_names
+                   for world in moved.worlds)
 
 
 def test_a_duplicated_axiom_changes_nothing():

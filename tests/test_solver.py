@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import hashlib
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -13,9 +15,9 @@ from bedlam.parser import parse_puzzle_file, parse_statement
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import TYPES_BY_LABEL
 from bedlam.solver import (Budget, BudgetExceededError, SolveStatus,
-                           brute_force_solve, check_world, explain_solution,
-                           solve_all)
-from bedlam.statements import (Atom, Not, Person, SemanticError,
+                           brute_force_solve, check_world, enumerate_worlds,
+                           explain_solution, solve_all)
+from bedlam.statements import (Atom, Not, Person, SemanticError, eval_closed,
                                render_statement)
 from bedlam.worlds import World
 
@@ -92,8 +94,66 @@ def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
         check_world(asylum, other)
 
 
+def test_check_world_on_an_unvalidated_spec_keeps_its_errors():
+    # A spec built in code skips validate(); check_world still raises the
+    # tree walker's error for a bad atom.  It now raises even where the
+    # tree walker short-circuited past the atom.
+    world = World(("Ann",), (TYPES_BY_LABEL["ST"],))
+    for text, message in (("doctor(Zed)", "unknown person 'Zed'"),
+                          ("guilty(Ann)", "undeclared predicate 'guilty'"),
+                          ("doctor(Ann) or doctor(Zed)",
+                           "unknown person 'Zed'")):
+        axiom = parse_statement(text)
+        spec = PuzzleSpec(("Ann",), (), (axiom,), ())
+        with pytest.raises(SemanticError, match=f"^{message}$"):
+            check_world(spec, world)
+    assert eval_closed(world, axiom) is True
+
+
+THREADED = """persons: Ann, Beth, Cedric
+fluent f : bool
+axiom atleast 2 x . f(x) or exists y . patient(y) and not f(x)
+round statements:
+  Ann: forall x . exists y . f(y) and (doctor(x) implies not f(x))
+  Beth: believes(exists x . liar(x) and forall y . f(y) or sane(x))
+round question "q" to all: atleast 2 x . exists y . f(x) and not f(y)
+  answers: Ann=yes, Beth=no, Cedric=yes
+"""
+
+
+def test_one_spec_checks_and_solves_alike_in_two_threads():
+    # Compiled quantifiers write their persons into a list of their own,
+    # so two threads sharing one spec must not share its compiled checks.
+    # A tiny switch interval makes the threads interleave inside them.
+    worlds = list(enumerate_worlds(parse_puzzle_file(THREADED)))
+
+    def replay(puzzle):
+        solved = solve_all(puzzle)
+        return ([check_world(puzzle, world) for world in worlds],
+                solved.worlds, solved.statistics.nodes)
+
+    expected = replay(parse_puzzle_file(THREADED))
+    assert expected[1] and len(expected[1]) < len(worlds)
+    shared = parse_puzzle_file(THREADED)
+    got = [None, None]
+
+    def run(i):
+        got[i] = replay(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected, expected]
+
+
 def test_unconstrained_world_always_checks():
-    from bedlam.solver import enumerate_worlds
     puzzle = parse_puzzle_file("persons: Ann\n")
     for world in enumerate_worlds(puzzle):
         assert check_world(puzzle, world)

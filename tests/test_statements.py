@@ -207,8 +207,7 @@ def test_compiled_check_is_the_tree_walker(seed):
     slots = [(f, p) for f in range(len(decls)) for p in range(len(persons))]
     hidden = [slot for slot in slots if rng.random() < 0.5]
     speaker = rng.choice(persons)
-    check, reads, _ = compile_statement(stmt, speaker, persons,
-                                        [decl.name for decl in decls])
+    check, reads, _ = compile_statement(stmt, speaker, persons, decls)
     values = [list(row) for row in world.fluent_values]
     for f, p in hidden:
         values[f][p] = UNKNOWN
@@ -238,8 +237,7 @@ def test_types_outside_types_read_never_change_a_check(seed):
         decls = CATEGORICAL_DECLS
         stmt = support.random_categorical_statement(rng, 3, persons, decls)
     speaker = rng.choice(persons)
-    check, _, typed = compile_statement(stmt, speaker, persons,
-                                        [decl.name for decl in decls])
+    check, _, typed = compile_statement(stmt, speaker, persons, decls)
     world = random_world(rng, persons, decls)
     values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
               for row in world.fluent_values]
@@ -260,8 +258,7 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
     stmt = parse_statement(
         "forall x0 . hungry(x0) or doctor(x0) and hungry(me) or "
         + " and ".join(f"exists x{i} . shifty(x{i})" for i in range(1, 12)))
-    check, reads, typed = compile_statement(stmt, "Beth", persons,
-                                            support.FLUENT_POOL)
+    check, reads, typed = compile_statement(stmt, "Beth", persons, DECLS)
     slots = [(f, p) for f in range(2) for p in range(3)]
     assert reads == set(slots)
     assert typed == {0, 1, 2}
@@ -279,6 +276,33 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
         assert check(world.types, values) is expected
         seen.add(expected)
     assert seen == {True, False, UNKNOWN}
+
+
+def test_compile_errors_are_the_tree_walkers():
+    # A name is resolved as its atom compiles, and a bad one raises what
+    # the tree walker raises on reaching that atom.
+    persons, decls = support.NAME_POOL, CATEGORICAL_DECLS
+    world = random_world(random.Random(4), persons, decls)
+    undeclared = "undeclared predicate 'guilty'"
+    cases = [
+        (Atom("doctor", Person("Zed")), "Ann", "unknown person 'Zed'"),
+        (Atom("guilty", Person("Ann")), "Ann", undeclared),
+        (Atom("guilty", Person("Zed")), "Ann", undeclared),
+        (Atom("doctor", Var("x")), "Ann", "unbound variable 'x'"),
+        (Atom("doctor", ME), None, "'me' used outside any utterance"),
+        (Atom("doctor", Person("Ann"), "yes"), "Ann",
+         "builtin predicate 'doctor' takes no value"),
+        (Atom("mood", Person("Ann")), "Ann",
+         "fluent 'mood' needs a value argument"),
+        (Atom("shifty", Person("Ann"), "calm"), "Ann",
+         "boolean fluent 'shifty' takes no value argument"),
+    ]
+    for stmt, speaker, message in cases:
+        with pytest.raises(SemanticError) as walked:
+            eval_closed(world, stmt, speaker)
+        with pytest.raises(SemanticError) as compiled:
+            compile_statement(stmt, speaker, persons, decls)
+        assert str(compiled.value) == str(walked.value) == message
 
 
 def test_forall_over_empty_person_set_is_true():
