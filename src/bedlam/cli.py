@@ -78,9 +78,13 @@ def solve(puzzle_path, explain, extract_flag, expect_unique,
           budget_nodes, budget_seconds, output_format, workers):
     """Enumerate all worlds consistent with PUZZLE."""
     puzzle, text = _load_puzzle(puzzle_path)
-    budget = Budget(
-        max_nodes=budget_nodes if budget_nodes is not None else Budget.max_nodes,
-        max_seconds=budget_seconds if budget_seconds is not None else Budget.max_seconds)
+    try:
+        budget = Budget(
+            max_nodes=budget_nodes if budget_nodes is not None else Budget.max_nodes,
+            max_seconds=budget_seconds if budget_seconds is not None else Budget.max_seconds)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc),
+                                 param_hint="'--budget-seconds'") from None
     result = solve_all(puzzle, budget=budget, workers=workers)
     word = None
     letters = None

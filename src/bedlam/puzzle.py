@@ -183,6 +183,16 @@ class PuzzleSpec:
         return threading.local()
 
     @cached_property
+    def violations(self) -> dict:
+        """`check_world`'s failed results, each built once: keyed by axiom
+        index, or by (step index, speaker type index).
+
+        At most `len(axioms) + 16 * len(transcript)` entries.  Threads that
+        race to fill one entry store equal frozen results.
+        """
+        return {}
+
+    @cached_property
     def rendered_axioms(self) -> tuple[str, ...]:
         """Each axiom's canonical text, for `check_world`'s messages."""
         return tuple(render_statement(axiom) for axiom in self.axioms)

@@ -66,7 +66,7 @@ class ExtendedType:
         if self.sanity is Sanity.DELUSIONAL and self.sane_at_start:
             raise ValueError("delusional people start insane")
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.sanity is Sanity.SANE:
             first = "S"

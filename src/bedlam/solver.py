@@ -49,6 +49,12 @@ class Budget:
     max_nodes: int = 100_000_000
     max_seconds: float = 120.0
 
+    def __post_init__(self):
+        # No count or time exceeds NaN, so a NaN limit would never stop.
+        for name in ("max_nodes", "max_seconds"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, not nan")
+
 
 @dataclass
 class SolveStatistics:
@@ -111,6 +117,9 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
 
     The first violation found, in round order, is reported.  The puzzle's
     compiled checks run on the world's rows, where no slot is UNKNOWN.
+    Each violation is built once per puzzle and returned again to every
+    world that breaks the same axiom, or the same step with the same
+    speaker type.
     """
     if world.person_names != puzzle.person_names:
         raise SemanticError("world persons do not match the puzzle")
@@ -120,36 +129,54 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
     types, values = world.types, world.fluent_values
     for i, (check, _, _) in enumerate(axioms):
         if not check(types, values):
-            return CheckResult(
-                False, None, None,
-                f"axiom {i + 1} is violated: {puzzle.rendered_axioms[i]}")
-    for step, (check, _, _) in zip(puzzle.transcript, bodies):
+            built = puzzle.violations
+            result = built.get(i)
+            if result is None:
+                result = built[i] = CheckResult(
+                    False, None, None,
+                    f"axiom {i + 1} is violated: {puzzle.rendered_axioms[i]}")
+            return result
+    for k, (step, (check, _, _)) in enumerate(zip(puzzle.transcript, bodies)):
         type_ = types[step.person_index]
         if check(types, values) != step.required(type_):
-            if step.answer is None:
-                message = (f"round {step.round_index}: {step.person} "
-                           f"({type_.label}) would not say: {step.label}")
-            else:
-                would = "no" if step.answer is Answer.YES else "yes"
-                message = (f"round {step.round_index}: {step.person} answered "
-                           f"{step.answer.value} to \"{step.label}\" but a "
-                           f"{type_.label} in this world would answer {would}")
-            return CheckResult(False, step.round_index, step.person, message)
+            built, key = puzzle.violations, (k, type_.index)
+            result = built.get(key)
+            if result is None:
+                result = built[key] = _step_violation(step, type_)
+            return result
     return _CONSISTENT
+
+
+def _step_violation(step: Step, type_: ExtendedType) -> CheckResult:
+    """What `check_world` reports when a `type_` speaker made the step
+    but could not have."""
+    if step.answer is None:
+        message = (f"round {step.round_index}: {step.person} "
+                   f"({type_.label}) would not say: {step.label}")
+    else:
+        would = "no" if step.answer is Answer.YES else "yes"
+        message = (f"round {step.round_index}: {step.person} answered "
+                   f"{step.answer.value} to \"{step.label}\" but a "
+                   f"{type_.label} in this world would answer {would}")
+    return CheckResult(False, step.round_index, step.person, message)
 
 
 # --- Brute-force oracle ---
 
 def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
-    """Every possible world, in canonical order."""
+    """Every possible world, in canonical order.
+
+    Each fluent assignment is built once, so the worlds of every type
+    combination share its (immutable) rows.
+    """
     n = len(puzzle.person_names)
-    value_spaces = [
-        list(itertools.product(decl.values(), repeat=n))
-        for decl in puzzle.fluent_decls]
+    assignments = tuple(itertools.product(*[
+        tuple(itertools.product(decl.values(), repeat=n))
+        for decl in puzzle.fluent_decls]))
     for types in itertools.product(ALL_TYPES, repeat=n):
-        for combo in itertools.product(*value_spaces):
+        for values in assignments:
             yield World(puzzle.person_names, types, puzzle.fluent_decls,
-                        tuple(combo))
+                        values)
 
 
 def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
@@ -232,6 +259,9 @@ class _Analysis:
         # the search takes those types as one product.
         self.typed = max((p + 1 for p, checks in enumerate(self.decided)
                           if checks), default=0)
+        # Each fluent assignment found, once: worlds that share it share
+        # its rows.
+        self.assignments: dict[tuple, tuple] = {}
 
 
 def _step_check(step: Step, body):
@@ -361,8 +391,10 @@ def _descend(analysis: _Analysis, progress: _Progress, types, values,
     """Assign variables from `depth` on, keeping worlds that pass."""
     if depth == len(analysis.variables):
         puzzle = analysis.puzzle
+        rows = tuple(map(tuple, values))
+        rows = analysis.assignments.setdefault(rows, rows)
         found.append(World(puzzle.person_names, types, puzzle.fluent_decls,
-                           tuple(tuple(row) for row in values)))
+                           rows))
         return
     fi, pi = analysis.variables[depth]
     row = values[fi]

@@ -48,7 +48,8 @@ class World:
     """One complete candidate reality for a puzzle.
 
     Types are anchored at each person's first utterance in the transcript;
-    fluent value tuples align with the person declaration order.
+    fluent value tuples align with the person declaration order.  Worlds
+    may share their type and fluent rows, which are immutable tuples.
     """
 
     person_names: tuple[str, ...]
@@ -64,9 +65,11 @@ class World:
         for decl, values in zip(self.fluent_decls, self.fluent_values):
             if len(values) != len(self.person_names):
                 raise ValueError(f"fluent '{decl.name}' must cover every person")
-            domain = decl.values()
+            boolean, domain = decl.is_boolean, decl.values()
             for v in values:
-                if v not in domain:
+                # Booleans match by identity: 0 == False and 1 == True.
+                if (v is not False and v is not True if boolean
+                        else v not in domain):
                     raise ValueError(f"value {v!r} not in domain of '{decl.name}'")
 
     def index_of(self, person: str) -> int:

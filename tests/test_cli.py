@@ -106,6 +106,16 @@ def test_budget_exceeded_exits_12(tmp_path):
     assert main(["solve", str(path), "--budget-nodes", "50"]) == 12
 
 
+def test_nan_budget_exits_1_with_one_error_line(capsys):
+    assert main(["solve", ASYLUM, "--budget-seconds", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Invalid value for '--budget-seconds': "
+                            "max_seconds must be a number, not nan\n")
+    # A negative budget is a number: it is exceeded at once.
+    assert main(["solve", ASYLUM, "--budget-seconds", "-1"]) == 12
+
+
 def test_usage_error_exits_1():
     assert main(["solve", ASYLUM, "--format", "sideways"]) == 1
     assert main(["no-such-command"]) == 1

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import and helper is used."""
+"""Source hygiene: every module-level import and helper is used, and no
+cache outlives the puzzle or solve it serves."""
 
 import ast
 from collections import Counter
@@ -90,3 +91,39 @@ def test_no_unreferenced_public_functions():
               and everywhere[node.name]
               <= _referenced_names(node)[node.name]]
     assert unused == []
+
+
+def _module_level_caches(path: Path) -> list[str]:
+    """Memoizing decorators anywhere, and module-level empty containers."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name in ("cache", "lru_cache"):
+            found.append(f"{path.name}:{node.lineno} {node.name}")
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("cache", "lru_cache")
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        empty = ((isinstance(value, ast.Dict) and not value.keys)
+                 or (isinstance(value, ast.List) and not value.elts)
+                 or (isinstance(value, ast.Call)
+                     and isinstance(value.func, ast.Name)
+                     and value.func.id in ("set", "dict")
+                     and not value.args and not value.keywords))
+        if empty:
+            found.append(f"{path.name}:{node.lineno} empty container")
+    return found
+
+
+def test_no_module_level_caches():
+    # A table shared by every puzzle or solve grows without bound and is
+    # shared between threads; such tables live on a puzzle or a solve.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [entry for path in modules
+            for entry in _module_level_caches(path)] == []

@@ -51,6 +51,17 @@ def test_with_fluent_rejects_an_undeclared_fluent():
         world.with_fluent("nope", "Subject", True)
 
 
+def test_a_boolean_fluent_rejects_zero_and_one():
+    # 0 == False and 1 == True, but neither is a boolean value.
+    world = flag_world(TYPES_BY_LABEL["ST"], True)
+    for value in (0, 1, 1.0):
+        message = f"value {value!r} not in domain of 'flag'"
+        with pytest.raises(ValueError, match=message):
+            flag_world(TYPES_BY_LABEL["ST"], value)
+        with pytest.raises(ValueError, match=message):
+            world.with_fluent("flag", "Subject", value)
+
+
 def test_current_phases_examples():
     # Non-alternating classes ignore the count entirely.
     assert current_phases(AgentState(TYPES_BY_LABEL["ST"], 7)) == (True, True)

@@ -6,6 +6,7 @@ import hashlib
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -14,9 +15,9 @@ from bedlam import statements
 from bedlam.parser import parse_puzzle_file, parse_statement
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import TYPES_BY_LABEL
-from bedlam.solver import (Budget, BudgetExceededError, SolveStatus,
-                           brute_force_solve, check_world, enumerate_worlds,
-                           explain_solution, solve_all)
+from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
+                           SolveStatus, brute_force_solve, check_world,
+                           enumerate_worlds, explain_solution, solve_all)
 from bedlam.statements import (Atom, Not, Person, SemanticError, eval_closed,
                                render_statement)
 from bedlam.worlds import World
@@ -85,6 +86,60 @@ def test_check_world_flags_axiom_violations(asylum, solution_world):
     assert not outcome
     assert outcome.round_index is None
     assert "axiom" in outcome.message
+
+
+def test_check_world_builds_each_violation_once():
+    # Worlds that break the same axiom, or the same step with the same
+    # speaker type, get one shared result; another speaker type its own.
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\naxiom f(Ann)\n"
+        "round statements:\n  Ann: f(Beth)\n")
+    st_, sl, dl = (TYPES_BY_LABEL[label] for label in ("ST", "SL", "DL"))
+    decls = puzzle.fluent_decls
+
+    def outcome(types, values):
+        return check_world(puzzle, World(puzzle.person_names, types, decls,
+                                         (values,)))
+
+    axiom = outcome((st_, st_), (False, False))
+    assert axiom == CheckResult(False, None, None,
+                                "axiom 1 is violated: f(Ann)")
+    assert outcome((sl, dl), (False, True)) is axiom
+    step = outcome((st_, sl), (True, False))
+    assert step == CheckResult(False, 0, "Ann",
+                               "round 0: Ann (ST) would not say: f(Beth)")
+    assert outcome((st_, dl), (True, False)) is step
+    liar = outcome((sl, st_), (True, True))
+    assert liar.message == "round 0: Ann (SL) would not say: f(Beth)"
+    assert outcome((sl, dl), (True, True)) is liar
+
+
+def _held_per_world(solve) -> tuple[tuple, float]:
+    """The worlds `solve()` returns, and the bytes still traced per world."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        worlds = solve()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return worlds, held / len(worlds)
+
+
+def test_found_and_enumerated_worlds_share_fluent_rows():
+    # 256 type pairs times 16 fluent assignments, all consistent: worlds
+    # with one assignment share its rows, on the search and oracle side.
+    # Copied rows held 285 and 172 bytes per world.  The search's bound
+    # is looser: the row snapshots it drops sit in the interpreter's
+    # tuple free list, which tracemalloc still counts.
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\nfluent g : bool\n")
+    for solve, bound in ((lambda: solve_all(puzzle).worlds, 200),
+                         (lambda: brute_force_solve(puzzle), 145)):
+        worlds, per_world = _held_per_world(solve)
+        assert len(worlds) == 4096
+        assert len({id(world.fluent_values) for world in worlds}) <= 16
+        assert per_world < bound
 
 
 def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
@@ -300,6 +355,13 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError) as err:
         solve_all(parse_puzzle_file(text), budget=Budget(max_nodes=100))
     assert err.value.statistics.nodes > 0
+
+
+def test_a_nan_budget_is_rejected():
+    # No count or time exceeds NaN, so it would switch the limit off.
+    for limits in ({"max_seconds": float("nan")}, {"max_nodes": float("nan")}):
+        with pytest.raises(ValueError, match="must be a number, not nan"):
+            Budget(**limits)
 
 
 FOUR_PERSONS = "persons: Ann, Beth, Cedric, David\n"
