@@ -3,7 +3,8 @@
 Puzzles populate a small world with truth-tellers, liars and alternators
 who are each sane, delusional or partial, record what everyone said, and
 ask which worlds are consistent with the talk.  The package parses the
-puzzle DSL, simulates agents, enumerates consistent worlds, reproduces
+puzzle DSL, replays each transcript by one phase rule, enumerates
+consistent worlds, explains what each utterance guarantees, reproduces
 the type-discrimination tables, and performs the ternary letter
 extraction on a unique solution.
 """
@@ -18,10 +19,9 @@ from .extraction import (Category, ExtractionConfig, ExtractionError,
 from .parser import (ParseError, parse_puzzle_file, parse_statement,
                      parse_world_file)
 from .puzzle import PuzzleSpec, QuestionRound, StatementsRound
-from .semantics import (ALL_TYPES, AgentState, Answer, Ask, ExtendedType,
-                        Say, Sanity, Truthfulness, TYPES_BY_LABEL, advance,
-                        answer_yes_no, current_phases, decode_assertion,
-                        simulate_person, type_from_label, would_assert)
+from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType, Sanity,
+                        Truthfulness, TYPES_BY_LABEL, advance, current_phases,
+                        type_from_label, would_assert)
 from .solver import (Budget, BudgetExceededError, CheckResult, SolveResult,
                      SolveStatus, brute_force_solve, check_world,
                      enumerate_worlds, explain_solution, solve_all)

@@ -1,19 +1,21 @@
 """Question-sequence signatures and the type partitions they induce.
 
 A signature is the string of Y/N answers one behavioral type gives to a
-fixed list of self-referential questions.  The phase letters of the type
-passed in (or reported back) always describe the answerer at the moment
-the first listed question is asked; callers holding transcript-anchored
-types convert with ``ExtendedType.advanced``.
+fixed list of self-referential questions: the i-th answer is Y exactly
+when `would_assert` holds at the answerer's i-th utterance.  The phase
+letters of the type passed in (or reported back) always describe the
+answerer at the moment the first listed question is asked; callers
+holding transcript-anchored types convert with ``ExtendedType.advanced``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import (ALL_TYPES, Answer, Ask, ExtendedType, TYPES_BY_LABEL,
-                        simulate_person)
-from .statements import Atom, Believes, ME, Statement, fluents_used
+from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
+                        TYPES_BY_LABEL, would_assert)
+from .statements import (Atom, Believes, ME, Person, Statement, fluents_used,
+                         walk)
 from .worlds import World
 
 SUBJECT = "subject"
@@ -34,19 +36,25 @@ class UnsupportedQuestionError(Exception):
 
 def answer_signature(type_: ExtendedType, questions) -> str:
     """Y/N answers this type gives to the questions, as one string."""
+    questions = tuple(questions)
     _check_questions(questions)
-    fragment = simulate_person(type_, World((SUBJECT,), (type_,)),
-                               [Ask(question) for question in questions],
-                               SUBJECT)
-    return "".join(answer.letter for answer in fragment.results)
+    world = World((SUBJECT,), (type_,))
+    return "".join(
+        "Y" if would_assert(AgentState(type_, i), world, question, SUBJECT)
+        else "N" for i, question in enumerate(questions))
 
 
-def _check_questions(questions) -> None:
+def _check_questions(questions: tuple[Statement, ...]) -> None:
     for question in questions:
         if fluents_used(question):
             raise UnsupportedQuestionError(
                 "questions must be answerable from the type alone; "
                 f"'{sorted(fluents_used(question))[0]}' is a fluent")
+        for node in walk(question):
+            if isinstance(node, Atom) and isinstance(node.term, Person):
+                raise UnsupportedQuestionError(
+                    "questions must be answerable from the type alone; "
+                    f"'{node.term.name}' is a named person")
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,7 @@ class TypePartition:
 
 def partition_types(questions) -> TypePartition:
     """Group all sixteen types by signature; classes keep canonical order."""
+    questions = tuple(questions)
     groups: dict[str, list[ExtendedType]] = {}
     for t in ALL_TYPES:
         groups.setdefault(answer_signature(t, questions), []).append(t)
@@ -71,11 +80,12 @@ def partition_types(questions) -> TypePartition:
 
 def filter_types_by_signature(questions, answers) -> frozenset[ExtendedType]:
     """Types whose answers to the questions match the recorded ones."""
+    questions = tuple(questions)
     signature = _as_signature(answers)
-    if len(signature) != len(tuple(questions)):
+    if len(signature) != len(questions):
         raise ValueError(
             f"{len(signature)} answers recorded for "
-            f"{len(tuple(questions))} questions")
+            f"{len(questions)} questions")
     return frozenset(
         t for t in ALL_TYPES
         if answer_signature(t, questions) == signature)

@@ -14,6 +14,9 @@ the false facts.  Two consequences drive everything else here:
   ``(truthful_now == sane_now) == value``, and
 * a belief report ``believes(S)`` is asserted exactly when
   ``truthful_now == value(S)``, with sanity cancelling out.
+
+`asserted_truth` is the one place that rule lives; a transcript's
+`puzzle.Step.required` and a lone utterance's `would_assert` read it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .statements import Statement, eval_closed, peel_believes, Not
+from .statements import Statement, eval_closed, peel_believes
 
 
 class Sanity(Enum):
@@ -188,73 +191,3 @@ def would_assert(state: AgentState, world, stmt: Statement,
     body, is_belief = peel_believes(stmt)
     return eval_closed(world, body, speaker) == asserted_truth(
         state.type, state.utterances_made, is_belief)
-
-
-def answer_yes_no(state: AgentState, world, question: Statement,
-                  speaker: Optional[str] = None) -> tuple[Answer, AgentState]:
-    """Answer a yes/no question and advance the utterance counter.
-
-    Exactly one answer is ever behavior-consistent, so the agent always
-    answers: yes when it would assert the question's statement, else no.
-    """
-    answer = Answer.YES if would_assert(state, world, question, speaker) else Answer.NO
-    return answer, advance(state)
-
-
-@dataclass(frozen=True)
-class Ask:
-    """Plan item: the person is asked a yes/no question."""
-    statement: Statement
-
-
-@dataclass(frozen=True)
-class Say:
-    """Plan item: the person utters a statement of their own."""
-    statement: Statement
-
-
-@dataclass(frozen=True)
-class SimulatedFragment:
-    """Per-item results of a simulated utterance plan plus the final state."""
-
-    results: tuple  # Answer for Ask items, bool consistency for Say items
-    state: AgentState
-
-
-def simulate_person(type_: ExtendedType, world, plan,
-                    speaker: Optional[str] = None) -> SimulatedFragment:
-    """Thread one person's state through a plan of questions and statements."""
-    state = AgentState(type_)
-    results = []
-    for item in plan:
-        if isinstance(item, Ask):
-            answer, state = answer_yes_no(state, world, item.statement, speaker)
-            results.append(answer)
-        elif isinstance(item, Say):
-            results.append(would_assert(state, world, item.statement, speaker))
-            state = advance(state)
-        else:
-            raise TypeError(f"not a plan item: {item!r}")
-    return SimulatedFragment(tuple(results), state)
-
-
-def decode_assertion(state: AgentState, stmt: Statement) -> Statement:
-    """The fact guaranteed true given that this state uttered the statement.
-
-    For ``believes(S)`` the fact is S when the speaker is in a truthful
-    phase and not-S otherwise; for a bare statement the sanity phase
-    participates as well.
-    """
-    body, is_belief = peel_believes(stmt)
-    if asserted_truth(state.type, state.utterances_made, is_belief):
-        return body
-    return Not(body)
-
-
-def decode_answer(state: AgentState, question: Statement,
-                  answer: Answer) -> Statement:
-    """The fact guaranteed true given this state's answer to a question."""
-    fact = decode_assertion(state, question)
-    if answer is Answer.YES:
-        return fact
-    return fact.body if isinstance(fact, Not) else Not(fact)

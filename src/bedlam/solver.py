@@ -13,6 +13,8 @@ reads is set, so a failure skips every combination under that prefix;
 finally fluent values are backtracked over, each fluent check decided at
 the last fluent slot it reads.  The search is serial and visits worlds
 in canonical order, so it returns them sorted without sorting.
+`explain_solution` reads each utterance's guaranteed fact off the same
+`Step.required` that `check_world` holds the world to.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from . import statements as st
+from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
 from .puzzle import PuzzleSpec, Step
-from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
-                        current_phases, decode_answer, decode_assertion)
-from .statements import (SemanticError, Statement, UNKNOWN,
+from .semantics import ALL_TYPES, Answer, ExtendedType
+from .statements import (Not, SemanticError, Statement, UNKNOWN,
                          render_statement)
 from .worlds import World
 
@@ -414,7 +416,6 @@ def _build_report(puzzle: PuzzleSpec,
                   world: World) -> tuple[ReportRow, ...]:
     guilt_category = None
     if puzzle.extraction is not None:
-        from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
         for cat in puzzle.extraction.categories:
             if cat.name not in (SANITY_CATEGORY, TRUTHFULNESS_CATEGORY):
                 guilt_category = cat.name
@@ -449,20 +450,26 @@ class DerivationStep:
 
 def explain_solution(puzzle: PuzzleSpec,
                      world: World) -> tuple[DerivationStep, ...]:
-    """Decode every utterance of a consistent world into a guaranteed fact."""
+    """Decode every utterance of a consistent world into a guaranteed fact.
+
+    A step's body holds in the world exactly when `Step.required` says
+    its speaker's type needs it to, so the fact is the body or its
+    negation; a NO answer to ``not S`` decodes to S.
+    """
     check = check_world(puzzle, world)
     if not check:
         raise SemanticError(f"world is not consistent: {check.message}")
     steps = []
     for step in puzzle.transcript:
-        state = AgentState(world.types[step.person_index], step.count)
-        truthful, sane = current_phases(state)
-        said = st.substitute_me(step.statement, step.person)
+        type_ = world.types[step.person_index]
+        truthful, sane = type_.phases[step.count % 2]
+        fact = st.substitute_me(step.body, step.person)
+        if not step.required(type_):
+            fact = (fact.body if step.answer is Answer.NO
+                    and isinstance(fact, Not) else Not(fact))
         if step.answer is None:
-            fact = decode_assertion(state, said)
             spoken = f"says {step.label}"
         else:
-            fact = decode_answer(state, said, step.answer)
             spoken = f"\"{step.label}\" answered {step.answer.value}"
         steps.append(DerivationStep(step.round_index, step.person, truthful,
                                     sane, spoken, fact))

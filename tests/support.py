@@ -6,8 +6,7 @@ import random
 
 from bedlam.discrimination import FOUR_QUESTION_PLAN
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
-from bedlam.semantics import (ALL_TYPES, AgentState, Answer, advance,
-                              would_assert)
+from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, Statement, Var,
                                eval_closed)

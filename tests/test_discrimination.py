@@ -10,7 +10,7 @@ from bedlam.discrimination import (BELIEF_QUESTION, FOUR_QUESTION_PLAN,
                                    partition_types, tables_report,
                                    two_question_table)
 from bedlam.semantics import ALL_TYPES, Answer, TYPES_BY_LABEL
-from bedlam.statements import Atom, ME
+from bedlam.statements import Atom, Believes, ME, Not, Person
 
 # The full four-question table, one column per type.
 FOUR_QUESTION_SIGNATURES = {
@@ -130,3 +130,27 @@ def test_tables_report_is_stable_and_contains_key_rows():
     assert "PsAt YYYN" in report
     assert "NYN → SAt, PsL" in report
     assert "(*)" in report
+
+
+def test_questions_about_named_persons_are_unsupported():
+    # A named person is not the answerer, whatever the name; the answerer's
+    # internal name is no way in either.
+    for name in ("Ann", "subject"):
+        message = f"'{name}' is a named person"
+        with pytest.raises(UnsupportedQuestionError, match=message):
+            answer_signature(TYPES_BY_LABEL["ST"],
+                             [Believes(Not(Atom("patient", Person(name))))])
+        with pytest.raises(UnsupportedQuestionError, match=message):
+            partition_types([PATIENT_QUESTION, Atom("doctor", Person(name))])
+
+
+def test_one_shot_question_iterators_give_the_plans_results():
+    for t in ALL_TYPES:
+        assert answer_signature(t, iter(FOUR_QUESTION_PLAN)) == \
+            FOUR_QUESTION_SIGNATURES[t.label]
+    assert partition_types(iter(THREE_QUESTION_PLAN)) == \
+        partition_types(THREE_QUESTION_PLAN)
+    assert {t.label for t in filter_types_by_signature(
+        iter(THREE_QUESTION_PLAN), "YYN")} == THREE_QUESTION_PAIRS["YYN"]
+    with pytest.raises(ValueError, match="2 answers recorded for 3 questions"):
+        filter_types_by_signature(iter(THREE_QUESTION_PLAN), "YY")

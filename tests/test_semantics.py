@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
-from bedlam.semantics import (ALL_TYPES, AgentState, Answer, Ask, ExtendedType,
-                              Sanity, Say, Truthfulness, TYPES_BY_LABEL,
-                              advance, answer_yes_no, current_phases,
-                              decode_assertion, simulate_person,
-                              type_from_label, would_assert)
+from bedlam.discrimination import (BELIEF_QUESTION, PATIENT_QUESTION,
+                                   answer_signature)
+from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
+from bedlam.semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
+                              Sanity, Truthfulness, TYPES_BY_LABEL, advance,
+                              current_phases, type_from_label, would_assert)
+from bedlam.solver import check_world, explain_solution
 from bedlam.statements import (And, Atom, BUILTIN_PREDICATES, Believes, ME,
                                Not, Person, SemanticError)
 from bedlam.worlds import FluentDecl, World, builtin_truth
@@ -148,58 +150,56 @@ def test_would_assert_examples():
     assert not would_assert(AgentState(sl, 0), flag_world(sl, True), FLAG, "Subject")
 
 
-def test_answer_yes_no_examples():
-    patient_q = Atom("patient", ME)
-    belief_q = Believes(Atom("patient", ME))
-    st_world = World(("Subject",), (TYPES_BY_LABEL["ST"],))
-    answer, state = answer_yes_no(AgentState(TYPES_BY_LABEL["ST"]), st_world,
-                                  patient_q, "Subject")
-    assert answer is Answer.NO
-    assert state.utterances_made == 1
-    dl_world = World(("Subject",), (TYPES_BY_LABEL["DL"],))
-    state = AgentState(TYPES_BY_LABEL["DL"])
-    for _ in range(2):  # both belief rounds of a DL answer no
-        answer, state = answer_yes_no(state, dl_world, belief_q, "Subject")
-        state = state  # counter advanced inside
-    assert answer is Answer.NO
+def solo_puzzle(*rounds) -> PuzzleSpec:
+    """A puzzle in which only Subject speaks, over `flag_world`'s fluent."""
+    puzzle = PuzzleSpec(("Subject",), (FluentDecl("flag"),), (), rounds)
+    puzzle.validate()
+    return puzzle
 
 
-def test_exactly_one_answer():
-    patient_q = Atom("patient", ME)
-    belief_q = Believes(Atom("patient", ME))
-    for t in ALL_TYPES:
-        world = World(("Subject",), (t,))
-        for parity in (0, 1):
-            for question in (patient_q, belief_q):
-                state = AgentState(t, parity)
-                yes = would_assert(state, world, question, "Subject")
-                answer, _ = answer_yes_no(state, world, question, "Subject")
-                assert (answer is Answer.YES) == yes
+def asked(question, answer: Answer) -> QuestionRound:
+    return QuestionRound("q", question, ("Subject",), (answer,))
 
 
-def test_simulate_person_psat_column():
-    plan = [Ask(Atom("patient", ME)), Ask(Atom("patient", ME)),
-            Ask(Believes(Atom("patient", ME))), Ask(Believes(Atom("patient", ME)))]
-    world = World(("Subject",), (TYPES_BY_LABEL["PsAt"],))
-    fragment = simulate_person(TYPES_BY_LABEL["PsAt"], world, plan, "Subject")
-    assert [a.letter for a in fragment.results] == ["Y", "Y", "Y", "N"]
-    assert fragment.state.utterances_made == 4
+def says(stmt) -> StatementsRound:
+    return StatementsRound((("Subject", stmt),))
 
 
-def test_simulate_person_empty_plan():
-    world = World(("Subject",), (TYPES_BY_LABEL["DT"],))
-    fragment = simulate_person(TYPES_BY_LABEL["DT"], world, [], "Subject")
-    assert fragment.results == ()
-    assert fragment.state == AgentState(TYPES_BY_LABEL["DT"], 0)
+def test_answers_to_the_classic_probes():
+    # An ST denies being a patient; a DL denies believing it, twice over.
+    st = TYPES_BY_LABEL["ST"]
+    assert check_world(solo_puzzle(asked(PATIENT_QUESTION, Answer.NO)),
+                       flag_world(st, True))
+    assert not check_world(solo_puzzle(asked(PATIENT_QUESTION, Answer.YES)),
+                           flag_world(st, True))
+    twice = solo_puzzle(asked(BELIEF_QUESTION, Answer.NO),
+                        asked(BELIEF_QUESTION, Answer.NO))
+    assert check_world(twice, flag_world(TYPES_BY_LABEL["DL"], True))
+    assert answer_signature(st, [PATIENT_QUESTION]) == "N"
+    assert answer_signature(TYPES_BY_LABEL["DL"],
+                            [BELIEF_QUESTION, BELIEF_QUESTION]) == "NN"
 
 
-def test_simulate_person_matches_step_oracle():
+def test_exactly_one_answer_is_consistent():
+    # After any consistent earlier answer, exactly one answer to a question
+    # fits the type's world: yes exactly when the type would assert it.
+    for t, parity in itertools.product(ALL_TYPES, (0, 1)):
+        world = flag_world(t, True)
+        for question in (PATIENT_QUESTION, BELIEF_QUESTION, FLAG):
+            earlier = [asked(question, Answer.YES if would_assert(
+                AgentState(t, 0), world, question, "Subject") else Answer.NO)
+                for _ in range(parity)]
+            consistent = [answer for answer in Answer if check_world(
+                solo_puzzle(*earlier, asked(question, answer)), world)]
+            yes = would_assert(AgentState(t, parity), world, question,
+                               "Subject")
+            assert consistent == [Answer.YES if yes else Answer.NO]
+
+
+def test_check_world_matches_step_oracle():
     # Independent oracle: thread the counter by hand over a toy two-person
     # world, recomputing each step from the phase rules directly.
     decls = (FluentDecl("rich"),)
-    world = World(("Ann", "Beth"),
-                  (TYPES_BY_LABEL["PsAt"], TYPES_BY_LABEL["DL"]),
-                  decls, ((True, False),))
     questions = [Atom("rich", ME), Believes(Atom("rich", Person("Beth"))),
                  Atom("rich", Person("Ann"))]
     values = {0: True, 1: False, 2: True}  # evaluated by hand for speaker Ann
@@ -218,28 +218,50 @@ def test_simulate_person_matches_step_oracle():
             else:
                 says_yes = (truthful == sane) == value
             expected.append(Answer.YES if says_yes else Answer.NO)
-        fragment = simulate_person(t, toy, [Ask(q) for q in questions], "Ann")
-        assert list(fragment.results) == expected
+        # The oracle's answers fit the world; flipping any one breaks its
+        # round.
+        for flipped in (None, 0, 1, 2):
+            answers = [(Answer.NO if a is Answer.YES else Answer.YES)
+                       if k == flipped else a for k, a in enumerate(expected)]
+            puzzle = PuzzleSpec(("Ann", "Beth"), decls, (), tuple(
+                QuestionRound(f"q{k}", q, ("Ann",), (a,))
+                for k, (q, a) in enumerate(zip(questions, answers))))
+            puzzle.validate()
+            result = check_world(puzzle, toy)
+            assert bool(result) == (flipped is None)
+            assert result.round_index == flipped
 
 
-def test_simulate_person_statement_slots_advance_counter():
+def test_statement_slots_advance_the_counter():
+    # An SAt against a true flag is truthful, lying, truthful: `flag(me)`
+    # fits each slot exactly when the speaker is truthful there.
     t = TYPES_BY_LABEL["SAt"]
     world = flag_world(t, True)
-    plan = [Say(FLAG), Say(FLAG), Say(FLAG)]
-    fragment = simulate_person(t, world, plan, "Subject")
-    # SAt: truthful, lying, truthful against a true flag.
-    assert list(fragment.results) == [True, False, True]
-    assert fragment.state.utterances_made == 3
+    said = []
+    for k, truthful in enumerate((True, False, True)):
+        result = check_world(solo_puzzle(*said, says(FLAG)), world)
+        assert bool(result) == truthful
+        assert result.round_index == (None if truthful else k)
+        said.append(says(FLAG if truthful else Not(FLAG)))
+    steps = explain_solution(solo_puzzle(*said), world)
+    assert [(s.truthful_now, s.sane_now) for s in steps] == \
+        [(True, True), (False, True), (True, True)]
 
 
-def test_decode_assertion_examples():
-    guilt_doc = Atom("guilty_doctor", ME)
-    dl_state = AgentState(TYPES_BY_LABEL["DL"], 0)
-    decoded = decode_assertion(dl_state, Believes(guilt_doc))
-    assert decoded == Not(guilt_doc)
-    # A lying belief report decodes to the negation; a truthful bare
-    # statement from a sane phase decodes to itself.
-    st_state = AgentState(TYPES_BY_LABEL["ST"], 0)
-    assert decode_assertion(st_state, guilt_doc) == guilt_doc
-    psat_round5 = AgentState(TYPES_BY_LABEL["PsAt"], 5)
-    assert decode_assertion(psat_round5, Believes(guilt_doc)) == Not(guilt_doc)
+def test_explained_facts_of_one_speaker():
+    fact = Atom("flag", Person("Subject"))
+    # A DL's belief report is a lie, so it decodes to the negation.
+    dl = explain_solution(solo_puzzle(says(Believes(FLAG))),
+                          flag_world(TYPES_BY_LABEL["DL"], False))
+    assert [s.fact for s in dl] == [Not(fact)]
+    # An ST's bare statement, truthful from a sane phase, decodes to itself.
+    st = explain_solution(solo_puzzle(says(FLAG)),
+                          flag_world(TYPES_BY_LABEL["ST"], True))
+    assert [s.fact for s in st] == [fact]
+    # A PsAt always says it is a patient; its sixth utterance, a belief
+    # report, comes in a lying phase.
+    psat = explain_solution(
+        solo_puzzle(*[says(PATIENT_QUESTION)] * 5, says(Believes(FLAG))),
+        flag_world(TYPES_BY_LABEL["PsAt"], False))
+    assert psat[5].fact == Not(fact)
+    assert not psat[5].truthful_now

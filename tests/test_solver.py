@@ -21,6 +21,8 @@ from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
 from bedlam.statements import (Atom, Not, Person, SemanticError, eval_closed,
                                render_statement)
 from bedlam.worlds import World
+from support import (random_categorical_puzzle, random_probed_puzzle,
+                     random_puzzle)
 
 EXPECTED_TYPES = {
     "Ann": "PiAl", "Beth": "DL", "Cedric": "SAl", "David": "PsL",
@@ -452,6 +454,49 @@ def test_explain_single_statement_puzzle():
     steps = explain_solution(puzzle, worlds[0])
     assert len(steps) == 1
     assert steps[0].person == "Ann"
+
+
+def test_explained_facts_hold_in_their_worlds():
+    # Whatever a consistent world's residents said, each decoded fact holds
+    # in that world under the reference evaluator.
+    rng = random.Random(0xE4B1)
+    cases = []
+    for _ in range(40):
+        puzzle = random_puzzle(rng)
+        cases += [(puzzle, world) for world in solve_all(puzzle).worlds[:10]]
+    cases += [random_probed_puzzle(rng) for _ in range(10)]
+    for _ in range(10):
+        puzzle = random_categorical_puzzle(rng, hidden=True)
+        cases += [(puzzle, world) for world in solve_all(puzzle).worlds[:10]]
+    facts = set()
+    for puzzle, world in cases:
+        steps = explain_solution(puzzle, world)
+        assert len(steps) == len(puzzle.transcript)
+        for step in steps:
+            assert eval_closed(world, step.fact), step.render()
+            facts.add(type(step.fact))
+    assert len(cases) >= 400
+    assert Not in facts
+
+
+def test_explain_decodes_both_negation_branches():
+    # A NO to "not f(me)" decodes to f when the answerer had to deny a
+    # false body, and to the body itself when it had to deny a true one;
+    # a volunteered false "not f(...)" stays doubly negated.
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\n"
+        "round question \"are you not f\" to all: not f(me)\n"
+        "  answers: Ann=no, Beth=no\n"
+        "round statements:\n  Beth: not f(Ann)\n")
+    world = World(puzzle.person_names,
+                  (TYPES_BY_LABEL["ST"], TYPES_BY_LABEL["SL"]),
+                  puzzle.fluent_decls, ((True, False),))
+    steps = explain_solution(puzzle, world)
+    assert [render_statement(step.fact) for step in steps] == \
+        ["f(Ann)", "not f(Beth)", "not not f(Ann)"]
+    assert steps[0].fact == Atom("f", Person("Ann"))
+    assert steps[2].render() == \
+        "round 1 Beth (lying, sane): says not f(Ann) => not not f(Ann)"
 
 
 def test_solver_statistics_populated(asylum):
