@@ -196,6 +196,33 @@ def test_exactly_one_answer_is_consistent():
             assert consistent == [Answer.YES if yes else Answer.NO]
 
 
+def test_simulate_person_psat_column():
+    # A PsAt answers the four-question plan Y, Y, Y, N, one utterance each.
+    t = TYPES_BY_LABEL["PsAt"]
+    world = flag_world(t, True)
+    plan = [PATIENT_QUESTION, PATIENT_QUESTION, BELIEF_QUESTION,
+            BELIEF_QUESTION]
+    column = [Answer.YES, Answer.YES, Answer.YES, Answer.NO]
+    assert answer_signature(t, plan) == "YYYN"
+    puzzle = solo_puzzle(*[asked(q, a) for q, a in zip(plan, column)])
+    assert check_world(puzzle, world)
+    assert [s.count for s in puzzle.transcript] == [0, 1, 2, 3]
+    assert len(explain_solution(puzzle, world)) == 4
+    wrong = solo_puzzle(*[asked(q, a) for q, a in zip(plan, column[:3])],
+                        asked(BELIEF_QUESTION, Answer.YES))
+    assert check_world(wrong, world).round_index == 3
+
+
+def test_simulate_person_empty_plan():
+    # No questions: an empty column, no utterances, nothing to contradict.
+    t = TYPES_BY_LABEL["DT"]
+    assert answer_signature(t, []) == ""
+    puzzle = solo_puzzle()
+    assert puzzle.transcript == ()
+    assert check_world(puzzle, flag_world(t, True))
+    assert explain_solution(puzzle, flag_world(t, True)) == ()
+
+
 def test_check_world_matches_step_oracle():
     # Independent oracle: thread the counter by hand over a toy two-person
     # world, recomputing each step from the phase rules directly.
