@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
                         TYPES_BY_LABEL, would_assert)
-from .statements import (Atom, Believes, ME, Person, Statement, fluents_used,
-                         walk)
+from .statements import (AtLeast, Atom, Believes, Exists, ForAll, ME, Person,
+                         Statement, fluents_used, walk)
 from .worlds import World
 
 SUBJECT = "subject"
@@ -55,6 +55,10 @@ def _check_questions(questions: tuple[Statement, ...]) -> None:
                 raise UnsupportedQuestionError(
                     "questions must be answerable from the type alone; "
                     f"'{node.term.name}' is a named person")
+            if isinstance(node, (Exists, ForAll, AtLeast)):
+                raise UnsupportedQuestionError(
+                    "questions must be answerable from the type alone; "
+                    f"'{node.var}' ranges over every person")
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,8 @@ def parse_statement(text: str,
     """Parse a single statement.
 
     When `persons` or `fluents` are given the statement is also checked
-    against those declarations.
+    against those declarations, with the first person as the speaker of
+    `me`.
     """
     clean = "\n".join(_strip_comment(line) for line in text.split("\n"))
     tokens = _tokenize(clean)
@@ -285,9 +286,10 @@ def parse_statement(text: str,
     cursor = _TokenCursor(tokens, len(lines), len(lines[-1]) + 1)
     stmt = _parse_statement_tokens(cursor)
     if persons is not None or fluents is not None:
+        persons = tuple(persons or ())
         validate_statement_in_context(
-            stmt, "statement",
-            tuple(persons or ()), tuple(fluents or ()))
+            stmt, "statement", persons[0] if persons else None,
+            persons, tuple(fluents or ()))
     return stmt
 
 

@@ -4,6 +4,10 @@ A spec compiles itself on first use, once: `transcript` numbers every
 utterance, and `compiled` holds each axiom and step body as the checks
 `statements.compile_statement` makes, compiled once per thread.
 `check_world`, `bedlam simulate` and the solver's search all run them.
+
+`validate` checks each axiom and utterance by compiling it too, so the
+compiler's name resolution is the one home of the atom rules; a question
+is compiled with its first addressed person as the speaker of `me`.
 """
 
 from __future__ import annotations
@@ -22,41 +26,19 @@ from .worlds import FluentDecl
 
 
 def validate_statement_in_context(stmt: Statement, where: str,
+                                  speaker: Optional[str],
                                   person_names: tuple[str, ...],
                                   fluent_decls: tuple[FluentDecl, ...]) -> None:
-    """Check a parsed statement against declared persons and fluents."""
+    """Check a parsed statement against declared persons and fluents.
+
+    The statement is compiled, with `speaker` for `me`: the compiler holds
+    the atom rules, and its SemanticError gains the `where` prefix.
+    """
     body, _ = st.peel_believes(stmt)  # rejects inner believes
-    free = st.free_variables(body)
-    if free:
-        raise SemanticError(f"{where}: unbound variable '{sorted(free)[0]}'")
-    by_name = {d.name: d for d in fluent_decls}
-    for node in st.walk(body):
-        if not isinstance(node, st.Atom):
-            continue
-        if node.predicate in st.BUILTIN_PREDICATES:
-            if node.value is not None:
-                raise SemanticError(
-                    f"{where}: builtin '{node.predicate}' takes no value")
-        elif node.predicate in by_name:
-            decl = by_name[node.predicate]
-            if decl.is_boolean and node.value is not None:
-                raise SemanticError(
-                    f"{where}: boolean fluent '{node.predicate}' takes no value")
-            if not decl.is_boolean:
-                if node.value is None:
-                    raise SemanticError(
-                        f"{where}: fluent '{node.predicate}' needs a value")
-                if node.value not in decl.domain:
-                    raise SemanticError(
-                        f"{where}: '{node.value}' not in domain of "
-                        f"'{node.predicate}'")
-        else:
-            raise SemanticError(
-                f"{where}: undeclared predicate '{node.predicate}'")
-        if (isinstance(node.term, st.Person)
-                and node.term.name not in person_names):
-            raise SemanticError(
-                f"{where}: unknown person '{node.term.name}'")
+    try:
+        st.compile_statement(body, speaker, person_names, fluent_decls)
+    except SemanticError as exc:
+        raise SemanticError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -124,12 +106,6 @@ class PuzzleSpec:
     axioms: tuple[Statement, ...]
     rounds: tuple[Round, ...]
     extraction: Optional[ExtractionConfig] = None
-
-    def fluent_decl(self, name: str) -> FluentDecl:
-        for decl in self.fluent_decls:
-            if decl.name == name:
-                return decl
-        raise SemanticError(f"undeclared fluent '{name}'")
 
     @cached_property
     def transcript(self) -> tuple[Step, ...]:
@@ -214,7 +190,7 @@ class PuzzleSpec:
                 raise SemanticError(f"{where}: axioms cannot contain believes")
             if st.mentions_me(axiom):
                 raise SemanticError(f"{where}: axioms have no speaker for 'me'")
-            self._validate_statement(axiom, where)
+            self._validate_statement(axiom, where, None)
         for i, rnd in enumerate(self.rounds):
             where = f"round {i}"
             if isinstance(rnd, QuestionRound):
@@ -227,7 +203,8 @@ class PuzzleSpec:
                     if person not in self.person_names:
                         raise SemanticError(
                             f"{where}: unknown person '{person}'")
-                self._validate_statement(rnd.statement, where)
+                self._validate_statement(rnd.statement, where,
+                                         next(iter(rnd.addressed), None))
             else:
                 seen = set()
                 for speaker, stmt in rnd.utterances:
@@ -238,19 +215,25 @@ class PuzzleSpec:
                         raise SemanticError(
                             f"{where}: '{speaker}' speaks twice in one round")
                     seen.add(speaker)
-                    self._validate_statement(stmt, f"{where}, {speaker}")
+                    self._validate_statement(stmt, f"{where}, {speaker}",
+                                             speaker)
         if self.extraction is not None:
             self._validate_extraction()
 
-    def _validate_statement(self, stmt: Statement, where: str) -> None:
-        validate_statement_in_context(stmt, where, self.person_names,
+    def _validate_statement(self, stmt: Statement, where: str,
+                            speaker: Optional[str]) -> None:
+        validate_statement_in_context(stmt, where, speaker, self.person_names,
                                       self.fluent_decls)
 
     def _validate_extraction(self) -> None:
         for cat in self.extraction.categories:
             if cat.name in (SANITY_CATEGORY, TRUTHFULNESS_CATEGORY):
                 continue
-            decl = self.fluent_decl(cat.name)
+            decl = next((d for d in self.fluent_decls if d.name == cat.name),
+                        None)
+            if decl is None:
+                raise SemanticError(f"extraction category '{cat.name}' "
+                                    "names no declared fluent")
             if decl.is_boolean or set(decl.domain) != set(cat.values):
                 raise SemanticError(
                     f"extraction category '{cat.name}' must list exactly the "

@@ -9,11 +9,13 @@ Evaluation is three-valued: ``eval_partial`` returns True, False, or the
 ``UNKNOWN`` sentinel, and ``eval_closed`` insists on a definite answer.
 These tree walkers are the reference; ``compile_statement`` gives the
 same answers from closures over index rows, and reports which fluent
-slots and which persons' types each check reads.  ``PuzzleSpec.compiled``
-compiles each axiom and utterance once per puzzle and thread, for
-``check_world``, ``bedlam simulate`` and the solver's search.  A compiled
-check is not safe to share between threads: it binds quantified persons
-in a list of its own.
+slots and which persons' types each check reads.  Its name resolution is
+the one set of atom rules, which ``PuzzleSpec.validate`` also runs; unlike
+the tree walker, it rejects a value outside its fluent's domain.
+``PuzzleSpec.compiled`` compiles each axiom and utterance once per puzzle
+and thread, for ``check_world``, ``bedlam simulate`` and the solver's
+search.  A compiled check is not safe to share between threads: it binds
+quantified persons in a list of its own.
 """
 
 from __future__ import annotations
@@ -196,19 +198,6 @@ def walk(stmt: Statement):
     yield stmt
     for _, child in _children(stmt):
         yield from walk(child)
-
-
-def free_variables(stmt: Statement, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(stmt, Atom):
-        if isinstance(stmt.term, Var) and stmt.term.name not in bound:
-            return {stmt.term.name}
-        return set()
-    if isinstance(stmt, (Exists, ForAll, AtLeast)):
-        return free_variables(stmt.body, bound | {stmt.var})
-    out: set[str] = set()
-    for _, child in _children(stmt):
-        out |= free_variables(child, bound)
-    return out
 
 
 def mentions_me(stmt: Statement) -> bool:
@@ -452,20 +441,18 @@ def _eval_atom(world, atom, speaker, env):
         name = term.name
     if atom.predicate in BUILTIN_PREDICATES:
         if atom.value is not None:
-            raise SemanticError(
-                f"builtin predicate '{atom.predicate}' takes no value")
+            raise SemanticError(f"builtin '{atom.predicate}' takes no value")
         return world.builtin_value(atom.predicate, name)
     value = world.fluent_value(atom.predicate, name)
     if atom.value is None:
         if isinstance(value, str):
-            raise SemanticError(
-                f"fluent '{atom.predicate}' needs a value argument")
+            raise SemanticError(f"fluent '{atom.predicate}' needs a value")
         return value
     if value is UNKNOWN:
         return UNKNOWN
     if isinstance(value, bool):
         raise SemanticError(
-            f"boolean fluent '{atom.predicate}' takes no value argument")
+            f"boolean fluent '{atom.predicate}' takes no value")
     return value == atom.value
 
 
@@ -480,13 +467,15 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     UNKNOWN.  `reads` holds the (f, p) slots it reads, and `typed` the
     persons p whose `types[p]` it reads; an atom on a quantified variable
     reads every person's slot.  Names are resolved once, to their index in
-    `person_names` or `fluent_decls`; an atom the tree walker would reject
-    raises its SemanticError here, even one that evaluation would
-    short-circuit past.  A term reads its person from a slot of `bound`:
-    slot p holds person p, and a quantifier's own slot holds each person in
-    turn while its body, compiled once, runs.  A check grows with its
-    statement only.  Running it writes `bound`, so one check must not run
-    in two threads at once.
+    `person_names` or `fluent_decls`.  Every atom, even one evaluation
+    would short-circuit past, meets the atom rules in this order, or raises
+    SemanticError: a builtin takes no value; a fluent is declared, takes no
+    value if boolean, and else a value from its domain; the term is bound,
+    a speaker's `me` or a known person.  A term reads its person from a
+    slot of `bound`: slot p holds person p, and a quantifier's own slot
+    holds each person in turn while its body, compiled once, runs.  A check
+    grows with its statement only.  Running it writes `bound`, so one check
+    must not run in two threads at once.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -514,32 +503,37 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             return _quantified(count, bound, slot, n, body)
         if isinstance(node, Believes):
             raise SemanticError("believes cannot be evaluated as a fact")
-        # Names resolve in the order the tree walker's lookups reject them.
+        # The atom rules, in one order: predicate and value, then term.
         term, predicate, wanted = node.term, node.predicate, node.value
+        builtin = predicate in BUILTIN_PREDICATES
+        if builtin:
+            if wanted is not None:
+                raise SemanticError(f"builtin '{predicate}' takes no value")
+        else:
+            f = _index(fluent_names, predicate, "undeclared predicate")
+            domain = fluent_decls[f].domain
+            if domain is None:
+                if wanted is not None:
+                    raise SemanticError(
+                        f"boolean fluent '{predicate}' takes no value")
+            elif wanted is None:
+                raise SemanticError(f"fluent '{predicate}' needs a value")
+            elif wanted not in domain:
+                raise SemanticError(
+                    f"'{wanted}' not in domain of '{predicate}'")
         name = speaker if isinstance(term, Me) else term.name
         if isinstance(term, Var):
             if name not in env:
                 raise SemanticError(f"unbound variable '{name}'")
+            slot = env[name]
         elif name is None:
             raise SemanticError("'me' used outside any utterance")
-        builtin = predicate in BUILTIN_PREDICATES
-        if builtin and wanted is not None:
-            raise SemanticError(
-                f"builtin predicate '{predicate}' takes no value")
-        f = None if builtin else _index(fluent_names, predicate,
-                                        "undeclared predicate")
-        slot = (env[name] if isinstance(term, Var)
-                else _index(person_names, name, "unknown person"))
+        else:
+            slot = _index(person_names, name, "unknown person")
         persons = range(n) if slot >= n else (slot,)
         if builtin:
             typed.update(persons)
             return lambda types, values: types[bound[slot]].builtins[predicate]
-        if wanted is None and not fluent_decls[f].is_boolean:
-            raise SemanticError(
-                f"fluent '{predicate}' needs a value argument")
-        if wanted is not None and fluent_decls[f].is_boolean:
-            raise SemanticError(
-                f"boolean fluent '{predicate}' takes no value argument")
         reads.update((f, p) for p in persons)
         if wanted is None:
             return lambda types, values: values[f][bound[slot]]
@@ -551,7 +545,7 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
 
 
 def _index(names, name: str, what: str) -> int:
-    """`name`'s position in `names`, or the tree walker's SemanticError."""
+    """`name`'s position in `names`, or a SemanticError naming `what`."""
     try:
         return names.index(name)
     except ValueError:

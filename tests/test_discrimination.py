@@ -10,7 +10,8 @@ from bedlam.discrimination import (BELIEF_QUESTION, FOUR_QUESTION_PLAN,
                                    partition_types, tables_report,
                                    two_question_table)
 from bedlam.semantics import ALL_TYPES, Answer, TYPES_BY_LABEL
-from bedlam.statements import Atom, Believes, ME, Not, Person
+from bedlam.statements import (AtLeast, Atom, Believes, Exists, ForAll, ME,
+                               Not, Person, Var)
 
 # The full four-question table, one column per type.
 FOUR_QUESTION_SIGNATURES = {
@@ -122,6 +123,21 @@ def test_two_question_table_and_documented_divergence():
 def test_questions_about_fluents_are_unsupported():
     with pytest.raises(UnsupportedQuestionError):
         answer_signature(TYPES_BY_LABEL["ST"], [Atom("lover", ME)])
+
+
+def test_quantified_questions_are_unsupported():
+    # A quantifier ranges over the other residents too, whom the
+    # answerer's type says nothing about.
+    patient = Atom("patient", Var("x"))
+    for label, question in (("ST", Exists("x", patient)),
+                            ("SL", AtLeast(2, "x", patient)),
+                            ("DT", ForAll("x", patient)),
+                            ("SL", Believes(Not(Exists("x", patient))))):
+        with pytest.raises(UnsupportedQuestionError,
+                           match="'x' ranges over every person"):
+            answer_signature(TYPES_BY_LABEL[label], [question])
+        with pytest.raises(UnsupportedQuestionError):
+            partition_types([PATIENT_QUESTION, question])
 
 
 def test_tables_report_is_stable_and_contains_key_rows():

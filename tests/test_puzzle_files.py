@@ -15,8 +15,8 @@ from bedlam.parser import (ParseError, parse_puzzle_file, parse_statement,
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer
 from bedlam.solver import brute_force_solve, explain_solution, solve_all
-from bedlam.statements import SemanticError, Statement
-from bedlam.worlds import World
+from bedlam.statements import SemanticError, Statement, compile_statement
+from bedlam.worlds import FluentDecl, World
 
 MINIMAL = "persons: Ann\n"
 
@@ -126,6 +126,65 @@ def test_categorical_fluent_needs_value():
     text = ("persons: Ann\nfluent guilt : { a, b, c }\n"
             "round statements:\n  Ann: guilt(me)\n")
     with pytest.raises(SemanticError):
+        parse_puzzle_file(text)
+
+
+FAULT_DECLS = (FluentDecl("shifty"), FluentDecl("guilt", ("guilty", "innocent")))
+FAULT_HEADER = """\
+persons: Ann, Beth
+fluent shifty : bool
+fluent guilt : { guilty, innocent }
+"""
+
+
+@pytest.mark.parametrize("atom, text", [
+    ("doctor(Ann, guilty)", "builtin 'doctor' takes no value"),
+    ("lover(Ann)", "undeclared predicate 'lover'"),
+    ("shifty(Ann, guilty)", "boolean fluent 'shifty' takes no value"),
+    ("guilt(Ann)", "fluent 'guilt' needs a value"),
+    ("guilt(Ann, bogus)", "'bogus' not in domain of 'guilt'"),
+    ("doctor(Zed)", "unknown person 'Zed'"),
+    ("guilt(Zed)", "fluent 'guilt' needs a value"),  # value before person
+], ids=["builtin-value", "undeclared", "boolean-value", "missing-value",
+        "outside-domain", "unknown-person", "unknown-person-missing-value"])
+def test_every_atom_fault_is_the_compilers_wherever_it_stands(atom, text):
+    # One set of atom rules: each context reports what compile_statement
+    # raises for the atom, after its own `where`.
+    with pytest.raises(SemanticError) as compiled:
+        compile_statement(parse_statement(atom), "Beth", ("Ann", "Beth"),
+                          FAULT_DECLS)
+    assert str(compiled.value) == text
+    stmt = f"sane(Beth) or not {atom}"
+    for where, parse in (
+            ("axiom 1", lambda: parse_puzzle_file(
+                f"{FAULT_HEADER}axiom {stmt}\n")),
+            ("round 0, Beth", lambda: parse_puzzle_file(
+                f"{FAULT_HEADER}round statements:\n  Beth: {stmt}\n")),
+            ("round 0", lambda: parse_puzzle_file(
+                f'{FAULT_HEADER}round question "q" to Beth: {stmt}\n'
+                "  answers: Beth=yes\n")),
+            ("statement", lambda: parse_statement(
+                stmt, ("Ann", "Beth"), FAULT_DECLS))):
+        with pytest.raises(SemanticError) as err:
+            parse()
+        assert str(err.value) == f"{where}: {text}"
+
+
+def test_me_without_any_person_has_no_speaker():
+    message = "'me' used outside any utterance"
+    with pytest.raises(SemanticError, match=f"^statement: {message}$"):
+        parse_statement("patient(me)", fluents=())
+    with pytest.raises(SemanticError, match=f"^statement: {message}$"):
+        parse_statement("patient(me) or patient(Ann)", persons=())
+    text = 'persons:\nround question "q" to all: patient(me)\n  answers:\n'
+    with pytest.raises(SemanticError, match=f"^round 0: {message}$"):
+        parse_puzzle_file(text)
+
+
+def test_extraction_category_must_name_a_declared_fluent():
+    text = EXTRACTION_PUZZLE.replace("fluent guilt", "fluent blame")
+    with pytest.raises(SemanticError, match="^extraction category 'guilt' "
+                                            "names no declared fluent$"):
         parse_puzzle_file(text)
 
 
@@ -388,8 +447,8 @@ def test_parse_outcomes_are_pinned(asylum, asylum_text):
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert kinds == {"ParseError": 1335, "PuzzleSpec": 69, "SemanticError": 67,
                      "World": 18, "AtLeast": 4, "Believes": 4, "Implies": 3}
-    assert digest == ("a9d00e1ae08970f15f5d36f12eb4e135"
-                      "46c928a833629cda2fe1cb1147364fb4")
+    assert digest == ("2744e8b3e3cb01b8916878dfbc01207a"
+                      "93435884a98f325a0582596673c82e02")
 
 
 # --- Parser fuzz ---

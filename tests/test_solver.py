@@ -20,7 +20,7 @@ from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
                            enumerate_worlds, explain_solution, solve_all)
 from bedlam.statements import (Atom, Not, Person, SemanticError, eval_closed,
                                render_statement)
-from bedlam.worlds import World
+from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_probed_puzzle,
                      random_puzzle)
 
@@ -153,8 +153,8 @@ def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
 
 def test_check_world_on_an_unvalidated_spec_keeps_its_errors():
     # A spec built in code skips validate(); check_world still raises the
-    # tree walker's error for a bad atom.  It now raises even where the
-    # tree walker short-circuited past the atom.
+    # compiler's error for a bad atom, even where the tree walker
+    # short-circuits past the atom.
     world = World(("Ann",), (TYPES_BY_LABEL["ST"],))
     for text, message in (("doctor(Zed)", "unknown person 'Zed'"),
                           ("guilty(Ann)", "undeclared predicate 'guilty'"),
@@ -165,6 +165,16 @@ def test_check_world_on_an_unvalidated_spec_keeps_its_errors():
         with pytest.raises(SemanticError, match=f"^{message}$"):
             check_world(spec, world)
     assert eval_closed(world, axiom) is True
+    # The compiler also rejects a value outside the fluent's domain, which
+    # the tree walker reads as False.
+    guilt = FluentDecl("guilt", ("guilty", "innocent"))
+    axiom = parse_statement("guilt(Ann, bogus)")
+    spec = PuzzleSpec(("Ann",), (guilt,), (axiom,), ())
+    world = World(("Ann",), (TYPES_BY_LABEL["ST"],), (guilt,), (("guilty",),))
+    assert eval_closed(world, axiom) is False
+    with pytest.raises(SemanticError,
+                       match="^'bogus' not in domain of 'guilt'$"):
+        check_world(spec, world)
 
 
 THREADED = """persons: Ann, Beth, Cedric
