@@ -231,17 +231,16 @@ def simulate(puzzle_path, world_path):
     """Print the transcript the WORLD's population would produce."""
     puzzle, _ = _load_puzzle(puzzle_path)
     world = parse_world_file(_read(world_path), puzzle)
-    types, values = world.types, world.fluent_values
-    _, bodies = puzzle.compiled
+    _, steps = puzzle.compiled
     shown_round = None
-    for step, (check, _, _) in zip(puzzle.transcript, bodies):
+    for step, (check, _, _) in zip(puzzle.transcript, steps):
         ri = step.round_index
         if ri != shown_round:
             shown_round = ri
             click.echo(f"round {ri} statements:" if step.answer is None
                        else f"round {ri} question \"{step.label}\":")
         # Whether the speaker's type would give the recorded utterance.
-        kept = check(types, values) == step.required(types[step.person_index])
+        kept = check(world.types, world.fluent_values)
         if step.answer is None:
             mark = "consistent" if kept else "INCONSISTENT"
             click.echo(f"  {step.person}: {step.label} [{mark}]")

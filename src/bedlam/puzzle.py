@@ -1,9 +1,10 @@
 """Puzzle specifications: persons, fluents, axioms, and transcript rounds.
 
 A spec compiles itself on first use, once: `transcript` numbers every
-utterance, and `compiled` holds each axiom and step body as the checks
-`statements.compile_statement` makes, compiled once per thread.
-`check_world`, `bedlam simulate` and the solver's search all run them.
+utterance, and `compiled` holds each axiom and utterance as a check, per
+thread.  Only here does the phase rule meet compiled code: an utterance's
+check holds it to what its speaker's type requires.  `check_world`,
+`bedlam simulate` and the solver run these checks as they are.
 
 `validate` checks each axiom and utterance by compiling it too, so the
 compiler's name resolution is the one home of the atom rules; a question
@@ -21,7 +22,8 @@ from . import statements as st
 from .extraction import (ExtractionConfig, SANITY_CATEGORY,
                          TRUTHFULNESS_CATEGORY)
 from .semantics import ALL_TYPES, Answer, ExtendedType, asserted_truth
-from .statements import Believes, SemanticError, Statement, render_statement
+from .statements import (Believes, SemanticError, Statement, UNKNOWN,
+                         render_statement)
 from .worlds import FluentDecl
 
 
@@ -72,7 +74,6 @@ class Step:
     person: str
     person_index: int
     count: int                # the speaker's utterance ordinal
-    statement: Statement      # as spoken
     body: Statement           # believes wrapper peeled off
     is_belief: bool
     answer: Optional[Answer]  # None for volunteered statements
@@ -86,8 +87,8 @@ class Step:
     def required_by_phases(self) -> dict[tuple[bool, bool], bool]:
         """`required` by the speaker's (truthful_now, sane_now) at the step.
 
-        The speaker's type matters only through those phases, so replaying
-        the step against many worlds looks the answer up instead.
+        The speaker's type matters only through those phases, so the step's
+        compiled check looks the answer up instead.
         """
         table = {}
         for type_ in ALL_TYPES:
@@ -95,6 +96,20 @@ class Step:
             table[type_.phases[self.count % 2]] = (
                 not target if self.answer is Answer.NO else target)
         return table
+
+
+def _step_check(step: Step, person_names, fluent_decls) -> tuple:
+    """The step body's compiled triple, held to what its speaker must say."""
+    body, reads, typed = st.compile_statement(step.body, step.person,
+                                              person_names, fluent_decls)
+    speaker, parity = step.person_index, step.count % 2
+    required = step.required_by_phases
+
+    def check(types, values):
+        value = body(types, values)
+        return (value if value is UNKNOWN
+                else value == required[types[speaker].phases[parity]])
+    return check, reads, typed | {speaker}
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,7 @@ class PuzzleSpec:
             for person, stmt, answer, label in said:
                 pi = index[person]
                 body, is_belief = st.peel_believes(stmt)
-                steps.append(Step(ri, person, pi, counts[pi], stmt, body,
+                steps.append(Step(ri, person, pi, counts[pi], body,
                                   is_belief, answer, label))
                 counts[pi] += 1
         return tuple(steps)
@@ -135,7 +150,10 @@ class PuzzleSpec:
     @property
     def compiled(self) -> tuple[tuple, tuple]:
         """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed)`
-        for each axiom and, in `transcript` order, each step's body.
+        for each axiom and, in `transcript` order, each step's body.  A
+        step's check is held to `Step.required_by_phases`: it tells whether
+        the speaker's type would make the utterance, UNKNOWN while the body
+        is, so its `typed` includes the speaker.
 
         Compiled on first use in each thread: a check writes its
         quantifiers' persons into a list of its own, so two threads must
@@ -150,7 +168,7 @@ class PuzzleSpec:
         local.compiled = (
             tuple(st.compile_statement(axiom, None, names, decls)
                   for axiom in self.axioms),
-            tuple(st.compile_statement(step.body, step.person, names, decls)
+            tuple(_step_check(step, names, decls)
                   for step in self.transcript))
         return local.compiled
 
@@ -167,11 +185,6 @@ class PuzzleSpec:
         race to fill one entry store equal frozen results.
         """
         return {}
-
-    @cached_property
-    def rendered_axioms(self) -> tuple[str, ...]:
-        """Each axiom's canonical text, for `check_world`'s messages."""
-        return tuple(render_statement(axiom) for axiom in self.axioms)
 
     def validate(self) -> None:
         """Raise SemanticError on any declaration or round inconsistency."""

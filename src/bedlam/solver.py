@@ -5,16 +5,15 @@ and is the single source of truth for consistency.
 `brute_force_solve` filters it over the full cartesian world space and
 serves as the checking oracle for small puzzles.  `solve_all` must agree
 with the oracle wherever the space is enumerable.  Both run the checks
-`PuzzleSpec.compiled` holds, compiled once per puzzle and thread; the
-search gets there faster in three stages: each person's type candidates
-are pruned against what that person says about themselves; persons are then
-typed one by one, and each fluent-free check runs once the last type it
-reads is set, so a failure skips every combination under that prefix;
-finally fluent values are backtracked over, each fluent check decided at
-the last fluent slot it reads.  The search is serial and visits worlds
-in canonical order, so it returns them sorted without sorting.
-`explain_solution` reads each utterance's guaranteed fact off the same
-`Step.required` that `check_world` holds the world to.
+`PuzzleSpec.compiled` holds as they are; the search gets there faster in
+three stages: each person's type candidates are pruned against what that
+person says about themselves; persons are then typed one by one, and each
+fluent-free check runs once the last type it reads is set, so a failure
+skips every combination under that prefix; finally fluent values are
+backtracked over, each fluent check decided at the last fluent slot it
+reads.  The search is serial and visits worlds in canonical order, so it
+returns them sorted without sorting.  `explain_solution` decodes each
+utterance's fact with `Step.required`, the table the step checks read.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
         raise SemanticError("world persons do not match the puzzle")
     if world.fluent_decls != puzzle.fluent_decls:
         raise SemanticError("world fluents do not match the puzzle")
-    axioms, bodies = puzzle.compiled
+    axioms, steps = puzzle.compiled
     types, values = world.types, world.fluent_values
     for i, (check, _, _) in enumerate(axioms):
         if not check(types, values):
@@ -135,12 +134,13 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
             result = built.get(i)
             if result is None:
                 result = built[i] = CheckResult(
-                    False, None, None,
-                    f"axiom {i + 1} is violated: {puzzle.rendered_axioms[i]}")
+                    False, None, None, f"axiom {i + 1} is violated: "
+                    f"{render_statement(puzzle.axioms[i])}")
             return result
-    for k, (step, (check, _, _)) in enumerate(zip(puzzle.transcript, bodies)):
-        type_ = types[step.person_index]
-        if check(types, values) != step.required(type_):
+    for k, (check, _, _) in enumerate(steps):
+        if not check(types, values):
+            step = puzzle.transcript[k]
+            type_ = types[step.person_index]
             built, key = puzzle.violations, (k, type_.index)
             result = built.get(key)
             if result is None:
@@ -196,12 +196,11 @@ class _Analysis:
     leave each person p the `candidates[p]` they allow.  The other steps
     and the axioms run as the puzzle's compiled checks over the search's
     `types` and `values` rows, filed by the fluent slots and types that
-    `compile_statement` reports they read; a step also reads its speaker's
-    type.  Those that read no fluent slot are fluent-free: `decided[p]`
-    holds those whose last type read is person p's, run as soon as types
-    up to p are set; one that skips an earlier person runs once per
-    combination of the types it reads.  `constant` holds those that read
-    no type at all.  `watchers[v]` holds the checks that read fluent slot
+    `PuzzleSpec.compiled` reports they read.  Those that read no fluent
+    slot are fluent-free: `decided[p]` holds those whose last type read is
+    person p's, run as soon as types up to p are set; one that skips an
+    earlier person runs once per combination of the types it reads.
+    `constant` holds those that read no type at all.  `watchers[v]` holds the checks that read fluent slot
     v, re-run whenever v is assigned, so each is decided at the last
     fluent slot it reads.
     """
@@ -213,17 +212,14 @@ class _Analysis:
         # Search variables: one per (fluent, person), declaration order.
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
-        axioms, bodies = puzzle.compiled
-        local: list[list] = [[] for _ in names]  # (step, body) pairs
-        checks = []  # (check, reads, typed), as `compile_statement` gives
-        for step, (body, reads, typed) in zip(puzzle.transcript, bodies):
+        axioms, steps = puzzle.compiled
+        local: list[list] = [[] for _ in names]  # type-local step checks
+        checks = []  # (check, reads, typed), as `PuzzleSpec.compiled` gives
+        for step, compiled in zip(puzzle.transcript, steps):
             if st.is_type_local(step.body, step.person):
-                local[step.person_index].append((step, body))
+                local[step.person_index].append(compiled[0])
             else:
-                # A step also reads its speaker's type, to know what they
-                # must say.
-                checks.append((_step_check(step, body), reads,
-                               typed | {step.person_index}))
+                checks.append(compiled)
         checks += axioms
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
@@ -249,9 +245,8 @@ class _Analysis:
         self.candidates: list[list[ExtendedType]] = [[] for _ in names]
         for t in ALL_TYPES:
             row = (t,) * len(names)
-            for steps, kept in zip(local, self.candidates):
-                if all(body(row, ()) == step.required(t)
-                       for step, body in steps):
+            for person_checks, kept in zip(local, self.candidates):
+                if all(check(row, ()) for check in person_checks):
                     kept.append(t)
         # Type combinations under one type of person p: a prefix ruled
         # out there skips that many.
@@ -264,18 +259,6 @@ class _Analysis:
         # Each fluent assignment found, once: worlds that share it share
         # its rows.
         self.assignments: dict[tuple, tuple] = {}
-
-
-def _step_check(step: Step, body):
-    """The step's compiled body, held to what its speaker's type requires."""
-    speaker, parity = step.person_index, step.count % 2
-    required = step.required_by_phases
-
-    def check(types, values):
-        value = body(types, values)
-        return (value if value is UNKNOWN
-                else value == required[types[speaker].phases[parity]])
-    return check
 
 
 def _memoized(check, persons: list[int]):
@@ -367,6 +350,8 @@ def _choose(analysis: _Analysis, progress: _Progress, types, values,
     searched or skipped with its prefix.
     """
     if p == analysis.typed:
+        # One product for the rest: recursing to the last person instead
+        # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.
         prefix = tuple(types[:p])
         for rest in itertools.product(*analysis.candidates[p:]):
             progress.tick()

@@ -13,9 +13,10 @@ slots and which persons' types each check reads.  Its name resolution is
 the one set of atom rules, which ``PuzzleSpec.validate`` also runs; unlike
 the tree walker, it rejects a value outside its fluent's domain.
 ``PuzzleSpec.compiled`` compiles each axiom and utterance once per puzzle
-and thread, for ``check_world``, ``bedlam simulate`` and the solver's
-search.  A compiled check is not safe to share between threads: it binds
-quantified persons in a list of its own.
+and thread, an utterance held to what its speaker must say, for the
+solver, ``check_world`` and ``bedlam simulate``.  A compiled check is not
+safe to share between threads: it binds quantified persons in a list of
+its own.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, Statement, Var,
-                               eval_closed)
+                               eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
 
 NAME_POOL = ("Ann", "Beth", "Cedric")
@@ -367,3 +367,39 @@ def random_categorical_trio(rng: random.Random, hidden: bool) -> PuzzleSpec:
     puzzle = PuzzleSpec(persons, decls, tuple(axioms), tuple(rounds))
     puzzle.validate()
     return puzzle
+
+
+def puzzle_text(puzzle: PuzzleSpec) -> str:
+    """Puzzle-file text that parses back to `puzzle` (no extraction)."""
+    lines = ["persons: " + ", ".join(puzzle.person_names)]
+    for decl in puzzle.fluent_decls:
+        domain = ("bool" if decl.is_boolean
+                  else "{ " + ", ".join(decl.domain) + " }")
+        lines.append(f"fluent {decl.name} : {domain}")
+    lines += [f"axiom {render_statement(axiom)}" for axiom in puzzle.axioms]
+    for rnd in puzzle.rounds:
+        if isinstance(rnd, QuestionRound):
+            lines.append(f'round question "{rnd.label}" to '
+                         f"{', '.join(rnd.addressed)}: "
+                         f"{render_statement(rnd.statement)}")
+            lines.append("  answers: " + ", ".join(
+                f"{p}={a.value}" for p, a in zip(rnd.addressed, rnd.answers)))
+        else:
+            lines.append("round statements:")
+            lines += [f"  {speaker}: {render_statement(stmt)}"
+                      for speaker, stmt in rnd.utterances]
+    return "\n".join(lines) + "\n"
+
+
+def world_text(world: World) -> str:
+    """World-file text that parses back to `world`."""
+    lines = ["world:"]
+    for person in world.person_names:
+        entry = [f"  {person}: {world.type_of(person).label}"]
+        for decl in world.fluent_decls:
+            value = world.fluent_value(decl.name, person)
+            if decl.is_boolean:
+                value = "yes" if value else "no"
+            entry.append(f"{decl.name}={value}")
+        lines.append(", ".join(entry))
+    return "\n".join(lines) + "\n"

@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from bedlam import fixture_path
 from bedlam.cli import cli, main
+from bedlam.parser import parse_puzzle_file
+from bedlam.semantics import Answer
+from bedlam.statements import eval_closed
+from support import (puzzle_text, random_categorical_puzzle, random_puzzle,
+                     random_world, world_text)
 
 ASYLUM = str(fixture_path("asylum.puzzle"))
 SOLUTION = str(fixture_path("asylum.solution.world"))
@@ -207,6 +213,60 @@ def test_simulate_empty_rounds(runner, tmp_path):
     assert result.output.strip() == ""
 
 
+def walked_simulation(puzzle, world) -> tuple[str, int, int]:
+    """What `bedlam simulate` must print, each step kept as the tree walker
+    and `Step.required` say; and how many statements and answers are not."""
+    lines, shown, broken, flipped = [], None, 0, 0
+    for step in puzzle.transcript:
+        if step.round_index != shown:
+            shown = step.round_index
+            lines.append(f"round {shown} statements:" if step.answer is None
+                         else f'round {shown} question "{step.label}":')
+        kept = (eval_closed(world, step.body, step.person)
+                == step.required(world.types[step.person_index]))
+        if step.answer is None:
+            mark = "consistent" if kept else "INCONSISTENT"
+            lines.append(f"  {step.person}: {step.label} [{mark}]")
+            broken += not kept
+        else:
+            yes = kept == (step.answer is Answer.YES)
+            lines.append(f"  {step.person}: {'yes' if yes else 'no'}")
+            flipped += not kept
+    return "".join(line + "\n" for line in lines), broken, flipped
+
+
+def test_simulate_on_an_inconsistent_world_is_the_tree_walkers(
+        runner, asylum, ann_sl_world):
+    result = runner.invoke(cli, ["simulate", ASYLUM, ANN_SL])
+    assert result.exit_code == 0
+    expected, broken, _ = walked_simulation(asylum, ann_sl_world)
+    assert result.output == expected
+    assert broken and "  Ann: lover(Beth) [INCONSISTENT]\n" in result.output
+
+
+def test_simulate_on_random_worlds_is_the_tree_walkers(runner, tmp_path):
+    rng = random.Random(1803)
+    broken = flipped = 0
+    for n in range(80):
+        puzzle = (random_puzzle(rng) if n % 2
+                  else random_categorical_puzzle(rng, hidden=False))
+        world = random_world(rng, puzzle.person_names, puzzle.fluent_decls)
+        puzzle_path = tmp_path / "random.puzzle"
+        world_path = tmp_path / "random.world"
+        puzzle_path.write_text(puzzle_text(puzzle))
+        world_path.write_text(world_text(world))
+        assert parse_puzzle_file(puzzle_path.read_text()) == puzzle
+        result = runner.invoke(cli, ["simulate", str(puzzle_path),
+                                     str(world_path)])
+        assert result.exit_code == 0
+        expected, broken_here, flipped_here = walked_simulation(puzzle, world)
+        assert result.output == expected
+        broken += broken_here
+        flipped += flipped_here
+    # The sample breaks statements and flips answers alike.
+    assert broken > 20 and flipped > 20
+
+
 def test_structured_output_is_byte_identical_across_workers(runner):
     one = runner.invoke(cli, ["solve", ASYLUM, "--format", "structured",
                               "--extract", "--workers", "1"])
@@ -242,6 +302,8 @@ STRUCTURED_SOLVE_SHA256 = \
     "af26c6eb9888134b764145d3f6ab7fec9d86d51093a6778b319ecb5563fcfb61"
 SIMULATE_SHA256 = \
     "5dd4b20908be8686963432e1f813fbcfd27a6a3b6c5030296bc9b54a2b9c6abd"
+SIMULATE_ANN_SL_SHA256 = \
+    "868226fad2e078b90b6b69a9b1064f8e1ec2a4f3efa86be6cf773a2531c435e8"
 TABLES_SHA256 = \
     "2d12a26ec20aed7fbb8c6a1baf12e8ffaa6afda9adb5e18795c1e7f38bf09f0f"
 
@@ -260,6 +322,11 @@ def test_structured_solve_output_bytes_are_pinned(runner):
 def test_simulate_output_bytes_are_pinned(runner):
     result = runner.invoke(cli, ["simulate", ASYLUM, SOLUTION])
     assert _digest(result) == SIMULATE_SHA256
+
+
+def test_simulate_on_an_inconsistent_world_bytes_are_pinned(runner):
+    result = runner.invoke(cli, ["simulate", ASYLUM, ANN_SL])
+    assert _digest(result) == SIMULATE_ANN_SL_SHA256
 
 
 def test_tables_output_bytes_are_pinned(runner):

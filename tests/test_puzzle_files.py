@@ -243,6 +243,60 @@ def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+TWO = "persons: Ann, Beth\n"
+ASK_ANN = 'round question "q" to {to}: patient(me)\n  answers: {answers}\n'
+
+
+@pytest.mark.parametrize("puzzle, world, error, position, message", [
+    (TWO + "fluent f : bool\nfluent f : bool\n", None, SemanticError, None,
+     "duplicate fluent name"),
+    (TWO + "fluent patient : bool\n", None, SemanticError, None,
+     "fluent 'patient' shadows a builtin predicate"),
+    (TWO + ASK_ANN.format(to="Ann, Ann", answers="Ann=yes"), None,
+     SemanticError, None, "round 0: person addressed twice"),
+    (TWO + ASK_ANN.format(to="Zed", answers="Zed=yes"), None,
+     SemanticError, None, "round 0: unknown person 'Zed'"),
+    (TWO + "round statements:\n  Ann: patient(me)\n  Ann: sane(me)\n", None,
+     SemanticError, None, "round 0: 'Ann' speaks twice in one round"),
+    (EXTRACTION_PUZZLE + EXTRACTION_PUZZLE.split("\n", 2)[2], None,
+     ParseError, (7, 1), "duplicate extraction section"),
+    (TWO + "round statements: Ann: patient(me)\n", None, ParseError, (2, 19),
+     "statements begin on the following lines"),
+    (TWO + ASK_ANN.format(to="Ann", answers="Ann=yes, Ann=no"), None,
+     ParseError, (3, 21), "duplicate answer for 'Ann'"),
+    (TWO, "world: Ann: ST\n", ParseError, (1, 8),
+     "world entries begin on the following lines"),
+    (TWO, "world:\n  Ann: ST\n  Ann: SL\n  Beth: ST\n", ParseError, (3, 3),
+     "duplicate entry for 'Ann'"),
+], ids=["duplicate-fluent", "builtin-fluent", "addressed-twice",
+        "unknown-addressee", "speaks-twice", "duplicate-extraction",
+        "statement-on-header", "duplicate-answer", "entry-on-header",
+        "duplicate-entry"])
+def test_input_errors_have_their_type_text_and_position(
+        puzzle, world, error, position, message, tmp_path, capsys):
+    if position is not None:
+        message = f"line {position[0]}, column {position[1]}: {message}"
+    puzzle_path = tmp_path / "bad.puzzle"
+    puzzle_path.write_text(puzzle)
+    if world is None:
+        argv = ["solve", str(puzzle_path)]
+        with pytest.raises(error) as err:
+            parse_puzzle_file(puzzle)
+    else:
+        world_path = tmp_path / "bad.world"
+        world_path.write_text(world)
+        argv = ["check", str(puzzle_path), str(world_path)]
+        with pytest.raises(error) as err:
+            parse_world_file(world, parse_puzzle_file(puzzle))
+    assert type(err.value) is error
+    assert str(err.value) == message
+    if position is not None:
+        assert (err.value.line, err.value.col) == position
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_deep_nesting_is_a_positioned_parse_error(tmp_path, capsys):
     text = "persons: A\naxiom " + "(" * 3000 + "patient(A)" + ")" * 3000 + "\n"
     message = "line 2, column 57: statement is nested too deeply"

@@ -14,7 +14,7 @@ from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                eval_closed, eval_partial,
                                render_statement, substitute_me)
 from bedlam.semantics import ALL_TYPES
-from bedlam.worlds import FluentDecl
+from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
 
 
@@ -61,10 +61,16 @@ def test_render_atleast_canonical_form():
     assert render_statement(stmt) == "atleast 2 x . guilt(x, guilty)"
 
 
+# An inner quantifier rebinds its outer one's variable, which the outer
+# body reads again after it.
+SHADOWED = ("exists x . (forall x . f(x)) and g(x)",
+            "forall x . (exists x . doctor(x)) implies f(x)")
+
+
 def test_round_trip_of_spec_examples():
     for text in ("believes(not lover(Grace))",
                  "exists x . doctor(x) and guilt(x, guilty)",
-                 "not not patient(me)"):
+                 "not not patient(me)") + SHADOWED:
         stmt = parse_statement(text)
         assert parse_statement(render_statement(stmt)) == stmt
 
@@ -278,6 +284,28 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
     assert seen == {True, False, UNKNOWN}
 
 
+@pytest.mark.parametrize("text", SHADOWED)
+def test_shadowed_variables_compile_as_the_tree_walker_reads_them(text):
+    # Every two-person world, each fluent slot False, True or UNKNOWN.
+    persons, decls = ("Ann", "Beth"), (FluentDecl("f"), FluentDecl("g"))
+    stmt = parse_statement(text, persons, decls)
+    check, _, _ = compile_statement(stmt, None, persons, decls)
+    slots = [(f, p) for f in range(2) for p in range(2)]
+    seen = set()
+    for types in itertools.product(ALL_TYPES, repeat=2):
+        for cells in itertools.product((False, True, UNKNOWN), repeat=4):
+            values = [list(cells[:2]), list(cells[2:])]
+            world = World(persons, types, decls, tuple(
+                tuple(False if v is UNKNOWN else v for v in row)
+                for row in values))
+            hidden = [(decls[f].name, persons[p]) for (f, p), v
+                      in zip(slots, cells) if v is UNKNOWN]
+            expected = eval_partial(_HiddenSlots(world, hidden), stmt)
+            assert check(types, values) is expected
+            seen.add(expected)
+    assert seen == {True, False, UNKNOWN}
+
+
 def test_compile_errors_are_the_tree_walkers():
     # A name is resolved as its atom compiles, and a bad one raises what
     # the tree walker raises on reaching that atom.
@@ -306,7 +334,6 @@ def test_compile_errors_are_the_tree_walkers():
 
 
 def test_forall_over_empty_person_set_is_true():
-    from bedlam.worlds import World
     empty = World((), (), (), ())
     stmt = ForAll("x", Atom("sane", Var("x")))
     assert eval_closed(empty, stmt) is True
@@ -324,17 +351,24 @@ def test_atleast_counts_persons():
 
 def test_quantifier_shadowing_restores_outer_binding():
     rng = random.Random(3)
-    world = random_world(rng, support.NAME_POOL, DECLS)
     # exists x . sane(x) and (exists x . patient(x)) and sane(x):
-    # the trailing sane(x) must still see the outer binding.
+    # the trailing sane(x) must still see the outer binding.  Only a world
+    # with a sane person and a patient runs the inner exists and reads x
+    # after it, so the worlds must include some.
     stmt = Exists("x", And((Atom("sane", Var("x")),
                             Exists("x", Atom("patient", Var("x"))),
                             Atom("sane", Var("x")))))
-    expected = any(
-        world.builtin_value("sane", p)
-        and any(world.builtin_value("patient", q) for q in world.person_names)
-        for p in world.person_names)
-    assert eval_closed(world, stmt) == expected
+    holds = 0
+    for _ in range(20):
+        world = random_world(rng, support.NAME_POOL, DECLS)
+        expected = any(
+            world.builtin_value("sane", p)
+            and any(world.builtin_value("patient", q)
+                    for q in world.person_names)
+            for p in world.person_names)
+        assert eval_closed(world, stmt) == expected
+        holds += expected
+    assert holds
 
 
 def test_eval_rejects_believes():
