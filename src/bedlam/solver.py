@@ -200,9 +200,9 @@ class _Analysis:
     slot are fluent-free: `decided[p]` holds those whose last type read is
     person p's, run as soon as types up to p are set; one that skips an
     earlier person runs once per combination of the types it reads.
-    `constant` holds those that read no type at all.  `watchers[v]` holds the checks that read fluent slot
-    v, re-run whenever v is assigned, so each is decided at the last
-    fluent slot it reads.
+    `constant` holds those that read no type at all.  `watchers[v]` holds
+    the checks that read fluent slot v, re-run whenever v is assigned, so
+    each is decided at the last fluent slot it reads.
     """
 
     def __init__(self, puzzle: PuzzleSpec):
