@@ -3,17 +3,20 @@
 `check_world` replays a puzzle's transcript against one candidate world
 and is the single source of truth for consistency.
 `brute_force_solve` filters it over the full cartesian world space and
-serves as the checking oracle for small puzzles.  `solve_all` must agree
-with the oracle wherever the space is enumerable.  Both run the checks
-`PuzzleSpec.compiled` holds as they are; the search gets there faster in
-three stages: each person's type candidates are pruned against what that
-person says about themselves; persons are then typed one by one, and each
-fluent-free check runs once the last type it reads is set, so a failure
-skips every combination under that prefix; finally fluent values are
-backtracked over, each fluent check decided at the last fluent slot it
-reads.  The search is serial and visits worlds in canonical order, so it
-returns them sorted without sorting.  `explain_solution` decodes each
-utterance's fact with `Step.required`, the table the step checks read.
+serves as the checking oracle for small puzzles.  It runs the compiled
+checks on each row pair first and builds a `World` only for a pair that
+passes them; every world it returns passes `check_world`.  `solve_all`
+must agree with the oracle wherever the space is enumerable.  Both run
+the checks `PuzzleSpec.compiled` holds as they are; the search gets
+there faster in three stages: each person's type candidates are pruned
+against what that person says about themselves; persons are then typed
+one by one, and each fluent-free check runs once the last type it reads
+is set, so a failure skips every combination under that prefix; finally
+fluent values are backtracked over, each fluent check decided at the
+last fluent slot it reads.  The search is serial and visits worlds in
+canonical order, so it returns them sorted without sorting.
+`explain_solution` decodes each utterance's fact with `Step.required`,
+the table the step checks read.
 """
 
 from __future__ import annotations
@@ -165,10 +168,11 @@ def _step_violation(step: Step, type_: ExtendedType) -> CheckResult:
 
 # --- Brute-force oracle ---
 
-def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
-    """Every possible world, in canonical order.
+def _rows(puzzle: PuzzleSpec) -> Iterator[tuple[tuple, tuple]]:
+    """Every `(types, fluent_values)` pair of the world space, in
+    canonical order.
 
-    Each fluent assignment is built once, so the worlds of every type
+    Each fluent assignment is built once, so the pairs of every type
     combination share its (immutable) rows.
     """
     n = len(puzzle.person_names)
@@ -177,13 +181,43 @@ def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
         for decl in puzzle.fluent_decls]))
     for types in itertools.product(ALL_TYPES, repeat=n):
         for values in assignments:
-            yield World(puzzle.person_names, types, puzzle.fluent_decls,
-                        values)
+            yield types, values
+
+
+def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
+    """Every possible world, in canonical order.
+
+    The worlds of every type combination share each fluent assignment's
+    rows.
+    """
+    names, decls = puzzle.person_names, puzzle.fluent_decls
+    for types, values in _rows(puzzle):
+        yield World(names, types, decls, values)
 
 
 def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
-    """Filter `check_world` over the full space.  Only viable when small."""
-    return tuple(w for w in enumerate_worlds(puzzle) if check_world(puzzle, w))
+    """The worlds of `enumerate_worlds` that `check_world` accepts, in
+    its order.  Only viable when the space is small.
+
+    Each row pair first runs the puzzle's compiled checks, axioms then
+    steps, and a `World` is built only for a pair that passes them all;
+    `check_world` still decides every world returned.
+    """
+    axioms, steps = puzzle.compiled
+    checks = [check for check, _, _ in axioms + steps]
+    names, decls = puzzle.person_names, puzzle.fluent_decls
+
+    def kept() -> Iterator[World]:
+        for types, values in _rows(puzzle):
+            for check in checks:
+                if not check(types, values):
+                    break
+            else:
+                world = World(names, types, decls, values)
+                if check_world(puzzle, world):
+                    yield world
+
+    return tuple(kept())
 
 
 # --- Staged search ---

@@ -58,17 +58,18 @@ class World:
     fluent_values: tuple[tuple, ...] = ()
 
     def __post_init__(self):
-        if len(self.types) != len(self.person_names):
+        n = len(self.person_names)
+        if len(self.types) != n:
             raise ValueError("one type per person required")
         if len(self.fluent_values) != len(self.fluent_decls):
             raise ValueError("one value tuple per declared fluent required")
         for decl, values in zip(self.fluent_decls, self.fluent_values):
-            if len(values) != len(self.person_names):
+            if len(values) != n:
                 raise ValueError(f"fluent '{decl.name}' must cover every person")
-            boolean, domain = decl.is_boolean, decl.values()
+            domain = decl.domain  # None means boolean
             for v in values:
                 # Booleans match by identity: 0 == False and 1 == True.
-                if (v is not False and v is not True if boolean
+                if (v is not False and v is not True if domain is None
                         else v not in domain):
                     raise ValueError(f"value {v!r} not in domain of '{decl.name}'")
 

@@ -9,7 +9,7 @@ from collections import Counter
 from bedlam.puzzle import QuestionRound, StatementsRound
 from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
 from bedlam.solver import (CheckResult, SolveStatus, brute_force_solve,
-                           check_world, solve_all)
+                           check_world, enumerate_worlds, solve_all)
 from bedlam.statements import (Atom, Believes, Not, Person, Statement,
                                eval_closed, render_statement)
 from bedlam.worlds import World
@@ -31,6 +31,29 @@ def test_solver_matches_oracle_on_mixed_sizes():
             satisfiable += 1
     # The generator seeds over half the puzzles from a hidden world.
     assert satisfiable >= 12
+
+
+def test_oracle_is_the_check_world_filter_over_the_space():
+    # The oracle checks rows before it builds worlds; what it returns must
+    # still be its definition, in the same order.
+    rng = random.Random(184)
+    puzzles = ([random_puzzle(rng) for _ in range(40)]
+               + [random_categorical_trio(rng, hidden=True)
+                  for _ in range(2)])
+    kept = Counter()
+    for puzzle in puzzles:
+        expected = tuple(world for world in enumerate_worlds(puzzle)
+                         if check_world(puzzle, world))
+        assert brute_force_solve(puzzle) == expected
+        kept[bool(expected)] += 1
+    assert kept[True] and kept[False]
+    # The trios bring three persons and a categorical fluent; the random
+    # puzzles bring these.
+    labels = " ".join(step.label for puzzle in puzzles
+                      for step in puzzle.transcript)
+    assert "atleast" in labels
+    assert any(step.is_belief for puzzle in puzzles
+               for step in puzzle.transcript)
 
 
 def test_hidden_world_is_always_found():

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from bedlam import statements
+from bedlam import solver, statements
 from bedlam.parser import parse_puzzle_file, parse_statement
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import TYPES_BY_LABEL
@@ -142,6 +142,35 @@ def test_found_and_enumerated_worlds_share_fluent_rows():
         assert len(worlds) == 4096
         assert len({id(world.fluent_values) for world in worlds}) <= 16
         assert per_world < bound
+
+
+def test_oracle_builds_and_checks_only_the_worlds_it_keeps(monkeypatch):
+    # Rows are checked first, so the oracle builds a World, and calls
+    # check_world, once per world it returns.  Of the 1,024 rows, both
+    # puzzles rule some out in their steps, not only in their axioms.
+    counts = {"built": 0, "checked": 0}
+    init, check = World.__init__, solver.check_world
+
+    def counting_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_check(puzzle, world):
+        counts["checked"] += 1
+        return check(puzzle, world)
+
+    monkeypatch.setattr(World, "__init__", counting_init)
+    monkeypatch.setattr(solver, "check_world", counting_check)
+    head = "persons: Ann, Beth\nfluent f : bool\n"
+    for text, kept in ((head + "axiom sane(Ann) and truthteller(Ann)\n"
+                        "round statements:\n  Ann: f(Beth)\n"
+                        "round statements:\n  Ann: not f(Beth)\n", 0),
+                       (head + "axiom f(Ann)\n"
+                        "round statements:\n  Beth: f(Ann)\n", 256)):
+        puzzle = parse_puzzle_file(text)
+        counts.update(built=0, checked=0)
+        assert len(brute_force_solve(puzzle)) == kept
+        assert counts == {"built": kept, "checked": kept}
 
 
 def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
