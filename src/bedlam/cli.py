@@ -21,7 +21,7 @@ from typing import Optional
 import click
 
 from .discrimination import tables_report
-from .extraction import ExtractionError, extract_word, encode_person, person_triple, value_to_letter
+from .extraction import ExtractionError, extract_word, letter_rows
 from .parser import ParseError, parse_puzzle_file, parse_world_file
 from .puzzle import PuzzleSpec
 from .semantics import Answer
@@ -47,7 +47,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from None
 
 
@@ -63,36 +63,34 @@ def _load_puzzle(path: str) -> tuple[PuzzleSpec, str]:
               help="Append the extracted answer word.")
 @click.option("--expect-unique", is_flag=True,
               help="Fail unless exactly one world is consistent.")
-@click.option("--budget-nodes", type=int, default=None, metavar="N",
+@click.option("--budget-nodes", type=int, default=Budget.max_nodes, metavar="N",
               help="Abort after N search nodes: the reported `nodes`, "
                    "defined by bedlam.solver.SolveStatistics.")
-@click.option("--budget-seconds", type=float, default=None, metavar="S",
+@click.option("--budget-seconds", type=float, default=Budget.max_seconds, metavar="S",
               help="Abort after S seconds of search.")
 @click.option("--format", "output_format", default="text",
               type=click.Choice(["text", "structured"]),
               help="Human text or a stable JSON document.")
-@click.option("--workers", type=int, default=1, metavar="N",
+@click.option("--workers", type=int, default=1, metavar="N", expose_value=False,
               help="Accepted for compatibility; the search is serial and N "
                    "never changes the output.")
 def solve(puzzle_path, explain, extract_flag, expect_unique,
-          budget_nodes, budget_seconds, output_format, workers):
+          budget_nodes, budget_seconds, output_format):
     """Enumerate all worlds consistent with PUZZLE."""
     puzzle, text = _load_puzzle(puzzle_path)
     try:
-        budget = Budget(
-            max_nodes=budget_nodes if budget_nodes is not None else Budget.max_nodes,
-            max_seconds=budget_seconds if budget_seconds is not None else Budget.max_seconds)
+        budget = Budget(max_nodes=budget_nodes, max_seconds=budget_seconds)
     except ValueError as exc:
         raise click.BadParameter(str(exc),
                                  param_hint="'--budget-seconds'") from None
-    result = solve_all(puzzle, budget=budget, workers=workers)
+    result = solve_all(puzzle, budget=budget)
     word = None
     letters = None
     if extract_flag:
         if puzzle.extraction is None:
             raise SemanticError("puzzle declares no extraction section")
         word = extract_word(result, puzzle.extraction)
-        letters = _letter_rows(puzzle, result.worlds[0])
+        letters = letter_rows(result, puzzle.extraction)
     derivation = None
     if explain and result.status is SolveStatus.UNIQUE:
         derivation = [step.render()
@@ -107,21 +105,6 @@ def solve(puzzle_path, explain, extract_flag, expect_unique,
     if expect_unique and result.status is SolveStatus.MULTIPLE:
         sys.exit(EXIT_NOT_UNIQUE)
     sys.exit(EXIT_OK)
-
-
-def _letter_rows(puzzle: PuzzleSpec, world: World) -> list[dict]:
-    rows = []
-    for person in sorted(world.person_names):
-        triple = person_triple(world, person, puzzle.extraction)
-        digits, value = encode_person(triple, puzzle.extraction)
-        rows.append({
-            "person": person,
-            "triple": list(triple),
-            "digits": digits,
-            "value": value,
-            "letter": value_to_letter(value),
-        })
-    return rows
 
 
 def _world_entry(world: World) -> dict:

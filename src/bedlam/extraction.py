@@ -99,23 +99,31 @@ def person_triple(world: World, person: str,
     return tuple(category_value(world, person, cat) for cat in config.categories)
 
 
-def extract_word(result, config: ExtractionConfig) -> str:
-    """Extract the answer word from a uniquely solved puzzle.
+def letter_rows(result, config: ExtractionConfig) -> list[dict]:
+    """One `{person, triple, digits, value, letter}` row per person.
 
     `result` is a solve result; its status must be "unique".  Persons are
-    taken in the config's ordering (alphabetical by name) and each report
-    triple becomes one letter.
+    taken in the config's ordering (alphabetical by name); an error names
+    the person whose triple failed.
     """
     if str(getattr(result.status, "value", result.status)) != "unique":
         raise ExtractionError(
             "extraction requires a unique solution "
             f"(status is {getattr(result.status, 'value', result.status)})")
     world = result.worlds[0]
-    letters = []
+    rows = []
     for person in sorted(world.person_names):
         try:
-            _, value = encode_person(person_triple(world, person, config), config)
-            letters.append(value_to_letter(value))
+            triple = person_triple(world, person, config)
+            digits, value = encode_person(triple, config)
+            rows.append({"person": person, "triple": list(triple),
+                         "digits": digits, "value": value,
+                         "letter": value_to_letter(value)})
         except ExtractionError as exc:
             raise ExtractionError(f"{person}: {exc}") from None
-    return "".join(letters)
+    return rows
+
+
+def extract_word(result, config: ExtractionConfig) -> str:
+    """The answer word of a uniquely solved puzzle: its rows' letters."""
+    return "".join(row["letter"] for row in letter_rows(result, config))

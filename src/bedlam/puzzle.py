@@ -203,7 +203,8 @@ class PuzzleSpec:
                 raise SemanticError(f"{where}: axioms cannot contain believes")
             if st.mentions_me(axiom):
                 raise SemanticError(f"{where}: axioms have no speaker for 'me'")
-            self._validate_statement(axiom, where, None)
+            validate_statement_in_context(axiom, where, None, self.person_names,
+                                          self.fluent_decls)
         for i, rnd in enumerate(self.rounds):
             where = f"round {i}"
             if isinstance(rnd, QuestionRound):
@@ -216,8 +217,9 @@ class PuzzleSpec:
                     if person not in self.person_names:
                         raise SemanticError(
                             f"{where}: unknown person '{person}'")
-                self._validate_statement(rnd.statement, where,
-                                         next(iter(rnd.addressed), None))
+                validate_statement_in_context(
+                    rnd.statement, where, next(iter(rnd.addressed), None),
+                    self.person_names, self.fluent_decls)
             else:
                 seen = set()
                 for speaker, stmt in rnd.utterances:
@@ -228,15 +230,11 @@ class PuzzleSpec:
                         raise SemanticError(
                             f"{where}: '{speaker}' speaks twice in one round")
                     seen.add(speaker)
-                    self._validate_statement(stmt, f"{where}, {speaker}",
-                                             speaker)
+                    validate_statement_in_context(
+                        stmt, f"{where}, {speaker}", speaker,
+                        self.person_names, self.fluent_decls)
         if self.extraction is not None:
             self._validate_extraction()
-
-    def _validate_statement(self, stmt: Statement, where: str,
-                            speaker: Optional[str]) -> None:
-        validate_statement_in_context(stmt, where, speaker, self.person_names,
-                                      self.fluent_decls)
 
     def _validate_extraction(self) -> None:
         for cat in self.extraction.categories:

@@ -345,15 +345,13 @@ class _Progress:
         return time.perf_counter() - self.started
 
 
-def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None,
-              workers: int = 1) -> SolveResult:
+def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None) -> SolveResult:
     """All worlds consistent with the puzzle, canonically ordered.
 
     The search is serial: type candidates follow `ALL_TYPES` order and
     fluent variables run fluent-major, person-minor, so worlds come out in
-    `World.sort_key` order without a sort.  `workers` is accepted for
-    compatibility and never changes the result.  Exceeding the budget
-    raises BudgetExceededError; it never truncates silently.
+    `World.sort_key` order without a sort.  Exceeding the budget raises
+    BudgetExceededError; it never truncates silently.
     """
     progress = _Progress(budget or Budget())
     analysis = _Analysis(puzzle)

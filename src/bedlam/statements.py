@@ -317,8 +317,6 @@ def _render(stmt: Statement, min_level: int) -> str:
         text = f"forall {stmt.var} . {_render(stmt.body, 0)}"
     elif isinstance(stmt, AtLeast):
         text = f"atleast {stmt.count} {stmt.var} . {_render(stmt.body, 0)}"
-    elif isinstance(stmt, Believes):
-        raise SemanticError("believes may only appear as the outermost node")
     else:
         raise TypeError(f"not a statement node: {stmt!r}")
     if _level(stmt) < min_level:

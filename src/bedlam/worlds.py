@@ -9,14 +9,6 @@ from .semantics import ExtendedType, TYPE_INDEX
 from .statements import SemanticError
 
 
-def builtin_truth(type_: ExtendedType, predicate: str) -> bool:
-    """Truth of a builtin predicate for a person of the given type."""
-    try:
-        return type_.builtins[predicate]
-    except KeyError:
-        raise SemanticError(f"unknown builtin predicate '{predicate}'") from None
-
-
 @dataclass(frozen=True)
 class FluentDecl:
     """A per-person attribute: boolean, or one of an enumerated value list."""
@@ -79,35 +71,21 @@ class World:
         except ValueError:
             raise SemanticError(f"unknown person '{person}'") from None
 
-    def _fluent_row(self, fluent: str) -> int:
-        for i, decl in enumerate(self.fluent_decls):
-            if decl.name == fluent:
-                return i
-        raise SemanticError(f"undeclared predicate '{fluent}'")
-
     def type_of(self, person: str) -> ExtendedType:
         return self.types[self.index_of(person)]
 
     def builtin_value(self, predicate: str, person: str) -> bool:
-        return builtin_truth(self.types[self.index_of(person)], predicate)
+        """Truth of a builtin predicate for the person's type."""
+        try:
+            return self.types[self.index_of(person)].builtins[predicate]
+        except KeyError:
+            raise SemanticError(f"unknown builtin predicate '{predicate}'") from None
 
     def fluent_value(self, fluent: str, person: str):
         for decl, row in zip(self.fluent_decls, self.fluent_values):
             if decl.name == fluent:
                 return row[self.index_of(person)]
         raise SemanticError(f"undeclared predicate '{fluent}'")
-
-    def with_type(self, person: str, new_type: ExtendedType) -> "World":
-        types = list(self.types)
-        types[self.index_of(person)] = new_type
-        return World(self.person_names, tuple(types),
-                     self.fluent_decls, self.fluent_values)
-
-    def with_fluent(self, fluent: str, person: str, value) -> "World":
-        values = [list(v) for v in self.fluent_values]
-        values[self._fluent_row(fluent)][self.index_of(person)] = value
-        return World(self.person_names, self.types,
-                     self.fluent_decls, tuple(tuple(v) for v in values))
 
     def sort_key(self) -> tuple:
         """Canonical ordering key, independent of how the world was found."""

@@ -106,6 +106,18 @@ def test_parse_error_exits_1():
     assert main(["solve", "/nonexistent/puzzle"]) == 1
 
 
+def test_non_utf8_file_exits_1_with_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.puzzle"
+    bad.write_bytes(b"persons: Ann\xff\n")
+    for argv in (["solve", str(bad)], ["check", ASYLUM, str(bad)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte "
+            "0xff in position 12: invalid start byte\n")
+
+
 def test_budget_exceeded_exits_12(tmp_path):
     path = tmp_path / "wide.puzzle"
     path.write_text("persons: Ann, Beth, Cedric\n")

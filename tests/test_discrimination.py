@@ -106,6 +106,8 @@ def test_filter_types_by_signature_examples():
 def test_filter_length_mismatch():
     with pytest.raises(ValueError):
         filter_types_by_signature(THREE_QUESTION_PLAN, "YY")
+    with pytest.raises(ValueError, match="^not a Y/N signature: 'YYX'$"):
+        filter_types_by_signature(THREE_QUESTION_PLAN, "YYX")
 
 
 def test_two_question_table_and_documented_divergence():

@@ -38,6 +38,9 @@ def test_encode_person_examples():
 def test_encode_person_rejects_unknown_value():
     with pytest.raises(ExtractionError):
         encode_person(("partial", "alternator", "framed"), CONFIG)
+    with pytest.raises(ExtractionError,
+                       match="^a report triple has exactly three components$"):
+        encode_person(("partial", "alternator"), CONFIG)
 
 
 def test_value_to_letter_bounds():
@@ -123,6 +126,14 @@ def test_extract_error_names_the_person():
     with pytest.raises(ExtractionError) as err:
         extract_word(result, CONFIG)
     assert "Ann" in str(err.value)
+    # The same puzzle over a boolean guilt: no category reads a boolean.
+    boolean = text.replace("{ accomplice, guilty, innocent }", "bool").replace(
+        "guilt(Ann, accomplice)", "guilt(Ann)")
+    result = solve_all(parse_puzzle_file(boolean))
+    assert result.status is SolveStatus.UNIQUE
+    with pytest.raises(ExtractionError, match="^Ann: category 'guilt' "
+                                              "refers to a boolean fluent$"):
+        extract_word(result, CONFIG)
 
 
 def test_single_person_word():
@@ -157,6 +168,12 @@ def test_empty_person_list_extracts_empty_word():
 def test_config_validation():
     with pytest.raises(ExtractionError):
         Category("sanity", ("partial", "partial", "sane"))
+    with pytest.raises(ExtractionError,
+                       match="^category 'guilt' needs exactly three values$"):
+        Category("guilt", ("guilty", "innocent"))
+    with pytest.raises(ExtractionError,
+                       match="^extraction needs exactly three categories$"):
+        ExtractionConfig(CONFIG.categories[:2])
     with pytest.raises(ExtractionError):
         ExtractionConfig((
             Category("sanity", ("partial", "delusional", "mad")),

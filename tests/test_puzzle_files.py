@@ -89,6 +89,13 @@ def test_missing_answer_is_an_error():
     with pytest.raises(ParseError) as err:
         parse_puzzle_file(bad)
     assert "no answer recorded" in str(err.value)
+    # A spec built in code skips the parser; validate() catches it.
+    rnd = parse_puzzle_file(SMALL).rounds[0]
+    spec = PuzzleSpec(("Ann", "Beth"), (FluentDecl("shifty"),), (), (
+        QuestionRound(rnd.label, rnd.statement, rnd.addressed, (Answer.YES,)),))
+    with pytest.raises(SemanticError, match="^round 0: answers must cover "
+                                            "exactly the addressed persons$"):
+        spec.validate()
 
 
 def test_duplicate_person_rejected():

@@ -13,7 +13,7 @@ from bedlam.semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
 from bedlam.solver import check_world, explain_solution
 from bedlam.statements import (And, Atom, BUILTIN_PREDICATES, Believes, ME,
                                Not, Person, SemanticError)
-from bedlam.worlds import FluentDecl, World, builtin_truth
+from bedlam.worlds import FluentDecl, World
 
 FLAG = Atom("flag", ME)
 
@@ -35,6 +35,10 @@ def test_type_invariants_enforced():
         ExtendedType(Sanity.SANE, Truthfulness.TRUTHTELLER, False, True)
     with pytest.raises(ValueError):
         ExtendedType(Sanity.DELUSIONAL, Truthfulness.LIAR, False, True)
+    with pytest.raises(ValueError, match="^liars start lying$"):
+        ExtendedType(Sanity.PARTIAL, Truthfulness.LIAR, True, True)
+    with pytest.raises(ValueError, match="^sane people start sane$"):
+        ExtendedType(Sanity.SANE, Truthfulness.ALTERNATOR, True, False)
     with pytest.raises(ValueError):
         type_from_label("XQ")
 
@@ -42,26 +46,38 @@ def test_type_invariants_enforced():
 def test_builtin_tables_list_exactly_the_builtin_predicates():
     for t in ALL_TYPES:
         assert set(t.builtins) == BUILTIN_PREDICATES
+        world = flag_world(t, True)
+        for predicate in BUILTIN_PREDICATES:
+            assert world.builtin_value(predicate, "Subject") \
+                is t.builtins[predicate]
         with pytest.raises(SemanticError,
                            match="unknown builtin predicate 'bogus'"):
-            builtin_truth(t, "bogus")
+            world.builtin_value("bogus", "Subject")
 
 
-def test_with_fluent_rejects_an_undeclared_fluent():
+def test_fluent_value_rejects_an_undeclared_fluent():
     world = flag_world(TYPES_BY_LABEL["ST"], True)
     with pytest.raises(SemanticError, match="undeclared predicate 'nope'"):
-        world.with_fluent("nope", "Subject", True)
+        world.fluent_value("nope", "Subject")
 
 
 def test_a_boolean_fluent_rejects_zero_and_one():
     # 0 == False and 1 == True, but neither is a boolean value.
-    world = flag_world(TYPES_BY_LABEL["ST"], True)
     for value in (0, 1, 1.0):
         message = f"value {value!r} not in domain of 'flag'"
         with pytest.raises(ValueError, match=message):
             flag_world(TYPES_BY_LABEL["ST"], value)
-        with pytest.raises(ValueError, match=message):
-            world.with_fluent("flag", "Subject", value)
+
+
+def test_world_rows_fit_its_persons_and_fluents():
+    st_ = TYPES_BY_LABEL["ST"]
+    flag = (FluentDecl("flag"),)
+    for types, values, message in (
+            ((st_, st_), ((True,),), "one type per person required"),
+            ((st_,), (), "one value tuple per declared fluent required"),
+            ((st_,), ((True, False),), "fluent 'flag' must cover every person")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            World(("Subject",), types, flag, values)
 
 
 def test_current_phases_examples():

@@ -1,5 +1,6 @@
 """Statement DSL: parsing, canonical rendering, and evaluation laws."""
 
+import dataclasses
 import itertools
 import random
 
@@ -187,9 +188,11 @@ def test_partial_eval_is_unknown_or_every_completions_value(seed):
     if partial is UNKNOWN:
         return
     for values in itertools.product((False, True), repeat=len(hidden)):
-        completion = world
-        for (fluent, person), value in zip(hidden, values):
-            completion = completion.with_fluent(fluent, person, value)
+        cells = dict(zip(hidden, values))
+        completion = dataclasses.replace(world, fluent_values=tuple(
+            tuple(cells.get((decl.name, person), value)
+                  for person, value in zip(persons, row))
+            for decl, row in zip(DECLS, world.fluent_values)))
         assert eval_closed(completion, stmt, speaker) == partial
 
 
