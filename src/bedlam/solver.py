@@ -12,9 +12,11 @@ there faster in three stages: each person's type candidates are pruned
 against what that person says about themselves; persons are then typed
 one by one, and each fluent-free check runs once the last type it reads
 is set, so a failure skips every combination under that prefix; finally
-fluent values are backtracked over, each fluent check decided at the
-last fluent slot it reads.  The search is serial and visits worlds in
-canonical order, so it returns them sorted without sorting.
+fluent values are backtracked over, and each fluent check runs at the
+slots it reads from the first at which it can be False
+(`statements.decided_from`), since only False prunes.  The search is
+serial and visits worlds in canonical order, so it returns them sorted
+without sorting.
 `explain_solution` decodes each utterance's fact with `Step.required`,
 the table the step checks read.
 """
@@ -235,32 +237,43 @@ class _Analysis:
     person p's, run as soon as types up to p are set; one that skips an
     earlier person runs once per combination of the types it reads.
     `constant` holds those that read no type at all.  `watchers[v]` holds
-    the checks that read fluent slot v, re-run whenever v is assigned, so
-    each is decided at the last fluent slot it reads.
+    the checks that read fluent slot v and can be False once slots up to
+    v are set, by `statements.decided_from`'s read-once law: each runs
+    whenever such a slot is assigned, so it still runs at the last slot
+    it reads, and no run it skips could have pruned.
     """
 
     def __init__(self, puzzle: PuzzleSpec):
         self.puzzle = puzzle
         names = puzzle.person_names
         self.domains = [d.values() for d in puzzle.fluent_decls]
-        # Search variables: one per (fluent, person), declaration order.
+        # Search variables: one per (fluent, person), declaration order,
+        # so (f, p) is slot f * n + p, as `statements.decided_from` counts.
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
+        decls = puzzle.fluent_decls
         axioms, steps = puzzle.compiled
         local: list[list] = [[] for _ in names]  # type-local step checks
-        checks = []  # (check, reads, typed), as `PuzzleSpec.compiled` gives
+        checks = []  # each other check, with its statement and speaker
         for step, compiled in zip(puzzle.transcript, steps):
             if st.is_type_local(step.body, step.person):
                 local[step.person_index].append(compiled[0])
             else:
-                checks.append(compiled)
-        checks += axioms
+                checks.append((compiled, step.body, step.person))
+        checks += [(compiled, axiom, None)
+                   for compiled, axiom in zip(axioms, puzzle.axioms)]
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
         self.decided: list[list] = [[] for _ in names]
         self.constant = []
-        for check, reads, typed in checks:
+        watched = []  # (check, reads, first slot at which it can be False)
+        for (check, reads, typed), stmt, speaker in checks:
             if reads:
+                true, false = st.decided_from(stmt, speaker, names, decls)
+                # An utterance fails once its body is definite and
+                # disagrees with what its speaker must say.
+                watched.append((check, reads, false if speaker is None
+                                else min(true, false)))
                 continue
             if not typed:
                 self.constant.append(check)
@@ -271,8 +284,10 @@ class _Analysis:
             if len(typed) <= last:
                 check = _memoized(check, sorted(typed))
             self.decided[last].append(check)
-        self.watchers = [[check for check, reads, _ in checks if v in reads]
-                         for v in self.variables]
+        # A run before that slot could only pass, so it is skipped.
+        self.watchers = [[check for check, reads, start in watched
+                          if slot in reads and v >= start]
+                         for v, slot in enumerate(self.variables)]
         # Each type is tried with everyone given it, since quantifiers
         # range over everyone, as in `atleast 2 x . patient(me)`.  A check
         # that reads no fluent slot always answers definitely.

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from bedlam import fixture_path
+from bedlam import fixture_path, statements
 from bedlam.cli import cli, main
 from bedlam.parser import parse_puzzle_file
 from bedlam.semantics import Answer
@@ -159,6 +159,22 @@ def test_check_unconstrained_puzzle(runner, tmp_path):
     world.write_text("world:\n  Ann: DAt, f=yes\n")
     result = runner.invoke(cli, ["check", str(puzzle), str(world)])
     assert result.exit_code == 0
+
+
+def test_only_solve_runs_the_watch_analysis(runner, monkeypatch):
+    # The fluent search's watch lists are all it serves: parsing,
+    # validating, checking and simulating never pay for it.
+    def refuse(*args):
+        raise AssertionError("the watch analysis ran")
+
+    monkeypatch.setattr(statements, "decided_from", refuse)
+    for argv, code in ((["check", ASYLUM, SOLUTION], 0),
+                       (["check", ASYLUM, ANN_SL], 13),
+                       (["simulate", ASYLUM, SOLUTION], 0)):
+        result = runner.invoke(cli, argv, catch_exceptions=False)
+        assert result.exit_code == code
+    with pytest.raises(AssertionError, match="the watch analysis ran"):
+        invoke(runner, "solve", ASYLUM)
 
 
 def test_tables_command_key_cells(runner):

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
+import math
 import random
 import sys
 import threading
@@ -10,16 +12,17 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from bedlam import fixture_path, solver, statements
 from bedlam.parser import parse_puzzle_file, parse_statement, parse_world_file
 from bedlam.puzzle import PuzzleSpec, QuestionRound
-from bedlam.semantics import TYPES_BY_LABEL
+from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL
 from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
                            SolveStatus, brute_force_solve, check_world,
                            enumerate_worlds, explain_solution, solve_all)
-from bedlam.statements import (Atom, Not, Person, SemanticError, eval_closed,
-                               render_statement)
+from bedlam.statements import (Atom, Not, Person, SemanticError, UNKNOWN,
+                               decided_from, eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_probed_puzzle,
                      random_puzzle)
@@ -299,6 +302,34 @@ def test_fixture_search_counts_are_pinned(asylum):
     assert statistics.worlds_found == 1
 
 
+def _count_check_runs(monkeypatch) -> dict:
+    """Runs of each check compiled from now on, by speaker (None for an
+    axiom)."""
+    calls = {}
+    compile_statement = statements.compile_statement
+
+    def counting(stmt, speaker, *args):
+        check, reads, typed = compile_statement(stmt, speaker, *args)
+
+        def counted(types, values):
+            calls[speaker] = calls.get(speaker, 0) + 1
+            return check(types, values)
+        return counted, reads, typed
+
+    monkeypatch.setattr(statements, "compile_statement", counting)
+    return calls
+
+
+def test_fixture_check_runs_are_pinned(monkeypatch, asylum_text):
+    # The node pin holds how strongly the checks prune, this one how often
+    # they run: a fluent check that is watched before the first slot at
+    # which it can be False runs more, and prunes no more.
+    calls = _count_check_runs(monkeypatch)
+    statistics = solve_all(parse_puzzle_file(asylum_text)).statistics
+    assert statistics.nodes == 3798
+    assert sum(calls.values()) == 6195
+
+
 # Digest of repr([(nodes, status, [sort_key of each world]), ...]) over
 # the generated puzzles below; any change to what the solver computes or
 # how many nodes it visits moves it.
@@ -421,24 +452,54 @@ FOUR_PERSONS = "persons: Ann, Beth, Cedric, David\n"
 def test_fluent_free_check_runs_once_its_last_type_is_set(monkeypatch):
     # Beth's utterance reads only Ann's and Beth's types, so it is decided
     # once per pair of their types, not once per type combination.
-    calls = {}
-    compile_statement = statements.compile_statement
-
-    def counting(stmt, speaker, *args):
-        check, reads, typed = compile_statement(stmt, speaker, *args)
-
-        def counted(types, values):
-            calls[speaker] = calls.get(speaker, 0) + 1
-            return check(types, values)
-        return counted, reads, typed
-
-    monkeypatch.setattr(statements, "compile_statement", counting)
+    calls = _count_check_runs(monkeypatch)
     puzzle = parse_puzzle_file(
         FOUR_PERSONS + "round statements:\n  Beth: doctor(Ann) or liar(me)\n")
     result = solve_all(puzzle)
     assert 0 < calls["Beth"] <= 256
     assert result.statistics.nodes == 65_536
     assert result.worlds == brute_force_solve(puzzle)
+
+
+@given(strategies.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_no_check_is_false_before_its_watch_starts(seed):
+    # The read-once law the watch lists rest on: on any types, a row that
+    # sets only slots before the first slot at which a check can be False
+    # never makes it False, so a run the search skips could not prune.  Probed
+    # puzzles bring 4-5 persons, `atleast`, categorical fluents and
+    # belief rounds.
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    if kind == 0:
+        puzzle = random_puzzle(rng)
+    elif kind == 1:
+        puzzle = random_categorical_puzzle(rng, hidden=rng.random() < 0.5)
+    else:
+        puzzle, _ = random_probed_puzzle(rng)
+    names, decls = puzzle.person_names, puzzle.fluent_decls
+    slots = list(itertools.product(range(len(decls)), range(len(names))))
+    axioms, steps = puzzle.compiled
+    # An axiom is False from its False slot, and an utterance, which fails
+    # once its body is definite and disagrees, from the earlier of both.
+    starts = [decided_from(axiom, None, names, decls)[1]
+              for axiom in puzzle.axioms]
+    starts += [min(decided_from(step.body, step.person, names, decls))
+               for step in puzzle.transcript]
+    watchers = solver._Analysis(puzzle).watchers
+    for (check, reads, _), start in zip(axioms + steps, starts):
+        # From -1 a check may be False once types are set, before any slot.
+        for _ in range(16 if start >= 0 else 0):
+            types = [rng.choice(ALL_TYPES) for _ in names]
+            values = [[UNKNOWN] * len(names) for _ in decls]
+            for v, (f, p) in enumerate(slots):
+                if v < start and rng.random() < 0.8:
+                    values[f][p] = rng.choice(decls[f].values())
+            assert check(types, values) is not False
+        # One that can be False still runs once all it reads is set.
+        if reads and start < math.inf:
+            last = max(f * len(names) + p for f, p in reads)
+            assert check in watchers[last]
 
 
 def test_a_prefix_ruled_out_still_counts_its_combinations():

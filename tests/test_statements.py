@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
                                UNKNOWN, Var, compile_statement,
-                               eval_closed, eval_partial,
+                               decided_from, eval_closed, eval_partial,
                                render_statement, substitute_me)
 from bedlam.semantics import ALL_TYPES
 from bedlam.worlds import FluentDecl, World
@@ -258,15 +259,19 @@ def test_types_outside_types_read_never_change_a_check(seed):
             assert check(types, values) is expected
 
 
+def _deep_quantifiers(depth: int):
+    return parse_statement(
+        "forall x0 . hungry(x0) or doctor(x0) and hungry(me) or "
+        + " and ".join(f"exists x{i} . shifty(x{i})" for i in range(1, depth)))
+
+
 def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
     # Each quantifier's body is compiled once, where unrolling it over
     # three persons would build 3**12 copies of the innermost atom.  The
     # chain stops at each level's first definite miss, which keeps the
     # tree walker fast.
     persons = support.NAME_POOL
-    stmt = parse_statement(
-        "forall x0 . hungry(x0) or doctor(x0) and hungry(me) or "
-        + " and ".join(f"exists x{i} . shifty(x{i})" for i in range(1, 12)))
+    stmt = _deep_quantifiers(12)
     check, reads, typed = compile_statement(stmt, "Beth", persons, DECLS)
     slots = [(f, p) for f in range(2) for p in range(3)]
     assert reads == set(slots)
@@ -285,6 +290,44 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
         assert check(world.types, values) is expected
         seen.add(expected)
     assert seen == {True, False, UNKNOWN}
+
+
+def test_decided_from_on_the_asylums_shapes(asylum):
+    # Slots run fluent-major, person-minor: `lover` is the asylum's first
+    # fluent and Ian its last person.
+    names, decls = asylum.person_names, asylum.fluent_decls
+    fluents = [decl.name for decl in decls]
+
+    def slot(fluent, person):
+        return fluents.index(fluent) * len(names) + names.index(person)
+
+    def slots(text, speaker=None):
+        return decided_from(parse_statement(text), speaker, names, decls)
+
+    assert (slots("exists x . carried(x) and not lover(x)")
+            == (slot("carried", "Ann"), slot("lover", "Ian")))
+    assert slots("exists x . unlocked(x)") == (slot("unlocked", "Ann"),
+                                               slot("unlocked", "Ian"))
+    assert (slots("forall x . carried(x) implies strong(x)")[1]
+            == slot("carried", "Ann"))
+    assert slots("atleast 0 x . lover(x)") == (-1, math.inf)
+    assert slots("atleast 10 x . lover(x)") == (math.inf, -1)
+    # `doctor(me)` is definite before any fluent slot is set, so this
+    # can be True from the start, which fails an utterance whose speaker
+    # must say it is False; it can be False only once `lover(Ann)` is set.
+    assert (slots("doctor(me) or lover(Ann)", "Beth")
+            == (-1, slot("lover", "Ann")))
+
+
+def test_decided_from_analyses_a_closed_quantifier_once():
+    # Unrolled over three persons, a chain of 40 quantifiers would take
+    # 3**40 bodies.  Each `exists` is closed, so it is analysed once, and
+    # the chain is False from its last `shifty` slot on; `hungry(Ann)`,
+    # the slot after it, is where the `forall` can first be False.
+    for depth in (12, 40):
+        _, false = decided_from(_deep_quantifiers(depth), "Beth",
+                                support.NAME_POOL, DECLS)
+        assert false == 3
 
 
 @pytest.mark.parametrize("text", SHADOWED)
