@@ -7,8 +7,9 @@ exceeded, 13 world check failed.  All diagnostics go to stderr.
 The structured output format is a single JSON document with these keys:
 puzzle {digest, persons}, status, statistics {nodes, worlds_found},
 worlds (list of {persons: {name: {type, fluents}}}), and, when present,
-report, extraction {word, letters} and derivation.  Timing is reported
-only on the text surface so structured output is byte-stable.
+report, extraction {word, letters} and derivation.  Timing and the
+count of fluent searches are reported only on the text surface, so
+structured output is byte-stable and keeps its pinned bytes.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ def _print_solve_text(puzzle, result, word, letters, derivation, explain):
     click.echo(f"status: {result.status.value}")
     click.echo(f"worlds: {result.statistics.worlds_found}")
     click.echo(f"nodes: {result.statistics.nodes}")
+    click.echo(f"fluent searches: {result.statistics.fluent_searches}")
     click.echo(f"time: {result.statistics.elapsed:.3f}s")
     for i, world in enumerate(result.worlds, start=1):
         click.echo(f"world {i}:")

@@ -14,9 +14,12 @@ one by one, and each fluent-free check runs once the last type it reads
 is set, so a failure skips every combination under that prefix; finally
 fluent values are backtracked over, and each fluent check runs at the
 slots it reads from the first at which it can be False
-(`statements.decided_from`), since only False prunes.  The search is
-serial and visits worlds in canonical order, so it returns them sorted
-without sorting.
+(`statements.decided_from`), since only False prunes.  That fluent
+search reads the types of its checks' persons only, so it runs once per
+combination of those types and every other type combination with the
+same ones reuses the rows it found and counts its nodes again.  The
+search is serial and visits worlds in canonical order, so it returns
+them sorted without sorting.
 `explain_solution` decodes each utterance's fact with `Step.required`,
 the table the step checks read.
 """
@@ -68,12 +71,16 @@ class SolveStatistics:
 
     `nodes` counts search nodes: one per complete combination of candidate
     types, whether searched or skipped with a ruled-out prefix, plus one
-    per fluent value tried.  The node budget is checked against it.
+    per fluent value tried; a reused subtree counts its nodes again.  The
+    node budget is checked against it.  `fluent_searches` counts the
+    fluent searches run from their root; a reused subtree is not searched
+    again.
     """
 
     nodes: int = 0
     elapsed: float = 0.0
     worlds_found: int = 0
+    fluent_searches: int = 0
 
 
 class BudgetExceededError(Exception):
@@ -236,11 +243,21 @@ class _Analysis:
     slot are fluent-free: `decided[p]` holds those whose last type read is
     person p's, run as soon as types up to p are set; one that skips an
     earlier person runs once per combination of the types it reads.
-    `constant` holds those that read no type at all.  `watchers[v]` holds
-    the checks that read fluent slot v and can be False once slots up to
-    v are set, by `statements.decided_from`'s read-once law: each runs
-    whenever such a slot is assigned, so it still runs at the last slot
-    it reads, and no run it skips could have pruned.
+    `constant` holds those that read no type at all, run once per solve.
+    `watchers[v]` holds the checks that read fluent slot v and can be
+    False once slots up to v are set, by `statements.decided_from`'s
+    read-once law: each runs whenever such a slot is assigned, so it
+    still runs at the last slot it reads, and no run it skips could have
+    pruned.
+
+    Only the watched checks run in the fluent search, so on any type
+    combination it finds the same rows, in the same order, over the same
+    nodes as on any other that gives the `keys` persons, those whose
+    types the watched checks read, the same types.  `subtrees` maps those
+    types to what the search found, `(rows, nodes)`.  It is None, and
+    each combination is searched, when there is no fluent slot to search
+    or every person outside `keys` keeps one candidate, so no two
+    combinations share those types.
     """
 
     def __init__(self, puzzle: PuzzleSpec):
@@ -267,13 +284,16 @@ class _Analysis:
         self.decided: list[list] = [[] for _ in names]
         self.constant = []
         watched = []  # (check, reads, first slot at which it can be False)
+        keys: set[int] = set()
         for (check, reads, typed), stmt, speaker in checks:
             if reads:
                 true, false = st.decided_from(stmt, speaker, names, decls)
                 # An utterance fails once its body is definite and
                 # disagrees with what its speaker must say.
-                watched.append((check, reads, false if speaker is None
-                                else min(true, false)))
+                start = false if speaker is None else min(true, false)
+                watched.append((check, reads, start))
+                if any(f * len(names) + p >= start for f, p in reads):
+                    keys |= typed
                 continue
             if not typed:
                 self.constant.append(check)
@@ -308,6 +328,11 @@ class _Analysis:
         # Each fluent assignment found, once: worlds that share it share
         # its rows.
         self.assignments: dict[tuple, tuple] = {}
+        self.keys = sorted(keys)
+        self.subtrees: Optional[dict[tuple, tuple]] = (
+            {} if self.variables and any(
+                len(kept) > 1 for p, kept in enumerate(self.candidates)
+                if p not in keys) else None)
 
 
 def _memoized(check, persons: list[int]):
@@ -332,6 +357,7 @@ class _Progress:
         self.budget = budget
         self.started = time.perf_counter()
         self.nodes = 0
+        self.searches = 0
 
     def tick(self) -> None:
         self.nodes += 1
@@ -354,7 +380,8 @@ class _Progress:
             return
         raise BudgetExceededError(
             f"{limit} exceeded",
-            SolveStatistics(nodes=self.nodes, elapsed=self.elapsed()))
+            SolveStatistics(nodes=self.nodes, elapsed=self.elapsed(),
+                            fluent_searches=self.searches))
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
@@ -374,7 +401,11 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None) -> SolveResul
     if all(analysis.candidates):
         types = [None] * len(puzzle.person_names)
         values = [[UNKNOWN] * len(types) for _ in analysis.domains]
-        _choose(analysis, progress, types, values, worlds, 0)
+        if any(check(types, values) is False for check in analysis.constant):
+            # Every combination is ruled out, and counts as a node.
+            progress.skip(math.prod(map(len, analysis.candidates)))
+        else:
+            _choose(analysis, progress, types, values, worlds, 0)
         progress.check()
     if not worlds:
         status = SolveStatus.NONE
@@ -385,7 +416,7 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None) -> SolveResul
     report = _build_report(puzzle, worlds[0]) if status is SolveStatus.UNIQUE else None
     stats = SolveStatistics(
         nodes=progress.nodes, elapsed=progress.elapsed(),
-        worlds_found=len(worlds))
+        worlds_found=len(worlds), fluent_searches=progress.searches)
     return SolveResult(status, tuple(worlds), report, stats)
 
 
@@ -400,14 +431,16 @@ def _choose(analysis: _Analysis, progress: _Progress, types, values,
         # One product for the rest: recursing to the last person instead
         # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.
         prefix = tuple(types[:p])
-        for rest in itertools.product(*analysis.candidates[p:]):
-            progress.tick()
-            combination = prefix + rest
-            for check in analysis.constant:
-                if check(combination, values) is False:
-                    break
-            else:
-                _descend(analysis, progress, combination, values, found, 0)
+        combinations = itertools.product(*analysis.candidates[p:])
+        if analysis.subtrees is None:
+            for rest in combinations:
+                progress.tick()
+                progress.searches += 1
+                _descend(analysis, progress, prefix + rest, values, found, 0)
+        else:
+            for rest in combinations:
+                progress.tick()
+                _search_once(analysis, progress, prefix + rest, values, found)
         return
     checks, below = analysis.decided[p], analysis.below[p]
     for t in analysis.candidates[p]:
@@ -418,6 +451,28 @@ def _choose(analysis: _Analysis, progress: _Progress, types, values,
                 break
         else:
             _choose(analysis, progress, types, values, found, p + 1)
+
+
+def _search_once(analysis: _Analysis, progress: _Progress, types, values,
+                 found: list[World]) -> None:
+    """`_descend` from the root, once per combination of the key persons'
+    types: a type combination whose key persons' types were searched
+    before takes the rows found then, and counts their nodes again."""
+    key = tuple([types[k] for k in analysis.keys])
+    subtree = analysis.subtrees.get(key)
+    if subtree is None:
+        nodes, first = progress.nodes, len(found)
+        progress.searches += 1
+        _descend(analysis, progress, types, values, found, 0)
+        analysis.subtrees[key] = (
+            [world.fluent_values for world in found[first:]],
+            progress.nodes - nodes)
+        return
+    rows, nodes = subtree
+    progress.skip(nodes)
+    puzzle = analysis.puzzle
+    found.extend([World(puzzle.person_names, types, puzzle.fluent_decls, row)
+                  for row in rows])
 
 
 def _descend(analysis: _Analysis, progress: _Progress, types, values,

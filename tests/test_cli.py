@@ -45,6 +45,16 @@ def test_solve_reports_types_and_report(runner):
     assert "Ann: partial, alternator, guilty" in result.output
 
 
+def test_only_the_text_surface_counts_fluent_searches(runner):
+    # Every asylum person's type is read by some fluent check, so each of
+    # the 512 type combinations is searched; the structured statistics
+    # keep their pinned keys.
+    assert "fluent searches: 512" in invoke(runner, "solve", ASYLUM).output
+    document = json.loads(invoke(runner, "solve", ASYLUM, "--format",
+                                 "structured").output)
+    assert set(document["statistics"]) == {"nodes", "worlds_found"}
+
+
 def test_solve_contradictory_puzzle_exits_10(runner, tmp_path):
     path = tmp_path / "broken.puzzle"
     path.write_text("persons: Ann\nfluent f : bool\n"

@@ -12,7 +12,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 
 from bedlam import fixture_path, solver, statements
 from bedlam.parser import parse_puzzle_file, parse_statement, parse_world_file
@@ -302,6 +302,13 @@ def test_fixture_search_counts_are_pinned(asylum):
     assert statistics.worlds_found == 1
 
 
+def test_fixture_searches_every_type_combination(asylum):
+    # Some fluent check reads each person's type, so no two of the 512
+    # combinations share a search.
+    assert solver._Analysis(asylum).subtrees is None
+    assert solve_all(asylum).statistics.fluent_searches == 512
+
+
 def _count_check_runs(monkeypatch) -> dict:
     """Runs of each check compiled from now on, by speaker (None for an
     axiom)."""
@@ -459,6 +466,90 @@ def test_fluent_free_check_runs_once_its_last_type_is_set(monkeypatch):
     assert 0 < calls["Beth"] <= 256
     assert result.statistics.nodes == 65_536
     assert result.worlds == brute_force_solve(puzzle)
+
+
+def test_fluent_search_runs_once_per_type_of_its_key_persons(monkeypatch):
+    # Only Ann's step runs in the fluent search, so the 4,096 type
+    # combinations share 16 searches, one per type of Ann; the others
+    # reuse the rows they found and count their nodes again.
+    calls = _count_check_runs(monkeypatch)
+    puzzle = parse_puzzle_file("persons: Ann, Beth, Cedric\nfluent f : bool\n"
+                               "round statements:\n  Ann: f(Beth)\n")
+    result = solve_all(puzzle)
+    assert calls["Ann"] == 64
+    assert result.statistics.nodes == 45_056
+    assert result.statistics.fluent_searches == 16
+    assert len(result.worlds) == 16_384
+    assert result.worlds == brute_force_solve(puzzle)
+
+
+def test_reused_subtrees_count_against_the_node_budget():
+    # No check reads a type: one search of 30 nodes, reused by the other
+    # 255 type combinations, plus one node per combination.
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\nfluent g : bool\n")
+    result = solve_all(puzzle, budget=Budget(max_nodes=7_936))
+    assert result.statistics.nodes == 7_936
+    assert result.statistics.fluent_searches == 1
+    with pytest.raises(BudgetExceededError):
+        solve_all(puzzle, budget=Budget(max_nodes=7_935))
+
+
+def _solve_searching_every_combination(monkeypatch, puzzle, budget):
+    """`solve_all` with a subtree store that keeps nothing, and how many
+    subtrees the search offered it."""
+    offered = []
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            offered.append(key)
+
+    init = solver._Analysis.__init__
+
+    def forgetting(self, puzzle):
+        init(self, puzzle)
+        if self.subtrees is not None:
+            self.subtrees = Forgetful()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver._Analysis, "__init__", forgetting)
+        return solve_all(puzzle, budget), len(offered)
+
+
+def test_reused_subtrees_are_what_a_search_would_find(monkeypatch):
+    # A person who never speaks keeps all 16 types, and no check reads
+    # them unless a quantifier does, so most puzzles with a fluent reuse
+    # subtrees.
+    runs = []
+
+    @given(strategies.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def reuse_is_exact(seed):
+        rng = random.Random(seed)
+        kind = rng.randrange(3)
+        if kind == 0:
+            puzzle = random_puzzle(rng)
+        elif kind == 1:
+            puzzle = random_categorical_puzzle(rng, hidden=rng.random() < 0.5)
+        else:
+            puzzle, _ = random_probed_puzzle(rng)
+        puzzle = PuzzleSpec(puzzle.person_names + ("Zed",),
+                            puzzle.fluent_decls, puzzle.axioms, puzzle.rounds)
+        budget = Budget(max_nodes=10_000)
+        try:
+            reused = solve_all(puzzle, budget)
+        except BudgetExceededError:
+            assume(False)
+        searched, offered = _solve_searching_every_combination(
+            monkeypatch, puzzle, budget)
+        assert reused.worlds == searched.worlds
+        assert reused.statistics.nodes == searched.statistics.nodes
+        runs.append((offered, reused.statistics.fluent_searches,
+                     searched.statistics.fluent_searches))
+
+    reuse_is_exact()
+    assert any(offered for offered, _, _ in runs)
+    assert any(reused < searched for _, reused, searched in runs)
 
 
 @given(strategies.integers(0, 2**32 - 1))
