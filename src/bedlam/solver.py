@@ -20,14 +20,24 @@ combination of those types and every other type combination with the
 same ones reuses the rows it found and counts its nodes again.  The
 search is serial and visits worlds in canonical order, so it returns
 them sorted without sorting.
+`solve_all` and `brute_force_solve` check each distinct fluent
+assignment once, where they intern it (`worlds.checked_rows`), and every
+`World` built on it checks only its types.  Both pause the cyclic garbage collector while their world list
+fills: a `World` lives as long as the result and is in no reference
+cycle, so reference counting frees it (as
+`test_found_worlds_die_with_their_result` pins), and each collection
+that ran while the list grew would only scan the worlds kept so far
+again.
 `explain_solution` decodes each utterance's fact with `Step.required`,
 the table the step checks read.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +49,7 @@ from .puzzle import PuzzleSpec, Step
 from .semantics import ALL_TYPES, Answer, ExtendedType
 from .statements import (Not, SemanticError, Statement, UNKNOWN,
                          render_statement)
-from .worlds import World
+from .worlds import World, checked_rows
 
 # Unused here; bench/tracing.py wraps the reference evaluators by these names.
 eval_closed, eval_partial = st.eval_closed, st.eval_partial
@@ -175,19 +185,51 @@ def _step_violation(step: Step, type_: ExtendedType) -> CheckResult:
     return CheckResult(False, step.round_index, step.person, message)
 
 
+class _GCPause:
+    """Holds off the cyclic garbage collector while a solve fills its
+    world list.
+
+    The collector is one per process, so one instance serves every
+    thread: the first to enter disables it, and the last to leave enables
+    it again only if it was enabled when the first entered.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+_no_gc = _GCPause()
+
+
 # --- Brute-force oracle ---
 
 def _rows(puzzle: PuzzleSpec) -> Iterator[tuple[tuple, tuple]]:
     """Every `(types, fluent_values)` pair of the world space, in
     canonical order.
 
-    Each fluent assignment is built once, so the pairs of every type
-    combination share its (immutable) rows.
+    Each fluent assignment is built and checked once, so the pairs of
+    every type combination share its (immutable) rows.
     """
-    n = len(puzzle.person_names)
-    assignments = tuple(itertools.product(*[
-        tuple(itertools.product(decl.values(), repeat=n))
-        for decl in puzzle.fluent_decls]))
+    n, decls = len(puzzle.person_names), puzzle.fluent_decls
+    assignments = [checked_rows(decls, n, values)
+                   for values in itertools.product(*[
+                       tuple(itertools.product(decl.values(), repeat=n))
+                       for decl in decls])]
     for types in itertools.product(ALL_TYPES, repeat=n):
         for values in assignments:
             yield types, values
@@ -197,7 +239,7 @@ def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
     """Every possible world, in canonical order.
 
     The worlds of every type combination share each fluent assignment's
-    rows.
+    rows, checked once.
     """
     names, decls = puzzle.person_names, puzzle.fluent_decls
     for types, values in _rows(puzzle):
@@ -210,7 +252,10 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
 
     Each row pair first runs the puzzle's compiled checks, axioms then
     steps, and a `World` is built only for a pair that passes them all;
-    `check_world` still decides every world returned.
+    `check_world` still decides every world returned.  The fluent rows
+    were checked once per assignment, by `_rows`, so a `World` checks
+    only its types.  The cyclic garbage collector is paused while the
+    list fills, as in `solve_all`.
     """
     axioms, steps = puzzle.compiled
     checks = [check for check, _, _ in axioms + steps]
@@ -226,7 +271,8 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
                 if check_world(puzzle, world):
                     yield world
 
-    return tuple(kept())
+    with _no_gc:
+        return tuple(kept())
 
 
 # --- Staged search ---
@@ -325,8 +371,8 @@ class _Analysis:
         # the search takes those types as one product.
         self.typed = max((p + 1 for p, checks in enumerate(self.decided)
                           if checks), default=0)
-        # Each fluent assignment found, once: worlds that share it share
-        # its rows.
+        # Each fluent assignment found, checked once: worlds that share it
+        # share its rows.
         self.assignments: dict[tuple, tuple] = {}
         self.keys = sorted(keys)
         self.subtrees: Optional[dict[tuple, tuple]] = (
@@ -398,15 +444,17 @@ def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None) -> SolveResul
     progress = _Progress(budget or Budget())
     analysis = _Analysis(puzzle)
     worlds: list[World] = []
-    if all(analysis.candidates):
-        types = [None] * len(puzzle.person_names)
-        values = [[UNKNOWN] * len(types) for _ in analysis.domains]
-        if any(check(types, values) is False for check in analysis.constant):
-            # Every combination is ruled out, and counts as a node.
-            progress.skip(math.prod(map(len, analysis.candidates)))
-        else:
-            _choose(analysis, progress, types, values, worlds, 0)
-        progress.check()
+    with _no_gc:
+        if all(analysis.candidates):
+            types = [None] * len(puzzle.person_names)
+            values = [[UNKNOWN] * len(types) for _ in analysis.domains]
+            if any(check(types, values) is False
+                   for check in analysis.constant):
+                # Every combination is ruled out, and counts as a node.
+                progress.skip(math.prod(map(len, analysis.candidates)))
+            else:
+                _choose(analysis, progress, types, values, worlds, 0)
+            progress.check()
     if not worlds:
         status = SolveStatus.NONE
     elif len(worlds) == 1:
@@ -481,9 +529,12 @@ def _descend(analysis: _Analysis, progress: _Progress, types, values,
     if depth == len(analysis.variables):
         puzzle = analysis.puzzle
         rows = tuple(map(tuple, values))
-        rows = analysis.assignments.setdefault(rows, rows)
+        checked = analysis.assignments.get(rows)
+        if checked is None:
+            checked = analysis.assignments[rows] = checked_rows(
+                puzzle.fluent_decls, len(puzzle.person_names), rows)
         found.append(World(puzzle.person_names, types, puzzle.fluent_decls,
-                           rows))
+                           checked))
         return
     fi, pi = analysis.variables[depth]
     row = values[fi]

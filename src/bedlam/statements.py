@@ -335,7 +335,12 @@ def decided_from(stmt: Statement, speaker: Optional[str], person_names,
                               for p in range(n)])
         return sorted(trues)[k - 1], sorted(falses)[n - k]
 
-    return slots(stmt, {})
+    try:
+        return slots(stmt, {})
+    finally:
+        # The two closures hold each other through their cells; clearing
+        # the cells leaves no cycle, so reference counting frees them.
+        del slots, quantified
 
 
 # --- Rendering ---

@@ -35,6 +35,41 @@ class FluentDecl:
         return self.values().index(value)
 
 
+class _CheckedRows(tuple):
+    """Fluent rows that `checked_rows` accepted for `decls` and `persons`."""
+
+    decls: tuple[FluentDecl, ...]
+    persons: int
+
+
+def _check_rows(decls: tuple[FluentDecl, ...], persons: int,
+                rows: tuple[tuple, ...]) -> None:
+    """Raise ValueError unless `rows` holds one row per fluent of `decls`,
+    each with a value from its domain for each of `persons` persons."""
+    if len(rows) != len(decls):
+        raise ValueError("one value tuple per declared fluent required")
+    for decl, values in zip(decls, rows):
+        if len(values) != persons:
+            raise ValueError(f"fluent '{decl.name}' must cover every person")
+        domain = decl.domain  # None means boolean
+        for v in values:
+            # Booleans match by identity: 0 == False and 1 == True.
+            if (v is not False and v is not True if domain is None
+                    else v not in domain):
+                raise ValueError(f"value {v!r} not in domain of '{decl.name}'")
+
+
+def checked_rows(decls: tuple[FluentDecl, ...], persons: int,
+                 rows: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """`rows`, checked as `World` checks its fluent rows, and marked so
+    that a `World` with the same `decls` object and person count takes
+    them without checking each value again.  The rows must be tuples."""
+    _check_rows(decls, persons, rows)
+    marked = _CheckedRows(rows)
+    marked.decls, marked.persons = decls, persons
+    return marked
+
+
 @dataclass(frozen=True)
 class World:
     """One complete candidate reality for a puzzle.
@@ -42,6 +77,15 @@ class World:
     Types are anchored at each person's first utterance in the transcript;
     fluent value tuples align with the person declaration order.  Worlds
     may share their type and fluent rows, which are immutable tuples.
+
+    Every world checks that it has one type per person, and checks its
+    fluent rows value by value unless `checked_rows` marked them for these
+    very `fluent_decls` and this many persons.  The solver and the oracle
+    check each distinct assignment once, where they intern it; rows from
+    the parser, other code or `dataclasses.replace` are checked in full.
+    A world refers to nothing that refers back to it, so reference
+    counting frees it, and solves pause the cyclic garbage collector
+    while they build their world lists.
     """
 
     person_names: tuple[str, ...]
@@ -53,17 +97,10 @@ class World:
         n = len(self.person_names)
         if len(self.types) != n:
             raise ValueError("one type per person required")
-        if len(self.fluent_values) != len(self.fluent_decls):
-            raise ValueError("one value tuple per declared fluent required")
-        for decl, values in zip(self.fluent_decls, self.fluent_values):
-            if len(values) != n:
-                raise ValueError(f"fluent '{decl.name}' must cover every person")
-            domain = decl.domain  # None means boolean
-            for v in values:
-                # Booleans match by identity: 0 == False and 1 == True.
-                if (v is not False and v is not True if domain is None
-                        else v not in domain):
-                    raise ValueError(f"value {v!r} not in domain of '{decl.name}'")
+        rows = self.fluent_values
+        if not (type(rows) is _CheckedRows and rows.persons == n
+                and rows.decls is self.fluent_decls):
+            _check_rows(self.fluent_decls, n, rows)
 
     def index_of(self, person: str) -> int:
         try:

@@ -14,7 +14,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from bedlam import fixture_path, solver, statements
+from bedlam import fixture_path, solver, statements, worlds
 from bedlam.parser import parse_puzzle_file, parse_statement, parse_world_file
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL
@@ -260,6 +260,7 @@ def test_one_spec_checks_and_solves_alike_in_two_threads():
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected, expected]
+    assert gc.isenabled()
 
 
 def test_unconstrained_world_always_checks():
@@ -398,6 +399,91 @@ def test_found_worlds_die_with_their_result():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_solve_leaves_nothing_for_the_cyclic_collector(asylum):
+    # Solves pause the collector, so a cycle a solve made would stay
+    # until some later collection.
+    asylum.compiled
+    gc.collect()
+    gc.disable()
+    try:
+        solve_all(asylum)
+        assert gc.collect() == 0
+        aborted = False
+        try:
+            solve_all(asylum, Budget(max_nodes=100))
+        except BudgetExceededError:
+            aborted = True
+        assert aborted
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_solves_pause_the_collector_and_leave_it_as_they_found_it(
+        monkeypatch, asylum):
+    seen = []
+    for name in ("_descend", "check_world"):
+        def spy(*args, original=getattr(solver, name)):
+            seen.append(gc.isenabled())
+            return original(*args)
+        monkeypatch.setattr(solver, name, spy)
+    puzzle = parse_puzzle_file("persons: Ann\nfluent f : bool\naxiom f(Ann)\n")
+
+    def abort():
+        with pytest.raises(BudgetExceededError):
+            solve_all(asylum, Budget(max_nodes=100))
+
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for solve in (lambda: solve_all(puzzle),
+                          lambda: brute_force_solve(puzzle), abort):
+                seen.clear()
+                solve()
+                assert seen and not any(seen)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+def test_each_fluent_assignment_is_checked_once(monkeypatch):
+    # Two persons and two free booleans: 16 assignments under each of 256
+    # type combinations.
+    checked = []
+
+    def spy(decls, persons, rows, original=worlds._check_rows):
+        checked.append(rows)
+        return original(decls, persons, rows)
+    monkeypatch.setattr(worlds, "_check_rows", spy)
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\nfluent g : bool\n")
+    for solve in (lambda: solve_all(puzzle).worlds,
+                  lambda: brute_force_solve(puzzle)):
+        checked.clear()
+        assert len(solve()) == 4096
+        assert len(checked) == len(set(checked)) == 16
+
+
+def test_checked_rows_hold_only_for_their_fluents_and_persons():
+    puzzle = parse_puzzle_file("persons: Ann, Beth\nfluent f : bool\n")
+    st_ = TYPES_BY_LABEL["ST"]
+    for world in (solve_all(puzzle).worlds[0],
+                  brute_force_solve(puzzle)[0]):
+        rows = world.fluent_values
+        for names, decls, message in (
+                (("Ann", "Beth"), (FluentDecl("f", ("a", "b")),),
+                 "value False not in domain of 'f'"),
+                (("Ann", "Beth"), (FluentDecl("f"), FluentDecl("g")),
+                 "one value tuple per declared fluent required"),
+                (("Ann", "Beth", "Cedric"), puzzle.fluent_decls,
+                 "fluent 'f' must cover every person")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                World(names, (st_,) * len(names), decls, rows)
+        with pytest.raises(ValueError,
+                           match="^value 0 not in domain of 'f'$"):
+            dataclasses.replace(world, fluent_values=((0, 1),))
 
 
 def test_contradictory_axioms_give_no_world():
