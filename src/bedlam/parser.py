@@ -18,13 +18,18 @@ person.  Identifiers are case-sensitive; '#' starts a comment.
 Puzzle files are line-oriented: a `persons:` line, then `fluent`,
 `axiom`, `round` and `extraction` sections.  World files carry a single
 `world:` section assigning each person a type label and fluent values.
+
+Each line is lexed in one pass, one regex match per token, after its
+comment is cut off.  A multi-line statement goes through the same lexer,
+which counts lines only in text that holds a newline.  A parsed puzzle is
+validated, which compiles each of its statements once (see `puzzle`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .extraction import Category, ExtractionConfig, ExtractionError
 from .puzzle import (PuzzleSpec, QuestionRound, StatementsRound,
@@ -45,12 +50,16 @@ FILE_KEYWORDS = frozenset({
 })
 RESERVED = STATEMENT_KEYWORDS | FILE_KEYWORDS
 
+# Skips whitespace, then captures one token; no token group matches at
+# the end of the text or at a character no token starts with.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<nat>[0-9]+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_-]*)
-  | (?P<string>"[^"]*")
-  | (?P<punct>[(){},.:=])
+    \s*
+    (?:
+        (?P<nat>[0-9]+)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_-]*)
+      | (?P<string>"[^"]*")
+      | (?P<punct>[(){},.:=])
+    )?
 """, re.VERBOSE)
 
 
@@ -65,38 +74,49 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "word" | "nat" | "string" | "punct"
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str, line_no: int = 1) -> list[Token]:
+def _tokenize(text: str, line: int = 1) -> list[Token]:
+    """The tokens of `text`, whose first line is line `line`.
+
+    One regex match per token.  Columns count from the start of the
+    token's line; only text holding a newline (a multi-line statement, or
+    a string that spans lines) counts newlines at all.
+    """
     tokens = []
-    line = line_no
-    col = 1
+    match = _TOKEN_RE.match
+    multiline = "\n" in text
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    counted = 0     # newlines before this offset are counted in `line`
+    line_start = 0  # offset of the first character of `line`
+    while True:
+        m = match(text, pos)
         kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+        start = m.end() if kind is None else m.start(kind)
+        if multiline:
+            newlines = text.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", counted, start) + 1
+            counted = start
+        if kind is None:
+            if start == len(text):
+                return tokens
+            raise ParseError(f"unexpected character {text[start]!r}",
+                             line, start - line_start + 1)
+        tokens.append(Token(kind, m.group(kind), line, start - line_start + 1))
         pos = m.end()
-    return tokens
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:  # no label, so the first '#' starts the comment
+        cut = line.find("#")
+        return line if cut < 0 else line[:cut]
     in_string = False
     for i, ch in enumerate(line):
         if ch == '"':
@@ -280,10 +300,9 @@ def parse_statement(text: str,
     against those declarations, with the first person as the speaker of
     `me`.
     """
-    clean = "\n".join(_strip_comment(line) for line in text.split("\n"))
-    tokens = _tokenize(clean)
-    lines = clean.split("\n")
-    cursor = _TokenCursor(tokens, len(lines), len(lines[-1]) + 1)
+    lines = [_strip_comment(line) for line in text.split("\n")]
+    cursor = _TokenCursor(_tokenize("\n".join(lines)), len(lines),
+                          len(lines[-1]) + 1)
     stmt = _parse_statement_tokens(cursor)
     if persons is not None or fluents is not None:
         persons = tuple(persons or ())
@@ -302,7 +321,7 @@ class _Line:
     tokens: list[Token]
 
     def cursor(self) -> _TokenCursor:
-        return _TokenCursor(list(self.tokens), self.number, len(self.text) + 1)
+        return _TokenCursor(self.tokens, self.number, len(self.text) + 1)
 
     def first_word(self) -> str:
         return self.tokens[0].text if self.tokens else ""

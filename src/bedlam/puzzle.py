@@ -1,14 +1,18 @@
 """Puzzle specifications: persons, fluents, axioms, and transcript rounds.
 
-A spec compiles itself on first use, once: `transcript` numbers every
-utterance, and `compiled` holds each axiom and utterance as a check, per
-thread.  Only here does the phase rule meet compiled code: an utterance's
-check holds it to what its speaker's type requires.  `check_world`,
-`bedlam simulate` and the solver run these checks as they are.
+A spec compiles itself once per thread: `transcript` numbers every
+utterance, and `compiled` holds each axiom and utterance as a check.  Only
+here does the phase rule meet compiled code: an utterance's check holds
+it to what its speaker's type requires.  `check_world`, `bedlam simulate`
+and the solver run these checks as they are.
 
-`validate` checks each axiom and utterance by compiling it too, so the
-compiler's name resolution is the one home of the atom rules; a question
-is compiled with its first addressed person as the speaker of `me`.
+`validate` checks each axiom, and each utterance for its own speaker, by
+compiling it, so the compiler's name resolution is the one home of the
+atom rules.  A valid spec keeps those checks for the validating
+thread's `compiled`, so a parsed puzzle is compiled once there.  Another
+thread compiles its own checks on first use.  So does a spec built in
+code and never validated, which raises the compiler's errors bare,
+without the `where` prefix that `validate` adds.
 """
 
 from __future__ import annotations
@@ -30,15 +34,16 @@ from .worlds import FluentDecl
 def validate_statement_in_context(stmt: Statement, where: str,
                                   speaker: Optional[str],
                                   person_names: tuple[str, ...],
-                                  fluent_decls: tuple[FluentDecl, ...]) -> None:
-    """Check a parsed statement against declared persons and fluents.
+                                  fluent_decls: tuple[FluentDecl, ...]) -> tuple:
+    """Check a parsed statement against declared persons and fluents, and
+    return its body's compiled `(check, reads, typed)`.
 
     The statement is compiled, with `speaker` for `me`: the compiler holds
     the atom rules, and its SemanticError gains the `where` prefix.
     """
     body, _ = st.peel_believes(stmt)  # rejects inner believes
     try:
-        st.compile_statement(body, speaker, person_names, fluent_decls)
+        return st.compile_statement(body, speaker, person_names, fluent_decls)
     except SemanticError as exc:
         raise SemanticError(f"{where}: {exc}") from None
 
@@ -88,20 +93,24 @@ class Step:
         """`required` by the speaker's (truthful_now, sane_now) at the step.
 
         The speaker's type matters only through those phases, so the step's
-        compiled check looks the answer up instead.
+        compiled check looks the answer up instead, and the phase rule is
+        asked once per pair, for one type that has it at the step.
         """
         table = {}
-        for type_ in ALL_TYPES:
+        for phases, type_ in _PHASE_TYPES[self.count % 2].items():
             target = asserted_truth(type_, self.count, self.is_belief)
-            table[type_.phases[self.count % 2]] = (
-                not target if self.answer is Answer.NO else target)
+            table[phases] = not target if self.answer is Answer.NO else target
         return table
 
 
-def _step_check(step: Step, person_names, fluent_decls) -> tuple:
+# For each ordinal parity, one type per (truthful_now, sane_now) pair.
+_PHASE_TYPES = tuple({type_.phases[parity]: type_ for type_ in ALL_TYPES}
+                     for parity in (0, 1))
+
+
+def _step_check(step: Step, compiled: tuple) -> tuple:
     """The step body's compiled triple, held to what its speaker must say."""
-    body, reads, typed = st.compile_statement(step.body, step.person,
-                                              person_names, fluent_decls)
+    body, reads, typed = compiled
     speaker, parity = step.person_index, step.count % 2
     required = step.required_by_phases
 
@@ -155,21 +164,29 @@ class PuzzleSpec:
         the speaker's type would make the utterance, UNKNOWN while the body
         is, so its `typed` includes the speaker.
 
-        Compiled on first use in each thread: a check writes its
-        quantifiers' persons into a list of its own, so two threads must
-        not run one check at once.
+        Compiled once in each thread: a check writes its quantifiers'
+        persons into a list of its own, so two threads must not run one
+        check at once.  The thread that ran `validate` takes the checks
+        validation compiled; any other compiles its own on first use.
         """
         local = self._per_thread
         try:
             return local.compiled
         except AttributeError:
             pass
-        names, decls = self.person_names, self.fluent_decls
+        try:
+            axioms, bodies = local.validated
+        except AttributeError:
+            names, decls = self.person_names, self.fluent_decls
+            axioms = [st.compile_statement(axiom, None, names, decls)
+                      for axiom in self.axioms]
+            bodies = [st.compile_statement(step.body, step.person, names,
+                                           decls)
+                      for step in self.transcript]
         local.compiled = (
-            tuple(st.compile_statement(axiom, None, names, decls)
-                  for axiom in self.axioms),
-            tuple(_step_check(step, names, decls)
-                  for step in self.transcript))
+            tuple(axioms),
+            tuple(_step_check(step, body)
+                  for step, body in zip(self.transcript, bodies)))
         return local.compiled
 
     @cached_property
@@ -187,7 +204,12 @@ class PuzzleSpec:
         return {}
 
     def validate(self) -> None:
-        """Raise SemanticError on any declaration or round inconsistency."""
+        """Raise SemanticError on any declaration or round inconsistency.
+
+        Each axiom, and each utterance for its own speaker, is compiled
+        once; a valid spec keeps those checks for this thread's `compiled`,
+        which holds the steps to their speakers only when first used.
+        """
         if len(set(self.person_names)) != len(self.person_names):
             raise SemanticError("duplicate person name")
         fluent_names = [d.name for d in self.fluent_decls]
@@ -197,14 +219,16 @@ class PuzzleSpec:
             if name in st.BUILTIN_PREDICATES:
                 raise SemanticError(
                     f"fluent '{name}' shadows a builtin predicate")
+        names, decls = self.person_names, self.fluent_decls
+        axioms, bodies = [], []
         for i, axiom in enumerate(self.axioms):
             where = f"axiom {i + 1}"
             if any(isinstance(n, Believes) for n in st.walk(axiom)):
                 raise SemanticError(f"{where}: axioms cannot contain believes")
             if st.mentions_me(axiom):
                 raise SemanticError(f"{where}: axioms have no speaker for 'me'")
-            validate_statement_in_context(axiom, where, None, self.person_names,
-                                          self.fluent_decls)
+            axioms.append(validate_statement_in_context(axiom, where, None,
+                                                        names, decls))
         for i, rnd in enumerate(self.rounds):
             where = f"round {i}"
             if isinstance(rnd, QuestionRound):
@@ -217,9 +241,12 @@ class PuzzleSpec:
                     if person not in self.person_names:
                         raise SemanticError(
                             f"{where}: unknown person '{person}'")
-                validate_statement_in_context(
-                    rnd.statement, where, next(iter(rnd.addressed), None),
-                    self.person_names, self.fluent_decls)
+                # A question put to no one is still checked, without `me`.
+                for person in rnd.addressed or (None,):
+                    compiled = validate_statement_in_context(
+                        rnd.statement, where, person, names, decls)
+                    if person is not None:
+                        bodies.append(compiled)
             else:
                 seen = set()
                 for speaker, stmt in rnd.utterances:
@@ -230,11 +257,11 @@ class PuzzleSpec:
                         raise SemanticError(
                             f"{where}: '{speaker}' speaks twice in one round")
                     seen.add(speaker)
-                    validate_statement_in_context(
-                        stmt, f"{where}, {speaker}", speaker,
-                        self.person_names, self.fluent_decls)
+                    bodies.append(validate_statement_in_context(
+                        stmt, f"{where}, {speaker}", speaker, names, decls))
         if self.extraction is not None:
             self._validate_extraction()
+        self._per_thread.validated = (axioms, bodies)
 
     def _validate_extraction(self) -> None:
         for cat in self.extraction.categories:

@@ -9,15 +9,17 @@ Evaluation is three-valued: ``eval_partial`` returns True, False, or the
 ``UNKNOWN`` sentinel, and ``eval_closed`` insists on a definite answer.
 These tree walkers are the reference; ``compile_statement`` gives the
 same answers from closures over index rows, and reports which fluent
-slots and which persons' types each check reads.  Its name resolution is
-the one set of atom rules, which ``PuzzleSpec.validate`` also runs; unlike
-the tree walker, it rejects a value outside its fluent's domain.
-``PuzzleSpec.compiled`` compiles each axiom and utterance once per puzzle
-and thread, an utterance held to what its speaker must say, for the
-solver, ``check_world`` and ``bedlam simulate``.  A compiled check is not
-safe to share between threads: it binds quantified persons in a list of
-its own.  For the solver's fluent search alone, ``decided_from`` gives the
-first fluent slots at which a check can answer True and False.
+slots and which persons' types each check reads.  It pushes ``not`` down
+to the atoms as it compiles, so a check holds no negation node.  Its name
+resolution is the one set of atom rules; unlike the tree walker, it
+rejects a value outside its fluent's domain.  ``PuzzleSpec.validate``
+compiles each axiom and utterance once, and keeps the checks as its
+thread's ``PuzzleSpec.compiled``: an utterance held to what its speaker
+must say, for the solver, ``check_world`` and ``bedlam simulate``.  Any
+other thread compiles its own on first use, because a compiled check is
+not safe to share between threads: it binds quantified persons in a list
+of its own.  For the solver's fluent search alone, ``decided_from`` gives
+the first fluent slots at which a check can answer True and False.
 """
 
 from __future__ import annotations
@@ -561,6 +563,13 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     holds each person in turn while its body, compiled once, runs.  A check
     grows with its statement only.  Running it writes `bound`, so one check
     must not run in two threads at once.
+
+    A check holds no negation node: `not` is pushed down to the atoms as
+    the statement compiles, by rules exact in Kleene logic.  De Morgan
+    swaps `and` and `or`; ``not (l implies r)`` is ``l and not r``; and
+    fewer than k of n persons making B true is at least n - k + 1 making
+    it not true, so `forall` and `exists` swap.  Each atom's closure
+    applies its own negation.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -568,24 +577,27 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     reads: set[tuple[int, int]] = set()
     typed: set[int] = set()
 
-    def compile_(node, env):
+    def compile_(node, env, negated):
         if isinstance(node, Not):
-            return _negation(compile_(node.body, env))
+            return compile_(node.body, env, not negated)
         if isinstance(node, (And, Or)):
-            items = [compile_(item, env) for item in node.items]
-            return (_every if isinstance(node, And) else _some)(items)
+            items = [compile_(item, env, negated) for item in node.items]
+            return (_some if isinstance(node, And) == negated
+                    else _every)(items)
         if isinstance(node, Implies):
-            return _some([_negation(compile_(node.left, env)),
-                          compile_(node.right, env)])
+            items = [compile_(node.left, env, not negated),
+                     compile_(node.right, env, negated)]
+            return (_every if negated else _some)(items)
         if isinstance(node, (Exists, ForAll, AtLeast)):
             slot = len(bound)
             bound.append(None)
             # Bodies under a constant count are compiled too, so that
             # `reads` and `typed` name every slot the statement mentions.
-            body = compile_(node.body, {**env, node.var: slot})
+            body = compile_(node.body, {**env, node.var: slot}, negated)
             count = (node.count if isinstance(node, AtLeast)
                      else 1 if isinstance(node, Exists) else n)
-            return _quantified(count, bound, slot, n, body)
+            return _quantified(n - count + 1 if negated else count,
+                               bound, slot, n, body)
         if isinstance(node, Believes):
             raise SemanticError("believes cannot be evaluated as a fact")
         # The atom rules, in one order: predicate and value, then term.
@@ -618,15 +630,22 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
         persons = range(n) if slot >= n else (slot,)
         if builtin:
             typed.update(persons)
-            return lambda types, values: types[bound[slot]].builtins[predicate]
+            return lambda types, values: (
+                types[bound[slot]].builtins[predicate] != negated)
         reads.update((f, p) for p in persons)
         if wanted is None:
-            return lambda types, values: values[f][bound[slot]]
+            if not negated:
+                return lambda types, values: values[f][bound[slot]]
+            wanted = False  # a boolean slot is False exactly when negated
+        elif negated:
+            return lambda types, values: (
+                UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
+                else value != wanted)
         return lambda types, values: (
             UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
             else value == wanted)
 
-    return compile_(stmt, {}), reads, typed
+    return compile_(stmt, {}, False), reads, typed
 
 
 def _index(names, name: str, what: str) -> int:
@@ -637,14 +656,20 @@ def _index(names, name: str, what: str) -> int:
         raise SemanticError(f"{what} '{name}'") from None
 
 
-def _negation(item):
-    """A check: the three-valued negation of `item`."""
-    return lambda types, values: (
-        UNKNOWN if (value := item(types, values)) is UNKNOWN else not value)
-
-
 def _some(items):
-    """A check: is some item true?  The first true item decides."""
+    """A check: is some item true?  The first true item decides.  Two
+    items, as every `implies` has, are unrolled."""
+    if len(items) == 2:
+        first, second = items
+
+        def either(types, values):
+            value = first(types, values)
+            if value is True:
+                return True
+            other = second(types, values)
+            return other if value is False or other is True else UNKNOWN
+        return either
+
     def check(types, values):
         result = False
         for item in items:
@@ -658,7 +683,19 @@ def _some(items):
 
 
 def _every(items):
-    """A check: is every item true?  The first false item decides."""
+    """A check: is every item true?  The first false item decides.  Two
+    items are unrolled."""
+    if len(items) == 2:
+        first, second = items
+
+        def both(types, values):
+            value = first(types, values)
+            if value is False:
+                return False
+            other = second(types, values)
+            return other if value is True or other is False else UNKNOWN
+        return both
+
     def check(types, values):
         result = True
         for item in items:

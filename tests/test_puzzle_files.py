@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bedlam import fixture_path
 from bedlam.cli import main
-from bedlam.parser import (ParseError, parse_puzzle_file, parse_statement,
-                           parse_world_file)
+from bedlam.parser import (ParseError, _strip_comment, _tokenize,
+                           parse_puzzle_file, parse_statement, parse_world_file)
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer
 from bedlam.solver import brute_force_solve, explain_solution, solve_all
@@ -390,6 +390,69 @@ def test_comments_and_blank_lines_ignored():
     text = "# heading\n\npersons: Ann # trailing\n\n# done\n"
     puzzle = parse_puzzle_file(text)
     assert puzzle.person_names == ("Ann",)
+
+
+# --- Lexer ---
+
+def _tokens(text, line=1):
+    return [tuple(tok) for tok in _tokenize(text, line)]
+
+
+def test_tokens_after_tabs_and_runs_of_spaces_keep_their_columns():
+    assert _tokens("persons:\tAnn,   Beth", 4) == [
+        ("word", "persons", 4, 1), ("punct", ":", 4, 8),
+        ("word", "Ann", 4, 10), ("punct", ",", 4, 13),
+        ("word", "Beth", 4, 17)]
+    with pytest.raises(ParseError) as err:
+        parse_puzzle_file("persons: Ann\n\t  \tfluent  f :\tbool oops\n")
+    assert (err.value.line, err.value.col) == (2, 22)
+    assert "unexpected text after fluent declaration" in str(err.value)
+
+
+def test_a_hash_inside_a_quoted_label_starts_no_comment():
+    line = 'round question "a # b" to all: sane(me) # "asked" twice'
+    assert _strip_comment(line) == line[:line.rindex("#")]
+    assert _tokens(_strip_comment(line), 5)[2] == ("string", '"a # b"', 5, 16)
+    puzzle = parse_puzzle_file(f"persons: Ann\n{line}\n  answers: Ann=yes\n")
+    assert puzzle.rounds[0].label == "a # b"
+
+
+def test_an_unexpected_character_after_whitespace_is_positioned_at_itself():
+    with pytest.raises(ParseError) as err:
+        _tokenize("f(x)  \t! g", 2)
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert str(err.value) == "line 2, column 8: unexpected character '!'"
+    with pytest.raises(ParseError) as err:
+        parse_puzzle_file("persons: Ann,\t  @Beth\n")
+    assert (err.value.line, err.value.col) == (1, 17)
+
+
+def test_trailing_whitespace_adds_no_token():
+    assert _tokens("sane(Ann)  \t ") == [
+        ("word", "sane", 1, 1), ("punct", "(", 1, 5),
+        ("word", "Ann", 1, 6), ("punct", ")", 1, 9)]
+    assert _tokens(" \t ") == []
+    # The end of input sits one past the line's last character.
+    with pytest.raises(ParseError) as err:
+        parse_statement("sane(Ann) and   ")
+    assert str(err.value) == "line 1, column 17: expected a statement"
+
+
+def test_multi_line_statements_count_lines_and_columns():
+    assert _tokens("a\n  b\n\tc", 5) == [
+        ("word", "a", 5, 1), ("word", "b", 6, 3), ("word", "c", 7, 2)]
+    # A label may span lines; the token after it counts from the last.
+    assert _tokens('"x\ny" z') == [("string", '"x\ny"', 1, 1),
+                                    ("word", "z", 2, 4)]
+    text = "exists x . # a comment\n  sane(x) and\n\tf(x) !"
+    with pytest.raises(ParseError) as err:
+        parse_statement(text)
+    assert (err.value.line, err.value.col) == (3, 7)
+    with pytest.raises(ParseError) as err:
+        parse_statement("exists x .\n  sane(x) and\n")
+    assert (err.value.line, err.value.col) == (3, 1)
+    assert parse_statement("sane(Ann) # c\n and sane(Beth)") == \
+        parse_statement("sane(Ann) and sane(Beth)")
 
 
 def _world_entries(asylum, skip_fluent_of=None):

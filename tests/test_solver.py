@@ -243,23 +243,34 @@ def test_one_spec_checks_and_solves_alike_in_two_threads():
 
     expected = replay(parse_puzzle_file(THREADED))
     assert expected[1] and len(expected[1]) < len(worlds)
-    shared = parse_puzzle_file(THREADED)
-    got = [None, None]
 
-    def run(i):
-        got[i] = replay(shared)
+    def replay_shared(in_this_thread):
+        """Replay one spec in two threads; `in_this_thread` makes the
+        parsing thread, which holds validation's checks, one of them."""
+        shared = parse_puzzle_file(THREADED)
+        got = [None, None]
+
+        def run(i):
+            got[i] = replay(shared)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(in_this_thread, 2)]
+        for thread in threads:
+            thread.start()
+        if in_this_thread:
+            run(0)
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        return got
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        for in_this_thread in (False, True):
+            assert replay_shared(in_this_thread) == [expected, expected]
     finally:
         sys.setswitchinterval(interval)
-    assert got == [expected, expected]
     assert gc.isenabled()
 
 
@@ -336,6 +347,26 @@ def test_fixture_check_runs_are_pinned(monkeypatch, asylum_text):
     statistics = solve_all(parse_puzzle_file(asylum_text)).statistics
     assert statistics.nodes == 3798
     assert sum(calls.values()) == 6195
+
+
+def test_parsing_and_solving_compile_each_statement_once(monkeypatch,
+                                                        asylum_text):
+    # Validation compiles each axiom, and each utterance for its own
+    # speaker, and a solve in the parsing thread runs those checks: 7
+    # axioms and 54 utterances, none compiled twice.
+    speakers = []
+    compile_statement = statements.compile_statement
+
+    def counting(stmt, speaker, *args):
+        speakers.append(speaker)
+        return compile_statement(stmt, speaker, *args)
+
+    monkeypatch.setattr(statements, "compile_statement", counting)
+    puzzle = parse_puzzle_file(asylum_text)
+    solve_all(puzzle)
+    assert len(speakers) == 61
+    assert speakers == [None] * len(puzzle.axioms) + [
+        step.person for step in puzzle.transcript]
 
 
 # Digest of repr([(nodes, status, [sort_key of each world]), ...]) over

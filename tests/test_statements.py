@@ -330,26 +330,69 @@ def test_decided_from_analyses_a_closed_quantifier_once():
         assert false == 3
 
 
-@pytest.mark.parametrize("text", SHADOWED)
-def test_shadowed_variables_compile_as_the_tree_walker_reads_them(text):
-    # Every two-person world, each fluent slot False, True or UNKNOWN.
-    persons, decls = ("Ann", "Beth"), (FluentDecl("f"), FluentDecl("g"))
+def _walk_every_two_person_world(text, decls, types=ALL_TYPES) -> set:
+    """Compile `text` for two persons and run it on every world over
+    `types`, each fluent slot one of its values or UNKNOWN.  The check
+    must be `eval_partial` on rows with an UNKNOWN slot and `eval_closed`
+    on full rows.  Returns the values seen."""
+    persons = ("Ann", "Beth")
     stmt = parse_statement(text, persons, decls)
     check, _, _ = compile_statement(stmt, None, persons, decls)
-    slots = [(f, p) for f in range(2) for p in range(2)]
+    slots = [(f, p) for f in range(len(decls)) for p in range(2)]
     seen = set()
-    for types in itertools.product(ALL_TYPES, repeat=2):
-        for cells in itertools.product((False, True, UNKNOWN), repeat=4):
-            values = [list(cells[:2]), list(cells[2:])]
-            world = World(persons, types, decls, tuple(
-                tuple(False if v is UNKNOWN else v for v in row)
-                for row in values))
+    for pair in itertools.product(types, repeat=2):
+        for cells in itertools.product(
+                *[decls[f].values() + (UNKNOWN,) for f, _ in slots]):
+            values = [list(cells[2 * f:2 * f + 2]) for f in range(len(decls))]
+            world = World(persons, pair, decls, tuple(
+                tuple(decl.values()[0] if v is UNKNOWN else v for v in row)
+                for decl, row in zip(decls, values)))
             hidden = [(decls[f].name, persons[p]) for (f, p), v
                       in zip(slots, cells) if v is UNKNOWN]
-            expected = eval_partial(_HiddenSlots(world, hidden), stmt)
-            assert check(types, values) is expected
+            expected = (eval_partial(_HiddenSlots(world, hidden), stmt)
+                        if hidden else eval_closed(world, stmt))
+            assert check(pair, values) is expected
             seen.add(expected)
-    assert seen == {True, False, UNKNOWN}
+    return seen
+
+
+@pytest.mark.parametrize("text", SHADOWED)
+def test_shadowed_variables_compile_as_the_tree_walker_reads_them(text):
+    decls = (FluentDecl("f"), FluentDecl("g"))
+    assert _walk_every_two_person_world(text, decls) == {True, False, UNKNOWN}
+
+
+# A check reads a type only through its builtins: one type per row of them.
+BUILTIN_CLASSES = tuple({tuple(t.builtins.values()): t
+                         for t in ALL_TYPES}.values())
+NEGATION_DECLS = (FluentDecl("f"), FluentDecl("mood", ("calm", "wild")))
+ALL_VALUES = {True, False, UNKNOWN}
+
+
+@pytest.mark.parametrize("text, seen", [
+    # `not atleast k` of two persons, for k = 0, 1, n and n + 1.
+    ("not atleast 0 x . f(x)", {False}),
+    ("not atleast 1 x . f(x) or doctor(x)", ALL_VALUES),
+    ("not atleast 2 x . mood(x, calm) implies f(x)", ALL_VALUES),
+    ("not atleast 3 x . f(x)", {True}),
+    ("not forall x . f(x) and not sane(x)", ALL_VALUES),
+    ("not exists x . mood(x, wild) or liar(x)", ALL_VALUES),
+    ("not (f(Ann) implies mood(Beth, calm))", ALL_VALUES),
+    ("not (f(Ann) implies f(Beth) implies not doctor(Ann))", ALL_VALUES),
+    # Nested negated quantifiers, one of them shadowing.
+    ("not exists x . not forall y . f(y) implies not mood(x, calm)",
+     ALL_VALUES),
+    ("not forall x . not atleast 2 y . f(x) or mood(y, calm)", ALL_VALUES),
+    ("not exists x . (not forall x . f(x)) and not mood(x, calm)",
+     ALL_VALUES),
+    # Negated categorical and builtin atoms.
+    ("not mood(Ann, calm) and not doctor(Beth)", ALL_VALUES),
+    ("not not mood(Beth, wild) or not partial(Ann)", ALL_VALUES),
+])
+def test_negations_compile_as_the_tree_walker_reads_them(text, seen):
+    # `not` is pushed down to the atoms as a statement compiles.
+    assert _walk_every_two_person_world(text, NEGATION_DECLS,
+                                        BUILTIN_CLASSES) == seen
 
 
 def test_compile_errors_are_the_tree_walkers():
