@@ -3,31 +3,37 @@
 `check_world` replays a puzzle's transcript against one candidate world
 and is the single source of truth for consistency.
 `brute_force_solve` filters it over the full cartesian world space and
-serves as the checking oracle for small puzzles.  It runs the compiled
-checks on each row pair first and builds a `World` only for a pair that
-passes them; every world it returns passes `check_world`.  `solve_all`
-must agree with the oracle wherever the space is enumerable.  Both run
-the checks `PuzzleSpec.compiled` holds as they are; the search gets
-there faster in three stages: each person's type candidates are pruned
-against what that person says about themselves; persons are then typed
-one by one, and each fluent-free check runs once the last type it reads
-is set, so a failure skips every combination under that prefix; finally
-fluent values are backtracked over, and each fluent check runs at the
-slots it reads from the first at which it can be False
-(`statements.decided_from`), since only False prunes.  That fluent
-search reads the types of its checks' persons only, so it runs once per
-combination of those types and every other type combination with the
-same ones reuses the rows it found and counts its nodes again.  The
-search is serial and visits worlds in canonical order, so it returns
+serves as the checking oracle for small puzzles.  Its loop stays one
+flat product, type combinations and under each every fluent assignment,
+but each compiled check runs at the outermost level whose rows it reads:
+once per fluent assignment if it reads no type, once per type
+combination if it reads no fluent slot, else once per pair.  By the
+`reads` and `typed` laws, a check run there answers as it would on every
+pair below, so no world is skipped that a run per pair would keep.  A
+`World` is built only for a pair that passes them all, and `check_world`
+still decides it, so every world returned is one that `check_world`
+accepts.  `solve_all` must agree with the oracle wherever the space is
+enumerable.  Both run the checks `PuzzleSpec.compiled` holds as they
+are; the search gets there faster in three stages: each person's type
+candidates are pruned against what that person says about themselves;
+persons are then typed one by one, and each fluent-free check runs once
+the last type it reads is set, so a failure skips every combination
+under that prefix; finally fluent values are backtracked over, and each
+fluent check runs at the slots it reads from the first at which it can
+be False (`statements.decided_from`), since only False prunes.  That
+fluent search reads the types of its checks' persons only, so it runs
+once per combination of those types and every other type combination
+with the same ones reuses the rows it found and counts its nodes again.
+The search is serial and visits worlds in canonical order, so it returns
 them sorted without sorting.
 `solve_all` and `brute_force_solve` check each distinct fluent
 assignment once, where they intern it (`worlds.checked_rows`), and every
-`World` built on it checks only its types.  Both pause the cyclic garbage collector while their world list
-fills: a `World` lives as long as the result and is in no reference
-cycle, so reference counting frees it (as
-`test_found_worlds_die_with_their_result` pins), and each collection
-that ran while the list grew would only scan the worlds kept so far
-again.
+`World` built on it checks only its types.  Both pause the cyclic
+garbage collector while their world list fills: a `World` lives as long
+as the result and is in no reference cycle, so reference counting frees
+it (as `test_found_worlds_die_with_their_result` pins), and each
+collection that ran while the list grew would only scan the worlds kept
+so far again.
 `explain_solution` decodes each utterance's fact with `Step.required`,
 the table the step checks read.
 """
@@ -218,59 +224,77 @@ _no_gc = _GCPause()
 
 # --- Brute-force oracle ---
 
-def _rows(puzzle: PuzzleSpec) -> Iterator[tuple[tuple, tuple]]:
-    """Every `(types, fluent_values)` pair of the world space, in
-    canonical order.
-
-    Each fluent assignment is built and checked once, so the pairs of
-    every type combination share its (immutable) rows.
-    """
+def _assignments(puzzle: PuzzleSpec) -> list[tuple[tuple, ...]]:
+    """Every fluent assignment, in canonical order, each built and checked
+    once (`worlds.checked_rows`), so the worlds of every type combination
+    share its rows."""
     n, decls = len(puzzle.person_names), puzzle.fluent_decls
-    assignments = [checked_rows(decls, n, values)
-                   for values in itertools.product(*[
-                       tuple(itertools.product(decl.values(), repeat=n))
-                       for decl in decls])]
-    for types in itertools.product(ALL_TYPES, repeat=n):
-        for values in assignments:
-            yield types, values
+    return [checked_rows(decls, n, values)
+            for values in itertools.product(*[
+                tuple(itertools.product(decl.values(), repeat=n))
+                for decl in decls])]
 
 
 def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
-    """Every possible world, in canonical order.
-
-    The worlds of every type combination share each fluent assignment's
-    rows, checked once.
-    """
+    """Every possible world, in canonical order: type combinations, and
+    under each every fluent assignment."""
     names, decls = puzzle.person_names, puzzle.fluent_decls
-    for types, values in _rows(puzzle):
-        yield World(names, types, decls, values)
+    assignments = _assignments(puzzle)
+    for types in itertools.product(ALL_TYPES, repeat=len(names)):
+        for values in assignments:
+            yield World(names, types, decls, values)
 
 
 def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
     """The worlds of `enumerate_worlds` that `check_world` accepts, in
     its order.  Only viable when the space is small.
 
-    Each row pair first runs the puzzle's compiled checks, axioms then
-    steps, and a `World` is built only for a pair that passes them all;
-    `check_world` still decides every world returned.  The fluent rows
-    were checked once per assignment, by `_rows`, so a `World` checks
-    only its types.  The cyclic garbage collector is paused while the
-    list fills, as in `solve_all`.
+    The loop stays `enumerate_worlds`' flat product, and each compiled
+    check runs at the outermost level whose rows it reads, by the
+    `reads` and `typed` that `PuzzleSpec.compiled` reports:
+    - one that reads no type (only an axiom can: a step reads its
+      speaker's) filters the fluent assignments once, before the loop;
+    - one that reads no fluent slot runs once per type combination, on
+      its first assignment, and a failure skips the combination;
+    - every other runs on each (types, assignment) pair.
+    A check run at an outer level answers as it would on every pair
+    below it, since it reads nothing that the inner loops change, so it
+    skips only worlds that `check_world` rejects.  A `World` is built
+    only for a pair that passes every check, and `check_world`, the one
+    definition of consistency, still decides it: a world returned is one
+    it accepted.  The cyclic garbage collector is paused while the list
+    fills, as in `solve_all`.
     """
-    axioms, steps = puzzle.compiled
-    checks = [check for check, _, _ in axioms + steps]
     names, decls = puzzle.person_names, puzzle.fluent_decls
+    axioms, steps = puzzle.compiled
+    assignments = _assignments(puzzle)
+    some_types = (ALL_TYPES[0],) * len(names)
+    per_types, per_pair = [], []
+    for check, reads, typed in axioms + steps:
+        if not typed:
+            assignments = [values for values in assignments
+                           if check(some_types, values)]
+        elif reads:
+            per_pair.append(check)
+        else:
+            per_types.append(check)
 
     def kept() -> Iterator[World]:
-        for types, values in _rows(puzzle):
-            for check in checks:
-                if not check(types, values):
-                    break
-            else:
-                world = World(names, types, decls, values)
-                if check_world(puzzle, world):
-                    yield world
+        first = assignments[0]
+        for types in itertools.product(ALL_TYPES, repeat=len(names)):
+            if not all(check(types, first) for check in per_types):
+                continue
+            for values in assignments:
+                for check in per_pair:
+                    if not check(types, values):
+                        break
+                else:
+                    world = World(names, types, decls, values)
+                    if check_world(puzzle, world):
+                        yield world
 
+    if not assignments:
+        return ()
     with _no_gc:
         return tuple(kept())
 

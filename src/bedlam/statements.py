@@ -169,39 +169,54 @@ def peel_believes(stmt: Statement) -> tuple[Statement, bool]:
     while isinstance(stmt, Believes):
         is_belief = True
         stmt = stmt.body
-    _reject_inner_believes(stmt, ())
+    _reject_inner_believes(stmt)
     return stmt, is_belief
 
 
-def _reject_inner_believes(stmt: Statement, path: tuple[str, ...]) -> None:
-    for label, child in _children(stmt):
+def _reject_inner_believes(stmt: Statement) -> None:
+    path = _inner_believes_path(stmt)
+    if path is not None:
+        raise SemanticError("believes may only appear as the outermost node",
+                            path)
+
+
+def _inner_believes_path(stmt: Statement) -> Optional[tuple[str, ...]]:
+    """The labels down to the first `Believes` below `stmt`, in preorder,
+    or None.  Labels are built only on the way back up from one, so a
+    statement without one costs no label."""
+    for i, child in enumerate(_children(stmt)):
         if isinstance(child, Believes):
-            raise SemanticError(
-                "believes may only appear as the outermost node",
-                path + (label,))
-        _reject_inner_believes(child, path + (label,))
+            return (_child_label(stmt, i),)
+        path = _inner_believes_path(child)
+        if path is not None:
+            return (_child_label(stmt, i),) + path
+    return None
 
 
-def _children(stmt: Statement):
-    if isinstance(stmt, Not):
-        yield "not", stmt.body
-    elif isinstance(stmt, (And, Or)):
-        word = "and" if isinstance(stmt, And) else "or"
-        for i, item in enumerate(stmt.items):
-            yield f"{word}[{i}]", item
-    elif isinstance(stmt, Implies):
-        yield "implies.left", stmt.left
-        yield "implies.right", stmt.right
-    elif isinstance(stmt, (Exists, ForAll, AtLeast)):
-        yield "body", stmt.body
-    elif isinstance(stmt, Believes):
-        yield "believes", stmt.body
+def _children(stmt: Statement) -> tuple[Statement, ...]:
+    if isinstance(stmt, Atom):
+        return ()
+    if isinstance(stmt, (And, Or)):
+        return stmt.items
+    if isinstance(stmt, Implies):
+        return stmt.left, stmt.right
+    return (stmt.body,)  # not, a quantifier or believes
+
+
+def _child_label(stmt: Statement, i: int) -> str:
+    """How an error path names child `i` of `stmt`, which is no
+    `Believes`."""
+    if isinstance(stmt, (And, Or)):
+        return f"{'and' if isinstance(stmt, And) else 'or'}[{i}]"
+    if isinstance(stmt, Implies):
+        return ("implies.left", "implies.right")[i]
+    return "not" if isinstance(stmt, Not) else "body"
 
 
 def walk(stmt: Statement):
     """Yield every node of the statement tree, preorder."""
     yield stmt
-    for _, child in _children(stmt):
+    for child in _children(stmt):
         yield from walk(child)
 
 
@@ -375,7 +390,7 @@ def render_statement(stmt: Statement) -> str:
     if isinstance(stmt, Believes):
         body, _ = peel_believes(stmt)
         return f"believes({_render(body, 0)})"
-    _reject_inner_believes(stmt, ())
+    _reject_inner_believes(stmt)
     return _render(stmt, 0)
 
 

@@ -6,13 +6,14 @@ import itertools
 import random
 from collections import Counter
 
-from bedlam.puzzle import QuestionRound, StatementsRound
+from bedlam.parser import parse_puzzle_file, parse_statement
+from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
 from bedlam.solver import (CheckResult, SolveStatus, brute_force_solve,
                            check_world, enumerate_worlds, solve_all)
 from bedlam.statements import (Atom, Believes, Not, Person, Statement,
                                eval_closed, render_statement)
-from bedlam.worlds import World
+from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_categorical_statement,
                      random_categorical_trio, random_probed_puzzle,
                      random_puzzle, random_world)
@@ -54,6 +55,33 @@ def test_oracle_is_the_check_world_filter_over_the_space():
     assert "atleast" in labels
     assert any(step.is_belief for puzzle in puzzles
                for step in puzzle.transcript)
+
+
+def test_oracle_is_the_check_world_filter_at_each_loop_levels_edges():
+    # A check that reads no type filters the fluent assignments before
+    # the type loop, and one that reads no fluent slot runs once per type
+    # combination: each edge where a level keeps nothing, or has a single
+    # empty row, must still give the filter's worlds.
+    head = "persons: Ann, Beth\nfluent f : bool\n"
+    nobody = PuzzleSpec((), (FluentDecl("f"),),
+                        (parse_statement("atleast 0 x . f(x)"),), ())
+    cases = (
+        # A type-free axiom rules out every assignment.
+        (parse_puzzle_file(head + "axiom f(Ann) and not f(Ann)\n"), 0),
+        # Fluent-free checks rule out every type combination: the axiom
+        # keeps Ann's sane truth-teller, and her step rules that out.
+        (parse_puzzle_file(head + "axiom truthteller(Ann) and doctor(Ann)\n"
+                           "round statements:\n  Ann: patient(me)\n"), 0),
+        # No fluent: one empty assignment per type combination.
+        (parse_puzzle_file("persons: Ann, Beth\n"
+                           "round statements:\n  Ann: doctor(Beth)\n"), 128),
+        # No person: one empty type combination, one assignment.
+        (nobody, 1))
+    for puzzle, kept in cases:
+        expected = tuple(world for world in enumerate_worlds(puzzle)
+                         if check_world(puzzle, world))
+        assert len(expected) == kept
+        assert brute_force_solve(puzzle) == expected
 
 
 def test_hidden_world_is_always_found():

@@ -24,8 +24,8 @@ from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
 from bedlam.statements import (Atom, Not, Person, SemanticError, UNKNOWN,
                                decided_from, eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
-from support import (random_categorical_puzzle, random_probed_puzzle,
-                     random_puzzle)
+from support import (random_categorical_puzzle, random_categorical_trio,
+                     random_probed_puzzle, random_puzzle, random_world)
 
 EXPECTED_TYPES = {
     "Ann": "PiAl", "Beth": "DL", "Cedric": "SAl", "David": "PsL",
@@ -181,6 +181,65 @@ def test_oracle_builds_and_checks_only_the_worlds_it_keeps(monkeypatch):
         counts.update(built=0, checked=0)
         assert len(brute_force_solve(puzzle)) == kept
         assert counts == {"built": kept, "checked": kept}
+
+
+def test_oracle_runs_each_check_once_per_loop_level_it_reads(monkeypatch):
+    # 256 type combinations times 4 fluent assignments.  A check that
+    # reads no type runs once per assignment, one that reads no fluent
+    # slot once per type combination, and either runs once more inside
+    # check_world per world kept; run on every pair, each made 1,536.
+    calls = _count_check_runs(monkeypatch)
+    head = "persons: Ann, Beth\nfluent f : bool\n"
+    for text, speaker, runs in (
+            (head + "axiom f(Ann)\n", None, 4 + 512),
+            (head + "round statements:\n  Ann: doctor(Beth)\n", "Ann",
+             256 + 512)):
+        puzzle = parse_puzzle_file(text)
+        calls.clear()
+        kept = brute_force_solve(puzzle)
+        assert len(kept) == 512
+        assert calls == {speaker: runs}
+        assert kept == tuple(world for world in enumerate_worlds(puzzle)
+                             if check_world(puzzle, world))
+
+
+@given(strategies.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_compiled_checks_read_only_the_rows_they_report(seed):
+    # The oracle runs a check that reads no type once per fluent
+    # assignment, and one that reads no fluent slot once per type
+    # combination, so on full rows no type outside a compiled triple's
+    # `typed`, and no slot outside its `reads`, may change it.  Step
+    # checks are held to their speaker's type by `puzzle._step_check`,
+    # which must add the speaker to `typed`.
+    rng = random.Random(seed)
+    generator = rng.randrange(4)
+    if generator == 0:
+        puzzle = random_puzzle(rng)
+    elif generator == 1:
+        puzzle = random_categorical_puzzle(rng, hidden=rng.random() < 0.5)
+    elif generator == 2:
+        puzzle = random_categorical_trio(rng, hidden=rng.random() < 0.5)
+    else:
+        puzzle, _ = random_probed_puzzle(rng)
+    persons, decls = puzzle.person_names, puzzle.fluent_decls
+    world = random_world(rng, persons, decls)
+    types, values = world.types, world.fluent_values
+    axioms, steps = puzzle.compiled
+    for check, reads, typed in axioms + steps:
+        expected = check(types, values)
+        for p in set(range(len(persons))) - typed:
+            for t in ALL_TYPES:
+                assert check(types[:p] + (t,) + types[p + 1:],
+                             values) is expected
+        for f, decl in enumerate(decls):
+            for p in range(len(persons)):
+                if (f, p) in reads:
+                    continue
+                for value in decl.values():
+                    changed = [list(row) for row in values]
+                    changed[f][p] = value
+                    assert check(types, changed) is expected
 
 
 def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
