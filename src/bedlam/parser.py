@@ -21,8 +21,8 @@ Puzzle files are line-oriented: a `persons:` line, then `fluent`,
 
 Each line is lexed in one pass, one regex match per token, after its
 comment is cut off.  A multi-line statement goes through the same lexer,
-which counts lines only in text that holds a newline.  A parsed puzzle is
-validated, which compiles each of its statements once (see `puzzle`).
+which counts lines only in text that holds a newline.  A parsed puzzle's
+rounds are checked, peeled and compiled in one walk (see `puzzle`).
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .extraction import Category, ExtractionConfig, ExtractionError
-from .puzzle import (PuzzleSpec, QuestionRound, StatementsRound,
-                     validate_statement_in_context)
+from .puzzle import PuzzleSpec, QuestionRound, StatementsRound, _compile_where
 from .semantics import Answer, type_from_label
 from .statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
-                         Implies, ME, Not, Or, Person, Statement, Var)
+                         Implies, ME, Not, Or, Person, Statement, Var,
+                         peel_believes)
 from .worlds import FluentDecl, World
 
 STATEMENT_KEYWORDS = frozenset({
@@ -306,9 +306,9 @@ def parse_statement(text: str,
     stmt = _parse_statement_tokens(cursor)
     if persons is not None or fluents is not None:
         persons = tuple(persons or ())
-        validate_statement_in_context(
-            stmt, "statement", persons[0] if persons else None,
-            persons, tuple(fluents or ()))
+        body, _ = peel_believes(stmt)
+        _compile_where(body, "statement", persons[0] if persons else None,
+                       persons, tuple(fluents or ()))
     return stmt
 
 

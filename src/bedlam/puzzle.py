@@ -1,17 +1,15 @@
 """Puzzle specifications: persons, fluents, axioms, and transcript rounds.
 
-A spec compiles itself once per thread: `transcript` numbers every
-utterance, and `compiled` holds each axiom and utterance as a check.  Only
-here does the phase rule meet compiled code: an utterance's check holds
-it to what its speaker's type requires.  `check_world`, `bedlam simulate`
-and the solver run these checks as they are.
-
-`validate` checks each axiom, and each utterance for its own speaker, by
-compiling it, so the compiler's name resolution is the one home of the
-atom rules.  A valid spec keeps those checks for the validating
-thread's `compiled`, so a parsed puzzle is compiled once there.  Another
-thread compiles its own checks on first use.  So does a spec built in
-code and never validated, which raises the compiler's errors bare,
+`transcript` is the one walk of the rounds: in reading order it checks
+each round's persons and peels, compiles and numbers each utterance for
+its speaker, so a spec built in code gets the parser's round checks.
+`compiled` holds each axiom and utterance as a check.  Only here does the
+phase rule meet compiled code: an utterance's check holds it to what its
+speaker's type requires.  `check_world`, `bedlam simulate` and the solver
+run these checks as they are.  A check is not safe to share between
+threads, so only the thread that walked the transcript, or ran
+`validate`, reuses the checks it compiled; any other compiles its own.
+An axiom of a spec never validated raises the compiler's error bare,
 without the `where` prefix that `validate` adds.
 """
 
@@ -31,17 +29,11 @@ from .statements import (Believes, SemanticError, Statement, UNKNOWN,
 from .worlds import FluentDecl
 
 
-def validate_statement_in_context(stmt: Statement, where: str,
-                                  speaker: Optional[str],
-                                  person_names: tuple[str, ...],
-                                  fluent_decls: tuple[FluentDecl, ...]) -> tuple:
-    """Check a parsed statement against declared persons and fluents, and
-    return its body's compiled `(check, reads, typed)`.
-
-    The statement is compiled, with `speaker` for `me`: the compiler holds
-    the atom rules, and its SemanticError gains the `where` prefix.
-    """
-    body, _ = st.peel_believes(stmt)  # rejects inner believes
+def _compile_where(body: Statement, where: str, speaker: Optional[str],
+                   person_names: tuple[str, ...],
+                   fluent_decls: tuple[FluentDecl, ...]) -> tuple:
+    """`compile_statement`'s `(check, reads, typed)` for a peeled body,
+    with `speaker` for `me`; its SemanticError gains the `where` prefix."""
     try:
         return st.compile_statement(body, speaker, person_names, fluent_decls)
     except SemanticError as exc:
@@ -73,7 +65,7 @@ Round = Union[QuestionRound, StatementsRound]
 
 @dataclass(frozen=True)
 class Step:
-    """One utterance of the transcript, compiled for replay."""
+    """One utterance of the transcript, peeled and numbered for its speaker."""
 
     round_index: int
     person: str
@@ -133,27 +125,59 @@ class PuzzleSpec:
 
     @cached_property
     def transcript(self) -> tuple[Step, ...]:
-        """Every utterance in round order, numbered per speaker.
+        """Every utterance in reading order, numbered per speaker.
 
-        Compiled once per spec: the brute-force oracle replays one puzzle
-        against every world of its space.
+        The one walk of the rounds: a round's persons are checked, then
+        each utterance is peeled, compiled for its speaker (kept for this
+        thread's `compiled`) and numbered before the next is checked.  A
+        question is peeled once for all it is put to.
         """
-        index = {name: k for k, name in enumerate(self.person_names)}
-        counts = [0] * len(self.person_names)
-        steps = []
+        names, decls = self.person_names, self.fluent_decls
+        index = {name: k for k, name in enumerate(names)}
+        counts = [0] * len(names)
+        steps, bodies = [], []
+
+        def say(ri, person, body, is_belief, answer, label, where):
+            bodies.append(_compile_where(body, where, person, names, decls))
+            pi = index[person]
+            steps.append(Step(ri, person, pi, counts[pi], body, is_belief,
+                              answer, label))
+            counts[pi] += 1
+
         for ri, rnd in enumerate(self.rounds):
+            where = f"round {ri}"
             if isinstance(rnd, QuestionRound):
-                said = [(person, rnd.statement, answer, rnd.label)
-                        for person, answer in zip(rnd.addressed, rnd.answers)]
+                if len(rnd.answers) != len(rnd.addressed):
+                    raise SemanticError(
+                        f"{where}: answers must cover exactly the addressed persons")
+                if len(set(rnd.addressed)) != len(rnd.addressed):
+                    raise SemanticError(f"{where}: person addressed twice")
+                for person in rnd.addressed:
+                    if person not in index:
+                        raise SemanticError(
+                            f"{where}: unknown person '{person}'")
+                body, is_belief = st.peel_believes(rnd.statement)
+                if not rnd.addressed:
+                    # A question put to no one is still checked, without `me`.
+                    _compile_where(body, where, None, names, decls)
+                for person, answer in zip(rnd.addressed, rnd.answers):
+                    say(ri, person, body, is_belief, answer, rnd.label, where)
             else:
-                said = [(person, stmt, None, render_statement(stmt))
-                        for person, stmt in rnd.utterances]
-            for person, stmt, answer, label in said:
-                pi = index[person]
-                body, is_belief = st.peel_believes(stmt)
-                steps.append(Step(ri, person, pi, counts[pi], body,
-                                  is_belief, answer, label))
-                counts[pi] += 1
+                seen = set()
+                for speaker, stmt in rnd.utterances:
+                    if speaker not in index:
+                        raise SemanticError(
+                            f"{where}: unknown speaker '{speaker}'")
+                    if speaker in seen:
+                        raise SemanticError(
+                            f"{where}: '{speaker}' speaks twice in one round")
+                    seen.add(speaker)
+                    body, is_belief = st.peel_believes(stmt)
+                    label = render_statement(body)
+                    say(ri, speaker, body, is_belief, None,
+                        f"believes({label})" if is_belief else label,
+                        f"{where}, {speaker}")
+        self._per_thread.bodies = bodies
         return tuple(steps)
 
     @property
@@ -166,27 +190,27 @@ class PuzzleSpec:
 
         Compiled once in each thread: a check writes its quantifiers'
         persons into a list of its own, so two threads must not run one
-        check at once.  The thread that ran `validate` takes the checks
-        validation compiled; any other compiles its own on first use.
+        check at once.  The thread that walked `transcript` takes the
+        bodies that walk compiled, and the thread that ran `validate` the
+        axioms it compiled; any other compiles its own on first use.
         """
         local = self._per_thread
         try:
             return local.compiled
         except AttributeError:
             pass
-        try:
-            axioms, bodies = local.validated
-        except AttributeError:
-            names, decls = self.person_names, self.fluent_decls
-            axioms = [st.compile_statement(axiom, None, names, decls)
-                      for axiom in self.axioms]
-            bodies = [st.compile_statement(step.body, step.person, names,
-                                           decls)
-                      for step in self.transcript]
+        names, decls = self.person_names, self.fluent_decls
+        axioms = getattr(local, "axioms", None) or [
+            st.compile_statement(axiom, None, names, decls)
+            for axiom in self.axioms]
+        steps = self.transcript
+        bodies = getattr(local, "bodies", None) or [
+            st.compile_statement(step.body, step.person, names, decls)
+            for step in steps]
         local.compiled = (
             tuple(axioms),
             tuple(_step_check(step, body)
-                  for step, body in zip(self.transcript, bodies)))
+                  for step, body in zip(steps, bodies)))
         return local.compiled
 
     @cached_property
@@ -204,11 +228,12 @@ class PuzzleSpec:
         return {}
 
     def validate(self) -> None:
-        """Raise SemanticError on any declaration or round inconsistency.
+        """Raise SemanticError on the first declaration, axiom, round or
+        extraction inconsistency, in reading order.
 
-        Each axiom, and each utterance for its own speaker, is compiled
-        once; a valid spec keeps those checks for this thread's `compiled`,
-        which holds the steps to their speakers only when first used.
+        Each axiom is compiled once here, and this thread's `compiled`
+        keeps those checks; the rounds are checked, and their utterances
+        compiled, by `transcript`'s walk.
         """
         if len(set(self.person_names)) != len(self.person_names):
             raise SemanticError("duplicate person name")
@@ -220,48 +245,18 @@ class PuzzleSpec:
                 raise SemanticError(
                     f"fluent '{name}' shadows a builtin predicate")
         names, decls = self.person_names, self.fluent_decls
-        axioms, bodies = [], []
+        axioms = []
         for i, axiom in enumerate(self.axioms):
             where = f"axiom {i + 1}"
             if any(isinstance(n, Believes) for n in st.walk(axiom)):
                 raise SemanticError(f"{where}: axioms cannot contain believes")
             if st.mentions_me(axiom):
                 raise SemanticError(f"{where}: axioms have no speaker for 'me'")
-            axioms.append(validate_statement_in_context(axiom, where, None,
-                                                        names, decls))
-        for i, rnd in enumerate(self.rounds):
-            where = f"round {i}"
-            if isinstance(rnd, QuestionRound):
-                if len(rnd.answers) != len(rnd.addressed):
-                    raise SemanticError(
-                        f"{where}: answers must cover exactly the addressed persons")
-                if len(set(rnd.addressed)) != len(rnd.addressed):
-                    raise SemanticError(f"{where}: person addressed twice")
-                for person in rnd.addressed:
-                    if person not in self.person_names:
-                        raise SemanticError(
-                            f"{where}: unknown person '{person}'")
-                # A question put to no one is still checked, without `me`.
-                for person in rnd.addressed or (None,):
-                    compiled = validate_statement_in_context(
-                        rnd.statement, where, person, names, decls)
-                    if person is not None:
-                        bodies.append(compiled)
-            else:
-                seen = set()
-                for speaker, stmt in rnd.utterances:
-                    if speaker not in self.person_names:
-                        raise SemanticError(
-                            f"{where}: unknown speaker '{speaker}'")
-                    if speaker in seen:
-                        raise SemanticError(
-                            f"{where}: '{speaker}' speaks twice in one round")
-                    seen.add(speaker)
-                    bodies.append(validate_statement_in_context(
-                        stmt, f"{where}, {speaker}", speaker, names, decls))
+            axioms.append(_compile_where(axiom, where, None, names, decls))
+        self.transcript  # checks the rounds and compiles their utterances
         if self.extraction is not None:
             self._validate_extraction()
-        self._per_thread.validated = (axioms, bodies)
+        self._per_thread.axioms = axioms
 
     def _validate_extraction(self) -> None:
         for cat in self.extraction.categories:

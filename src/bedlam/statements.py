@@ -13,12 +13,12 @@ slots and which persons' types each check reads.  It pushes ``not`` down
 to the atoms as it compiles, so a check holds no negation node.  Its name
 resolution is the one set of atom rules; unlike the tree walker, it
 rejects a value outside its fluent's domain.  ``PuzzleSpec.validate``
-compiles each axiom and utterance once, and keeps the checks as its
-thread's ``PuzzleSpec.compiled``: an utterance held to what its speaker
-must say, for the solver, ``check_world`` and ``bedlam simulate``.  Any
-other thread compiles its own on first use, because a compiled check is
-not safe to share between threads: it binds quantified persons in a list
-of its own.  For the solver's fluent search alone, ``decided_from`` gives
+compiles each axiom once, and the walk of ``PuzzleSpec.transcript`` each
+utterance once; that thread's ``PuzzleSpec.compiled`` keeps the checks,
+an utterance held to what its speaker must say, for the solver,
+``check_world`` and ``bedlam simulate``.  Any other thread compiles its
+own on first use, because a compiled check is not safe to share between
+threads: it binds quantified persons in a list of its own.  For the solver's fluent search alone, ``decided_from`` gives
 the first fluent slots at which a check can answer True and False.
 """
 

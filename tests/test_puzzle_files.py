@@ -250,6 +250,24 @@ def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_specs_built_in_code_get_the_round_checks():
+    # The transcript walk checks each round's persons, so a spec that was
+    # never validated fails its first solve with validate's error instead
+    # of a KeyError, or a solve that drops the unanswered persons.
+    said = parse_statement("patient(me)")
+    for rounds, message in (
+            ((StatementsRound((("Zed", said),)),),
+             "round 0: unknown speaker 'Zed'"),
+            ((QuestionRound("q", said, ("Ann",), ()),),
+             "round 0: answers must cover exactly the addressed persons"),
+            ((StatementsRound((("Ann", said), ("Ann", said))),),
+             "round 0: 'Ann' speaks twice in one round")):
+        for run in (solve_all, PuzzleSpec.validate):
+            spec = PuzzleSpec(("Ann",), (), (), rounds)
+            with pytest.raises(SemanticError, match=f"^{message}$"):
+                run(spec)
+
+
 TWO = "persons: Ann, Beth\n"
 ASK_ANN = 'round question "q" to {to}: patient(me)\n  answers: {answers}\n'
 
@@ -275,10 +293,18 @@ ASK_ANN = 'round question "q" to {to}: patient(me)\n  answers: {answers}\n'
      "world entries begin on the following lines"),
     (TWO, "world:\n  Ann: ST\n  Ann: SL\n  Beth: ST\n", ParseError, (3, 3),
      "duplicate entry for 'Ann'"),
+    # Two faults each: the first in reading order is reported, because an
+    # utterance is compiled before the next speaker is checked.
+    (TWO + "round statements:\n  Ann: guilty(me)\n  Zed: patient(me)\n",
+     None, SemanticError, None, "round 0, Ann: undeclared predicate 'guilty'"),
+    (TWO + ASK_ANN.format(to="Ann", answers="Ann=yes").replace(
+        "patient", "guilty") + "round statements:\n  Zed: patient(me)\n",
+     None, SemanticError, None, "round 0: undeclared predicate 'guilty'"),
 ], ids=["duplicate-fluent", "builtin-fluent", "addressed-twice",
         "unknown-addressee", "speaks-twice", "duplicate-extraction",
         "statement-on-header", "duplicate-answer", "entry-on-header",
-        "duplicate-entry"])
+        "duplicate-entry", "fault-before-unknown-speaker",
+        "fault-a-round-before-unknown-speaker"])
 def test_input_errors_have_their_type_text_and_position(
         puzzle, world, error, position, message, tmp_path, capsys):
     if position is not None:

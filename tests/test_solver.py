@@ -293,6 +293,9 @@ def test_one_spec_checks_and_solves_alike_in_two_threads():
     # Compiled quantifiers write their persons into a list of their own,
     # so two threads sharing one spec must not share its compiled checks.
     # A tiny switch interval makes the threads interleave inside them.
+    # The thread that walks a transcript keeps the step checks that walk
+    # compiled: the parsing thread for a parsed spec, and a worker for a
+    # copy never validated, whose transcript is first walked there.
     worlds = list(enumerate_worlds(parse_puzzle_file(THREADED)))
 
     def replay(puzzle):
@@ -303,10 +306,9 @@ def test_one_spec_checks_and_solves_alike_in_two_threads():
     expected = replay(parse_puzzle_file(THREADED))
     assert expected[1] and len(expected[1]) < len(worlds)
 
-    def replay_shared(in_this_thread):
-        """Replay one spec in two threads; `in_this_thread` makes the
-        parsing thread, which holds validation's checks, one of them."""
-        shared = parse_puzzle_file(THREADED)
+    def replay_shared(shared, in_this_thread):
+        """Replay one spec in two threads; `in_this_thread` makes this
+        thread, which holds a parsed spec's checks, one of them."""
         got = [None, None]
 
         def run(i):
@@ -323,11 +325,17 @@ def test_one_spec_checks_and_solves_alike_in_two_threads():
             assert not thread.is_alive()
         return got
 
+    parsed = parse_puzzle_file(THREADED)
+    unvalidated = PuzzleSpec(parsed.person_names, parsed.fluent_decls,
+                             parsed.axioms, parsed.rounds)
+    inputs = ((parse_puzzle_file(THREADED), False),
+              (parse_puzzle_file(THREADED), True), (unvalidated, False))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for in_this_thread in (False, True):
-            assert replay_shared(in_this_thread) == [expected, expected]
+        for shared, in_this_thread in inputs:
+            assert replay_shared(shared, in_this_thread) == [expected,
+                                                             expected]
     finally:
         sys.setswitchinterval(interval)
     assert gc.isenabled()
@@ -426,6 +434,28 @@ def test_parsing_and_solving_compile_each_statement_once(monkeypatch,
     assert len(speakers) == 61
     assert speakers == [None] * len(puzzle.axioms) + [
         step.person for step in puzzle.transcript]
+
+
+def test_parsing_and_solving_peel_each_uttered_statement_once(monkeypatch,
+                                                             asylum_text):
+    # The transcript walk peels each volunteered statement once, and each
+    # question once for all it is put to: 27 statements and 3 questions.
+    peeled = []
+    peel_believes = statements.peel_believes
+
+    def counting(stmt):
+        peeled.append(stmt)
+        return peel_believes(stmt)
+
+    monkeypatch.setattr(statements, "peel_believes", counting)
+    puzzle = parse_puzzle_file(asylum_text)
+    puzzle.compiled
+    solve_all(puzzle)
+    assert len(peeled) == 30
+    assert peeled == [
+        stmt for rnd in puzzle.rounds
+        for stmt in ([rnd.statement] if isinstance(rnd, QuestionRound)
+                     else [stmt for _, stmt in rnd.utterances])]
 
 
 # Digest of repr([(nodes, status, [sort_key of each world]), ...]) over
