@@ -24,8 +24,7 @@ from . import statements as st
 from .extraction import (ExtractionConfig, SANITY_CATEGORY,
                          TRUTHFULNESS_CATEGORY)
 from .semantics import ALL_TYPES, Answer, ExtendedType, asserted_truth
-from .statements import (Believes, SemanticError, Statement, UNKNOWN,
-                         render_statement)
+from .statements import Believes, SemanticError, Statement, UNKNOWN
 from .worlds import FluentDecl
 
 
@@ -173,9 +172,8 @@ class PuzzleSpec:
                             f"{where}: '{speaker}' speaks twice in one round")
                     seen.add(speaker)
                     body, is_belief = st.peel_believes(stmt)
-                    label = render_statement(body)
                     say(ri, speaker, body, is_belief, None,
-                        f"believes({label})" if is_belief else label,
+                        st.render_peeled(body, is_belief),
                         f"{where}, {speaker}")
         self._per_thread.bodies = bodies
         return tuple(steps)

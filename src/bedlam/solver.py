@@ -1,39 +1,34 @@
 """World enumeration: consistency checking, staged search, derivations.
 
-`check_world` replays a puzzle's transcript against one candidate world
-and is the single source of truth for consistency.
-`brute_force_solve` filters it over the full cartesian world space and
-serves as the checking oracle for small puzzles.  Its loop stays one
-flat product, type combinations and under each every fluent assignment,
-but each compiled check runs at the outermost level whose rows it reads:
-once per fluent assignment if it reads no type, once per type
-combination if it reads no fluent slot, else once per pair.  By the
-`reads` and `typed` laws, a check run there answers as it would on every
-pair below, so no world is skipped that a run per pair would keep.  A
-`World` is built only for a pair that passes them all, and `check_world`
-still decides it, so every world returned is one that `check_world`
-accepts.  `solve_all` must agree with the oracle wherever the space is
-enumerable.  Both run the checks `PuzzleSpec.compiled` holds as they
-are; the search gets there faster in three stages: each person's type
-candidates are pruned against what that person says about themselves;
-persons are then typed one by one, and each fluent-free check runs once
-the last type it reads is set, so a failure skips every combination
-under that prefix; finally fluent values are backtracked over, and each
-fluent check runs at the slots it reads from the first at which it can
-be False (`statements.decided_from`), since only False prunes.  That
-fluent search reads the types of its checks' persons only, so it runs
-once per combination of those types and every other type combination
-with the same ones reuses the rows it found and counts its nodes again.
-The search is serial and visits worlds in canonical order, so it returns
-them sorted without sorting.
-`solve_all` and `brute_force_solve` check each distinct fluent
-assignment once, where they intern it (`worlds.checked_rows`), and every
-`World` built on it checks only its types.  Both pause the cyclic
-garbage collector while their world list fills: a `World` lives as long
-as the result and is in no reference cycle, so reference counting frees
-it (as `test_found_worlds_die_with_their_result` pins), and each
-collection that ran while the list grew would only scan the worlds kept
-so far again.
+`check_world` replays a puzzle's transcript against one world and is the
+single definition of consistency.  Every path runs the checks
+`PuzzleSpec.compiled` holds, as they are.
+
+`brute_force_solve`, the oracle for small puzzles, is `check_world`
+filtered over the whole world space.  Its loop stays one flat product in
+canonical order, but each check runs at the outermost level whose rows
+it reads (by the `reads` and `typed` laws), and a `World` is built, and
+decided by `check_world`, only where every check passed.
+
+`solve_all` must agree with the oracle wherever the space is enumerable.
+One `_Search` holds a solve and gets there in three stages: each
+person's type candidates are pruned by what that person says about
+themselves; persons are typed one by one, each fluent-free check running
+once the last type it reads is set, so a failure skips every combination
+under that prefix; then fluent values are backtracked over, each fluent
+check watched from the first slot at which it can be False
+(`decided_from`), since only False prunes.  That fluent search reads only
+its checks' persons' types, so it runs once per combination of those,
+and the other type combinations reuse its rows and count its nodes
+again.  It visits worlds in canonical order, so they come out sorted.
+
+Both solvers check each distinct fluent assignment once, where they
+intern it (`worlds.checked_rows`), and pause the cyclic garbage
+collector while their world list fills: a `World` is in no reference
+cycle, so reference counting frees it (as
+`test_found_worlds_die_with_their_result` pins), and a collection while
+the list grew would only scan the kept worlds again.
+
 `explain_solution` decodes each utterance's fact with `Step.required`,
 the table the step checks read.
 """
@@ -53,8 +48,9 @@ from . import statements as st
 from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
 from .puzzle import PuzzleSpec, Step
 from .semantics import ALL_TYPES, Answer, ExtendedType
-from .statements import (Not, SemanticError, Statement, UNKNOWN,
-                         render_statement)
+from .statements import (And, AtLeast, Atom, BUILTIN_PREDICATES, Exists,
+                         Implies, Me, Not, Or, SemanticError, Statement,
+                         UNKNOWN, Var, render_statement, walk)
 from .worlds import World, checked_rows
 
 # Unused here; bench/tracing.py wraps the reference evaluators by these names.
@@ -301,41 +297,69 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
 
 # --- Staged search ---
 
-class _Analysis:
-    """Per-puzzle precomputation shared by the whole search.
+def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None) -> SolveResult:
+    """All worlds consistent with the puzzle, canonically ordered.
+
+    The search is serial: type candidates follow `ALL_TYPES` order and
+    fluent variables run fluent-major, person-minor, so worlds come out in
+    `World.sort_key` order without a sort.  Exceeding the budget raises
+    BudgetExceededError; it never truncates silently.
+    """
+    search = _Search(puzzle, budget or Budget())
+    worlds = search.run()
+    if not worlds:
+        status = SolveStatus.NONE
+    elif len(worlds) == 1:
+        status = SolveStatus.UNIQUE
+    else:
+        status = SolveStatus.MULTIPLE
+    report = _build_report(puzzle, worlds[0]) if status is SolveStatus.UNIQUE else None
+    return SolveResult(status, tuple(worlds), report, search.statistics())
+
+
+class _Search:
+    """One solve: the puzzle's checks, filed where each is decided, the
+    rows they run on, the worlds found and the node and time budget.
 
     The search runs three stages, each check at the first point where it
     is decided.  Type-local steps, which read only their speaker's type,
     leave each person p the `candidates[p]` they allow.  The other steps
-    and the axioms run as the puzzle's compiled checks over the search's
-    `types` and `values` rows, filed by the fluent slots and types that
+    and the axioms run as the puzzle's compiled checks over the `types`
+    and `values` rows, filed by the fluent slots and types that
     `PuzzleSpec.compiled` reports they read.  Those that read no fluent
     slot are fluent-free: `decided[p]` holds those whose last type read is
     person p's, run as soon as types up to p are set; one that skips an
     earlier person runs once per combination of the types it reads.
     `constant` holds those that read no type at all, run once per solve.
     `watchers[v]` holds the checks that read fluent slot v and can be
-    False once slots up to v are set, by `statements.decided_from`'s
-    read-once law: each runs whenever such a slot is assigned, so it
-    still runs at the last slot it reads, and no run it skips could have
-    pruned.
+    False once slots up to v are set, by `decided_from`'s read-once law:
+    each runs whenever such a slot is assigned, so it still runs at the
+    last slot it reads, and no run it skips could have pruned.
 
-    Only the watched checks run in the fluent search, so on any type
-    combination it finds the same rows, in the same order, over the same
-    nodes as on any other that gives the `keys` persons, those whose
-    types the watched checks read, the same types.  `subtrees` maps those
-    types to what the search found, `(rows, nodes)`.  It is None, and
-    each combination is searched, when there is no fluent slot to search
-    or every person outside `keys` keeps one candidate, so no two
-    combinations share those types.
+    Once every person is typed, `combination` holds the types and the
+    fluent search runs on it.  Only the watched checks run there, so on
+    any type combination it finds the same rows, in the same order, over
+    the same nodes as on any other that gives the `keys` persons, those
+    whose types the watched checks read, the same types.  `subtrees` maps
+    the indices of those types to what the search found, `(rows, nodes)`.
+    It is None, and each combination is searched, when there is no fluent
+    slot to search or every person outside `keys` keeps one candidate, so
+    no two combinations share those types.
+
+    `nodes` counts as `SolveStatistics.nodes` says, and the budget is
+    enforced every 2,048 nodes.  `statistics()` reports the search so far,
+    to the result and to a budget abort alike.
     """
 
-    def __init__(self, puzzle: PuzzleSpec):
-        self.puzzle = puzzle
+    _CHECK_EVERY = 2048
+
+    def __init__(self, puzzle: PuzzleSpec, budget: Budget):
+        self.started = time.perf_counter()
+        self.puzzle, self.budget = puzzle, budget
         names = puzzle.person_names
         self.domains = [d.values() for d in puzzle.fluent_decls]
         # Search variables: one per (fluent, person), declaration order,
-        # so (f, p) is slot f * n + p, as `statements.decided_from` counts.
+        # so (f, p) is slot f * n + p, as `decided_from` counts.
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
         decls = puzzle.fluent_decls
@@ -357,7 +381,7 @@ class _Analysis:
         keys: set[int] = set()
         for (check, reads, typed), stmt, speaker in checks:
             if reads:
-                true, false = st.decided_from(stmt, speaker, names, decls)
+                true, false = decided_from(stmt, speaker, names, decls)
                 # An utterance fails once its body is definite and
                 # disagrees with what its speaker must say.
                 start = false if speaker is None else min(true, false)
@@ -395,14 +419,138 @@ class _Analysis:
         # the search takes those types as one product.
         self.typed = max((p + 1 for p, checks in enumerate(self.decided)
                           if checks), default=0)
-        # Each fluent assignment found, checked once: worlds that share it
-        # share its rows.
-        self.assignments: dict[tuple, tuple] = {}
         self.keys = sorted(keys)
         self.subtrees: Optional[dict[tuple, tuple]] = (
             {} if self.variables and any(
                 len(kept) > 1 for p, kept in enumerate(self.candidates)
                 if p not in keys) else None)
+        # Each fluent assignment found, checked once: worlds that share it
+        # share its rows.
+        self.assignments: dict[tuple, tuple] = {}
+        self.types = [None] * len(names)
+        self.values = [[UNKNOWN] * len(names) for _ in self.domains]
+        self.combination: tuple = ()
+        self.found: list[World] = []
+        self.nodes = self.searches = 0
+
+    def run(self) -> list[World]:
+        """Every consistent world, in `World.sort_key` order."""
+        with _no_gc:
+            if all(self.candidates):
+                if any(check(self.types, self.values) is False
+                       for check in self.constant):
+                    # Every combination is ruled out, and counts as a node.
+                    self.skip(math.prod(map(len, self.candidates)))
+                else:
+                    self._choose(0)
+                self.check()
+        return self.found
+
+    def _choose(self, p: int) -> None:
+        """Type persons from `p` on, skipping each prefix a check rules out.
+
+        Every complete type combination counts as one node, whether it is
+        searched or skipped with its prefix.
+        """
+        types = self.types
+        if p == self.typed:
+            # One product for the rest: recursing to the last person instead
+            # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.
+            prefix = tuple(types[:p])
+            search = (self._search if self.subtrees is None
+                      else self._search_once)
+            for rest in itertools.product(*self.candidates[p:]):
+                self.tick()
+                self.combination = prefix + rest
+                search()
+            return
+        values, checks, below = self.values, self.decided[p], self.below[p]
+        for t in self.candidates[p]:
+            types[p] = t
+            for check in checks:
+                if check(types, values) is False:
+                    self.skip(below)
+                    break
+            else:
+                self._choose(p + 1)
+
+    def _search_once(self) -> None:
+        """`_search`, once per combination of the key persons' types: a
+        combination whose key persons' types were searched before takes
+        the rows found then, and counts their nodes again."""
+        combination = self.combination
+        key = tuple([combination[k].index for k in self.keys])
+        subtree = self.subtrees.get(key)
+        if subtree is None:
+            nodes, first = self.nodes, len(self.found)
+            self._search()
+            self.subtrees[key] = (
+                [world.fluent_values for world in self.found[first:]],
+                self.nodes - nodes)
+            return
+        rows, nodes = subtree
+        self.skip(nodes)
+        puzzle = self.puzzle
+        self.found.extend([World(puzzle.person_names, combination,
+                                 puzzle.fluent_decls, row) for row in rows])
+
+    def _search(self) -> None:
+        """The fluent search of `combination`, from its root."""
+        self.searches += 1
+        self._descend(0)
+
+    def _descend(self, depth: int) -> None:
+        """Assign variables from `depth` on, keeping worlds that pass."""
+        types, values = self.combination, self.values
+        if depth == len(self.variables):
+            puzzle = self.puzzle
+            rows = tuple(map(tuple, values))
+            checked = self.assignments.get(rows)
+            if checked is None:
+                checked = self.assignments[rows] = checked_rows(
+                    puzzle.fluent_decls, len(puzzle.person_names), rows)
+            self.found.append(World(puzzle.person_names, types,
+                                    puzzle.fluent_decls, checked))
+            return
+        fi, pi = self.variables[depth]
+        row = values[fi]
+        watchers = self.watchers[depth]
+        for value in self.domains[fi]:
+            self.tick()
+            row[pi] = value
+            for check in watchers:
+                if check(types, values) is False:
+                    break
+            else:
+                self._descend(depth + 1)
+        row[pi] = UNKNOWN
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.nodes % self._CHECK_EVERY == 0:
+            self.check()
+
+    def skip(self, count: int) -> None:
+        """Count `count` nodes at once, as that many ticks would."""
+        before = self.nodes
+        self.nodes += count
+        if before // self._CHECK_EVERY != self.nodes // self._CHECK_EVERY:
+            self.check()
+
+    def check(self) -> None:
+        """Raise BudgetExceededError once a limit is passed."""
+        if self.nodes > self.budget.max_nodes:
+            limit = f"node budget of {self.budget.max_nodes}"
+        elif time.perf_counter() - self.started > self.budget.max_seconds:
+            limit = f"time budget of {self.budget.max_seconds}s"
+        else:
+            return
+        raise BudgetExceededError(f"{limit} exceeded", self.statistics())
+
+    def statistics(self) -> SolveStatistics:
+        return SolveStatistics(
+            nodes=self.nodes, elapsed=time.perf_counter() - self.started,
+            worlds_found=len(self.found), fluent_searches=self.searches)
 
 
 def _memoized(check, persons: list[int]):
@@ -418,160 +566,88 @@ def _memoized(check, persons: list[int]):
     return check_once
 
 
-class _Progress:
-    """Node counter that enforces the budget every 2,048 nodes."""
+def decided_from(stmt: Statement, speaker: Optional[str], person_names,
+                 fluent_decls) -> tuple[float, float]:
+    """The first fluent slots at which the statement's check can be True,
+    and False.
 
-    _CHECK_EVERY = 2048
+    The solver sets every type first, then fluent slot ``f * n + p``, which
+    holds `values[f][p]`, in increasing order.  The read-once law: on any
+    types and any row that sets only slots before the slot given for a
+    value, leaving the rest UNKNOWN, the compiled check never answers that
+    value.  -1 means it may answer it once the types are set, before any
+    slot is, so the law asks nothing there; `math.inf` means never.
 
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.started = time.perf_counter()
-        self.nodes = 0
-        self.searches = 0
+    Each node gets its two slots as Kleene evaluation decides them.  A
+    fluent atom is decided at its own slot, a builtin at -1; `not` swaps
+    the two; `and` is True at its items' latest True slot and False at
+    their earliest False slot, `or` the dual, `implies` as
+    ``or(not l, r)``; at least k of n persons is True at the k-th earliest
+    True slot of its bodies and False at the (n - k + 1)-th earliest False
+    one.  The slots are exact when no two atoms read one slot or type, and
+    never late.
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes % self._CHECK_EVERY == 0:
-            self.check()
-
-    def skip(self, count: int) -> None:
-        """Count `count` nodes at once, as that many ticks would."""
-        before = self.nodes
-        self.nodes += count
-        if before // self._CHECK_EVERY != self.nodes // self._CHECK_EVERY:
-            self.check()
-
-    def check(self) -> None:
-        if self.nodes > self.budget.max_nodes:
-            limit = f"node budget of {self.budget.max_nodes}"
-        elif self.elapsed() > self.budget.max_seconds:
-            limit = f"time budget of {self.budget.max_seconds}s"
-        else:
-            return
-        raise BudgetExceededError(
-            f"{limit} exceeded",
-            SolveStatistics(nodes=self.nodes, elapsed=self.elapsed(),
-                            fluent_searches=self.searches))
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.started
-
-
-def solve_all(puzzle: PuzzleSpec, budget: Optional[Budget] = None) -> SolveResult:
-    """All worlds consistent with the puzzle, canonically ordered.
-
-    The search is serial: type candidates follow `ALL_TYPES` order and
-    fluent variables run fluent-major, person-minor, so worlds come out in
-    `World.sort_key` order without a sort.  Exceeding the budget raises
-    BudgetExceededError; it never truncates silently.
+    A quantifier's slots are memoized on the persons bound to the variables
+    it reads, so a closed one is analysed once, whatever binds around it.
+    The statement must compile.
     """
-    progress = _Progress(budget or Budget())
-    analysis = _Analysis(puzzle)
-    worlds: list[World] = []
-    with _no_gc:
-        if all(analysis.candidates):
-            types = [None] * len(puzzle.person_names)
-            values = [[UNKNOWN] * len(types) for _ in analysis.domains]
-            if any(check(types, values) is False
-                   for check in analysis.constant):
-                # Every combination is ruled out, and counts as a node.
-                progress.skip(math.prod(map(len, analysis.candidates)))
-            else:
-                _choose(analysis, progress, types, values, worlds, 0)
-            progress.check()
-    if not worlds:
-        status = SolveStatus.NONE
-    elif len(worlds) == 1:
-        status = SolveStatus.UNIQUE
-    else:
-        status = SolveStatus.MULTIPLE
-    report = _build_report(puzzle, worlds[0]) if status is SolveStatus.UNIQUE else None
-    stats = SolveStatistics(
-        nodes=progress.nodes, elapsed=progress.elapsed(),
-        worlds_found=len(worlds), fluent_searches=progress.searches)
-    return SolveResult(status, tuple(worlds), report, stats)
+    n = len(person_names)
+    fluent_names = [decl.name for decl in fluent_decls]
+    variables: dict[int, tuple[str, ...]] = {}  # those each node reads
+    memo: dict[tuple, tuple[float, float]] = {}
 
+    def slots(node, env) -> tuple[float, float]:
+        """(first slot True, first slot False) of `node` under `env`."""
+        if isinstance(node, Atom):
+            if node.predicate in BUILTIN_PREDICATES:
+                return -1, -1
+            term = node.term
+            slot = fluent_names.index(node.predicate) * n + (
+                env[term.name] if isinstance(term, Var)
+                else person_names.index(speaker if isinstance(term, Me)
+                                        else term.name))
+            return slot, slot
+        if isinstance(node, Not):
+            true, false = slots(node.body, env)
+            return false, true
+        if isinstance(node, (And, Or)):
+            trues, falses = zip(*[slots(item, env) for item in node.items])
+            if isinstance(node, And):
+                return max(trues), min(falses)
+            return min(trues), max(falses)
+        if isinstance(node, Implies):
+            left_true, left_false = slots(node.left, env)
+            right_true, right_false = slots(node.right, env)
+            return min(left_false, right_true), max(left_true, right_false)
+        # Only a quantifier rebinds, so only its slots are memoized.
+        names = variables.get(id(node))
+        if names is None:
+            names = variables[id(node)] = tuple(sorted({
+                sub.term.name for sub in walk(node)
+                if isinstance(sub, Atom) and isinstance(sub.term, Var)}))
+        key = (id(node), *[env.get(name) for name in names])
+        known = memo.get(key)
+        if known is None:
+            known = memo[key] = quantified(node, env)
+        return known
 
-def _choose(analysis: _Analysis, progress: _Progress, types, values,
-            found: list[World], p: int) -> None:
-    """Type persons from `p` on, skipping each prefix a check rules out.
+    def quantified(node, env) -> tuple[float, float]:
+        k = (node.count if isinstance(node, AtLeast)
+             else 1 if isinstance(node, Exists) else n)
+        if k <= 0:
+            return -1, math.inf
+        if k > n:
+            return math.inf, -1
+        trues, falses = zip(*[slots(node.body, {**env, node.var: p})
+                              for p in range(n)])
+        return sorted(trues)[k - 1], sorted(falses)[n - k]
 
-    Every complete type combination counts as one node, whether it is
-    searched or skipped with its prefix.
-    """
-    if p == analysis.typed:
-        # One product for the rest: recursing to the last person instead
-        # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.
-        prefix = tuple(types[:p])
-        combinations = itertools.product(*analysis.candidates[p:])
-        if analysis.subtrees is None:
-            for rest in combinations:
-                progress.tick()
-                progress.searches += 1
-                _descend(analysis, progress, prefix + rest, values, found, 0)
-        else:
-            for rest in combinations:
-                progress.tick()
-                _search_once(analysis, progress, prefix + rest, values, found)
-        return
-    checks, below = analysis.decided[p], analysis.below[p]
-    for t in analysis.candidates[p]:
-        types[p] = t
-        for check in checks:
-            if check(types, values) is False:
-                progress.skip(below)
-                break
-        else:
-            _choose(analysis, progress, types, values, found, p + 1)
-
-
-def _search_once(analysis: _Analysis, progress: _Progress, types, values,
-                 found: list[World]) -> None:
-    """`_descend` from the root, once per combination of the key persons'
-    types: a type combination whose key persons' types were searched
-    before takes the rows found then, and counts their nodes again."""
-    key = tuple([types[k] for k in analysis.keys])
-    subtree = analysis.subtrees.get(key)
-    if subtree is None:
-        nodes, first = progress.nodes, len(found)
-        progress.searches += 1
-        _descend(analysis, progress, types, values, found, 0)
-        analysis.subtrees[key] = (
-            [world.fluent_values for world in found[first:]],
-            progress.nodes - nodes)
-        return
-    rows, nodes = subtree
-    progress.skip(nodes)
-    puzzle = analysis.puzzle
-    found.extend([World(puzzle.person_names, types, puzzle.fluent_decls, row)
-                  for row in rows])
-
-
-def _descend(analysis: _Analysis, progress: _Progress, types, values,
-             found: list[World], depth: int) -> None:
-    """Assign variables from `depth` on, keeping worlds that pass."""
-    if depth == len(analysis.variables):
-        puzzle = analysis.puzzle
-        rows = tuple(map(tuple, values))
-        checked = analysis.assignments.get(rows)
-        if checked is None:
-            checked = analysis.assignments[rows] = checked_rows(
-                puzzle.fluent_decls, len(puzzle.person_names), rows)
-        found.append(World(puzzle.person_names, types, puzzle.fluent_decls,
-                           checked))
-        return
-    fi, pi = analysis.variables[depth]
-    row = values[fi]
-    watchers = analysis.watchers[depth]
-    for value in analysis.domains[fi]:
-        progress.tick()
-        row[pi] = value
-        for check in watchers:
-            if check(types, values) is False:
-                break
-        else:
-            _descend(analysis, progress, types, values, found, depth + 1)
-    row[pi] = UNKNOWN
+    try:
+        return slots(stmt, {})
+    finally:
+        # The two closures hold each other through their cells; clearing
+        # the cells leaves no cycle, so reference counting frees them.
+        del slots, quantified
 
 
 def _build_report(puzzle: PuzzleSpec,

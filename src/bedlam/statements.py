@@ -18,13 +18,11 @@ utterance once; that thread's ``PuzzleSpec.compiled`` keeps the checks,
 an utterance held to what its speaker must say, for the solver,
 ``check_world`` and ``bedlam simulate``.  Any other thread compiles its
 own on first use, because a compiled check is not safe to share between
-threads: it binds quantified persons in a list of its own.  For the solver's fluent search alone, ``decided_from`` gives
-the first fluent slots at which a check can answer True and False.
+threads: it binds quantified persons in a list of its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -276,90 +274,6 @@ def is_type_local(stmt: Statement, speaker: str) -> bool:
     return True
 
 
-def decided_from(stmt: Statement, speaker: Optional[str], person_names,
-                 fluent_decls) -> tuple[float, float]:
-    """The first fluent slots at which the statement's check can be True,
-    and False.
-
-    The solver sets every type first, then fluent slot ``f * n + p``, which
-    holds `values[f][p]`, in increasing order.  The read-once law: on any
-    types and any row that sets only slots before the slot given for a
-    value, leaving the rest UNKNOWN, the compiled check never answers that
-    value.  -1 means it may answer it once the types are set, before any
-    slot is, so the law asks nothing there; `math.inf` means never.
-
-    Each node gets its two slots as Kleene evaluation decides them.  A
-    fluent atom is decided at its own slot, a builtin at -1; `not` swaps
-    the two; `and` is True at its items' latest True slot and False at
-    their earliest False slot, `or` the dual, `implies` as
-    ``or(not l, r)``; at least k of n persons is True at the k-th earliest
-    True slot of its bodies and False at the (n - k + 1)-th earliest False
-    one.  The slots are exact when no two atoms read one slot or type, and
-    never late.
-
-    A quantifier's slots are memoized on the persons bound to the variables
-    it reads, so a closed one is analysed once, whatever binds around it.
-    The statement must compile.
-    """
-    n = len(person_names)
-    fluent_names = [decl.name for decl in fluent_decls]
-    variables: dict[int, tuple[str, ...]] = {}  # those each node reads
-    memo: dict[tuple, tuple[float, float]] = {}
-
-    def slots(node, env) -> tuple[float, float]:
-        """(first slot True, first slot False) of `node` under `env`."""
-        if isinstance(node, Atom):
-            if node.predicate in BUILTIN_PREDICATES:
-                return -1, -1
-            term = node.term
-            slot = fluent_names.index(node.predicate) * n + (
-                env[term.name] if isinstance(term, Var)
-                else person_names.index(speaker if isinstance(term, Me)
-                                        else term.name))
-            return slot, slot
-        if isinstance(node, Not):
-            true, false = slots(node.body, env)
-            return false, true
-        if isinstance(node, (And, Or)):
-            trues, falses = zip(*[slots(item, env) for item in node.items])
-            if isinstance(node, And):
-                return max(trues), min(falses)
-            return min(trues), max(falses)
-        if isinstance(node, Implies):
-            left_true, left_false = slots(node.left, env)
-            right_true, right_false = slots(node.right, env)
-            return min(left_false, right_true), max(left_true, right_false)
-        # Only a quantifier rebinds, so only its slots are memoized.
-        names = variables.get(id(node))
-        if names is None:
-            names = variables[id(node)] = tuple(sorted({
-                sub.term.name for sub in walk(node)
-                if isinstance(sub, Atom) and isinstance(sub.term, Var)}))
-        key = (id(node), *[env.get(name) for name in names])
-        known = memo.get(key)
-        if known is None:
-            known = memo[key] = quantified(node, env)
-        return known
-
-    def quantified(node, env) -> tuple[float, float]:
-        k = (node.count if isinstance(node, AtLeast)
-             else 1 if isinstance(node, Exists) else n)
-        if k <= 0:
-            return -1, math.inf
-        if k > n:
-            return math.inf, -1
-        trues, falses = zip(*[slots(node.body, {**env, node.var: p})
-                              for p in range(n)])
-        return sorted(trues)[k - 1], sorted(falses)[n - k]
-
-    try:
-        return slots(stmt, {})
-    finally:
-        # The two closures hold each other through their cells; clearing
-        # the cells leaves no cycle, so reference counting frees them.
-        del slots, quantified
-
-
 # --- Rendering ---
 
 # Higher binds tighter; quantifiers extend to the end of their context.
@@ -387,11 +301,14 @@ def _level(stmt: Statement) -> int:
 
 def render_statement(stmt: Statement) -> str:
     """Canonical text form; parsing it back yields an equal AST."""
-    if isinstance(stmt, Believes):
-        body, _ = peel_believes(stmt)
-        return f"believes({_render(body, 0)})"
-    _reject_inner_believes(stmt)
-    return _render(stmt, 0)
+    return render_peeled(*peel_believes(stmt))
+
+
+def render_peeled(body: Statement, is_belief: bool) -> str:
+    """`render_statement` of what `peel_believes` split, without walking
+    the body for a `believes` again."""
+    text = _render(body, 0)
+    return f"believes({text})" if is_belief else text
 
 
 def render_term(term: Term) -> str:

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from bedlam import fixture_path, statements
+from bedlam import fixture_path, solver
 from bedlam.cli import cli, main
 from bedlam.parser import parse_puzzle_file
 from bedlam.semantics import Answer
@@ -177,7 +177,7 @@ def test_only_solve_runs_the_watch_analysis(runner, monkeypatch):
     def refuse(*args):
         raise AssertionError("the watch analysis ran")
 
-    monkeypatch.setattr(statements, "decided_from", refuse)
+    monkeypatch.setattr(solver, "decided_from", refuse)
     for argv, code in ((["check", ASYLUM, SOLUTION], 0),
                        (["check", ASYLUM, ANN_SL], 13),
                        (["simulate", ASYLUM, SOLUTION], 0)):

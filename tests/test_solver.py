@@ -20,9 +20,10 @@ from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL
 from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
                            SolveStatus, brute_force_solve, check_world,
-                           enumerate_worlds, explain_solution, solve_all)
+                           decided_from, enumerate_worlds, explain_solution,
+                           solve_all)
 from bedlam.statements import (Atom, Not, Person, SemanticError, UNKNOWN,
-                               decided_from, eval_closed, render_statement)
+                               eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_categorical_trio,
                      random_probed_puzzle, random_puzzle, random_world)
@@ -384,7 +385,7 @@ def test_fixture_search_counts_are_pinned(asylum):
 def test_fixture_searches_every_type_combination(asylum):
     # Some fluent check reads each person's type, so no two of the 512
     # combinations share a search.
-    assert solver._Analysis(asylum).subtrees is None
+    assert solver._Search(asylum, Budget()).subtrees is None
     assert solve_all(asylum).statistics.fluent_searches == 512
 
 
@@ -456,6 +457,25 @@ def test_parsing_and_solving_peel_each_uttered_statement_once(monkeypatch,
         stmt for rnd in puzzle.rounds
         for stmt in ([rnd.statement] if isinstance(rnd, QuestionRound)
                      else [stmt for _, stmt in rnd.utterances])]
+
+
+def test_parsing_and_solving_walk_each_uttered_body_once(monkeypatch,
+                                                         asylum_text):
+    # Each peel walks its body for an inner `believes` once, and a
+    # volunteered statement's label is rendered from the peeled body
+    # without walking it again: 30 walks, not 57.
+    walked = []
+    reject_inner_believes = statements._reject_inner_believes
+
+    def counting(stmt):
+        walked.append(stmt)
+        return reject_inner_believes(stmt)
+
+    monkeypatch.setattr(statements, "_reject_inner_believes", counting)
+    puzzle = parse_puzzle_file(asylum_text)
+    puzzle.compiled
+    solve_all(puzzle)
+    assert len(walked) == 30
 
 
 # Digest of repr([(nodes, status, [sort_key of each world]), ...]) over
@@ -544,11 +564,11 @@ def test_a_solve_leaves_nothing_for_the_cyclic_collector(asylum):
 def test_solves_pause_the_collector_and_leave_it_as_they_found_it(
         monkeypatch, asylum):
     seen = []
-    for name in ("_descend", "check_world"):
-        def spy(*args, original=getattr(solver, name)):
+    for owner, name in ((solver._Search, "_descend"), (solver, "check_world")):
+        def spy(*args, original=getattr(owner, name)):
             seen.append(gc.isenabled())
             return original(*args)
-        monkeypatch.setattr(solver, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     puzzle = parse_puzzle_file("persons: Ann\nfluent f : bool\naxiom f(Ann)\n")
 
     def abort():
@@ -652,6 +672,27 @@ def test_budget_is_enforced():
     assert err.value.statistics.nodes > 0
 
 
+def test_a_budget_abort_reports_the_search_so_far():
+    # The search finds worlds from its first fluent search on, and the
+    # abort's statistics count them, as a finished solve's would.
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\nfluent g : bool\n")
+    with pytest.raises(BudgetExceededError) as err:
+        solve_all(puzzle, budget=Budget(max_nodes=3000))
+    assert str(err.value) == "node budget of 3000 exceeded"
+    statistics = err.value.statistics
+    assert statistics.nodes == 4123
+    assert statistics.worlds_found == 2112
+    assert statistics.fluent_searches == 1
+    # A negative time limit is passed at the first budget check, the
+    # first time the node count crosses a multiple of 2,048.
+    with pytest.raises(BudgetExceededError) as err:
+        solve_all(puzzle, budget=Budget(max_seconds=-1.5))
+    assert str(err.value) == "time budget of -1.5s exceeded"
+    statistics = err.value.statistics
+    assert (statistics.nodes, statistics.worlds_found) == (2077, 1056)
+
+
 def test_a_nan_budget_is_rejected():
     # No count or time exceeds NaN, so it would switch the limit off.
     for limits in ({"max_seconds": float("nan")}, {"max_nodes": float("nan")}):
@@ -710,15 +751,15 @@ def _solve_searching_every_combination(monkeypatch, puzzle, budget):
         def __setitem__(self, key, value):
             offered.append(key)
 
-    init = solver._Analysis.__init__
+    init = solver._Search.__init__
 
-    def forgetting(self, puzzle):
-        init(self, puzzle)
+    def forgetting(self, puzzle, budget):
+        init(self, puzzle, budget)
         if self.subtrees is not None:
             self.subtrees = Forgetful()
 
     with monkeypatch.context() as patched:
-        patched.setattr(solver._Analysis, "__init__", forgetting)
+        patched.setattr(solver._Search, "__init__", forgetting)
         return solve_all(puzzle, budget), len(offered)
 
 
@@ -783,7 +824,7 @@ def test_no_check_is_false_before_its_watch_starts(seed):
               for axiom in puzzle.axioms]
     starts += [min(decided_from(step.body, step.person, names, decls))
                for step in puzzle.transcript]
-    watchers = solver._Analysis(puzzle).watchers
+    watchers = solver._Search(puzzle, Budget()).watchers
     for (check, reads, _), start in zip(axioms + steps, starts):
         # From -1 a check may be False once types are set, before any slot.
         for _ in range(16 if start >= 0 else 0):

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from bedlam.parser import ParseError, parse_statement
+from bedlam.solver import decided_from
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
-                               UNKNOWN, Var, compile_statement,
-                               decided_from, eval_closed, eval_partial,
-                               render_statement, substitute_me)
+                               UNKNOWN, Var, compile_statement, eval_closed,
+                               eval_partial, render_statement, substitute_me)
 from bedlam.semantics import ALL_TYPES
 from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
