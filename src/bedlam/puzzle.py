@@ -4,11 +4,12 @@
 each round's persons and peels, compiles and numbers each utterance for
 its speaker, so a spec built in code gets the parser's round checks.
 `compiled` holds each axiom and utterance as a check.  Only here does the
-phase rule meet compiled code: an utterance's check holds it to what its
-speaker's type requires.  `check_world`, `bedlam simulate` and the solver
-run these checks as they are.  A check is not safe to share between
-threads, so only the thread that walked the transcript, or ran
-`validate`, reuses the checks it compiled; any other compiles its own.
+phase rule meet compiled code: an utterance is compiled with
+`Step.required_by_type`, so its check holds it to what its speaker's type
+requires.  `check_world`, `bedlam simulate` and the solver run these
+checks as they are.  A check is not safe to share between threads, so
+only the thread that walked the transcript, or ran `validate`, reuses the
+checks it compiled; any other compiles its own.
 An axiom of a spec never validated raises the compiler's error bare,
 without the `where` prefix that `validate` adds.
 """
@@ -24,17 +25,19 @@ from . import statements as st
 from .extraction import (ExtractionConfig, SANITY_CATEGORY,
                          TRUTHFULNESS_CATEGORY)
 from .semantics import ALL_TYPES, Answer, ExtendedType, asserted_truth
-from .statements import Believes, SemanticError, Statement, UNKNOWN
+from .statements import Believes, SemanticError, Statement
 from .worlds import FluentDecl
 
 
 def _compile_where(body: Statement, where: str, speaker: Optional[str],
                    person_names: tuple[str, ...],
-                   fluent_decls: tuple[FluentDecl, ...]) -> tuple:
+                   fluent_decls: tuple[FluentDecl, ...],
+                   required: Optional[tuple[bool, ...]] = None) -> tuple:
     """`compile_statement`'s `(check, reads, typed)` for a peeled body,
     with `speaker` for `me`; its SemanticError gains the `where` prefix."""
     try:
-        return st.compile_statement(body, speaker, person_names, fluent_decls)
+        return st.compile_statement(body, speaker, person_names, fluent_decls,
+                                    required)
     except SemanticError as exc:
         raise SemanticError(f"{where}: {exc}") from None
 
@@ -77,39 +80,24 @@ class Step:
 
     def required(self, type_: ExtendedType) -> bool:
         """The truth value the body must have for a `type_` speaker."""
-        return self.required_by_phases[type_.phases[self.count % 2]]
+        return self.required_by_type[type_.index]
 
-    @cached_property
-    def required_by_phases(self) -> dict[tuple[bool, bool], bool]:
-        """`required` by the speaker's (truthful_now, sane_now) at the step.
-
-        The speaker's type matters only through those phases, so the step's
-        compiled check looks the answer up instead, and the phase rule is
-        asked once per pair, for one type that has it at the step.
-        """
-        table = {}
-        for phases, type_ in _PHASE_TYPES[self.count % 2].items():
-            target = asserted_truth(type_, self.count, self.is_belief)
-            table[phases] = not target if self.answer is Answer.NO else target
-        return table
+    @property
+    def required_by_type(self) -> tuple[bool, ...]:
+        """`required` for each type, by `ExtendedType.index`: the table
+        the step's compiled check reads its speaker's wanted value from."""
+        return _REQUIRED_BY_TYPE[self.count % 2, self.is_belief,
+                                 self.answer is Answer.NO]
 
 
-# For each ordinal parity, one type per (truthful_now, sane_now) pair.
-_PHASE_TYPES = tuple({type_.phases[parity]: type_ for type_ in ALL_TYPES}
-                     for parity in (0, 1))
-
-
-def _step_check(step: Step, compiled: tuple) -> tuple:
-    """The step body's compiled triple, held to what its speaker must say."""
-    body, reads, typed = compiled
-    speaker, parity = step.person_index, step.count % 2
-    required = step.required_by_phases
-
-    def check(types, values):
-        value = body(types, values)
-        return (value if value is UNKNOWN
-                else value == required[types[speaker].phases[parity]])
-    return check, reads, typed | {speaker}
+# `Step.required_by_type` by (ordinal parity, is_belief, answered no): the
+# eight kinds of step that the phase rule tells apart.
+_REQUIRED_BY_TYPE = {
+    (parity, is_belief, answered_no): tuple(
+        asserted_truth(type_, parity, is_belief) != answered_no
+        for type_ in ALL_TYPES)
+    for parity in (0, 1) for is_belief in (False, True)
+    for answered_no in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -134,13 +122,15 @@ class PuzzleSpec:
         names, decls = self.person_names, self.fluent_decls
         index = {name: k for k, name in enumerate(names)}
         counts = [0] * len(names)
-        steps, bodies = [], []
+        steps, checks = [], []
 
         def say(ri, person, body, is_belief, answer, label, where):
-            bodies.append(_compile_where(body, where, person, names, decls))
             pi = index[person]
-            steps.append(Step(ri, person, pi, counts[pi], body, is_belief,
-                              answer, label))
+            step = Step(ri, person, pi, counts[pi], body, is_belief, answer,
+                        label)
+            checks.append(_compile_where(body, where, person, names, decls,
+                                         step.required_by_type))
+            steps.append(step)
             counts[pi] += 1
 
         for ri, rnd in enumerate(self.rounds):
@@ -175,21 +165,22 @@ class PuzzleSpec:
                     say(ri, speaker, body, is_belief, None,
                         st.render_peeled(body, is_belief),
                         f"{where}, {speaker}")
-        self._per_thread.bodies = bodies
+        self._per_thread.steps = checks
         return tuple(steps)
 
     @property
     def compiled(self) -> tuple[tuple, tuple]:
         """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed)`
-        for each axiom and, in `transcript` order, each step's body.  A
-        step's check is held to `Step.required_by_phases`: it tells whether
-        the speaker's type would make the utterance, UNKNOWN while the body
-        is, so its `typed` includes the speaker.
+        for each axiom and, in `transcript` order, each step's body held
+        to `Step.required_by_type`.  An axiom's check is False once the
+        rows make it false, and a step's once they make its body differ
+        from what its speaker's type requires; its `typed` includes the
+        speaker.
 
         Compiled once in each thread: a check writes its quantifiers'
-        persons into a list of its own, so two threads must not run one
-        check at once.  The thread that walked `transcript` takes the
-        bodies that walk compiled, and the thread that ran `validate` the
+        persons, and the value it wants, into cells of its own, so two
+        threads must not run one check at once.  The thread that walked `transcript` takes the
+        steps that walk compiled, and the thread that ran `validate` the
         axioms it compiled; any other compiles its own on first use.
         """
         local = self._per_thread
@@ -201,14 +192,12 @@ class PuzzleSpec:
         axioms = getattr(local, "axioms", None) or [
             st.compile_statement(axiom, None, names, decls)
             for axiom in self.axioms]
-        steps = self.transcript
-        bodies = getattr(local, "bodies", None) or [
-            st.compile_statement(step.body, step.person, names, decls)
-            for step in steps]
-        local.compiled = (
-            tuple(axioms),
-            tuple(_step_check(step, body)
-                  for step, body in zip(steps, bodies)))
+        transcript = self.transcript
+        steps = getattr(local, "steps", None) or [
+            st.compile_statement(step.body, step.person, names, decls,
+                                 step.required_by_type)
+            for step in transcript]
+        local.compiled = tuple(axioms), tuple(steps)
         return local.compiled
 
     @cached_property

@@ -2,7 +2,10 @@
 
 `check_world` replays a puzzle's transcript against one world and is the
 single definition of consistency.  Every path runs the checks
-`PuzzleSpec.compiled` holds, as they are.
+`PuzzleSpec.compiled` holds, as they are.  A check says only whether the
+rows rule out the value its statement must take, so on a world's full
+rows it says whether the world keeps that constraint, and in the search
+only a False check prunes.
 
 `brute_force_solve`, the oracle for small puzzles, is `check_world`
 filtered over the whole world space.  Its loop stays one flat product in
@@ -17,10 +20,9 @@ themselves; persons are typed one by one, each fluent-free check running
 once the last type it reads is set, so a failure skips every combination
 under that prefix; then fluent values are backtracked over, each fluent
 check watched from the first slot at which it can be False
-(`decided_from`), since only False prunes.  That fluent search reads only
-its checks' persons' types, so it runs once per combination of those,
-and the other type combinations reuse its rows and count its nodes
-again.  It visits worlds in canonical order, so they come out sorted.
+(`decided_from`).  That fluent search reads only its checks' persons'
+types, so it runs once per combination of those, and the other type
+combinations reuse its rows and count its nodes again.  It visits worlds in canonical order, so they come out sorted.
 
 Both solvers check each distinct fluent assignment once, where they
 intern it (`worlds.checked_rows`), and pause the cyclic garbage
@@ -30,7 +32,7 @@ cycle, so reference counting frees it (as
 the list grew would only scan the kept worlds again.
 
 `explain_solution` decodes each utterance's fact with `Step.required`,
-the table the step checks read.
+which reads the table the step checks read.
 """
 
 from __future__ import annotations
@@ -404,7 +406,7 @@ class _Search:
                          for v, slot in enumerate(self.variables)]
         # Each type is tried with everyone given it, since quantifiers
         # range over everyone, as in `atleast 2 x . patient(me)`.  A check
-        # that reads no fluent slot always answers definitely.
+        # that reads no fluent slot needs no row.
         self.candidates: list[list[ExtendedType]] = [[] for _ in names]
         for t in ALL_TYPES:
             row = (t,) * len(names)
@@ -437,8 +439,8 @@ class _Search:
         """Every consistent world, in `World.sort_key` order."""
         with _no_gc:
             if all(self.candidates):
-                if any(check(self.types, self.values) is False
-                       for check in self.constant):
+                if not all(check(self.types, self.values)
+                           for check in self.constant):
                     # Every combination is ruled out, and counts as a node.
                     self.skip(math.prod(map(len, self.candidates)))
                 else:
@@ -468,7 +470,7 @@ class _Search:
         for t in self.candidates[p]:
             types[p] = t
             for check in checks:
-                if check(types, values) is False:
+                if not check(types, values):
                     self.skip(below)
                     break
             else:
@@ -519,7 +521,7 @@ class _Search:
             self.tick()
             row[pi] = value
             for check in watchers:
-                if check(types, values) is False:
+                if not check(types, values):
                     break
             else:
                 self._descend(depth + 1)
@@ -568,15 +570,17 @@ def _memoized(check, persons: list[int]):
 
 def decided_from(stmt: Statement, speaker: Optional[str], person_names,
                  fluent_decls) -> tuple[float, float]:
-    """The first fluent slots at which the statement's check can be True,
-    and False.
+    """The first fluent slots at which the statement can be True, and
+    False.
 
     The solver sets every type first, then fluent slot ``f * n + p``, which
     holds `values[f][p]`, in increasing order.  The read-once law: on any
     types and any row that sets only slots before the slot given for a
-    value, leaving the rest UNKNOWN, the compiled check never answers that
-    value.  -1 means it may answer it once the types are set, before any
-    slot is, so the law asks nothing there; `math.inf` means never.
+    value, leaving the rest UNKNOWN, `eval_partial` never gives the
+    statement that value, so a compiled check that wants the other value
+    is not False there.  -1 means it may have the value once the types are
+    set, before any slot is, so the law asks nothing there; `math.inf`
+    means never.
 
     Each node gets its two slots as Kleene evaluation decides them.  A
     fluent atom is decided at its own slot, a builtin at -1; `not` swaps

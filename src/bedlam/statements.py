@@ -7,18 +7,21 @@ uttered statement.  Everything here is immutable and safe to share.
 
 Evaluation is three-valued: ``eval_partial`` returns True, False, or the
 ``UNKNOWN`` sentinel, and ``eval_closed`` insists on a definite answer.
-These tree walkers are the reference; ``compile_statement`` gives the
-same answers from closures over index rows, and reports which fluent
-slots and which persons' types each check reads.  It pushes ``not`` down
-to the atoms as it compiles, so a check holds no negation node.  Its name
-resolution is the one set of atom rules; unlike the tree walker, it
-rejects a value outside its fluent's domain.  ``PuzzleSpec.validate``
-compiles each axiom once, and the walk of ``PuzzleSpec.transcript`` each
-utterance once; that thread's ``PuzzleSpec.compiled`` keeps the checks,
-an utterance held to what its speaker must say, for the solver,
-``check_world`` and ``bedlam simulate``.  Any other thread compiles its
-own on first use, because a compiled check is not safe to share between
-threads: it binds quantified persons in a list of its own.
+These tree walkers are the reference.  ``compile_statement`` builds a
+two-valued check from closures over index rows.  A check is False
+exactly when the rows make ``eval_partial`` definite and different from
+the value the statement must take: True for an axiom, and for an
+utterance what its speaker's type requires.  Otherwise it is True.  It
+reports which fluent slots and which persons' types each check reads.
+It pushes ``not`` down to the atoms as it compiles, so a check holds no
+negation node.  Its name resolution is the one set of atom rules; unlike
+the tree walker, it rejects a value outside its fluent's domain.
+``PuzzleSpec.validate`` compiles each axiom once, and the walk of
+``PuzzleSpec.transcript`` each utterance once; that thread's
+``PuzzleSpec.compiled`` keeps the checks for the solver, ``check_world``
+and ``bedlam simulate``.  Any other thread compiles its own on first
+use, because a compiled check is not safe to share between threads: it
+binds quantified persons, and the value it wants, in cells of its own.
 """
 
 from __future__ import annotations
@@ -478,34 +481,45 @@ def _eval_atom(world, atom, speaker, env):
 # --- Compilation ---
 
 def compile_statement(stmt: Statement, speaker: Optional[str],
-                      person_names, fluent_decls):
+                      person_names, fluent_decls, required=None):
     """Compile a believes-free statement into `(check, reads, typed)`.
 
-    `check(types, values)` is `eval_partial` on the world where person p
-    has type `types[p]` and fluent f the value `values[f][p]`, which may be
-    UNKNOWN.  `reads` holds the (f, p) slots it reads, and `typed` the
-    persons p whose `types[p]` it reads; an atom on a quantified variable
-    reads every person's slot.  Names are resolved once, to their index in
-    `person_names` or `fluent_decls`.  Every atom, even one evaluation
-    would short-circuit past, meets the atom rules in this order, or raises
-    SemanticError: a builtin takes no value; a fluent is declared, takes no
-    value if boolean, and else a value from its domain; the term is bound,
-    a speaker's `me` or a known person.  A term reads its person from a
-    slot of `bound`: slot p holds person p, and a quantifier's own slot
-    holds each person in turn while its body, compiled once, runs.  A check
-    grows with its statement only.  Running it writes `bound`, so one check
-    must not run in two threads at once.
+    The statement must take a value: True, or for an utterance of
+    `speaker`, `required[t.index]` when the speaker has type t.
+    `check(types, values)` is False exactly when the rows rule that value
+    out: when `eval_partial` on the world where person p has type
+    `types[p]` and fluent f the value `values[f][p]`, which may be
+    UNKNOWN, is definite and differs from it.  Otherwise it is True.
+    `reads` holds the (f, p) slots it reads, and `typed` the persons p
+    whose `types[p]` it reads, the speaker among them when `required` is
+    given; an atom on a quantified variable reads every person's slot.
+    Names are resolved once, to their index in `person_names` or
+    `fluent_decls`.  Every atom, even one a run would short-circuit past,
+    meets the atom rules in this order, or raises SemanticError: a builtin
+    takes no value; a fluent is declared, takes no value if boolean, and
+    else a value from its domain; the term is bound, a speaker's `me` or a
+    known person.  A term reads its person from a slot of `bound`: slot p
+    holds person p, and a quantifier's own slot holds each person in turn
+    while its body, compiled once, runs.  A check grows with its statement
+    only.  Running it writes `bound`, and the value it wants in a cell
+    beside it, so one check must not run in two threads at once.
 
-    A check holds no negation node: `not` is pushed down to the atoms as
-    the statement compiles, by rules exact in Kleene logic.  De Morgan
-    swaps `and` and `or`; ``not (l implies r)`` is ``l and not r``; and
-    fewer than k of n persons making B true is at least n - k + 1 making
-    it not true, so `forall` and `exists` swap.  Each atom's closure
-    applies its own negation.
+    A check holds no negation node and no third value.  `not` is pushed
+    down to the atoms as the statement compiles, by rules exact in Kleene
+    logic.  De Morgan swaps `and` and `or`; ``not (l implies r)`` is ``l
+    and not r``; and fewer than k of n persons making B true is at least
+    n - k + 1 making it not true, so `forall` and `exists` swap.  Each
+    atom's closure applies its own negation.  Over the `and`, `or` and
+    at-least-k that are left, a Kleene value is False exactly when reading
+    every UNKNOWN literal as True gives False, and True exactly when
+    reading them as False gives True.  So an atom on an UNKNOWN slot reads
+    as the wanted value, and the check asks whether the statement then
+    takes it.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
     bound = list(range(n))
+    assumed = [True]  # what an UNKNOWN literal reads as: the wanted value
     reads: set[tuple[int, int]] = set()
     typed: set[int] = set()
 
@@ -566,18 +580,26 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
                 types[bound[slot]].builtins[predicate] != negated)
         reads.update((f, p) for p in persons)
         if wanted is None:
-            if not negated:
-                return lambda types, values: values[f][bound[slot]]
-            wanted = False  # a boolean slot is False exactly when negated
-        elif negated:
+            # A boolean literal holds on True, or on False when negated.
+            wanted, negated = not negated, False
+        if negated:
             return lambda types, values: (
-                UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
+                assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
                 else value != wanted)
         return lambda types, values: (
-            UNKNOWN if (value := values[f][bound[slot]]) is UNKNOWN
+            assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
             else value == wanted)
 
-    return compile_(stmt, {}, False), reads, typed
+    body = compile_(stmt, {}, False)
+    if required is None:
+        return body, reads, typed
+    me = _index(person_names, speaker, "unknown person")
+    typed.add(me)
+
+    def check(types, values):
+        want = assumed[0] = required[types[me].index]
+        return body(types, values) == want
+    return check, reads, typed
 
 
 def _index(names, name: str, what: str) -> int:
@@ -593,24 +615,14 @@ def _some(items):
     items, as every `implies` has, are unrolled."""
     if len(items) == 2:
         first, second = items
-
-        def either(types, values):
-            value = first(types, values)
-            if value is True:
-                return True
-            other = second(types, values)
-            return other if value is False or other is True else UNKNOWN
-        return either
+        return lambda types, values: (first(types, values)
+                                      or second(types, values))
 
     def check(types, values):
-        result = False
         for item in items:
-            value = item(types, values)
-            if value is True:
+            if item(types, values):
                 return True
-            if value is UNKNOWN:
-                result = UNKNOWN
-        return result
+        return False
     return check
 
 
@@ -619,24 +631,14 @@ def _every(items):
     items are unrolled."""
     if len(items) == 2:
         first, second = items
-
-        def both(types, values):
-            value = first(types, values)
-            if value is False:
-                return False
-            other = second(types, values)
-            return other if value is True or other is False else UNKNOWN
-        return both
+        return lambda types, values: (first(types, values)
+                                      and second(types, values))
 
     def check(types, values):
-        result = True
         for item in items:
-            value = item(types, values)
-            if value is False:
+            if not item(types, values):
                 return False
-            if value is UNKNOWN:
-                result = UNKNOWN
-        return result
+        return True
     return check
 
 
@@ -644,25 +646,23 @@ def _quantified(k: int, bound, slot: int, n: int, body):
     """A check: do at least `k` persons make `body` true?
 
     Each of the n persons is put in `bound[slot]` in turn; the count stops
-    once it is decided.
+    once it is decided, at the n-th person at the latest.
     """
     if k <= 0 or k > n:
         constant = k <= 0
         return lambda types, values: constant
-    slack = n - k  # definite misses that still leave k hits
+    slack = n - k  # misses that still leave k hits
 
     def check(types, values):
         hits = misses = 0
         for p in range(n):
             bound[slot] = p
-            value = body(types, values)
-            if value is True:
+            if body(types, values):
                 hits += 1
                 if hits == k:
                     return True
-            elif value is not UNKNOWN:
+            else:
                 misses += 1
                 if misses > slack:
                     return False
-        return UNKNOWN
     return check

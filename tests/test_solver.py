@@ -211,8 +211,8 @@ def test_compiled_checks_read_only_the_rows_they_report(seed):
     # assignment, and one that reads no fluent slot once per type
     # combination, so on full rows no type outside a compiled triple's
     # `typed`, and no slot outside its `reads`, may change it.  Step
-    # checks are held to their speaker's type by `puzzle._step_check`,
-    # which must add the speaker to `typed`.
+    # checks are compiled with `Step.required_by_type`, so they read
+    # their speaker's type, and `typed` must hold the speaker.
     rng = random.Random(seed)
     generator = rng.randrange(4)
     if generator == 0:

@@ -197,6 +197,22 @@ def test_partial_eval_is_unknown_or_every_completions_value(seed):
         assert eval_closed(completion, stmt, speaker) == partial
 
 
+def _compile_kleene(stmt, speaker, persons, decls):
+    """`compile_statement`'s triple, with a check that reads the Kleene
+    value back from the two-valued checks of `stmt` and of `not stmt`:
+    the first is False exactly when the value is False, the second
+    exactly when it is True, and never both."""
+    check, reads, typed = compile_statement(stmt, speaker, persons, decls)
+    negation, _, _ = compile_statement(Not(stmt), speaker, persons, decls)
+
+    def kleene(types, values):
+        can_be_true, can_be_false = check(types, values), negation(types,
+                                                                   values)
+        assert can_be_true or can_be_false
+        return UNKNOWN if can_be_true and can_be_false else can_be_true
+    return kleene, reads, typed
+
+
 CATEGORICAL_DECLS = (support.MOOD, FluentDecl("shifty"))
 
 
@@ -217,7 +233,7 @@ def test_compiled_check_is_the_tree_walker(seed):
     slots = [(f, p) for f in range(len(decls)) for p in range(len(persons))]
     hidden = [slot for slot in slots if rng.random() < 0.5]
     speaker = rng.choice(persons)
-    check, reads, _ = compile_statement(stmt, speaker, persons, decls)
+    check, reads, _ = _compile_kleene(stmt, speaker, persons, decls)
     values = [list(row) for row in world.fluent_values]
     for f, p in hidden:
         values[f][p] = UNKNOWN
@@ -230,6 +246,44 @@ def test_compiled_check_is_the_tree_walker(seed):
             changed = [list(row) for row in values]
             changed[f][p] = value
             assert check(world.types, changed) is expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_puzzle_checks_say_whether_the_rows_rule_out_the_wanted_value(seed):
+    # On partial rows, a puzzle's axiom check is False exactly when the
+    # axiom is, and a step check exactly when its body is definite and
+    # differs from what its speaker's type requires.  Each returns a bool.
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    if kind == 0:
+        puzzle = support.random_puzzle(rng)
+    elif kind == 1:
+        puzzle = support.random_categorical_puzzle(
+            rng, hidden=rng.random() < 0.5)
+    else:
+        puzzle, _ = support.random_probed_puzzle(rng)
+    persons, decls = puzzle.person_names, puzzle.fluent_decls
+    axioms, steps = puzzle.compiled
+    for _ in range(8):
+        world = random_world(rng, persons, decls)
+        hidden = [(f, p) for f in range(len(decls))
+                  for p in range(len(persons)) if rng.random() < 0.5]
+        values = [list(row) for row in world.fluent_values]
+        for f, p in hidden:
+            values[f][p] = UNKNOWN
+        partial = _HiddenSlots(world, [(decls[f].name, persons[p])
+                                       for f, p in hidden])
+        for (check, _, _), axiom in zip(axioms, puzzle.axioms):
+            result = check(world.types, values)
+            assert type(result) is bool
+            assert result is (eval_partial(partial, axiom) is not False)
+        for (check, _, _), step in zip(steps, puzzle.transcript):
+            result = check(world.types, values)
+            assert type(result) is bool
+            value = eval_partial(partial, step.body, step.person)
+            required = step.required(world.types[step.person_index])
+            assert result is (value is UNKNOWN or value == required)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -247,7 +301,7 @@ def test_types_outside_types_read_never_change_a_check(seed):
         decls = CATEGORICAL_DECLS
         stmt = support.random_categorical_statement(rng, 3, persons, decls)
     speaker = rng.choice(persons)
-    check, _, typed = compile_statement(stmt, speaker, persons, decls)
+    check, _, typed = _compile_kleene(stmt, speaker, persons, decls)
     world = random_world(rng, persons, decls)
     values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
               for row in world.fluent_values]
@@ -272,7 +326,7 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
     # tree walker fast.
     persons = support.NAME_POOL
     stmt = _deep_quantifiers(12)
-    check, reads, typed = compile_statement(stmt, "Beth", persons, DECLS)
+    check, reads, typed = _compile_kleene(stmt, "Beth", persons, DECLS)
     slots = [(f, p) for f in range(2) for p in range(3)]
     assert reads == set(slots)
     assert typed == {0, 1, 2}
@@ -332,12 +386,13 @@ def test_decided_from_analyses_a_closed_quantifier_once():
 
 def _walk_every_two_person_world(text, decls, types=ALL_TYPES) -> set:
     """Compile `text` for two persons and run it on every world over
-    `types`, each fluent slot one of its values or UNKNOWN.  The check
-    must be `eval_partial` on rows with an UNKNOWN slot and `eval_closed`
-    on full rows.  Returns the values seen."""
+    `types`, each fluent slot one of its values or UNKNOWN.  The value
+    its checks give back (`_compile_kleene`) must be `eval_partial` on rows
+    with an UNKNOWN slot and `eval_closed` on full rows.  Returns the
+    values seen."""
     persons = ("Ann", "Beth")
     stmt = parse_statement(text, persons, decls)
-    check, _, _ = compile_statement(stmt, None, persons, decls)
+    check, _, _ = _compile_kleene(stmt, None, persons, decls)
     slots = [(f, p) for f in range(len(decls)) for p in range(2)]
     seen = set()
     for pair in itertools.product(types, repeat=2):
