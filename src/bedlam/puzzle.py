@@ -1,17 +1,16 @@
 """Puzzle specifications: persons, fluents, axioms, and transcript rounds.
 
-`transcript` is the one walk of the rounds: in reading order it checks
-each round's persons and peels, compiles and numbers each utterance for
-its speaker, so a spec built in code gets the parser's round checks.
-`compiled` holds each axiom and utterance as a check.  Only here does the
-phase rule meet compiled code: an utterance is compiled with
-`Step.required_by_type`, so its check holds it to what its speaker's type
-requires.  `check_world`, `bedlam simulate` and the solver run these
-checks as they are.  A check is not safe to share between threads, so
-only the thread that walked the transcript, or ran `validate`, reuses the
-checks it compiled; any other compiles its own.
-An axiom of a spec never validated raises the compiler's error bare,
-without the `where` prefix that `validate` adds.
+`PuzzleSpec._walk` is the one pass that checks and compiles a spec,
+however it was built: in reading order, its declarations, each axiom,
+each round's persons and utterances, and its extraction section.  Every
+fault of the spec itself raises SemanticError there, so `validate` only
+runs it.  It yields `transcript` and the checks `compiled` holds for each
+axiom and utterance.  Only here does the phase rule meet compiled code:
+an utterance is compiled with `Step.required_by_type`, so its check
+holds it to what its speaker's type requires.  `check_world`, `bedlam
+simulate` and the solver run these checks as they are.  A check is not
+safe to share between threads, so each thread keeps the checks its own
+walk compiled.
 """
 
 from __future__ import annotations
@@ -114,12 +113,87 @@ class PuzzleSpec:
     def transcript(self) -> tuple[Step, ...]:
         """Every utterance in reading order, numbered per speaker.
 
-        The one walk of the rounds: a round's persons are checked, then
-        each utterance is peeled, compiled for its speaker (kept for this
-        thread's `compiled`) and numbered before the next is checked.  A
-        question is peeled once for all it is put to.
+        The first walk of the spec, in whichever thread, takes these from
+        `_walk` and keeps its checks for that thread's `compiled`.
+        """
+        steps, self._per_thread.compiled = self._walk()
+        return steps
+
+    @property
+    def compiled(self) -> tuple[tuple, tuple]:
+        """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed)`
+        for each axiom and, in `transcript` order, each step's body held
+        to `Step.required_by_type`.  An axiom's check is False once the
+        rows make it false, and a step's once they make its body differ
+        from what its speaker's type requires; its `typed` includes the
+        speaker.
+
+        Compiled once in each thread: a check writes its quantifiers'
+        persons, and the value it wants, into cells of its own, so two
+        threads must not run one check at once.  Each thread keeps the
+        checks its own walk of the spec compiled, and a thread that has
+        not walked it walks it on first use; that walk cannot fail where
+        an earlier one passed.
+        """
+        local = self._per_thread
+        try:
+            return local.compiled
+        except AttributeError:
+            pass
+        steps, local.compiled = self._walk()
+        # A spec walked here first keeps these steps as its `transcript`.
+        self.__dict__.setdefault("transcript", steps)
+        return local.compiled
+
+    @cached_property
+    def _per_thread(self) -> threading.local:
+        return threading.local()
+
+    @cached_property
+    def violations(self) -> dict:
+        """`check_world`'s failed results, each built once: keyed by axiom
+        index, or by (step index, speaker type index).
+
+        At most `len(axioms) + 16 * len(transcript)` entries.  Threads that
+        race to fill one entry store equal frozen results.
+        """
+        return {}
+
+    def validate(self) -> None:
+        """Raise SemanticError on the first declaration, axiom, round or
+        extraction inconsistency, in reading order: the spec's walk, run
+        once."""
+        self.transcript
+
+    def _walk(self) -> tuple[tuple[Step, ...], tuple[tuple, tuple]]:
+        """The one pass that checks and compiles the spec, in reading
+        order, raising SemanticError on its first fault: the
+        declarations; each axiom, compiled with its `axiom i` prefix; the
+        rounds; the extraction section.
+
+        A round's persons are checked, then each utterance is peeled,
+        compiled for its speaker and numbered before the next is checked.
+        A question is peeled once for all it is put to.  Returns the
+        steps and this thread's `(axioms, steps)` checks.
         """
         names, decls = self.person_names, self.fluent_decls
+        if len(set(names)) != len(names):
+            raise SemanticError("duplicate person name")
+        fluent_names = [d.name for d in decls]
+        if len(set(fluent_names)) != len(fluent_names):
+            raise SemanticError("duplicate fluent name")
+        for name in fluent_names:
+            if name in st.BUILTIN_PREDICATES:
+                raise SemanticError(
+                    f"fluent '{name}' shadows a builtin predicate")
+        axioms = []
+        for i, axiom in enumerate(self.axioms):
+            where = f"axiom {i + 1}"
+            if any(isinstance(n, Believes) for n in st.walk(axiom)):
+                raise SemanticError(f"{where}: axioms cannot contain believes")
+            if st.mentions_me(axiom):
+                raise SemanticError(f"{where}: axioms have no speaker for 'me'")
+            axioms.append(_compile_where(axiom, where, None, names, decls))
         index = {name: k for k, name in enumerate(names)}
         counts = [0] * len(names)
         steps, checks = [], []
@@ -165,92 +239,10 @@ class PuzzleSpec:
                     say(ri, speaker, body, is_belief, None,
                         st.render_peeled(body, is_belief),
                         f"{where}, {speaker}")
-        self._per_thread.steps = checks
-        return tuple(steps)
-
-    @property
-    def compiled(self) -> tuple[tuple, tuple]:
-        """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed)`
-        for each axiom and, in `transcript` order, each step's body held
-        to `Step.required_by_type`.  An axiom's check is False once the
-        rows make it false, and a step's once they make its body differ
-        from what its speaker's type requires; its `typed` includes the
-        speaker.
-
-        Compiled once in each thread: a check writes its quantifiers'
-        persons, and the value it wants, into cells of its own, so two
-        threads must not run one check at once.  The thread that walked `transcript` takes the
-        steps that walk compiled, and the thread that ran `validate` the
-        axioms it compiled; any other compiles its own on first use.
-        """
-        local = self._per_thread
-        try:
-            return local.compiled
-        except AttributeError:
-            pass
-        names, decls = self.person_names, self.fluent_decls
-        axioms = getattr(local, "axioms", None) or [
-            st.compile_statement(axiom, None, names, decls)
-            for axiom in self.axioms]
-        transcript = self.transcript
-        steps = getattr(local, "steps", None) or [
-            st.compile_statement(step.body, step.person, names, decls,
-                                 step.required_by_type)
-            for step in transcript]
-        local.compiled = tuple(axioms), tuple(steps)
-        return local.compiled
-
-    @cached_property
-    def _per_thread(self) -> threading.local:
-        return threading.local()
-
-    @cached_property
-    def violations(self) -> dict:
-        """`check_world`'s failed results, each built once: keyed by axiom
-        index, or by (step index, speaker type index).
-
-        At most `len(axioms) + 16 * len(transcript)` entries.  Threads that
-        race to fill one entry store equal frozen results.
-        """
-        return {}
-
-    def validate(self) -> None:
-        """Raise SemanticError on the first declaration, axiom, round or
-        extraction inconsistency, in reading order.
-
-        Each axiom is compiled once here, and this thread's `compiled`
-        keeps those checks; the rounds are checked, and their utterances
-        compiled, by `transcript`'s walk.
-        """
-        if len(set(self.person_names)) != len(self.person_names):
-            raise SemanticError("duplicate person name")
-        fluent_names = [d.name for d in self.fluent_decls]
-        if len(set(fluent_names)) != len(fluent_names):
-            raise SemanticError("duplicate fluent name")
-        for name in fluent_names:
-            if name in st.BUILTIN_PREDICATES:
-                raise SemanticError(
-                    f"fluent '{name}' shadows a builtin predicate")
-        names, decls = self.person_names, self.fluent_decls
-        axioms = []
-        for i, axiom in enumerate(self.axioms):
-            where = f"axiom {i + 1}"
-            if any(isinstance(n, Believes) for n in st.walk(axiom)):
-                raise SemanticError(f"{where}: axioms cannot contain believes")
-            if st.mentions_me(axiom):
-                raise SemanticError(f"{where}: axioms have no speaker for 'me'")
-            axioms.append(_compile_where(axiom, where, None, names, decls))
-        self.transcript  # checks the rounds and compiles their utterances
-        if self.extraction is not None:
-            self._validate_extraction()
-        self._per_thread.axioms = axioms
-
-    def _validate_extraction(self) -> None:
-        for cat in self.extraction.categories:
+        for cat in self.extraction.categories if self.extraction else ():
             if cat.name in (SANITY_CATEGORY, TRUTHFULNESS_CATEGORY):
                 continue
-            decl = next((d for d in self.fluent_decls if d.name == cat.name),
-                        None)
+            decl = next((d for d in decls if d.name == cat.name), None)
             if decl is None:
                 raise SemanticError(f"extraction category '{cat.name}' "
                                     "names no declared fluent")
@@ -258,3 +250,4 @@ class PuzzleSpec:
                 raise SemanticError(
                     f"extraction category '{cat.name}' must list exactly the "
                     "fluent's three declared values")
+        return tuple(steps), (tuple(axioms), tuple(checks))

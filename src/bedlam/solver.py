@@ -22,7 +22,8 @@ under that prefix; then fluent values are backtracked over, each fluent
 check watched from the first slot at which it can be False
 (`decided_from`).  That fluent search reads only its checks' persons'
 types, so it runs once per combination of those, and the other type
-combinations reuse its rows and count its nodes again.  It visits worlds in canonical order, so they come out sorted.
+combinations reuse its rows and count its nodes again.  It visits worlds
+in canonical order, so they come out sorted.
 
 Both solvers check each distinct fluent assignment once, where they
 intern it (`worlds.checked_rows`), and pause the cyclic garbage

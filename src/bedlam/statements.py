@@ -16,12 +16,12 @@ reports which fluent slots and which persons' types each check reads.
 It pushes ``not`` down to the atoms as it compiles, so a check holds no
 negation node.  Its name resolution is the one set of atom rules; unlike
 the tree walker, it rejects a value outside its fluent's domain.
-``PuzzleSpec.validate`` compiles each axiom once, and the walk of
-``PuzzleSpec.transcript`` each utterance once; that thread's
-``PuzzleSpec.compiled`` keeps the checks for the solver, ``check_world``
-and ``bedlam simulate``.  Any other thread compiles its own on first
-use, because a compiled check is not safe to share between threads: it
-binds quantified persons, and the value it wants, in cells of its own.
+The one walk of a ``PuzzleSpec`` compiles each axiom and each utterance
+once, and the walking thread's ``PuzzleSpec.compiled`` keeps the checks
+for the solver, ``check_world`` and ``bedlam simulate``.  Any other
+thread walks the spec for checks of its own, because a compiled check is
+not safe to share between threads: it binds quantified persons, and the
+value it wants, in cells of its own.
 """
 
 from __future__ import annotations

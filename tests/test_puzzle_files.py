@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from bedlam import fixture_path
 from bedlam.cli import main
+from bedlam.extraction import Category, ExtractionConfig
 from bedlam.parser import (ParseError, _strip_comment, _tokenize,
                            parse_puzzle_file, parse_statement, parse_world_file)
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
-from bedlam.semantics import Answer
-from bedlam.solver import brute_force_solve, explain_solution, solve_all
+from bedlam.semantics import Answer, TYPES_BY_LABEL
+from bedlam.solver import (brute_force_solve, check_world, explain_solution,
+                           solve_all)
 from bedlam.statements import SemanticError, Statement, compile_statement
 from bedlam.worlds import FluentDecl, World
 
@@ -250,22 +253,66 @@ def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_specs_built_in_code_get_the_round_checks():
-    # The transcript walk checks each round's persons, so a spec that was
-    # never validated fails its first solve with validate's error instead
-    # of a KeyError, or a solve that drops the unanswered persons.
-    said = parse_statement("patient(me)")
-    for rounds, message in (
-            ((StatementsRound((("Zed", said),)),),
-             "round 0: unknown speaker 'Zed'"),
-            ((QuestionRound("q", said, ("Ann",), ()),),
-             "round 0: answers must cover exactly the addressed persons"),
-            ((StatementsRound((("Ann", said), ("Ann", said))),),
-             "round 0: 'Ann' speaks twice in one round")):
-        for run in (solve_all, PuzzleSpec.validate):
-            spec = PuzzleSpec(("Ann",), (), (), rounds)
-            with pytest.raises(SemanticError, match=f"^{message}$"):
-                run(spec)
+SAID = parse_statement("patient(me)")
+GUILT = FluentDecl("guilt", ("accomplice", "guilty", "innocent"))
+BY_CRIME = ExtractionConfig((
+    Category("sanity", ("partial", "delusional", "sane")),
+    Category("truthfulness", ("alternator", "liar", "truth-teller")),
+    Category("crime", GUILT.domain)))
+
+
+@pytest.mark.parametrize("persons, decls, axioms, rounds, config, message", [
+    (("Ann", "Ann"), (), (), (), None, "duplicate person name"),
+    (("Ann",), (FluentDecl("f"), FluentDecl("f")), (), (), None,
+     "duplicate fluent name"),
+    (("Ann",), (FluentDecl("patient"),), ("patient(Ann)",), (), None,
+     "fluent 'patient' shadows a builtin predicate"),
+    (("Ann",), (), ("doctor(me)",), (), None,
+     "axiom 1: axioms have no speaker for 'me'"),
+    (("Ann",), (), ("doctor(Ann)", "believes(doctor(Ann))"), (), None,
+     "axiom 2: axioms cannot contain believes"),
+    (("Ann",), (), (), (StatementsRound((("Zed", SAID),)),), None,
+     "round 0: unknown speaker 'Zed'"),
+    (("Ann",), (), (), (QuestionRound("q", SAID, ("Ann",), ()),), None,
+     "round 0: answers must cover exactly the addressed persons"),
+    (("Ann",), (), (), (StatementsRound((("Ann", SAID), ("Ann", SAID))),),
+     None, "round 0: 'Ann' speaks twice in one round"),
+    (("Ann",), (GUILT,), (), (), BY_CRIME,
+     "extraction category 'crime' names no declared fluent"),
+], ids=["duplicate-person", "duplicate-fluent", "builtin-fluent",
+        "axiom-with-me", "axiom-with-believes", "unknown-speaker",
+        "unanswered-person", "speaks-twice", "category-without-fluent"])
+def test_specs_built_in_code_get_every_check_validate_makes(
+        persons, decls, axioms, rounds, config, message):
+    # The one walk of a spec checks it however it was built, so a spec
+    # built in code fails its first solve or check, in any thread, with
+    # validate's error instead of a KeyError, a bare compiler error or a
+    # solve of a puzzle that validate refuses.
+    world = World(persons, (TYPES_BY_LABEL["ST"],) * len(persons), decls,
+                  tuple(d.values()[:1] * len(persons) for d in decls))
+
+    def spec():
+        return PuzzleSpec(persons, decls,
+                          tuple(map(parse_statement, axioms)), rounds, config)
+
+    def in_a_worker(puzzle):
+        raised = []
+
+        def run():
+            try:
+                solve_all(puzzle)
+            except SemanticError as exc:
+                raised.append(exc)
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        raise raised[0]
+
+    for run in (PuzzleSpec.validate, solve_all,
+                lambda puzzle: check_world(puzzle, world), in_a_worker):
+        with pytest.raises(SemanticError) as err:
+            run(spec())
+        assert str(err.value) == message
 
 
 TWO = "persons: Ann, Beth\n"

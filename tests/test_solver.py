@@ -253,10 +253,11 @@ def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
         check_world(asylum, no_fluents)
 
 
-def test_check_world_on_an_unvalidated_spec_keeps_its_errors():
-    # A spec built in code skips validate(); check_world still raises the
-    # compiler's error for a bad atom, even where the tree walker
-    # short-circuits past the atom.
+def test_check_world_on_a_spec_built_in_code_prefixes_the_compilers_errors():
+    # A spec built in code is walked on first use, as a parsed one is, so
+    # check_world raises the compiler's error for a bad atom with the
+    # axiom's `where` prefix, even where the tree walker short-circuits
+    # past the atom.
     world = World(("Ann",), (TYPES_BY_LABEL["ST"],))
     for text, message in (("doctor(Zed)", "unknown person 'Zed'"),
                           ("guilty(Ann)", "undeclared predicate 'guilty'"),
@@ -264,7 +265,7 @@ def test_check_world_on_an_unvalidated_spec_keeps_its_errors():
                            "unknown person 'Zed'")):
         axiom = parse_statement(text)
         spec = PuzzleSpec(("Ann",), (), (axiom,), ())
-        with pytest.raises(SemanticError, match=f"^{message}$"):
+        with pytest.raises(SemanticError, match=f"^axiom 1: {message}$"):
             check_world(spec, world)
     assert eval_closed(world, axiom) is True
     # The compiler also rejects a value outside the fluent's domain, which
@@ -275,7 +276,7 @@ def test_check_world_on_an_unvalidated_spec_keeps_its_errors():
     world = World(("Ann",), (TYPES_BY_LABEL["ST"],), (guilt,), (("guilty",),))
     assert eval_closed(world, axiom) is False
     with pytest.raises(SemanticError,
-                       match="^'bogus' not in domain of 'guilt'$"):
+                       match="^axiom 1: 'bogus' not in domain of 'guilt'$"):
         check_world(spec, world)
 
 
@@ -419,9 +420,10 @@ def test_fixture_check_runs_are_pinned(monkeypatch, asylum_text):
 
 def test_parsing_and_solving_compile_each_statement_once(monkeypatch,
                                                         asylum_text):
-    # Validation compiles each axiom, and each utterance for its own
-    # speaker, and a solve in the parsing thread runs those checks: 7
-    # axioms and 54 utterances, none compiled twice.
+    # The parser's walk of the spec compiles each axiom, and each
+    # utterance for its own speaker, and a solve in the parsing thread
+    # runs those checks: 7 axioms and 54 utterances, none compiled twice.
+    # A second validate() and a check_world reuse them too.
     speakers = []
     compile_statement = statements.compile_statement
 
@@ -431,10 +433,20 @@ def test_parsing_and_solving_compile_each_statement_once(monkeypatch,
 
     monkeypatch.setattr(statements, "compile_statement", counting)
     puzzle = parse_puzzle_file(asylum_text)
-    solve_all(puzzle)
+    solved = solve_all(puzzle)
     assert len(speakers) == 61
-    assert speakers == [None] * len(puzzle.axioms) + [
+    once = [None] * len(puzzle.axioms) + [
         step.person for step in puzzle.transcript]
+    assert speakers == once
+    puzzle.validate()
+    assert check_world(puzzle, solved.worlds[0])
+    assert len(speakers) == 61
+    # A worker thread walks the spec once for checks of its own.
+    worker = threading.Thread(target=solve_all, args=(puzzle,))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert speakers == once + once
 
 
 def test_parsing_and_solving_peel_each_uttered_statement_once(monkeypatch,
