@@ -218,7 +218,7 @@ def simulate(puzzle_path, world_path):
     world = parse_world_file(_read(world_path), puzzle)
     _, steps = puzzle.compiled
     shown_round = None
-    for step, (check, _, _) in zip(puzzle.transcript, steps):
+    for step, (check, _, _, _) in zip(puzzle.transcript, steps):
         ri = step.round_index
         if ri != shown_round:
             shown_round = ri

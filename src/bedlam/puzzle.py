@@ -32,8 +32,9 @@ def _compile_where(body: Statement, where: str, speaker: Optional[str],
                    person_names: tuple[str, ...],
                    fluent_decls: tuple[FluentDecl, ...],
                    required: Optional[tuple[bool, ...]] = None) -> tuple:
-    """`compile_statement`'s `(check, reads, typed)` for a peeled body,
-    with `speaker` for `me`; its SemanticError gains the `where` prefix."""
+    """`compile_statement`'s `(check, reads, typed, start)` for a peeled
+    body, with `speaker` for `me`; its SemanticError gains the `where`
+    prefix."""
     try:
         return st.compile_statement(body, speaker, person_names, fluent_decls,
                                     required)
@@ -121,12 +122,14 @@ class PuzzleSpec:
 
     @property
     def compiled(self) -> tuple[tuple, tuple]:
-        """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed)`
-        for each axiom and, in `transcript` order, each step's body held
-        to `Step.required_by_type`.  An axiom's check is False once the
-        rows make it false, and a step's once they make its body differ
-        from what its speaker's type requires; its `typed` includes the
-        speaker.
+        """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed,
+        start)` for each axiom and, in `transcript` order, each step's
+        body held to `Step.required_by_type`.  An axiom's check is False
+        once the rows make it false, and a step's once they make its body
+        differ from what its speaker's type requires; its `typed`
+        includes the speaker.  `start()`, the first fluent slot at which
+        the check can be False, is computed only when called, and only
+        the solver's fluent search calls it.
 
         Compiled once in each thread: a check writes its quantifiers'
         persons, and the value it wants, into cells of its own, so two

@@ -19,11 +19,11 @@ person's type candidates are pruned by what that person says about
 themselves; persons are typed one by one, each fluent-free check running
 once the last type it reads is set, so a failure skips every combination
 under that prefix; then fluent values are backtracked over, each fluent
-check watched from the first slot at which it can be False
-(`decided_from`).  That fluent search reads only its checks' persons'
-types, so it runs once per combination of those, and the other type
-combinations reuse its rows and count its nodes again.  It visits worlds
-in canonical order, so they come out sorted.
+check watched from its compiled `start`, the first slot at which it can
+be False, which no other path asks for.  That fluent search reads only
+its checks' persons' types, so it runs once per combination of those,
+and the other type combinations reuse its rows and count its nodes
+again.  It visits worlds in canonical order, so they come out sorted.
 
 Both solvers check each distinct fluent assignment once, where they
 intern it (`worlds.checked_rows`), and pause the cyclic garbage
@@ -51,9 +51,7 @@ from . import statements as st
 from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
 from .puzzle import PuzzleSpec, Step
 from .semantics import ALL_TYPES, Answer, ExtendedType
-from .statements import (And, AtLeast, Atom, BUILTIN_PREDICATES, Exists,
-                         Implies, Me, Not, Or, SemanticError, Statement,
-                         UNKNOWN, Var, render_statement, walk)
+from .statements import SemanticError, UNKNOWN, render_statement
 from .worlds import World, checked_rows
 
 # Unused here; bench/tracing.py wraps the reference evaluators by these names.
@@ -155,7 +153,7 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
         raise SemanticError("world fluents do not match the puzzle")
     axioms, steps = puzzle.compiled
     types, values = world.types, world.fluent_values
-    for i, (check, _, _) in enumerate(axioms):
+    for i, (check, _, _, _) in enumerate(axioms):
         if not check(types, values):
             built = puzzle.violations
             result = built.get(i)
@@ -164,7 +162,7 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
                     False, None, None, f"axiom {i + 1} is violated: "
                     f"{render_statement(puzzle.axioms[i])}")
             return result
-    for k, (check, _, _) in enumerate(steps):
+    for k, (check, _, _, _) in enumerate(steps):
         if not check(types, values):
             step = puzzle.transcript[k]
             type_ = types[step.person_index]
@@ -269,7 +267,7 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
     assignments = _assignments(puzzle)
     some_types = (ALL_TYPES[0],) * len(names)
     per_types, per_pair = [], []
-    for check, reads, typed in axioms + steps:
+    for check, reads, typed, _ in axioms + steps:
         if not typed:
             assignments = [values for values in assignments
                            if check(some_types, values)]
@@ -335,9 +333,10 @@ class _Search:
     earlier person runs once per combination of the types it reads.
     `constant` holds those that read no type at all, run once per solve.
     `watchers[v]` holds the checks that read fluent slot v and can be
-    False once slots up to v are set, by `decided_from`'s read-once law:
-    each runs whenever such a slot is assigned, so it still runs at the
-    last slot it reads, and no run it skips could have pruned.
+    False once slots up to v are set: v is at least the check's
+    `start()`, computed here, by the read-once law `compile_statement`
+    states.  Each runs whenever such a slot is assigned, so it still runs
+    at the last slot it reads, and no run it skips could have pruned.
 
     Once every person is typed, `combination` holds the types and the
     fluent search runs on it.  Only the watched checks run there, so on
@@ -362,32 +361,27 @@ class _Search:
         names = puzzle.person_names
         self.domains = [d.values() for d in puzzle.fluent_decls]
         # Search variables: one per (fluent, person), declaration order,
-        # so (f, p) is slot f * n + p, as `decided_from` counts.
+        # so (f, p) is slot f * n + p, as a compiled check's `start` counts.
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
-        decls = puzzle.fluent_decls
         axioms, steps = puzzle.compiled
         local: list[list] = [[] for _ in names]  # type-local step checks
-        checks = []  # each other check, with its statement and speaker
+        checks = []  # each other step check, then each axiom check
         for step, compiled in zip(puzzle.transcript, steps):
             if st.is_type_local(step.body, step.person):
                 local[step.person_index].append(compiled[0])
             else:
-                checks.append((compiled, step.body, step.person))
-        checks += [(compiled, axiom, None)
-                   for compiled, axiom in zip(axioms, puzzle.axioms)]
+                checks.append(compiled)
+        checks += axioms
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
         self.decided: list[list] = [[] for _ in names]
         self.constant = []
         watched = []  # (check, reads, first slot at which it can be False)
         keys: set[int] = set()
-        for (check, reads, typed), stmt, speaker in checks:
+        for check, reads, typed, first_false in checks:
             if reads:
-                true, false = decided_from(stmt, speaker, names, decls)
-                # An utterance fails once its body is definite and
-                # disagrees with what its speaker must say.
-                start = false if speaker is None else min(true, false)
+                start = first_false()
                 watched.append((check, reads, start))
                 if any(f * len(names) + p >= start for f, p in reads):
                     keys |= typed
@@ -569,92 +563,6 @@ def _memoized(check, persons: list[int]):
     return check_once
 
 
-def decided_from(stmt: Statement, speaker: Optional[str], person_names,
-                 fluent_decls) -> tuple[float, float]:
-    """The first fluent slots at which the statement can be True, and
-    False.
-
-    The solver sets every type first, then fluent slot ``f * n + p``, which
-    holds `values[f][p]`, in increasing order.  The read-once law: on any
-    types and any row that sets only slots before the slot given for a
-    value, leaving the rest UNKNOWN, `eval_partial` never gives the
-    statement that value, so a compiled check that wants the other value
-    is not False there.  -1 means it may have the value once the types are
-    set, before any slot is, so the law asks nothing there; `math.inf`
-    means never.
-
-    Each node gets its two slots as Kleene evaluation decides them.  A
-    fluent atom is decided at its own slot, a builtin at -1; `not` swaps
-    the two; `and` is True at its items' latest True slot and False at
-    their earliest False slot, `or` the dual, `implies` as
-    ``or(not l, r)``; at least k of n persons is True at the k-th earliest
-    True slot of its bodies and False at the (n - k + 1)-th earliest False
-    one.  The slots are exact when no two atoms read one slot or type, and
-    never late.
-
-    A quantifier's slots are memoized on the persons bound to the variables
-    it reads, so a closed one is analysed once, whatever binds around it.
-    The statement must compile.
-    """
-    n = len(person_names)
-    fluent_names = [decl.name for decl in fluent_decls]
-    variables: dict[int, tuple[str, ...]] = {}  # those each node reads
-    memo: dict[tuple, tuple[float, float]] = {}
-
-    def slots(node, env) -> tuple[float, float]:
-        """(first slot True, first slot False) of `node` under `env`."""
-        if isinstance(node, Atom):
-            if node.predicate in BUILTIN_PREDICATES:
-                return -1, -1
-            term = node.term
-            slot = fluent_names.index(node.predicate) * n + (
-                env[term.name] if isinstance(term, Var)
-                else person_names.index(speaker if isinstance(term, Me)
-                                        else term.name))
-            return slot, slot
-        if isinstance(node, Not):
-            true, false = slots(node.body, env)
-            return false, true
-        if isinstance(node, (And, Or)):
-            trues, falses = zip(*[slots(item, env) for item in node.items])
-            if isinstance(node, And):
-                return max(trues), min(falses)
-            return min(trues), max(falses)
-        if isinstance(node, Implies):
-            left_true, left_false = slots(node.left, env)
-            right_true, right_false = slots(node.right, env)
-            return min(left_false, right_true), max(left_true, right_false)
-        # Only a quantifier rebinds, so only its slots are memoized.
-        names = variables.get(id(node))
-        if names is None:
-            names = variables[id(node)] = tuple(sorted({
-                sub.term.name for sub in walk(node)
-                if isinstance(sub, Atom) and isinstance(sub.term, Var)}))
-        key = (id(node), *[env.get(name) for name in names])
-        known = memo.get(key)
-        if known is None:
-            known = memo[key] = quantified(node, env)
-        return known
-
-    def quantified(node, env) -> tuple[float, float]:
-        k = (node.count if isinstance(node, AtLeast)
-             else 1 if isinstance(node, Exists) else n)
-        if k <= 0:
-            return -1, math.inf
-        if k > n:
-            return math.inf, -1
-        trues, falses = zip(*[slots(node.body, {**env, node.var: p})
-                              for p in range(n)])
-        return sorted(trues)[k - 1], sorted(falses)[n - k]
-
-    try:
-        return slots(stmt, {})
-    finally:
-        # The two closures hold each other through their cells; clearing
-        # the cells leaves no cycle, so reference counting frees them.
-        del slots, quantified
-
-
 def _build_report(puzzle: PuzzleSpec,
                   world: World) -> tuple[ReportRow, ...]:
     guilt_category = None
@@ -682,7 +590,7 @@ class DerivationStep:
     truthful_now: bool
     sane_now: bool
     spoken: str
-    fact: Statement
+    fact: st.Statement
 
     def render(self) -> str:
         phases = (("truthful" if self.truthful_now else "lying") + ", "
@@ -709,7 +617,7 @@ def explain_solution(puzzle: PuzzleSpec,
         fact = st.substitute_me(step.body, step.person)
         if not step.required(type_):
             fact = (fact.body if step.answer is Answer.NO
-                    and isinstance(fact, Not) else Not(fact))
+                    and isinstance(fact, st.Not) else st.Not(fact))
         if step.answer is None:
             spoken = f"says {step.label}"
         else:

@@ -12,10 +12,12 @@ two-valued check from closures over index rows.  A check is False
 exactly when the rows make ``eval_partial`` definite and different from
 the value the statement must take: True for an axiom, and for an
 utterance what its speaker's type requires.  Otherwise it is True.  It
-reports which fluent slots and which persons' types each check reads.
-It pushes ``not`` down to the atoms as it compiles, so a check holds no
-negation node.  Its name resolution is the one set of atom rules; unlike
-the tree walker, it rejects a value outside its fluent's domain.
+reports which fluent slots and which persons' types each check reads,
+and, computed only when asked, the first fluent slot at which the check
+can be False: where the solver starts to watch it.  It pushes ``not``
+down to the atoms as it compiles, so a check holds no negation node.
+Its name resolution is the one set of atom rules; unlike the tree
+walker, it rejects a value outside its fluent's domain.
 The one walk of a ``PuzzleSpec`` compiles each axiom and each utterance
 once, and the walking thread's ``PuzzleSpec.compiled`` keeps the checks
 for the solver, ``check_world`` and ``bedlam simulate``.  Any other
@@ -26,6 +28,7 @@ value it wants, in cells of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -482,7 +485,7 @@ def _eval_atom(world, atom, speaker, env):
 
 def compile_statement(stmt: Statement, speaker: Optional[str],
                       person_names, fluent_decls, required=None):
-    """Compile a believes-free statement into `(check, reads, typed)`.
+    """Compile a believes-free statement into `(check, reads, typed, start)`.
 
     The statement must take a value: True, or for an utterance of
     `speaker`, `required[t.index]` when the speaker has type t.
@@ -515,6 +518,18 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     reading them as False gives True.  So an atom on an UNKNOWN slot reads
     as the wanted value, and the check asks whether the statement then
     takes it.
+
+    `start()` is the first fluent slot ``f * n + p``, which holds
+    `values[f][p]`, at which the check can be False.  The read-once law:
+    on any types, no row that sets only slots before it, leaving the rest
+    UNKNOWN, makes the check False.  -1 means the types alone can, and
+    `math.inf` that nothing can.  In the negation-free form each node has
+    a first slot True and a first slot False: a fluent atom its own slot,
+    a builtin -1, and `_junction` and `_quantified` give the rest.  An
+    axiom starts at its False slot, an utterance at the earlier of the
+    two.  The start is never late, and exact when no two atoms read one
+    slot or type.  It is computed only when called, from the slots and
+    `bound` cells the check resolved, and it writes `bound` as a run does.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -522,28 +537,32 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     assumed = [True]  # what an UNKNOWN literal reads as: the wanted value
     reads: set[tuple[int, int]] = set()
     typed: set[int] = set()
+    variables: list[int] = []  # the quantifier slot of each variable atom
 
     def compile_(node, env, negated):
+        """`(check, slots)` of `node`, negated if `negated`: `slots()` is
+        its first slot True and first slot False."""
         if isinstance(node, Not):
             return compile_(node.body, env, not negated)
         if isinstance(node, (And, Or)):
-            items = [compile_(item, env, negated) for item in node.items]
-            return (_some if isinstance(node, And) == negated
-                    else _every)(items)
+            return _junction(isinstance(node, And) == negated, [
+                compile_(item, env, negated) for item in node.items])
         if isinstance(node, Implies):
-            items = [compile_(node.left, env, not negated),
-                     compile_(node.right, env, negated)]
-            return (_every if negated else _some)(items)
+            return _junction(not negated, [
+                compile_(node.left, env, not negated),
+                compile_(node.right, env, negated)])
         if isinstance(node, (Exists, ForAll, AtLeast)):
             slot = len(bound)
             bound.append(None)
+            mark = len(variables)
             # Bodies under a constant count are compiled too, so that
             # `reads` and `typed` name every slot the statement mentions.
             body = compile_(node.body, {**env, node.var: slot}, negated)
             count = (node.count if isinstance(node, AtLeast)
                      else 1 if isinstance(node, Exists) else n)
+            outer = sorted({s for s in variables[mark:] if s < slot})
             return _quantified(n - count + 1 if negated else count,
-                               bound, slot, n, body)
+                               bound, slot, n, outer, body)
         if isinstance(node, Believes):
             raise SemanticError("believes cannot be evaluated as a fact")
         # The atom rules, in one order: predicate and value, then term.
@@ -569,6 +588,7 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             if name not in env:
                 raise SemanticError(f"unbound variable '{name}'")
             slot = env[name]
+            variables.append(slot)
         elif name is None:
             raise SemanticError("'me' used outside any utterance")
         else:
@@ -576,30 +596,36 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
         persons = range(n) if slot >= n else (slot,)
         if builtin:
             typed.update(persons)
-            return lambda types, values: (
-                types[bound[slot]].builtins[predicate] != negated)
+            return (lambda types, values: (
+                types[bound[slot]].builtins[predicate] != negated),
+                lambda: (-1, -1))
         reads.update((f, p) for p in persons)
+        first = f * n
+        slots = lambda: (first + bound[slot],) * 2
         if wanted is None:
             # A boolean literal holds on True, or on False when negated.
             wanted, negated = not negated, False
         if negated:
-            return lambda types, values: (
+            return (lambda types, values: (
                 assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
-                else value != wanted)
-        return lambda types, values: (
+                else value != wanted), slots)
+        return (lambda types, values: (
             assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
-            else value == wanted)
+            else value == wanted), slots)
 
-    body = compile_(stmt, {}, False)
+    body, slots = compile_(stmt, {}, False)
+    # `compile_` holds itself through its cell.  Dropping the name frees
+    # it by reference counting, so a compile leaves no garbage cycle.
+    del compile_
     if required is None:
-        return body, reads, typed
+        return body, reads, typed, lambda: slots()[1]
     me = _index(person_names, speaker, "unknown person")
     typed.add(me)
 
     def check(types, values):
         want = assumed[0] = required[types[me].index]
         return body(types, values) == want
-    return check, reads, typed
+    return check, reads, typed, lambda: min(slots())
 
 
 def _index(names, name: str, what: str) -> int:
@@ -608,6 +634,19 @@ def _index(names, name: str, what: str) -> int:
         return names.index(name)
     except ValueError:
         raise SemanticError(f"{what} '{name}'") from None
+
+
+def _junction(some: bool, items):
+    """`(check, slots)` of an `or` (when `some`) or an `and` over compiled
+    items: the first is True at its items' earliest True slot and False
+    at their latest False slot, the second the dual."""
+    checks, item_slots = zip(*items)
+    true, false = (min, max) if some else (max, min)
+
+    def slots():
+        trues, falses = zip(*[item() for item in item_slots])
+        return true(trues), false(falses)
+    return (_some if some else _every)(checks), slots
 
 
 def _some(items):
@@ -642,16 +681,24 @@ def _every(items):
     return check
 
 
-def _quantified(k: int, bound, slot: int, n: int, body):
-    """A check: do at least `k` persons make `body` true?
+def _quantified(k: int, bound, slot: int, n: int, outer: list[int], body):
+    """`(check, slots)` of at least `k` persons making `body` true, where
+    `body` is a compiled `(check, slots)`.
 
-    Each of the n persons is put in `bound[slot]` in turn; the count stops
-    once it is decided, at the n-th person at the latest.
+    The check puts each of the n persons in `bound[slot]` in turn; the
+    count stops once it is decided, at the n-th person at the latest.  It
+    is True at the k-th earliest True slot of its bodies and False at the
+    (n - k + 1)-th earliest False one.  Those slots are memoized on the
+    persons bound at the `outer` quantifier slots the body reads, so a
+    closed quantifier is analysed once.
     """
     if k <= 0 or k > n:
         constant = k <= 0
-        return lambda types, values: constant
+        first = (-1, math.inf) if constant else (math.inf, -1)
+        return lambda types, values: constant, lambda: first
+    body, body_slots = body
     slack = n - k  # misses that still leave k hits
+    memo: dict[tuple, tuple] = {}
 
     def check(types, values):
         hits = misses = 0
@@ -665,4 +712,16 @@ def _quantified(k: int, bound, slot: int, n: int, body):
                 misses += 1
                 if misses > slack:
                     return False
-    return check
+
+    def slots():
+        key = tuple([bound[s] for s in outer])
+        known = memo.get(key)
+        if known is None:
+            pairs = []
+            for p in range(n):
+                bound[slot] = p
+                pairs.append(body_slots())
+            trues, falses = zip(*pairs)
+            known = memo[key] = (sorted(trues)[k - 1], sorted(falses)[n - k])
+        return known
+    return check, slots

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from bedlam import fixture_path, solver
+from bedlam import fixture_path, statements
 from bedlam.cli import cli, main
 from bedlam.parser import parse_puzzle_file
 from bedlam.semantics import Answer
@@ -172,12 +172,18 @@ def test_check_unconstrained_puzzle(runner, tmp_path):
 
 
 def test_only_solve_runs_the_watch_analysis(runner, monkeypatch):
-    # The fluent search's watch lists are all it serves: parsing,
-    # validating, checking and simulating never pay for it.
-    def refuse(*args):
-        raise AssertionError("the watch analysis ran")
+    # The fluent search's watch lists are all a check's `start` serves:
+    # parsing, validating, checking and simulating never pay for it.
+    compile_statement = statements.compile_statement
 
-    monkeypatch.setattr(solver, "decided_from", refuse)
+    def refusing(*args):
+        check, reads, typed, _ = compile_statement(*args)
+
+        def start():
+            raise AssertionError("the watch analysis ran")
+        return check, reads, typed, start
+
+    monkeypatch.setattr(statements, "compile_statement", refusing)
     for argv, code in ((["check", ASYLUM, SOLUTION], 0),
                        (["check", ASYLUM, ANN_SL], 13),
                        (["simulate", ASYLUM, SOLUTION], 0)):

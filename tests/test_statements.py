@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import support
 from bedlam.parser import ParseError, parse_statement
-from bedlam.solver import decided_from
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
                                UNKNOWN, Var, compile_statement, eval_closed,
@@ -198,12 +197,12 @@ def test_partial_eval_is_unknown_or_every_completions_value(seed):
 
 
 def _compile_kleene(stmt, speaker, persons, decls):
-    """`compile_statement`'s triple, with a check that reads the Kleene
-    value back from the two-valued checks of `stmt` and of `not stmt`:
-    the first is False exactly when the value is False, the second
-    exactly when it is True, and never both."""
-    check, reads, typed = compile_statement(stmt, speaker, persons, decls)
-    negation, _, _ = compile_statement(Not(stmt), speaker, persons, decls)
+    """`compile_statement`'s `(check, reads, typed)`, with a check that
+    reads the Kleene value back from the two-valued checks of `stmt` and
+    of `not stmt`: the first is False exactly when the value is False,
+    the second exactly when it is True, and never both."""
+    check, reads, typed, _ = compile_statement(stmt, speaker, persons, decls)
+    negation = compile_statement(Not(stmt), speaker, persons, decls)[0]
 
     def kleene(types, values):
         can_be_true, can_be_false = check(types, values), negation(types,
@@ -274,11 +273,11 @@ def test_puzzle_checks_say_whether_the_rows_rule_out_the_wanted_value(seed):
             values[f][p] = UNKNOWN
         partial = _HiddenSlots(world, [(decls[f].name, persons[p])
                                        for f, p in hidden])
-        for (check, _, _), axiom in zip(axioms, puzzle.axioms):
+        for (check, _, _, _), axiom in zip(axioms, puzzle.axioms):
             result = check(world.types, values)
             assert type(result) is bool
             assert result is (eval_partial(partial, axiom) is not False)
-        for (check, _, _), step in zip(steps, puzzle.transcript):
+        for (check, _, _, _), step in zip(steps, puzzle.transcript):
             result = check(world.types, values)
             assert type(result) is bool
             value = eval_partial(partial, step.body, step.person)
@@ -346,7 +345,14 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
     assert seen == {True, False, UNKNOWN}
 
 
-def test_decided_from_on_the_asylums_shapes(asylum):
+def _first_slots(stmt, speaker, persons, decls):
+    """The first slots at which `stmt` can be True, and False: the
+    compiled start of `not stmt`, and of `stmt`, as axioms."""
+    return tuple(compile_statement(s, speaker, persons, decls)[3]()
+                 for s in (Not(stmt), stmt))
+
+
+def test_compiled_start_on_the_asylums_shapes(asylum):
     # Slots run fluent-major, person-minor: `lover` is the asylum's first
     # fluent and Ian its last person.
     names, decls = asylum.person_names, asylum.fluent_decls
@@ -356,7 +362,7 @@ def test_decided_from_on_the_asylums_shapes(asylum):
         return fluents.index(fluent) * len(names) + names.index(person)
 
     def slots(text, speaker=None):
-        return decided_from(parse_statement(text), speaker, names, decls)
+        return _first_slots(parse_statement(text), speaker, names, decls)
 
     assert (slots("exists x . carried(x) and not lover(x)")
             == (slot("carried", "Ann"), slot("lover", "Ian")))
@@ -373,15 +379,107 @@ def test_decided_from_on_the_asylums_shapes(asylum):
             == (-1, slot("lover", "Ann")))
 
 
-def test_decided_from_analyses_a_closed_quantifier_once():
+def test_compiled_start_analyses_a_closed_quantifier_once():
     # Unrolled over three persons, a chain of 40 quantifiers would take
     # 3**40 bodies.  Each `exists` is closed, so it is analysed once, and
     # the chain is False from its last `shifty` slot on; `hungry(Ann)`,
     # the slot after it, is where the `forall` can first be False.
     for depth in (12, 40):
-        _, false = decided_from(_deep_quantifiers(depth), "Beth",
+        _, false = _first_slots(_deep_quantifiers(depth), "Beth",
                                 support.NAME_POOL, DECLS)
         assert false == 3
+    # An open one is analysed again for each person its outer variable
+    # holds: the `exists` can be True at `shifty(x)`, so the `forall` can
+    # be True once `shifty(Cedric)`, slot 2, is set, and False only at
+    # `hungry(Cedric)`, slot 5.
+    assert _first_slots(
+        parse_statement("forall x . exists y . shifty(x) or hungry(y)"),
+        None, support.NAME_POOL, DECLS) == (2, 5)
+
+
+def _read_once_statement(rng: random.Random, decls):
+    """A random statement over Ann and Beth in which no two atoms read
+    one fluent slot or one person's type.  Each leaf is an atom on a
+    named person, or a quantifier whose body reads only its variable.
+    A column is a fluent, or None for the builtins, which read the type."""
+    free = {(column, p) for column in [*range(len(decls)), None]
+            for p in range(2)}
+
+    def atom(column, term):
+        if column is None:
+            return Atom(rng.choice(support.BUILTINS), term)
+        decl = decls[column]
+        return Atom(decl.name, term,
+                    None if decl.is_boolean else rng.choice(decl.domain))
+
+    def tree(leaf, size):
+        if size == 1:
+            node = leaf()
+        else:
+            left = rng.randint(1, size - 1)
+            node = rng.choice(support.CONNECTIVES)(tree(leaf, left),
+                                                   tree(leaf, size - left))
+        return Not(node) if rng.random() < 0.3 else node
+
+    def named():
+        column, p = rng.choice(sorted(free, key=repr))
+        free.remove((column, p))
+        return atom(column, Person(("Ann", "Beth")[p]))
+
+    def leaf():
+        nonlocal later
+        later -= 1
+        whole = [column for column, p in free if p == 0
+                 and (column, 1) in free]
+        # Leave a cell for each later leaf.
+        most = min(2, len(whole), (len(free) - later) // 2)
+        if not most or rng.random() < 0.5:
+            return named()
+        columns = rng.sample(sorted(whole, key=repr), rng.randint(1, most))
+        free.difference_update((column, p) for column in columns
+                               for p in range(2))
+        atoms = iter(columns)
+        body = tree(lambda: atom(next(atoms), Var("x")), len(columns))
+        if rng.random() < 0.5:
+            return rng.choice((Exists, ForAll))("x", body)
+        return AtLeast(rng.randint(0, 3), "x", body)
+
+    later = rng.randint(1, 3)
+    return tree(leaf, later)
+
+
+def _first_false_slot(check, reads, typed, decls) -> float:
+    """The first slot at which some row that sets every slot up to it,
+    and no later one, makes `check` False on some types: -1 when the
+    types alone can, `math.inf` when no row can.  Only the slots the
+    check reads, and the types of its `typed` persons, are varied."""
+    slots = sorted(f * 2 + p for f, p in reads)
+    type_rows = list(itertools.product(
+        *[ALL_TYPES if p in typed else ALL_TYPES[:1] for p in range(2)]))
+    for level in range(len(slots) + 1):
+        set_slots = slots[:level]
+        for cells in itertools.product(
+                *[decls[slot // 2].values() for slot in set_slots]):
+            values = [[UNKNOWN] * 2 for _ in decls]
+            for slot, value in zip(set_slots, cells):
+                values[slot // 2][slot % 2] = value
+            if not all(check(types, values) for types in type_rows):
+                return set_slots[-1] if set_slots else -1
+    return math.inf
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_compiled_start_is_exact_when_no_two_atoms_read_one_slot(seed):
+    # The read-once law says the start is never late; where no two atoms
+    # read one fluent slot or one person's type, it is not early either:
+    # some row that sets the slots up to it makes the check False.
+    rng = random.Random(seed)
+    decls = (FluentDecl("shifty"), support.MOOD)
+    stmt = _read_once_statement(rng, decls)
+    check, reads, typed, start = compile_statement(stmt, None,
+                                                   ("Ann", "Beth"), decls)
+    assert start() == _first_false_slot(check, reads, typed, decls)
 
 
 def _walk_every_two_person_world(text, decls, types=ALL_TYPES) -> set:
