@@ -638,8 +638,8 @@ def _index(names, name: str, what: str) -> int:
 
 def _junction(some: bool, items):
     """`(check, slots)` of an `or` (when `some`) or an `and` over compiled
-    items: the first is True at its items' earliest True slot and False
-    at their latest False slot, the second the dual."""
+    items.  An `or` can be True from its items' earliest True slot and
+    False from their latest False slot; an `and` is the dual."""
     checks, item_slots = zip(*items)
     true, false = (min, max) if some else (max, min)
 
