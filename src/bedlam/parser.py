@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .extraction import Category, ExtractionConfig, ExtractionError
-from .puzzle import PuzzleSpec, QuestionRound, StatementsRound, _compile_where
+from .puzzle import PuzzleSpec, QuestionRound, StatementsRound, _where
 from .semantics import Answer, type_from_label
 from .statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                          Implies, ME, Not, Or, Person, Statement, Var,
-                         peel_believes)
+                         compile_statement, peel_believes)
 from .worlds import FluentDecl, World
 
 STATEMENT_KEYWORDS = frozenset({
@@ -307,8 +307,8 @@ def parse_statement(text: str,
     if persons is not None or fluents is not None:
         persons = tuple(persons or ())
         body, _ = peel_believes(stmt)
-        _compile_where(body, "statement", persons[0] if persons else None,
-                       persons, tuple(fluents or ()))
+        _where("statement", compile_statement, body,
+               persons[0] if persons else None, persons, tuple(fluents or ()))
     return stmt
 
 

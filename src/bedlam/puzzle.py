@@ -8,16 +8,16 @@ runs it.  It yields `transcript` and the checks `compiled` holds for each
 axiom and utterance.  Only here does the phase rule meet compiled code:
 an utterance is compiled with `Step.required_by_type`, so its check
 holds it to what its speaker's type requires.  `check_world`, `bedlam
-simulate` and the solver run these checks as they are.  A check is not
-safe to share between threads, so each thread keeps the checks its own
-walk compiled.
+simulate` and the solver run these checks as they are.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Union
 
 from . import statements as st
@@ -28,16 +28,10 @@ from .statements import Believes, SemanticError, Statement
 from .worlds import FluentDecl
 
 
-def _compile_where(body: Statement, where: str, speaker: Optional[str],
-                   person_names: tuple[str, ...],
-                   fluent_decls: tuple[FluentDecl, ...],
-                   required: Optional[tuple[bool, ...]] = None) -> tuple:
-    """`compile_statement`'s `(check, reads, typed, start)` for a peeled
-    body, with `speaker` for `me`; its SemanticError gains the `where`
-    prefix."""
+def _where(where: str, run, *args):
+    """`run(*args)`, its SemanticError prefixed with `where`."""
     try:
-        return st.compile_statement(body, speaker, person_names, fluent_decls,
-                                    required)
+        return run(*args)
     except SemanticError as exc:
         raise SemanticError(f"{where}: {exc}") from None
 
@@ -112,17 +106,13 @@ class PuzzleSpec:
 
     @cached_property
     def transcript(self) -> tuple[Step, ...]:
-        """Every utterance in reading order, numbered per speaker.
+        """Every utterance in reading order, numbered per speaker."""
+        return self._walked.steps
 
-        The first walk of the spec, in whichever thread, takes these from
-        `_walk` and keeps its checks for that thread's `compiled`.
-        """
-        steps, self._per_thread.compiled = self._walk()
-        return steps
-
-    @property
-    def compiled(self) -> tuple[tuple, tuple]:
-        """`(axioms, steps)`: `compile_statement`'s `(check, reads, typed,
+    # A getter in C, with no Python frame: `check_world` reads this on
+    # every call.
+    compiled = property(attrgetter("_walked.compiled"), doc="""
+        `(axioms, steps)`: `compile_statement`'s `(check, reads, typed,
         start)` for each axiom and, in `transcript` order, each step's
         body held to `Step.required_by_type`.  An axiom's check is False
         once the rows make it false, and a step's once they make its body
@@ -130,27 +120,20 @@ class PuzzleSpec:
         includes the speaker.  `start()`, the first fluent slot at which
         the check can be False, is computed only when called, and only
         the solver's fluent search calls it.
-
-        Compiled once in each thread: a check writes its quantifiers'
-        persons, and the value it wants, into cells of its own, so two
-        threads must not run one check at once.  Each thread keeps the
-        checks its own walk of the spec compiled, and a thread that has
-        not walked it walks it on first use; that walk cannot fail where
-        an earlier one passed.
-        """
-        local = self._per_thread
-        try:
-            return local.compiled
-        except AttributeError:
-            pass
-        steps, local.compiled = self._walk()
-        # A spec walked here first keeps these steps as its `transcript`.
-        self.__dict__.setdefault("transcript", steps)
-        return local.compiled
+        """)
 
     @cached_property
-    def _per_thread(self) -> threading.local:
-        return threading.local()
+    def _walked(self) -> _Walked:
+        """`_walk`'s steps and checks, walked in each thread on first use
+        there.
+
+        Per thread because a compiled check writes its quantifiers'
+        persons, and the value it wants, into cells of its own, so two
+        threads must not run one check at once.  A thread's walk cannot
+        fail where an earlier one passed.  The walks hold the spec by weak
+        reference, so they make no cycle for the collector.
+        """
+        return _Walked(weakref.ref(self))
 
     @cached_property
     def violations(self) -> dict:
@@ -177,7 +160,7 @@ class PuzzleSpec:
         A round's persons are checked, then each utterance is peeled,
         compiled for its speaker and numbered before the next is checked.
         A question is peeled once for all it is put to.  Returns the
-        steps and this thread's `(axioms, steps)` checks.
+        steps and the `(axioms, steps)` checks.
         """
         names, decls = self.person_names, self.fluent_decls
         if len(set(names)) != len(names):
@@ -196,7 +179,8 @@ class PuzzleSpec:
                 raise SemanticError(f"{where}: axioms cannot contain believes")
             if st.mentions_me(axiom):
                 raise SemanticError(f"{where}: axioms have no speaker for 'me'")
-            axioms.append(_compile_where(axiom, where, None, names, decls))
+            axioms.append(_where(where, st.compile_statement, axiom, None,
+                                 names, decls))
         index = {name: k for k, name in enumerate(names)}
         counts = [0] * len(names)
         steps, checks = [], []
@@ -205,8 +189,8 @@ class PuzzleSpec:
             pi = index[person]
             step = Step(ri, person, pi, counts[pi], body, is_belief, answer,
                         label)
-            checks.append(_compile_where(body, where, person, names, decls,
-                                         step.required_by_type))
+            checks.append(_where(where, st.compile_statement, body, person,
+                                 names, decls, step.required_by_type))
             steps.append(step)
             counts[pi] += 1
 
@@ -222,10 +206,12 @@ class PuzzleSpec:
                     if person not in index:
                         raise SemanticError(
                             f"{where}: unknown person '{person}'")
-                body, is_belief = st.peel_believes(rnd.statement)
+                body, is_belief = _where(where, st.peel_believes,
+                                         rnd.statement)
                 if not rnd.addressed:
                     # A question put to no one is still checked, without `me`.
-                    _compile_where(body, where, None, names, decls)
+                    _where(where, st.compile_statement, body, None, names,
+                           decls)
                 for person, answer in zip(rnd.addressed, rnd.answers):
                     say(ri, person, body, is_belief, answer, rnd.label, where)
             else:
@@ -238,10 +224,10 @@ class PuzzleSpec:
                         raise SemanticError(
                             f"{where}: '{speaker}' speaks twice in one round")
                     seen.add(speaker)
-                    body, is_belief = st.peel_believes(stmt)
+                    said = f"{where}, {speaker}"
+                    body, is_belief = _where(said, st.peel_believes, stmt)
                     say(ri, speaker, body, is_belief, None,
-                        st.render_peeled(body, is_belief),
-                        f"{where}, {speaker}")
+                        st.render_peeled(body, is_belief), said)
         for cat in self.extraction.categories if self.extraction else ():
             if cat.name in (SANITY_CATEGORY, TRUTHFULNESS_CATEGORY):
                 continue
@@ -254,3 +240,11 @@ class PuzzleSpec:
                     f"extraction category '{cat.name}' must list exactly the "
                     "fluent's three declared values")
         return tuple(steps), (tuple(axioms), tuple(checks))
+
+
+class _Walked(threading.local):
+    """`PuzzleSpec._walked`: a `threading.local` runs `__init__` again in
+    each thread that first reads it."""
+
+    def __init__(self, spec: weakref.ref):
+        self.steps, self.compiled = spec()._walk()

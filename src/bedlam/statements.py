@@ -18,18 +18,14 @@ can be False: where the solver starts to watch it.  It pushes ``not``
 down to the atoms as it compiles, so a check holds no negation node.
 Its name resolution is the one set of atom rules; unlike the tree
 walker, it rejects a value outside its fluent's domain.
-The one walk of a ``PuzzleSpec`` compiles each axiom and each utterance
-once, and the walking thread's ``PuzzleSpec.compiled`` keeps the checks
-for the solver, ``check_world`` and ``bedlam simulate``.  Any other
-thread walks the spec for checks of its own, because a compiled check is
-not safe to share between threads: it binds quantified persons, and the
-value it wants, in cells of its own.
+``PuzzleSpec.compiled`` keeps each axiom's and utterance's check for the
+solver, ``check_world`` and ``bedlam simulate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 # Predicates derived from a person's behavioral type.  Everything else
@@ -234,23 +230,14 @@ def substitute_me(stmt: Statement, person_name: str) -> Statement:
         if isinstance(stmt.term, Me):
             return Atom(stmt.predicate, Person(person_name), stmt.value)
         return stmt
-    if isinstance(stmt, Not):
-        return Not(substitute_me(stmt.body, person_name))
-    if isinstance(stmt, And):
-        return And(tuple(substitute_me(i, person_name) for i in stmt.items))
-    if isinstance(stmt, Or):
-        return Or(tuple(substitute_me(i, person_name) for i in stmt.items))
+    if isinstance(stmt, (And, Or)):
+        return type(stmt)(tuple(substitute_me(i, person_name)
+                                for i in stmt.items))
     if isinstance(stmt, Implies):
         return Implies(substitute_me(stmt.left, person_name),
                        substitute_me(stmt.right, person_name))
-    if isinstance(stmt, Exists):
-        return Exists(stmt.var, substitute_me(stmt.body, person_name))
-    if isinstance(stmt, ForAll):
-        return ForAll(stmt.var, substitute_me(stmt.body, person_name))
-    if isinstance(stmt, AtLeast):
-        return AtLeast(stmt.count, stmt.var, substitute_me(stmt.body, person_name))
-    if isinstance(stmt, Believes):
-        return Believes(substitute_me(stmt.body, person_name))
+    if isinstance(stmt, (Not, Exists, ForAll, AtLeast, Believes)):
+        return replace(stmt, body=substitute_me(stmt.body, person_name))
     raise TypeError(f"not a statement node: {stmt!r}")
 
 
@@ -287,22 +274,7 @@ _LEVEL_IMPLIES = 1
 _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_NOT = 4
-_LEVEL_ATOM = 5
 _LEVEL_QUANT = 0
-
-
-def _level(stmt: Statement) -> int:
-    if isinstance(stmt, Atom):
-        return _LEVEL_ATOM
-    if isinstance(stmt, Not):
-        return _LEVEL_NOT
-    if isinstance(stmt, And):
-        return _LEVEL_AND
-    if isinstance(stmt, Or):
-        return _LEVEL_OR
-    if isinstance(stmt, Implies):
-        return _LEVEL_IMPLIES
-    return _LEVEL_QUANT
 
 
 def render_statement(stmt: Statement) -> str:
@@ -329,25 +301,29 @@ def _render(stmt: Statement, min_level: int) -> str:
             return f"{stmt.predicate}({render_term(stmt.term)})"
         return f"{stmt.predicate}({render_term(stmt.term)}, {stmt.value})"
     if isinstance(stmt, Not):
-        text = "not " + _render(stmt.body, _LEVEL_NOT)
+        level, text = _LEVEL_NOT, "not " + _render(stmt.body, _LEVEL_NOT)
     elif isinstance(stmt, And):
+        level = _LEVEL_AND
         text = " and ".join(_render(item, _LEVEL_NOT) for item in stmt.items)
     elif isinstance(stmt, Or):
+        level = _LEVEL_OR
         text = " or ".join(_render(item, _LEVEL_AND) for item in stmt.items)
     elif isinstance(stmt, Implies):
+        level = _LEVEL_IMPLIES
         text = (_render(stmt.left, _LEVEL_OR) + " implies "
                 + _render(stmt.right, _LEVEL_IMPLIES))
     elif isinstance(stmt, Exists):
+        level = _LEVEL_QUANT
         text = f"exists {stmt.var} . {_render(stmt.body, 0)}"
     elif isinstance(stmt, ForAll):
+        level = _LEVEL_QUANT
         text = f"forall {stmt.var} . {_render(stmt.body, 0)}"
     elif isinstance(stmt, AtLeast):
+        level = _LEVEL_QUANT
         text = f"atleast {stmt.count} {stmt.var} . {_render(stmt.body, 0)}"
     else:
         raise TypeError(f"not a statement node: {stmt!r}")
-    if _level(stmt) < min_level:
-        return f"({text})"
-    return text
+    return f"({text})" if level < min_level else text
 
 
 # --- Evaluation ---

@@ -11,7 +11,8 @@ from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
 from bedlam.solver import (CheckResult, SolveStatus, brute_force_solve,
                            check_world, enumerate_worlds, solve_all)
-from bedlam.statements import (Atom, Believes, Not, Person, Statement,
+from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
+                               Implies, Not, Or, Person, Statement,
                                eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_categorical_statement,
@@ -238,22 +239,30 @@ def test_reordering_persons_maps_the_world_set():
             for world in result.worlds}
 
 
+def _rewritten(node, rule):
+    """The statement rebuilt bottom-up, with `rule` applied to each node
+    but a `believes`."""
+    if not isinstance(node, Atom):
+        changes = {}
+        for field in dataclasses.fields(node):
+            value = getattr(node, field.name)
+            if isinstance(value, Statement):
+                changes[field.name] = _rewritten(value, rule)
+            elif isinstance(value, tuple):
+                changes[field.name] = tuple(_rewritten(item, rule)
+                                            for item in value)
+        node = dataclasses.replace(node, **changes)
+    return node if isinstance(node, Believes) else rule(node)
+
+
 def _renamed(node, names: dict):
     """The statement with each named person renamed by `names`."""
-    if isinstance(node, Atom):
-        if isinstance(node.term, Person):
+    def rename(node):
+        if isinstance(node, Atom) and isinstance(node.term, Person):
             return Atom(node.predicate, Person(names[node.term.name]),
                         node.value)
         return node
-    changes = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Statement):
-            changes[field.name] = _renamed(value, names)
-        elif isinstance(value, tuple):
-            changes[field.name] = tuple(_renamed(item, names)
-                                        for item in value)
-    return dataclasses.replace(node, **changes)
+    return _rewritten(node, rename)
 
 
 def test_renaming_persons_maps_the_world_set():
@@ -303,6 +312,77 @@ def test_a_duplicated_axiom_changes_nothing():
         assert again.statistics.nodes == result.statistics.nodes
         duplicated += 1
     assert duplicated >= 15
+
+
+def _every_statement(puzzle, rewrite):
+    """The spec with `rewrite` applied to each axiom and uttered statement."""
+    rounds = tuple(
+        dataclasses.replace(rnd, statement=rewrite(rnd.statement))
+        if isinstance(rnd, QuestionRound) else
+        StatementsRound(tuple((p, rewrite(stmt))
+                              for p, stmt in rnd.utterances))
+        for rnd in puzzle.rounds)
+    return dataclasses.replace(
+        puzzle, axioms=tuple(map(rewrite, puzzle.axioms)), rounds=rounds)
+
+
+# Rewrites exact in Kleene logic: each leaves every statement's value, on
+# every partial world, as it was.
+KLEENE_RULES = {
+    "double negation": lambda node: (
+        Not(Not(node)) if isinstance(node, Atom) else node),
+    "De Morgan": lambda node: (
+        Not(Or(tuple(map(Not, node.items)))) if isinstance(node, And) else
+        Not(And(tuple(map(Not, node.items)))) if isinstance(node, Or)
+        else node),
+    "implies as or": lambda node: (
+        Or((Not(node.left), node.right)) if isinstance(node, Implies)
+        else node),
+    "forall as not exists not": lambda node: (
+        Not(Exists(node.var, Not(node.body))) if isinstance(node, ForAll)
+        else node),
+    "exists as atleast 1": lambda node: (
+        AtLeast(1, node.var, node.body) if isinstance(node, Exists)
+        else node),
+}
+
+
+def test_a_kleene_exact_rewrite_keeps_the_worlds(asylum):
+    # Compare worlds only: the search over a rewritten check may take
+    # other nodes.
+    rng = random.Random(0x3E1A)
+    puzzles = [asylum] + [random_probed_puzzle(rng)[0] for _ in range(6)]
+    expected = [solve_all(puzzle).worlds for puzzle in puzzles]
+    for name, rule in KLEENE_RULES.items():
+        changed = 0
+        for puzzle, worlds in zip(puzzles, expected):
+            rewritten = _every_statement(
+                puzzle, lambda stmt: _rewritten(stmt, rule))
+            changed += rewritten != puzzle
+            assert solve_all(rewritten).worlds == worlds, name
+        assert changed >= 2, name
+
+
+def test_splitting_statements_rounds_keeps_the_worlds(asylum):
+    # Ordinals count per speaker, not per round, so where a statements
+    # round ends changes no step's phase.
+    rng = random.Random(0x5B11)
+    puzzles = [asylum] + [random_probed_puzzle(rng)[0] for _ in range(6)]
+    split = 0
+    for puzzle in puzzles:
+        rounds = []
+        for rnd in puzzle.rounds:
+            said = getattr(rnd, "utterances", ())
+            if len(said) < 2:
+                rounds.append(rnd)
+                continue
+            k = rng.randint(1, len(said) - 1)
+            rounds += [StatementsRound(said[:k]), StatementsRound(said[k:])]
+        if len(rounds) > len(puzzle.rounds):
+            split += 1
+        moved = dataclasses.replace(puzzle, rounds=tuple(rounds))
+        assert solve_all(moved).worlds == solve_all(puzzle).worlds
+    assert split >= 4
 
 
 def test_the_hidden_world_survives_any_utterance_it_would_make():

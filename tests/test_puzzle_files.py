@@ -18,7 +18,9 @@ from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer, TYPES_BY_LABEL
 from bedlam.solver import (brute_force_solve, check_world, explain_solution,
                            solve_all)
-from bedlam.statements import SemanticError, Statement, compile_statement
+from bedlam.statements import (And, Believes, Exists, ForAll, Implies, Not,
+                               Or, SemanticError, Statement,
+                               compile_statement)
 from bedlam.worlds import FluentDecl, World
 
 MINIMAL = "persons: Ann\n"
@@ -259,6 +261,15 @@ BY_CRIME = ExtractionConfig((
     Category("sanity", ("partial", "delusional", "sane")),
     Category("truthfulness", ("alternator", "liar", "truth-teller")),
     Category("crime", GUILT.domain)))
+INNER = "believes may only appear as the outermost node (at {})"
+
+
+def _said_by_ann(stmt):
+    return (StatementsRound((("Ann", stmt),)),)
+
+
+def _asked_of_ann(stmt):
+    return (QuestionRound("q", stmt, ("Ann",), (Answer.YES,)),)
 
 
 @pytest.mark.parametrize("persons, decls, axioms, rounds, config, message", [
@@ -279,9 +290,29 @@ BY_CRIME = ExtractionConfig((
      None, "round 0: 'Ann' speaks twice in one round"),
     (("Ann",), (GUILT,), (), (), BY_CRIME,
      "extraction category 'crime' names no declared fluent"),
+    # A `believes` below the top is reported where it was said, with the
+    # labels down to it.
+    (("Ann",), (), (), _said_by_ann(Not(Believes(SAID))), None,
+     "round 0, Ann: " + INNER.format("not")),
+    (("Ann",), (), (), _asked_of_ann(Not(Believes(SAID))), None,
+     "round 0: " + INNER.format("not")),
+    (("Ann",), (), (), _said_by_ann(Implies(Believes(SAID), SAID)), None,
+     "round 0, Ann: " + INNER.format("implies.left")),
+    (("Ann",), (), (), _asked_of_ann(Implies(SAID, Believes(SAID))), None,
+     "round 0: " + INNER.format("implies.right")),
+    (("Ann",), (), (), _said_by_ann(Exists("x", Believes(SAID))), None,
+     "round 0, Ann: " + INNER.format("body")),
+    (("Ann",), (), (), _asked_of_ann(And((SAID, Not(Believes(SAID))))), None,
+     "round 0: " + INNER.format("and[1]/not")),
+    (("Ann",), (), (),
+     _said_by_ann(Believes(Or((ForAll("x", Believes(SAID)), SAID)))), None,
+     "round 0, Ann: " + INNER.format("or[0]/body")),
 ], ids=["duplicate-person", "duplicate-fluent", "builtin-fluent",
         "axiom-with-me", "axiom-with-believes", "unknown-speaker",
-        "unanswered-person", "speaks-twice", "category-without-fluent"])
+        "unanswered-person", "speaks-twice", "category-without-fluent",
+        "inner-believes-said", "inner-believes-asked", "implies-left",
+        "implies-right", "quantifier-body", "two-levels-asked",
+        "two-levels-under-a-belief"])
 def test_specs_built_in_code_get_every_check_validate_makes(
         persons, decls, axioms, rounds, config, message):
     # The one walk of a spec checks it however it was built, so a spec

@@ -613,6 +613,16 @@ def test_quantifier_shadowing_restores_outer_binding():
     assert holds
 
 
+def test_eval_closed_rejects_an_undetermined_statement():
+    rng = random.Random(1)
+    world = random_world(rng, support.NAME_POOL, DECLS)
+    lover = DECLS[0].name
+    partial = _HiddenSlots(world, [(lover, "Ann")])
+    with pytest.raises(SemanticError, match="^statement not determined by a "
+                                            "partial world$"):
+        eval_closed(partial, Atom(lover, Person("Ann")))
+
+
 def test_eval_rejects_believes():
     rng = random.Random(1)
     world = random_world(rng, support.NAME_POOL, DECLS)
@@ -625,3 +635,13 @@ def test_substitute_me():
     substituted = substitute_me(stmt, "Beth")
     assert substituted == Believes(And((Atom("lover", Person("Beth")),
                                         Exists("x", Atom("lover", Var("x"))))))
+
+
+def test_substitute_me_rebuilds_every_node_kind():
+    text = ("believes(not lover(me) or (lover(Ann) implies forall x . "
+            "atleast 2 y . lover(me) and lover(y)))")
+    expected = text.replace("(me)", "(Beth)")
+    assert substitute_me(parse_statement(text), "Beth") == \
+        parse_statement(expected)
+    with pytest.raises(TypeError, match="^not a statement node: 'lover'$"):
+        substitute_me("lover", "Beth")
