@@ -117,9 +117,10 @@ class PuzzleSpec:
         body held to `Step.required_by_type`.  An axiom's check is False
         once the rows make it false, and a step's once they make its body
         differ from what its speaker's type requires; its `typed`
-        includes the speaker.  `start()`, the first fluent slot at which
-        the check can be False, is computed only when called, and only
-        the solver's fluent search calls it.
+        includes the speaker, whose type it reads through that table as
+        well as through any builtin named there.  `start()`, the first
+        fluent slot at which the check can be False, is computed on its
+        first call, and only the solver's fluent search calls it.
         """)
 
     @cached_property

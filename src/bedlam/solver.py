@@ -20,10 +20,13 @@ themselves; persons are typed one by one, each fluent-free check running
 once the last type it reads is set, so a failure skips every combination
 under that prefix; then fluent values are backtracked over, each fluent
 check watched from its compiled `start`, the first slot at which it can
-be False, which no other path asks for.  That fluent search reads only
-its checks' persons' types, so it runs once per combination of those,
-and the other type combinations reuse its rows and count its nodes
-again.  It visits worlds in canonical order, so they come out sorted.
+be False, which no other path asks for.  Of each person's type that
+fluent search reads only what its checks read: builtins, and for a
+speaker whether the type wants each utterance true, which a sane
+truth-teller and an insane liar answer alike.  So it runs once per
+combination of type classes, those readings, and the other type
+combinations reuse its rows and count its nodes again.  It visits
+worlds in canonical order, so they come out sorted.
 
 Both solvers check each distinct fluent assignment once, where they
 intern it (`worlds.checked_rows`), and pause the cyclic garbage
@@ -86,8 +89,9 @@ class SolveStatistics:
     types, whether searched or skipped with a ruled-out prefix, plus one
     per fluent value tried; a reused subtree counts its nodes again.  The
     node budget is checked against it.  `fluent_searches` counts the
-    fluent searches run from their root; a reused subtree is not searched
-    again.
+    fluent searches run from their root: one per combination of type
+    classes (`_Search`) where subtrees are shared, else one per type
+    combination searched.  A reused subtree is not searched again.
     """
 
     nodes: int = 0
@@ -339,14 +343,19 @@ class _Search:
     at the last slot it reads, and no run it skips could have pruned.
 
     Once every person is typed, `combination` holds the types and the
-    fluent search runs on it.  Only the watched checks run there, so on
-    any type combination it finds the same rows, in the same order, over
-    the same nodes as on any other that gives the `keys` persons, those
-    whose types the watched checks read, the same types.  `subtrees` maps
-    the indices of those types to what the search found, `(rows, nodes)`.
-    It is None, and each combination is searched, when there is no fluent
-    slot to search or every person outside `keys` keeps one candidate, so
-    no two combinations share those types.
+    fluent search runs on it.  Only the watched checks run there, and of
+    person p's type they read only the builtins their `typed` names for
+    p and, for p's steps, `Step.required_by_type`.  Types alike in all of
+    those share a class: `candidate_classes[p]` gives the class of each
+    of p's candidates, and `classes` that of each of `types`.  So on any
+    type combination the search finds the same rows, in the same order,
+    over the same nodes as on any other whose persons' types fall in the
+    same classes.  `subtrees` maps a combination's classes to what its
+    search found: the worlds `found[first:end]` and the `nodes` it
+    counted, as `(first, end, nodes)`.  It is None, and each combination
+    is searched, when there is no fluent slot to search or no two
+    candidates of any person share a class, so no two combinations could
+    share a search.
 
     `nodes` counts as `SolveStatistics.nodes` says, and the budget is
     enforced every 2,048 nodes.  `statistics()` reports the search so far,
@@ -371,20 +380,26 @@ class _Search:
             if st.is_type_local(step.body, step.person):
                 local[step.person_index].append(compiled[0])
             else:
-                checks.append(compiled)
-        checks += axioms
+                checks.append((*compiled, step))
+        checks += [(*compiled, None) for compiled in axioms]
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
         self.decided: list[list] = [[] for _ in names]
         self.constant = []
         watched = []  # (check, reads, first slot at which it can be False)
-        keys: set[int] = set()
-        for check, reads, typed, first_false in checks:
+        # What the fluent search reads of each person's type: builtins,
+        # and the wanted values of their steps, by type index.
+        builtins: list[set[str]] = [set() for _ in names]
+        wanted: list[set[tuple]] = [set() for _ in names]
+        for check, reads, typed, first_false, step in checks:
             if reads:
                 start = first_false()
                 watched.append((check, reads, start))
                 if any(f * len(names) + p >= start for f, p in reads):
-                    keys |= typed
+                    for p, predicates in typed.items():
+                        builtins[p] |= predicates
+                    if step is not None:
+                        wanted[step.person_index].add(step.required_by_type)
                 continue
             if not typed:
                 self.constant.append(check)
@@ -416,15 +431,26 @@ class _Search:
         # the search takes those types as one product.
         self.typed = max((p + 1 for p, checks in enumerate(self.decided)
                           if checks), default=0)
-        self.keys = sorted(keys)
+        # Types that all person p's tables, each a value by type index,
+        # map alike share a class; `candidate_classes[p]` gives the class
+        # of each of p's candidates.
+        self.candidate_classes = []
+        for read, tables, kept in zip(builtins, wanted, self.candidates):
+            tables = [*tables, *[_BUILTIN_TABLES[name] for name in read]]
+            readings = list(zip(*tables)) or [()] * len(ALL_TYPES)
+            ids: dict[tuple, int] = {}
+            self.candidate_classes.append([
+                ids.setdefault(readings[t.index], len(ids)) for t in kept])
         self.subtrees: Optional[dict[tuple, tuple]] = (
             {} if self.variables and any(
-                len(kept) > 1 for p, kept in enumerate(self.candidates)
-                if p not in keys) else None)
+                len(set(classes)) < len(classes)
+                for classes in self.candidate_classes)
+            else None)
         # Each fluent assignment found, checked once: worlds that share it
         # share its rows.
         self.assignments: dict[tuple, tuple] = {}
         self.types = [None] * len(names)
+        self.classes = [None] * len(names)  # the class of each of `types`
         self.values = [[UNKNOWN] * len(names) for _ in self.domains]
         self.combination: tuple = ()
         self.found: list[World] = []
@@ -454,16 +480,24 @@ class _Search:
             # One product for the rest: recursing to the last person instead
             # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.
             prefix = tuple(types[:p])
-            search = (self._search if self.subtrees is None
-                      else self._search_once)
-            for rest in itertools.product(*self.candidates[p:]):
+            rests = itertools.product(*self.candidates[p:])
+            if self.subtrees is None:  # no two share a search
+                for rest in rests:
+                    self.tick()
+                    self.combination = prefix + rest
+                    self._search()
+                return
+            key = tuple(self.classes[:p])
+            for rest, classes in zip(rests, itertools.product(
+                    *self.candidate_classes[p:])):
                 self.tick()
                 self.combination = prefix + rest
-                search()
+                self._search_once(key + classes)
             return
         values, checks, below = self.values, self.decided[p], self.below[p]
-        for t in self.candidates[p]:
-            types[p] = t
+        classes = self.classes
+        for t, class_ in zip(self.candidates[p], self.candidate_classes[p]):
+            types[p], classes[p] = t, class_
             for check in checks:
                 if not check(types, values):
                     self.skip(below)
@@ -471,25 +505,23 @@ class _Search:
             else:
                 self._choose(p + 1)
 
-    def _search_once(self) -> None:
-        """`_search`, once per combination of the key persons' types: a
-        combination whose key persons' types were searched before takes
-        the rows found then, and counts their nodes again."""
-        combination = self.combination
-        key = tuple([combination[k].index for k in self.keys])
+    def _search_once(self, key: tuple) -> None:
+        """`_search`, once per `key`, the classes of `combination`'s
+        types: a combination whose classes were searched before takes the
+        rows of the worlds found then, and counts their nodes again."""
         subtree = self.subtrees.get(key)
+        found = self.found
         if subtree is None:
-            nodes, first = self.nodes, len(self.found)
+            nodes, first = self.nodes, len(found)
             self._search()
-            self.subtrees[key] = (
-                [world.fluent_values for world in self.found[first:]],
-                self.nodes - nodes)
+            self.subtrees[key] = (first, len(found), self.nodes - nodes)
             return
-        rows, nodes = subtree
+        first, end, nodes = subtree
         self.skip(nodes)
         puzzle = self.puzzle
-        self.found.extend([World(puzzle.person_names, combination,
-                                 puzzle.fluent_decls, row) for row in rows])
+        found.extend([World(puzzle.person_names, self.combination,
+                            puzzle.fluent_decls, world.fluent_values)
+                      for world in found[first:end]])
 
     def _search(self) -> None:
         """The fluent search of `combination`, from its root."""
@@ -548,6 +580,11 @@ class _Search:
         return SolveStatistics(
             nodes=self.nodes, elapsed=time.perf_counter() - self.started,
             worlds_found=len(self.found), fluent_searches=self.searches)
+
+
+# Each builtin predicate's value for each type, by type index.
+_BUILTIN_TABLES = {predicate: tuple(t.builtins[predicate] for t in ALL_TYPES)
+                   for predicate in st.BUILTIN_PREDICATES}
 
 
 def _memoized(check, persons: list[int]):

@@ -12,12 +12,13 @@ two-valued check from closures over index rows.  A check is False
 exactly when the rows make ``eval_partial`` definite and different from
 the value the statement must take: True for an axiom, and for an
 utterance what its speaker's type requires.  Otherwise it is True.  It
-reports which fluent slots and which persons' types each check reads,
-and, computed only when asked, the first fluent slot at which the check
-can be False: where the solver starts to watch it.  It pushes ``not``
-down to the atoms as it compiles, so a check holds no negation node.
-Its name resolution is the one set of atom rules; unlike the tree
-walker, it rejects a value outside its fluent's domain.
+reports which fluent slots each check reads, and which builtin
+predicates of which persons' types, and, computed only when asked, the
+first fluent slot at which the check can be False: where the solver
+starts to watch it.  It pushes ``not`` down to the atoms as it
+compiles, so a check holds no negation node.  Its name resolution is
+the one set of atom rules; unlike the tree walker, it rejects a value
+outside its fluent's domain.
 ``PuzzleSpec.compiled`` keeps each axiom's and utterance's check for the
 solver, ``check_world`` and ``bedlam simulate``.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Union
 
 # Predicates derived from a person's behavioral type.  Everything else
@@ -469,9 +471,11 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     out: when `eval_partial` on the world where person p has type
     `types[p]` and fluent f the value `values[f][p]`, which may be
     UNKNOWN, is definite and differs from it.  Otherwise it is True.
-    `reads` holds the (f, p) slots it reads, and `typed` the persons p
-    whose `types[p]` it reads, the speaker among them when `required` is
-    given; an atom on a quantified variable reads every person's slot.
+    `reads` holds the (f, p) slots it reads.  `typed` maps each person p
+    whose `types[p]` it reads to the builtin predicates it reads of that
+    type; the speaker is among them when `required` is given, and reads
+    `required` besides.  An atom on a quantified variable reads every
+    person's slot or predicate.
     Names are resolved once, to their index in `person_names` or
     `fluent_decls`.  Every atom, even one a run would short-circuit past,
     meets the atom rules in this order, or raises SemanticError: a builtin
@@ -504,15 +508,16 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     a builtin -1, and `_junction` and `_quantified` give the rest.  An
     axiom starts at its False slot, an utterance at the earlier of the
     two.  The start is never late, and exact when no two atoms read one
-    slot or type.  It is computed only when called, from the slots and
-    `bound` cells the check resolved, and it writes `bound` as a run does.
+    slot or type.  It is computed on the first call only, from the slots
+    and `bound` cells the check resolved, and it writes `bound` as a run
+    does; later calls return it again.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
     bound = list(range(n))
     assumed = [True]  # what an UNKNOWN literal reads as: the wanted value
     reads: set[tuple[int, int]] = set()
-    typed: set[int] = set()
+    typed: dict[int, set[str]] = {}
     variables: list[int] = []  # the quantifier slot of each variable atom
 
     def compile_(node, env, negated):
@@ -571,7 +576,8 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             slot = _index(person_names, name, "unknown person")
         persons = range(n) if slot >= n else (slot,)
         if builtin:
-            typed.update(persons)
+            for p in persons:
+                typed.setdefault(p, set()).add(predicate)
             return (lambda types, values: (
                 types[bound[slot]].builtins[predicate] != negated),
                 lambda: (-1, -1))
@@ -594,14 +600,38 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     # it by reference counting, so a compile leaves no garbage cycle.
     del compile_
     if required is None:
-        return body, reads, typed, lambda: slots()[1]
+        return body, reads, typed, _Start(slots, _FALSE_SLOT)
     me = _index(person_names, speaker, "unknown person")
-    typed.add(me)
+    typed.setdefault(me, set())
 
     def check(types, values):
         want = assumed[0] = required[types[me].index]
         return body(types, values) == want
-    return check, reads, typed, lambda: min(slots())
+    return check, reads, typed, _Start(slots, min)
+
+
+class _Start:
+    """A check's `start`: `pick(slots())` on the first call, and the same
+    value after.
+
+    The first call drops `slots`, and with it the slot closures and
+    quantifier memos only it reads, so a check holds its analysis no
+    longer than the first solve that asks for it.
+    """
+
+    __slots__ = ("slots", "pick", "value")
+
+    def __init__(self, slots, pick):
+        self.slots, self.pick = slots, pick
+
+    def __call__(self):
+        if self.slots is not None:
+            self.value, self.slots = self.pick(self.slots()), None
+        return self.value
+
+
+# An axiom starts at its first slot False, the second of a node's slots.
+_FALSE_SLOT = itemgetter(1)
 
 
 def _index(names, name: str, what: str) -> int:

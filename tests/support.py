@@ -9,7 +9,8 @@ from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, Statement, Var,
-                               eval_closed, render_statement)
+                               eval_closed, is_type_local, peel_believes,
+                               render_statement)
 from bedlam.worlds import FluentDecl, World
 
 NAME_POOL = ("Ann", "Beth", "Cedric")
@@ -143,6 +144,40 @@ def random_puzzle(rng: random.Random) -> PuzzleSpec:
             rounds.append(StatementsRound(tuple(utterances)))
 
     puzzle = PuzzleSpec(tuple(persons), decls, tuple(axioms), tuple(rounds))
+    puzzle.validate()
+    return puzzle
+
+
+def random_nonlocal_puzzle(rng: random.Random) -> PuzzleSpec:
+    """A three-person puzzle over one or two boolean fluents, replaying a
+    hidden world, in which no utterance is type-local.
+
+    Each statement reads a fluent or another person's type, so every
+    person keeps all 16 type candidates, as in the no-probe benchmark.
+    """
+    persons = NAME_POOL
+    decls = tuple(FluentDecl(name)
+                  for name in FLUENT_POOL[:rng.randint(1, 2)])
+    fluents = [decl.name for decl in decls]
+    world = random_world(rng, persons, decls)
+    counts = {p: 0 for p in persons}
+    rounds = []
+    for _ in range(rng.randint(3, 5)):
+        utterances = []
+        for speaker in rng.sample(persons, rng.randint(1, 3)):
+            stmt = random_utterance(rng, depth=2, persons=persons,
+                                    fluents=fluents)
+            while is_type_local(peel_believes(stmt)[0], speaker):
+                stmt = random_utterance(rng, depth=2, persons=persons,
+                                        fluents=fluents)
+            state = AgentState(world.type_of(speaker), counts[speaker])
+            if not would_assert(state, world, stmt, speaker):
+                stmt = (Believes(Not(stmt.body)) if isinstance(stmt, Believes)
+                        else Not(stmt))
+            utterances.append((speaker, stmt))
+            counts[speaker] += 1
+        rounds.append(StatementsRound(tuple(utterances)))
+    puzzle = PuzzleSpec(persons, decls, (), tuple(rounds))
     puzzle.validate()
     return puzzle
 

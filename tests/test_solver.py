@@ -25,7 +25,8 @@ from bedlam.statements import (Atom, Not, Person, SemanticError, UNKNOWN,
                                eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_categorical_trio,
-                     random_probed_puzzle, random_puzzle, random_world)
+                     random_nonlocal_puzzle, random_probed_puzzle,
+                     random_puzzle, random_world)
 
 EXPECTED_TYPES = {
     "Ann": "PiAl", "Beth": "DL", "Cedric": "SAl", "David": "PsL",
@@ -203,6 +204,18 @@ def test_oracle_runs_each_check_once_per_loop_level_it_reads(monkeypatch):
                              if check_world(puzzle, world))
 
 
+def _any_generated_puzzle(rng: random.Random) -> PuzzleSpec:
+    """A puzzle from one of the four generators, drawn by `rng`."""
+    generator = rng.randrange(4)
+    if generator == 0:
+        return random_puzzle(rng)
+    if generator == 1:
+        return random_categorical_puzzle(rng, hidden=rng.random() < 0.5)
+    if generator == 2:
+        return random_categorical_trio(rng, hidden=rng.random() < 0.5)
+    return random_probed_puzzle(rng)[0]
+
+
 @given(strategies.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_compiled_checks_read_only_the_rows_they_report(seed):
@@ -213,22 +226,14 @@ def test_compiled_checks_read_only_the_rows_they_report(seed):
     # checks are compiled with `Step.required_by_type`, so they read
     # their speaker's type, and `typed` must hold the speaker.
     rng = random.Random(seed)
-    generator = rng.randrange(4)
-    if generator == 0:
-        puzzle = random_puzzle(rng)
-    elif generator == 1:
-        puzzle = random_categorical_puzzle(rng, hidden=rng.random() < 0.5)
-    elif generator == 2:
-        puzzle = random_categorical_trio(rng, hidden=rng.random() < 0.5)
-    else:
-        puzzle, _ = random_probed_puzzle(rng)
+    puzzle = _any_generated_puzzle(rng)
     persons, decls = puzzle.person_names, puzzle.fluent_decls
     world = random_world(rng, persons, decls)
     types, values = world.types, world.fluent_values
     axioms, steps = puzzle.compiled
     for check, reads, typed, _ in axioms + steps:
         expected = check(types, values)
-        for p in set(range(len(persons))) - typed:
+        for p in set(range(len(persons))) - typed.keys():
             for t in ALL_TYPES:
                 assert check(types[:p] + (t,) + types[p + 1:],
                              values) is expected
@@ -240,6 +245,38 @@ def test_compiled_checks_read_only_the_rows_they_report(seed):
                     changed = [list(row) for row in values]
                     changed[f][p] = value
                     assert check(types, changed) is expected
+
+
+@given(strategies.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_types_in_one_class_never_change_a_check(seed):
+    # The law the fluent search's sharing rests on.  A check reads of a
+    # typed person's type only the builtins `typed` names for them and,
+    # for a step's speaker, what `Step.required_by_type` wants: types
+    # that agree on those are in one class.  Swapping a person's type for
+    # another of its class never changes the check, on full rows or on
+    # rows with unset slots, as in the search.
+    rng = random.Random(seed)
+    puzzle = _any_generated_puzzle(rng)
+    persons, decls = puzzle.person_names, puzzle.fluent_decls
+    world = random_world(rng, persons, decls)
+    types, full = world.types, world.fluent_values
+    partial = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
+               for row in full]
+    axioms, steps = puzzle.compiled
+    speakers = [None] * len(axioms) + list(puzzle.transcript)
+    for (check, _, typed, _), step in zip(axioms + steps, speakers):
+        for p, predicates in typed.items():
+            def reads(t):
+                wanted = (step.required(t) if step is not None
+                          and step.person_index == p else None)
+                return wanted, [t.builtins[name] for name in predicates]
+            for values in (full, partial):
+                expected = check(types, values)
+                for t in ALL_TYPES:
+                    if reads(t) == reads(types[p]):
+                        assert check(types[:p] + (t,) + types[p + 1:],
+                                     values) is expected
 
 
 def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
@@ -383,7 +420,8 @@ def test_fixture_search_counts_are_pinned(asylum):
 
 
 def test_fixture_searches_every_type_combination(asylum):
-    # Some fluent check reads each person's type, so no two of the 512
+    # Some fluent check reads each person's type, and each person's two
+    # candidates fall in different classes, so no two of the 512
     # combinations share a search.
     assert solver._Search(asylum, Budget()).subtrees is None
     assert solve_all(asylum).statistics.fluent_searches == 512
@@ -584,6 +622,23 @@ def test_a_solve_leaves_nothing_for_the_cyclic_collector(asylum):
         gc.enable()
 
 
+def test_a_checks_start_frees_its_analysis_after_the_first_call(
+        asylum_text):
+    # Only a solve's set-up calls `start()`; the slot closures and
+    # quantifier memos it reads would otherwise live as long as the spec.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        axioms, steps = parse_puzzle_file(asylum_text).compiled
+        before, _ = tracemalloc.get_traced_memory()
+        starts = [start() for _, _, _, start in axioms + steps]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after < before
+    assert [start() for _, _, _, start in axioms + steps] == starts
+
+
 def test_solves_pause_the_collector_and_leave_it_as_they_found_it(
         monkeypatch, asylum):
     seen = []
@@ -738,17 +793,19 @@ def test_fluent_free_check_runs_once_its_last_type_is_set(monkeypatch):
     assert result.worlds == brute_force_solve(puzzle)
 
 
-def test_fluent_search_runs_once_per_type_of_its_key_persons(monkeypatch):
-    # Only Ann's step runs in the fluent search, so the 4,096 type
-    # combinations share 16 searches, one per type of Ann; the others
-    # reuse the rows they found and count their nodes again.
+def test_fluent_search_runs_once_per_class_of_its_key_persons(monkeypatch):
+    # Only Ann's step runs in the fluent search, and it reads only whether
+    # Ann's type wants its body true: a sane truth-teller and an insane
+    # liar both assert exactly the true statements.  So the 4,096 type
+    # combinations share 2 searches, one per class of Ann's types; the
+    # others reuse the rows they found and count their nodes again.
     calls = _count_check_runs(monkeypatch)
     puzzle = parse_puzzle_file("persons: Ann, Beth, Cedric\nfluent f : bool\n"
                                "round statements:\n  Ann: f(Beth)\n")
     result = solve_all(puzzle)
-    assert calls["Ann"] == 64
+    assert calls["Ann"] == 8
     assert result.statistics.nodes == 45_056
-    assert result.statistics.fluent_searches == 16
+    assert result.statistics.fluent_searches == 2
     assert len(result.worlds) == 16_384
     assert result.worlds == brute_force_solve(puzzle)
 
@@ -788,8 +845,9 @@ def _solve_searching_every_combination(monkeypatch, puzzle, budget):
 
 def test_reused_subtrees_are_what_a_search_would_find(monkeypatch):
     # A person who never speaks keeps all 16 types, and no check reads
-    # them unless a quantifier does, so most puzzles with a fluent reuse
-    # subtrees.
+    # them unless a quantifier does, so most puzzles with a fluent and a
+    # silent "Zed" reuse subtrees.  Without Zed, combinations share a
+    # search only where the speakers' types fall in the same classes.
     runs = []
 
     @given(strategies.integers(0, 2**32 - 1))
@@ -803,8 +861,10 @@ def test_reused_subtrees_are_what_a_search_would_find(monkeypatch):
             puzzle = random_categorical_puzzle(rng, hidden=rng.random() < 0.5)
         else:
             puzzle, _ = random_probed_puzzle(rng)
-        puzzle = PuzzleSpec(puzzle.person_names + ("Zed",),
-                            puzzle.fluent_decls, puzzle.axioms, puzzle.rounds)
+        if rng.random() < 0.5:
+            puzzle = PuzzleSpec(puzzle.person_names + ("Zed",),
+                                puzzle.fluent_decls, puzzle.axioms,
+                                puzzle.rounds)
         budget = Budget(max_nodes=10_000)
         try:
             reused = solve_all(puzzle, budget)
@@ -814,12 +874,34 @@ def test_reused_subtrees_are_what_a_search_would_find(monkeypatch):
             monkeypatch, puzzle, budget)
         assert reused.worlds == searched.worlds
         assert reused.statistics.nodes == searched.statistics.nodes
-        runs.append((offered, reused.statistics.fluent_searches,
+        runs.append(("Zed" in puzzle.person_names, offered,
+                     reused.statistics.fluent_searches,
                      searched.statistics.fluent_searches))
 
     reuse_is_exact()
-    assert any(offered for offered, _, _ in runs)
-    assert any(reused < searched for _, reused, searched in runs)
+    for silent in (True, False):
+        assert any(offered for zed, offered, _, _ in runs if zed is silent)
+        assert any(reused < searched
+                   for zed, _, reused, searched in runs if zed is silent)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_speakers_share_searches_among_their_type_classes(monkeypatch, seed):
+    # Every person speaks, and none type-locally, so each keeps 16 types
+    # and some fluent check reads each one's type: the no-probe shape.  A
+    # step reads only whether its speaker's type wants its body true,
+    # and builtins only the sanity or truthfulness class, so the 4,096
+    # combinations still share searches, with every world and node a
+    # search of each would give.
+    puzzle = random_nonlocal_puzzle(random.Random(seed))
+    shared = solve_all(puzzle)
+    searched, _ = _solve_searching_every_combination(monkeypatch, puzzle,
+                                                     Budget())
+    assert (shared.statistics.fluent_searches
+            < searched.statistics.fluent_searches)
+    assert shared.worlds == searched.worlds
+    assert shared.statistics.nodes == searched.statistics.nodes
+    assert shared.worlds == brute_force_solve(puzzle)
 
 
 @given(strategies.integers(0, 2**32 - 1))
