@@ -13,14 +13,16 @@ The statement grammar, in canonical form:
 Precedence, tightest first: not, and, or, implies.  Quantifier bodies
 extend as far right as possible.  An identifier bound by an enclosing
 quantifier is a variable; any other identifier in term position names a
-person.  Identifiers are case-sensitive; '#' starts a comment.
+person.  Identifiers are case-sensitive.  A '#' outside a quoted string
+starts a comment, which runs to the end of its line.
 
 Puzzle files are line-oriented: a `persons:` line, then `fluent`,
 `axiom`, `round` and `extraction` sections.  World files carry a single
 `world:` section assigning each person a type label and fluent values.
 
-Each line is lexed in one pass, one regex match per token, after its
-comment is cut off.  A multi-line statement goes through the same lexer,
+Each line is lexed in one pass, one regex match per token; the lexer
+skips comments as it skips whitespace, and it alone decides where a
+comment starts.  A multi-line statement goes through the same lexer,
 which counts lines only in text that holds a newline.  A parsed puzzle's
 rounds are checked, peeled and compiled in one walk (see `puzzle`).
 """
@@ -28,7 +30,6 @@ rounds are checked, peeled and compiled in one walk (see `puzzle`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .extraction import Category, ExtractionConfig, ExtractionError
@@ -50,8 +51,10 @@ FILE_KEYWORDS = frozenset({
 })
 RESERVED = STATEMENT_KEYWORDS | FILE_KEYWORDS
 
-# Skips whitespace, then captures one token; no token group matches at
-# the end of the text or at a character no token starts with.
+# Skips whitespace, then captures one token or a comment ('#' to the end
+# of its line); no group matches at the end of the text or at a character
+# nothing starts with.  A string matches from its opening quote, so a '#'
+# inside it is part of the string.
 _TOKEN_RE = re.compile(r"""
     \s*
     (?:
@@ -59,6 +62,7 @@ _TOKEN_RE = re.compile(r"""
       | (?P<word>[A-Za-z_][A-Za-z0-9_-]*)
       | (?P<string>"[^"]*")
       | (?P<punct>[(){},.:=])
+      | (?P<comment>\#[^\n]*)
     )?
 """, re.VERBOSE)
 
@@ -81,19 +85,23 @@ class Token(NamedTuple):
     col: int
 
 
-def _tokenize(text: str, line: int = 1) -> list[Token]:
-    """The tokens of `text`, whose first line is line `line`.
+def _tokenize(text: str, line: int = 1) -> _TokenCursor:
+    """A cursor over the tokens of `text`, whose first line is line `line`.
 
-    One regex match per token.  Columns count from the start of the
-    token's line; only text holding a newline (a multi-line statement, or
-    a string that spans lines) counts newlines at all.
+    One regex match per token or comment; comments are skipped.  Columns
+    count from the start of the token's line; only text holding a newline
+    (a multi-line statement, or a string that spans lines) counts newlines
+    at all.  The cursor's end of input is on the last line, one past its
+    last character before its comment.
     """
     tokens = []
     match = _TOKEN_RE.match
+    new_token = tuple.__new__  # builds a Token without its Python __new__
     multiline = "\n" in text
     pos = 0
     counted = 0     # newlines before this offset are counted in `line`
     line_start = 0  # offset of the first character of `line`
+    comment = -1    # offset of the last comment
     while True:
         m = match(text, pos)
         kind = m.lastgroup
@@ -105,28 +113,23 @@ def _tokenize(text: str, line: int = 1) -> list[Token]:
                 line_start = text.rfind("\n", counted, start) + 1
             counted = start
         if kind is None:
-            if start == len(text):
-                return tokens
-            raise ParseError(f"unexpected character {text[start]!r}",
-                             line, start - line_start + 1)
-        tokens.append(Token(kind, m.group(kind), line, start - line_start + 1))
+            if start < len(text):
+                raise ParseError(f"unexpected character {text[start]!r}",
+                                 line, start - line_start + 1)
+            end = comment if comment >= line_start else start
+            return _TokenCursor(tokens, line, end - line_start + 1)
+        if kind == "comment":
+            comment = start
+        else:
+            tokens.append(new_token(
+                Token, (kind, m.group(kind), line, start - line_start + 1)))
         pos = m.end()
 
 
-def _strip_comment(line: str) -> str:
-    if '"' not in line:  # no label, so the first '#' starts the comment
-        cut = line.find("#")
-        return line if cut < 0 else line[:cut]
-    in_string = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-    return line
-
-
 class _TokenCursor:
+    """The tokens of one line or statement, read front to back; running
+    out of them is an error at (`end_line`, `end_col`)."""
+
     def __init__(self, tokens: list[Token], end_line: int, end_col: int):
         self.tokens = tokens
         self.pos = 0
@@ -300,10 +303,7 @@ def parse_statement(text: str,
     against those declarations, with the first person as the speaker of
     `me`.
     """
-    lines = [_strip_comment(line) for line in text.split("\n")]
-    cursor = _TokenCursor(_tokenize("\n".join(lines)), len(lines),
-                          len(lines[-1]) + 1)
-    stmt = _parse_statement_tokens(cursor)
+    stmt = _parse_statement_tokens(_tokenize(text))
     if persons is not None or fluents is not None:
         persons = tuple(persons or ())
         body, _ = peel_believes(stmt)
@@ -314,26 +314,13 @@ def parse_statement(text: str,
 
 # --- Puzzle files ---
 
-@dataclass
-class _Line:
-    number: int
-    text: str
-    tokens: list[Token]
-
-    def cursor(self) -> _TokenCursor:
-        return _TokenCursor(self.tokens, self.number, len(self.text) + 1)
-
-    def first_word(self) -> str:
-        return self.tokens[0].text if self.tokens else ""
-
-
-def _logical_lines(text: str) -> list[_Line]:
+def _logical_lines(text: str) -> list[_TokenCursor]:
+    """A cursor for each line of `text` that holds a token."""
     lines = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
-            continue
-        lines.append(_Line(i, stripped, _tokenize(stripped, i)))
+    for number, line in enumerate(text.split("\n"), start=1):
+        cursor = _tokenize(line, number)
+        if cursor.tokens:
+            lines.append(cursor)
     return lines
 
 
@@ -342,19 +329,19 @@ class _FileParser:
         self.lines = _logical_lines(text)
         self.index = 0
 
-    def peek_line(self) -> Optional[_Line]:
+    def peek_line(self) -> Optional[_TokenCursor]:
         return self.lines[self.index] if self.index < len(self.lines) else None
 
-    def next_line(self) -> _Line:
+    def next_line(self) -> _TokenCursor:
         line = self.peek_line()
         if line is None:
-            last = self.lines[-1].number if self.lines else 1
+            last = self.lines[-1].end_line if self.lines else 1
             raise ParseError("unexpected end of file", last, 1)
         self.index += 1
         return line
 
 
-def _is_entry_line(line: _Line) -> bool:
+def _is_entry_line(line: _TokenCursor) -> bool:
     """A 'Name: ...' line that is not a new section header."""
     toks = line.tokens
     return (len(toks) >= 2 and toks[0].kind == "word"
@@ -374,7 +361,7 @@ def parse_puzzle_file(text: str) -> PuzzleSpec:
         line = fp.peek_line()
         if line is None:
             break
-        word = line.first_word()
+        word = line.tokens[0].text
         if word == "fluent":
             fluents.append(_parse_fluent_line(fp.next_line()))
         elif word == "axiom":
@@ -384,7 +371,7 @@ def parse_puzzle_file(text: str) -> PuzzleSpec:
         elif word == "extraction":
             if extraction is not None:
                 raise ParseError("duplicate extraction section",
-                                 line.number, 1)
+                                 line.end_line, 1)
             extraction = _parse_extraction(fp)
         else:
             tok = line.tokens[0]
@@ -397,8 +384,7 @@ def parse_puzzle_file(text: str) -> PuzzleSpec:
     return spec
 
 
-def _parse_persons_line(line: _Line) -> list[str]:
-    cur = line.cursor()
+def _parse_persons_line(cur: _TokenCursor) -> list[str]:
     cur.next(expect_text="persons")
     cur.next(expect_text=":")
     names = _parse_name_list(cur)
@@ -416,8 +402,7 @@ def _parse_name_list(cur: _TokenCursor) -> list[str]:
     return names
 
 
-def _parse_fluent_line(line: _Line) -> FluentDecl:
-    cur = line.cursor()
+def _parse_fluent_line(cur: _TokenCursor) -> FluentDecl:
     cur.next(expect_text="fluent")
     name_tok = cur.name("a fluent name")
     cur.next(expect_text=":")
@@ -435,15 +420,13 @@ def _parse_fluent_line(line: _Line) -> FluentDecl:
         raise ParseError(str(exc), name_tok.line, name_tok.col) from None
 
 
-def _parse_axiom_line(line: _Line) -> Statement:
-    cur = line.cursor()
+def _parse_axiom_line(cur: _TokenCursor) -> Statement:
     cur.next(expect_text="axiom")
     return _parse_statement_tokens(cur)
 
 
 def _parse_round(fp: _FileParser, persons: list[str]):
-    line = fp.next_line()
-    cur = line.cursor()
+    cur = fp.next_line()
     cur.next(expect_text="round")
     kind = cur.next(expect_kind="word", what="'statements' or 'question'")
     if kind.text == "statements":
@@ -456,13 +439,12 @@ def _parse_round(fp: _FileParser, persons: list[str]):
             if entry is None or not _is_entry_line(entry):
                 break
             fp.next_line()
-            ecur = entry.cursor()
-            speaker = ecur.next(expect_kind="word").text
-            ecur.next(expect_text=":")
-            utterances.append((speaker, _parse_statement_tokens(ecur)))
+            speaker = entry.next(expect_kind="word").text
+            entry.next(expect_text=":")
+            utterances.append((speaker, _parse_statement_tokens(entry)))
         if not utterances:
             raise ParseError("a statements round needs at least one speaker",
-                             line.number, 1)
+                             cur.end_line, 1)
         return StatementsRound(tuple(utterances))
     if kind.text == "question":
         label_tok = cur.next(expect_kind="string", what="a question label")
@@ -480,8 +462,8 @@ def _parse_round(fp: _FileParser, persons: list[str]):
                      kind.line, kind.col)
 
 
-def _parse_answers_line(line: _Line, addressed: list[str]) -> tuple[Answer, ...]:
-    cur = line.cursor()
+def _parse_answers_line(cur: _TokenCursor,
+                        addressed: list[str]) -> tuple[Answer, ...]:
     cur.next(expect_text="answers")
     cur.next(expect_text=":")
     recorded: dict[str, Answer] = {}
@@ -505,30 +487,28 @@ def _parse_answers_line(line: _Line, addressed: list[str]) -> tuple[Answer, ...]
     missing = [p for p in addressed if p not in recorded]
     if missing:
         raise ParseError(f"no answer recorded for '{missing[0]}'",
-                         line.number, 1)
+                         cur.end_line, 1)
     return tuple(recorded[p] for p in addressed)
 
 
 def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
     header = fp.next_line()
-    cur = header.cursor()
-    cur.next(expect_text="extraction")
-    cur.next(expect_text=":")
-    if not cur.at_end():
-        raise cur.error_here("extraction entries begin on the following lines")
+    header.next(expect_text="extraction")
+    header.next(expect_text=":")
+    if not header.at_end():
+        raise header.error_here("extraction entries begin on the following lines")
     categories: list[Category] = []
     ordering = "alphabetical"
     while True:
         line = fp.peek_line()
-        if line is None or line.first_word() not in ("category", "order"):
+        if line is None or line.tokens[0].text not in ("category", "order"):
             break
         fp.next_line()
-        lcur = line.cursor()
-        word = lcur.next().text
+        word = line.next().text
         if word == "category":
-            name_tok = lcur.next(expect_kind="word", what="a category name")
-            lcur.next(expect_text=":")
-            values = _parse_name_list(lcur)
+            name_tok = line.next(expect_kind="word", what="a category name")
+            line.next(expect_text=":")
+            values = _parse_name_list(line)
             if len(values) != 3:
                 raise ParseError("a category lists exactly three values",
                                  name_tok.line, name_tok.col)
@@ -537,17 +517,17 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
             except ExtractionError as exc:
                 raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         else:
-            lcur.next(expect_text=":")
-            ordering = lcur.next(expect_text="alphabetical").text
-        if not lcur.at_end():
-            raise lcur.error_here("unexpected text after extraction entry")
+            line.next(expect_text=":")
+            ordering = line.next(expect_text="alphabetical").text
+        if not line.at_end():
+            raise line.error_here("unexpected text after extraction entry")
     if len(categories) != 3:
         raise ParseError("extraction needs exactly three categories",
-                         header.number, 1)
+                         header.end_line, 1)
     try:
         return ExtractionConfig(tuple(categories), ordering)
     except ExtractionError as exc:
-        raise ParseError(str(exc), header.number, 1) from None
+        raise ParseError(str(exc), header.end_line, 1) from None
 
 
 # --- World files ---
@@ -556,11 +536,10 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
     """Parse a world file against a puzzle's declarations."""
     fp = _FileParser(text)
     header = fp.next_line()
-    cur = header.cursor()
-    cur.next(expect_text="world")
-    cur.next(expect_text=":")
-    if not cur.at_end():
-        raise cur.error_here("world entries begin on the following lines")
+    header.next(expect_text="world")
+    header.next(expect_text=":")
+    if not header.at_end():
+        raise header.error_here("world entries begin on the following lines")
     types: dict[str, object] = {}
     values: dict[str, dict[str, object]] = {}
     entries: dict[str, Token] = {}
@@ -573,8 +552,7 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
             raise ParseError(f"expected a person entry, found '{tok.text}'",
                              tok.line, tok.col)
         fp.next_line()
-        lcur = line.cursor()
-        name_tok = lcur.next(expect_kind="word")
+        name_tok = line.next(expect_kind="word")
         person = name_tok.text
         if person not in puzzle.person_names:
             raise ParseError(f"unknown person '{person}'",
@@ -583,18 +561,18 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
             raise ParseError(f"duplicate entry for '{person}'",
                              name_tok.line, name_tok.col)
         entries[person] = name_tok
-        lcur.next(expect_text=":")
-        label_tok = lcur.next(expect_kind="word", what="a type label")
+        line.next(expect_text=":")
+        label_tok = line.next(expect_kind="word", what="a type label")
         try:
             types[person] = type_from_label(label_tok.text)
         except ValueError as exc:
             raise ParseError(str(exc), label_tok.line, label_tok.col) from None
         values[person] = {}
-        while not lcur.at_end():
-            lcur.next(expect_text=",")
-            fluent_tok = lcur.next(expect_kind="word", what="a fluent name")
-            lcur.next(expect_text="=")
-            value_tok = lcur.next(expect_kind="word", what="a value")
+        while not line.at_end():
+            line.next(expect_text=",")
+            fluent_tok = line.next(expect_kind="word", what="a fluent name")
+            line.next(expect_text="=")
+            value_tok = line.next(expect_kind="word", what="a value")
             decl = _find_fluent(puzzle, fluent_tok)
             if fluent_tok.text in values[person]:
                 raise ParseError(f"duplicate value for '{fluent_tok.text}'",

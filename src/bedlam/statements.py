@@ -56,12 +56,6 @@ _MISSING = object()
 class SemanticError(Exception):
     """Statement is well-formed but meaningless where it is used."""
 
-    def __init__(self, message: str, path: tuple[str, ...] = ()):
-        self.path = tuple(path)
-        if self.path:
-            message = f"{message} (at {'/'.join(self.path)})"
-        super().__init__(message)
-
 
 # --- Terms ---
 
@@ -178,8 +172,8 @@ def peel_believes(stmt: Statement) -> tuple[Statement, bool]:
 def _reject_inner_believes(stmt: Statement) -> None:
     path = _inner_believes_path(stmt)
     if path is not None:
-        raise SemanticError("believes may only appear as the outermost node",
-                            path)
+        raise SemanticError("believes may only appear as the outermost node"
+                            f" (at {'/'.join(path)})")
 
 
 def _inner_believes_path(stmt: Statement) -> Optional[tuple[str, ...]]:

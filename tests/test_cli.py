@@ -4,10 +4,11 @@ import hashlib
 import json
 import random
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from bedlam import fixture_path, statements
+from bedlam import cli as cli_module, fixture_path, statements
 from bedlam.cli import cli, main
 from bedlam.parser import parse_puzzle_file
 from bedlam.semantics import Answer
@@ -147,6 +148,17 @@ def test_nan_budget_exits_1_with_one_error_line(capsys):
 def test_usage_error_exits_1():
     assert main(["solve", ASYLUM, "--format", "sideways"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+def test_help_exits_0_and_an_abort_exits_1(monkeypatch, capsys):
+    assert main(["--help"]) == 0
+    assert "Usage:" in capsys.readouterr().out
+
+    def abort(path):
+        raise click.exceptions.Abort()
+
+    monkeypatch.setattr(cli_module, "_read", abort)
+    assert main(["solve", ASYLUM]) == 1
 
 
 def test_check_solution_world(runner):

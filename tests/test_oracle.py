@@ -385,6 +385,64 @@ def test_splitting_statements_rounds_keeps_the_worlds(asylum):
     assert split >= 4
 
 
+def _keyed_worlds(worlds) -> set:
+    """Each world as person -> (type label, fluent -> value): what no
+    declaration or domain order changes, unlike `World.sort_key`."""
+    return {frozenset(
+        (person, world.type_of(person).label, frozenset(
+            (decl.name, row[p])
+            for decl, row in zip(world.fluent_decls, world.fluent_values)))
+        for p, person in enumerate(world.person_names))
+        for world in worlds}
+
+
+def _declaration_puzzles(asylum, rng):
+    return ([asylum] + [random_probed_puzzle(rng)[0] for _ in range(6)]
+            + [random_categorical_puzzle(rng, hidden=i % 2 == 0)
+               for i in range(6)])
+
+
+def _solved_alike(puzzle, moved) -> None:
+    result, moved_result = solve_all(puzzle), solve_all(moved)
+    assert moved_result.status is result.status
+    assert len(moved_result.worlds) == len(result.worlds)
+    assert _keyed_worlds(moved_result.worlds) == _keyed_worlds(result.worlds)
+
+
+def test_reordering_a_categorical_domain_keeps_the_worlds(asylum):
+    # The asylum's extraction section matches guilt's values as a set, so
+    # it needs no edit.
+    rng = random.Random(0xD0A1)
+    reordered = 0
+    for puzzle in _declaration_puzzles(asylum, rng):
+        decls = []
+        for decl in puzzle.fluent_decls:
+            domain = list(decl.values())
+            while not decl.is_boolean and tuple(domain) == decl.domain:
+                rng.shuffle(domain)
+            decls.append(dataclasses.replace(
+                decl, domain=None if decl.is_boolean else tuple(domain)))
+        moved = dataclasses.replace(puzzle, fluent_decls=tuple(decls))
+        reordered += moved != puzzle
+        moved.validate()
+        _solved_alike(puzzle, moved)
+    assert reordered >= 8
+
+
+def test_reordering_the_fluent_declarations_keeps_the_worlds(asylum):
+    rng = random.Random(0xDEC1)
+    reordered = 0
+    for puzzle in _declaration_puzzles(asylum, rng):
+        decls = list(puzzle.fluent_decls)
+        while len(decls) > 1 and tuple(decls) == puzzle.fluent_decls:
+            rng.shuffle(decls)
+        moved = dataclasses.replace(puzzle, fluent_decls=tuple(decls))
+        reordered += moved != puzzle
+        moved.validate()
+        _solved_alike(puzzle, moved)
+    assert reordered >= 8
+
+
 def test_the_hidden_world_survives_any_utterance_it_would_make():
     # A new round that the hidden world replays can rule worlds out, but
     # never the hidden world.

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from bedlam import fixture_path
 from bedlam.cli import main
 from bedlam.extraction import Category, ExtractionConfig
-from bedlam.parser import (ParseError, _strip_comment, _tokenize,
-                           parse_puzzle_file, parse_statement, parse_world_file)
+from bedlam.parser import (ParseError, _tokenize, parse_puzzle_file,
+                           parse_statement, parse_world_file)
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer, TYPES_BY_LABEL
 from bedlam.solver import (brute_force_solve, check_world, explain_solution,
@@ -22,6 +22,7 @@ from bedlam.statements import (And, Believes, Exists, ForAll, Implies, Not,
                                Or, SemanticError, Statement,
                                compile_statement)
 from bedlam.worlds import FluentDecl, World
+from support import puzzle_text, random_categorical_puzzle, random_probed_puzzle
 
 MINIMAL = "persons: Ann\n"
 
@@ -499,7 +500,7 @@ def test_comments_and_blank_lines_ignored():
 # --- Lexer ---
 
 def _tokens(text, line=1):
-    return [tuple(tok) for tok in _tokenize(text, line)]
+    return [tuple(tok) for tok in _tokenize(text, line).tokens]
 
 
 def test_tokens_after_tabs_and_runs_of_spaces_keep_their_columns():
@@ -515,10 +516,40 @@ def test_tokens_after_tabs_and_runs_of_spaces_keep_their_columns():
 
 def test_a_hash_inside_a_quoted_label_starts_no_comment():
     line = 'round question "a # b" to all: sane(me) # "asked" twice'
-    assert _strip_comment(line) == line[:line.rindex("#")]
-    assert _tokens(_strip_comment(line), 5)[2] == ("string", '"a # b"', 5, 16)
+    cursor = _tokenize(line, 5)
+    assert cursor.tokens[-1] == ("punct", ")", 5, 39)
+    assert (cursor.end_line, cursor.end_col) == (5, line.rindex("#") + 1)
+    assert tuple(cursor.tokens[2]) == ("string", '"a # b"', 5, 16)
     puzzle = parse_puzzle_file(f"persons: Ann\n{line}\n  answers: Ann=yes\n")
     assert puzzle.rounds[0].label == "a # b"
+
+
+def test_a_string_that_spans_lines_decides_where_its_comments_start():
+    # A '#' inside the string, on any of its lines, starts no comment.
+    assert _tokens('"x\n# y" z') == [("string", '"x\n# y"', 1, 1),
+                                      ("word", "z", 2, 6)]
+    with pytest.raises(ParseError) as err:
+        parse_statement('sane(Ann) "a\n# b"')
+    assert (err.value.line, err.value.col) == (1, 11)
+    assert str(err.value) == \
+        'line 1, column 11: unexpected \'"a\n# b"\' after statement'
+    # A '#' after its closing quote starts one.
+    assert _tokens('"x\ny" # "z') == [("string", '"x\ny"', 1, 1)]
+    with pytest.raises(ParseError) as err:
+        parse_statement('sane(Ann) "a\nb" # c')
+    assert str(err.value) == \
+        'line 1, column 11: unexpected \'"a\nb"\' after statement'
+
+
+def test_a_statement_ends_before_its_last_lines_comment_only():
+    for text, end in (("sane(Ann) and # c", (1, 15)),
+                      ("sane(Ann) and # c\n", (2, 1)),
+                      ("sane(Ann) and\n  # c", (2, 3)),
+                      ("sane(Ann) # c\n and # d\n\t", (3, 2))):
+        with pytest.raises(ParseError) as err:
+            parse_statement(text)
+        assert (err.value.line, err.value.col) == end
+        assert "expected a statement" in str(err.value)
 
 
 def test_an_unexpected_character_after_whitespace_is_positioned_at_itself():
@@ -585,6 +616,54 @@ def test_world_file_missing_value_is_reported_at_the_entry(asylum):
     assert "no value of 'carried' for 'Eve'" in str(err.value)
     eve_line = 3 + asylum.person_names.index("Eve")
     assert (err.value.line, err.value.col) == (eve_line, 3)
+
+
+# --- Comment invariance ---
+
+COMMENTS = ('# he said "no" # twice', '#"', '# "an open quote', '##', '#',
+            '# "a # b" and "c')
+
+
+def test_comments_and_blank_lines_change_no_parse(asylum_text):
+    """Appending a comment to a line, or inserting comment-only and blank
+    lines, parses to an equal spec; a line cut short after any token and
+    then commented reports what it reports bare, so an end-of-input error
+    points at the column where its comment starts."""
+    rng = random.Random(1803)
+    sources = [asylum_text] + [puzzle_text(random_probed_puzzle(rng)[0])
+                               for _ in range(3)]
+    sources += [puzzle_text(random_categorical_puzzle(rng, hidden=False))
+                for _ in range(3)]
+    specs = [parse_puzzle_file(text) for text in sources]
+    at_comment = 0
+    for case in range(300):
+        k = case % len(sources)
+        lines = sources[k].split("\n")
+        i = rng.randrange(len(lines))
+        pad, comment = rng.choice(("", " ", "  \t")), rng.choice(COMMENTS)
+        if case % 3 == 0:
+            lines[i] += pad + comment
+            assert parse_puzzle_file("\n".join(lines)) == specs[k]
+        elif case % 3 == 1:
+            rounds = [n for n, line in enumerate(lines)
+                      if line == "round statements:"]
+            if rounds and case % 2:  # between a round and its entries
+                i = 1 + rng.choice(rounds)
+            lines[i:i] = rng.sample([pad + comment, "", "\t ", comment],
+                                    rng.randint(1, 4))
+            assert parse_puzzle_file("\n".join(lines)) == specs[k]
+        else:
+            i = rng.choice([n for n, line in enumerate(lines)
+                            if _tokenize(line).tokens])
+            tok = rng.choice(_tokenize(lines[i]).tokens[:-1] or [None])
+            cut = 0 if tok is None else tok.col - 1 + len(tok.text)
+            lines[i] = lines[i][:cut] + pad
+            bare = parse_outcome(parse_puzzle_file, "\n".join(lines))
+            column = len(lines[i]) + 1
+            lines[i] += comment
+            assert parse_outcome(parse_puzzle_file, "\n".join(lines)) == bare
+            at_comment += bare.startswith(f"ParseError {i + 1} {column} ")
+    assert at_comment >= 40
 
 
 # --- Parse-outcome pin ---

@@ -13,7 +13,8 @@ from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
                                UNKNOWN, Var, compile_statement, eval_closed,
-                               eval_partial, render_statement, substitute_me)
+                               eval_partial, render_peeled, render_statement,
+                               substitute_me)
 from bedlam.semantics import ALL_TYPES
 from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
@@ -81,6 +82,29 @@ def test_believes_inside_body_is_rejected():
         parse_statement("not believes(patient(me))")
     with pytest.raises(ParseError):
         parse_statement("believes(believes(patient(me)))")
+
+
+def test_malformed_nodes_and_unknown_are_refused_with_their_message():
+    sane = Atom("sane", Person("Ann"))
+    with pytest.raises(ValueError, match="^And needs at least two items$"):
+        And((sane,))
+    with pytest.raises(ValueError, match="^Or needs at least two items$"):
+        Or((sane,))
+    with pytest.raises(ValueError,
+                       match="^AtLeast count must be non-negative$"):
+        AtLeast(-1, "x", sane)
+    with pytest.raises(SemanticError,
+                       match="^believes cannot be evaluated as a fact$"):
+        compile_statement(Believes(sane), None, ("Ann",), ())
+    with pytest.raises(TypeError, match="^not a statement node: 'sane'$"):
+        render_peeled("sane", False)
+    world = World(("Ann",), (ALL_TYPES[0],), (), ())
+    with pytest.raises(TypeError, match="^not a statement node: 'sane'$"):
+        eval_closed(world, "sane")
+    assert repr(UNKNOWN) == "UNKNOWN"
+    with pytest.raises(TypeError, match="^UNKNOWN has no boolean value; "
+                                        "check identity instead$"):
+        bool(UNKNOWN)
 
 
 def test_unbound_variable_rejected_with_context():
