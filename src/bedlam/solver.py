@@ -10,8 +10,8 @@ only a False check prunes.
 `brute_force_solve`, the oracle for small puzzles, is `check_world`
 filtered over the whole world space.  Its loop stays one flat product in
 canonical order, but each check runs at the outermost level whose rows
-it reads (by the `reads` and `typed` laws), and a `World` is built, and
-decided by `check_world`, only where every check passed.
+it reads (by the `reads` and `typed` laws), and a `World` is built,
+trusted, and decided by `check_world`, only where every check passed.
 
 `solve_all` must agree with the oracle wherever the space is enumerable.
 One `_Search` holds a solve and gets there in three stages: each
@@ -29,11 +29,15 @@ combinations reuse its rows and count its nodes again.  It visits
 worlds in canonical order, so they come out sorted.
 
 Both solvers check each distinct fluent assignment once, where they
-intern it (`worlds.checked_rows`), and pause the cyclic garbage
-collector while their world list fills: a `World` is in no reference
-cycle, so reference counting frees it (as
-`test_found_worlds_die_with_their_result` pins), and a collection while
-the list grew would only scan the kept worlds again.
+intern it (`worlds.checked_rows`).  Where `World`'s own checks cannot
+fail, on types from `ALL_TYPES` and rows so interned, they build worlds
+without them (`worlds._trusted_world`): the search for the worlds it
+copies from a reused subtree, the oracle for each world it keeps.  A
+fluent search's leaves and `enumerate_worlds` build through `World`.
+Both solvers pause the cyclic garbage collector while their world list
+fills: a `World` is in no reference cycle, so reference counting frees
+it (as `test_found_worlds_die_with_their_result` pins), and a collection
+while the list grew would only scan the kept worlds again.
 
 `explain_solution` decodes each utterance's fact with `Step.required`,
 which reads the table the step checks read.
@@ -55,7 +59,7 @@ from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
 from .puzzle import PuzzleSpec, Step
 from .semantics import ALL_TYPES, Answer, ExtendedType
 from .statements import SemanticError, UNKNOWN, render_statement
-from .worlds import World, checked_rows
+from .worlds import World, _trusted_world, checked_rows
 
 # Unused here; bench/tracing.py wraps the reference evaluators by these names.
 eval_closed, eval_partial = st.eval_closed, st.eval_partial
@@ -261,10 +265,12 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
     A check run at an outer level answers as it would on every pair
     below it, since it reads nothing that the inner loops change, so it
     skips only worlds that `check_world` rejects.  A `World` is built
-    only for a pair that passes every check, and `check_world`, the one
-    definition of consistency, still decides it: a world returned is one
-    it accepted.  The cyclic garbage collector is paused while the list
-    fills, as in `solve_all`.
+    only for a pair that passes every check, and built trusted
+    (`worlds._trusted_world`): its types come from `ALL_TYPES`, one per
+    person, and its rows from `_assignments`, so `World`'s own checks
+    could not fail.  `check_world`, the one definition of consistency,
+    still decides it: a world returned is one it accepted.  The cyclic
+    garbage collector is paused while the list fills, as in `solve_all`.
     """
     names, decls = puzzle.person_names, puzzle.fluent_decls
     axioms, steps = puzzle.compiled
@@ -290,7 +296,7 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
                     if not check(types, values):
                         break
                 else:
-                    world = World(names, types, decls, values)
+                    world = _trusted_world(names, types, decls, values)
                     if check_world(puzzle, world):
                         yield world
 
@@ -508,7 +514,8 @@ class _Search:
     def _search_once(self, key: tuple) -> None:
         """`_search`, once per `key`, the classes of `combination`'s
         types: a combination whose classes were searched before takes the
-        rows of the worlds found then, and counts their nodes again."""
+        rows of the worlds found then, in worlds built trusted, and
+        counts their nodes again."""
         subtree = self.subtrees.get(key)
         found = self.found
         if subtree is None:
@@ -518,9 +525,9 @@ class _Search:
             return
         first, end, nodes = subtree
         self.skip(nodes)
-        puzzle = self.puzzle
-        found.extend([World(puzzle.person_names, self.combination,
-                            puzzle.fluent_decls, world.fluent_values)
+        names, decls = self.puzzle.person_names, self.puzzle.fluent_decls
+        types = self.combination
+        found.extend([_trusted_world(names, types, decls, world.fluent_values)
                       for world in found[first:end]])
 
     def _search(self) -> None:

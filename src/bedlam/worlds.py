@@ -70,6 +70,33 @@ def checked_rows(decls: tuple[FluentDecl, ...], persons: int,
     return marked
 
 
+# Bound once: `_trusted_world` builds most of the worlds a solve lists.
+_new, _setattr = object.__new__, object.__setattr__
+
+
+def _trusted_world(person_names: tuple[str, ...],
+                   types: tuple[ExtendedType, ...],
+                   fluent_decls: tuple[FluentDecl, ...],
+                   fluent_values: tuple[tuple, ...]) -> World:
+    """`World(person_names, types, fluent_decls, fluent_values)` without
+    `World`'s checks, which the caller must know would pass:
+    - `types` holds one type per person, each from `ALL_TYPES`;
+    - `fluent_values` was marked by `checked_rows` for this very
+      `fluent_decls` object and `len(person_names)` persons.
+
+    It sets each field with one `object.__setattr__` call, in field
+    order, as the dataclass `__init__` does, so the world keeps its
+    values inline: about 113 bytes a world on CPython 3.11, where filling
+    its `__dict__` at once materializes a dict and takes 249.
+    """
+    world = _new(World)
+    _setattr(world, "person_names", person_names)
+    _setattr(world, "types", types)
+    _setattr(world, "fluent_decls", fluent_decls)
+    _setattr(world, "fluent_values", fluent_values)
+    return world
+
+
 @dataclass(frozen=True)
 class World:
     """One complete candidate reality for a puzzle.
@@ -83,6 +110,15 @@ class World:
     very `fluent_decls` and this many persons.  The solver and the oracle
     check each distinct assignment once, where they intern it; rows from
     the parser, other code or `dataclasses.replace` are checked in full.
+
+    Two paths skip these checks and build worlds with `_trusted_world`:
+    the solver, copying a reused subtree's worlds onto another type
+    combination, and the oracle, for each world it keeps.  Neither can
+    fail them: both take one type per person from `ALL_TYPES`, and rows
+    that `checked_rows` marked for the puzzle's own `fluent_decls` and
+    person count.  The worlds a fluent search finds at its leaves, the
+    enumerated space and every other caller build through `World(...)`.
+
     A world refers to nothing that refers back to it, so reference
     counting frees it, and solves pause the cyclic garbage collector
     while they build their world lists.

@@ -9,8 +9,9 @@ from collections import Counter
 from bedlam.parser import parse_puzzle_file, parse_statement
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import ALL_TYPES, AgentState, Answer, would_assert
-from bedlam.solver import (CheckResult, SolveStatus, brute_force_solve,
-                           check_world, enumerate_worlds, solve_all)
+from bedlam.solver import (Budget, CheckResult, SolveStatus,
+                           brute_force_solve, check_world, enumerate_worlds,
+                           solve_all)
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, Not, Or, Person, Statement,
                                eval_closed, render_statement)
@@ -212,6 +213,14 @@ def test_check_world_is_the_tree_walkers_replay(asylum, solution_world,
     assert min(outcomes.values()) >= 100 and len(outcomes) == 3
 
 
+# The metamorphic relations below solve with this budget: ten times the
+# most nodes any of their solves takes (455,680, for a 3-person puzzle
+# of the duplicated-axiom relation with 229,376 worlds).  A fault that
+# weakens the search's pruning then ends in a budget error instead of
+# running on for minutes.
+BUDGET = Budget(max_nodes=4_556_800)
+
+
 def _metamorphic_puzzles(rng):
     """Small random puzzles, then wider probed ones."""
     return ([random_puzzle(rng) for _ in range(12)]
@@ -228,7 +237,8 @@ def test_reordering_persons_maps_the_world_set():
         reordered = dataclasses.replace(
             puzzle, person_names=tuple(puzzle.person_names[i] for i in order))
         reordered.validate()
-        result, moved = solve_all(puzzle), solve_all(reordered)
+        result = solve_all(puzzle, BUDGET)
+        moved = solve_all(reordered, BUDGET)
         assert moved.status is result.status
         assert len(moved.worlds) == len(result.worlds)
         assert {(world.types, world.fluent_values)
@@ -288,7 +298,8 @@ def test_renaming_persons_maps_the_world_set():
             axioms=tuple(_renamed(axiom, names) for axiom in puzzle.axioms),
             rounds=tuple(rounds))
         renamed.validate()
-        result, moved = solve_all(puzzle), solve_all(renamed)
+        result = solve_all(puzzle, BUDGET)
+        moved = solve_all(renamed, BUDGET)
         assert moved.status is result.status
         assert moved.statistics.nodes == result.statistics.nodes
         assert [(world.types, world.fluent_values)
@@ -306,7 +317,8 @@ def test_a_duplicated_axiom_changes_nothing():
             continue
         twice = dataclasses.replace(
             puzzle, axioms=puzzle.axioms + (rng.choice(puzzle.axioms),))
-        result, again = solve_all(puzzle), solve_all(twice)
+        result = solve_all(puzzle, BUDGET)
+        again = solve_all(twice, BUDGET)
         assert again.worlds == result.worlds
         assert again.status is result.status
         assert again.statistics.nodes == result.statistics.nodes
@@ -352,14 +364,14 @@ def test_a_kleene_exact_rewrite_keeps_the_worlds(asylum):
     # other nodes.
     rng = random.Random(0x3E1A)
     puzzles = [asylum] + [random_probed_puzzle(rng)[0] for _ in range(6)]
-    expected = [solve_all(puzzle).worlds for puzzle in puzzles]
+    expected = [solve_all(puzzle, BUDGET).worlds for puzzle in puzzles]
     for name, rule in KLEENE_RULES.items():
         changed = 0
         for puzzle, worlds in zip(puzzles, expected):
             rewritten = _every_statement(
                 puzzle, lambda stmt: _rewritten(stmt, rule))
             changed += rewritten != puzzle
-            assert solve_all(rewritten).worlds == worlds, name
+            assert solve_all(rewritten, BUDGET).worlds == worlds, name
         assert changed >= 2, name
 
 
@@ -381,7 +393,8 @@ def test_splitting_statements_rounds_keeps_the_worlds(asylum):
         if len(rounds) > len(puzzle.rounds):
             split += 1
         moved = dataclasses.replace(puzzle, rounds=tuple(rounds))
-        assert solve_all(moved).worlds == solve_all(puzzle).worlds
+        assert (solve_all(moved, BUDGET).worlds
+                == solve_all(puzzle, BUDGET).worlds)
     assert split >= 4
 
 
@@ -403,7 +416,8 @@ def _declaration_puzzles(asylum, rng):
 
 
 def _solved_alike(puzzle, moved) -> None:
-    result, moved_result = solve_all(puzzle), solve_all(moved)
+    result = solve_all(puzzle, BUDGET)
+    moved_result = solve_all(moved, BUDGET)
     assert moved_result.status is result.status
     assert len(moved_result.worlds) == len(result.worlds)
     assert _keyed_worlds(moved_result.worlds) == _keyed_worlds(result.worlds)
@@ -477,7 +491,8 @@ def test_the_hidden_world_survives_any_utterance_it_would_make():
         extended = dataclasses.replace(puzzle,
                                        rounds=puzzle.rounds + (new_round,))
         extended.validate()
-        before, after = solve_all(puzzle).worlds, solve_all(extended).worlds
+        before = solve_all(puzzle, BUDGET).worlds
+        after = solve_all(extended, BUDGET).worlds
         assert hidden in after
         assert set(after) <= set(before)
         shrunk += len(after) < len(before)

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies
@@ -155,22 +156,37 @@ def test_found_and_enumerated_worlds_share_fluent_rows():
         assert per_world < bound
 
 
+def _count_built_worlds(monkeypatch) -> Counter:
+    """Worlds built from now on: "public" through `World(...)`, "trusted"
+    through the constructor the solver and oracle use where `World`'s
+    checks cannot fail."""
+    built = Counter()
+    init, trusted = World.__init__, solver._trusted_world
+
+    def counting_init(self, *args, **kwargs):
+        built["public"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_trusted(*args):
+        built["trusted"] += 1
+        return trusted(*args)
+
+    monkeypatch.setattr(World, "__init__", counting_init)
+    monkeypatch.setattr(solver, "_trusted_world", counting_trusted)
+    return built
+
+
 def test_oracle_builds_and_checks_only_the_worlds_it_keeps(monkeypatch):
     # Rows are checked first, so the oracle builds a World, and calls
     # check_world, once per world it returns.  Of the 1,024 rows, both
     # puzzles rule some out in their steps, not only in their axioms.
-    counts = {"built": 0, "checked": 0}
-    init, check = World.__init__, solver.check_world
-
-    def counting_init(self, *args, **kwargs):
-        counts["built"] += 1
-        init(self, *args, **kwargs)
+    built, checked = _count_built_worlds(monkeypatch), Counter()
+    check = solver.check_world
 
     def counting_check(puzzle, world):
-        counts["checked"] += 1
+        checked["calls"] += 1
         return check(puzzle, world)
 
-    monkeypatch.setattr(World, "__init__", counting_init)
     monkeypatch.setattr(solver, "check_world", counting_check)
     head = "persons: Ann, Beth\nfluent f : bool\n"
     for text, kept in ((head + "axiom sane(Ann) and truthteller(Ann)\n"
@@ -179,9 +195,59 @@ def test_oracle_builds_and_checks_only_the_worlds_it_keeps(monkeypatch):
                        (head + "axiom f(Ann)\n"
                         "round statements:\n  Beth: f(Ann)\n", 256)):
         puzzle = parse_puzzle_file(text)
-        counts.update(built=0, checked=0)
+        built.clear()
+        checked.clear()
         assert len(brute_force_solve(puzzle)) == kept
-        assert counts == {"built": kept, "checked": kept}
+        assert sum(built.values()) == checked["calls"] == kept
+
+
+def test_trusted_worlds_are_the_worlds_world_builds(monkeypatch, asylum):
+    # A reused subtree's worlds and the oracle's kept worlds skip `World`'s
+    # checks; each must be the world `World(...)` builds from its fields.
+    # Two persons with two free booleans share one fluent search over
+    # their 256 type pairs, so it builds 16 worlds and the other
+    # combinations copy them.  The asylum shares no search, and is far
+    # too wide for the oracle.
+    built = _count_built_worlds(monkeypatch)
+    pair = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\nfluent g : bool\n")
+    found = solve_all(pair).worlds
+    assert len(found) == 4096
+    assert built == {"public": 16, "trusted": 4080}
+    built.clear()
+    kept = brute_force_solve(pair)
+    assert built == {"trusted": 4096}
+    built.clear()
+    rng = random.Random(0x7A57)
+    puzzles = ([random_puzzle(rng) for _ in range(12)]
+               + [random_categorical_puzzle(rng, hidden=i % 2 == 0)
+                  for i in range(12)])
+    solved = [found, kept, solve_all(asylum).worlds]
+    for puzzle in puzzles:
+        result, expected = solve_all(puzzle).worlds, brute_force_solve(puzzle)
+        assert result == expected
+        solved += [result, expected]
+    assert built["trusted"] > 2 * built["public"] > 0
+    names = [field.name for field in dataclasses.fields(World)]
+    for world in itertools.chain.from_iterable(solved):
+        twin = World(*[getattr(world, name) for name in names])
+        assert type(world) is World
+        assert world == twin and hash(world) == hash(twin)
+        assert repr(world) == repr(twin)
+        assert list(vars(world)) == names
+
+
+def test_a_trusted_world_takes_no_more_memory_than_a_public_one():
+    # Set field by field, a world keeps its values inline.  Filling its
+    # `__dict__` at once took 249 bytes a world against 113, and raised
+    # the corpus benchmark's peak RSS from 91 to 164 MB.
+    names, decls = ("Ann", "Beth"), (FluentDecl("f"), FluentDecl("g"))
+    rows = worlds.checked_rows(decls, 2, ((False, True), (True, True)))
+    types = ALL_TYPES[:2]
+    held = [_held_per_world(lambda: [build(names, types, decls, rows)
+                                     for _ in range(2000)])[1]
+            for build in (World, solver._trusted_world)]
+    assert held[1] <= held[0]
 
 
 def test_oracle_runs_each_check_once_per_loop_level_it_reads(monkeypatch):
