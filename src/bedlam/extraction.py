@@ -50,10 +50,9 @@ class Category:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Three categories, most significant digit first, plus a person order."""
+    """Three categories, most significant digit first."""
 
     categories: tuple[Category, Category, Category]
-    ordering: str = "alphabetical"
 
     def __post_init__(self):
         if len(self.categories) != 3:
@@ -61,8 +60,6 @@ class ExtractionConfig:
         names = [c.name for c in self.categories]
         if len(set(names)) != 3:
             raise ExtractionError("extraction categories must be distinct")
-        if self.ordering != "alphabetical":
-            raise ExtractionError(f"unknown ordering rule '{self.ordering}'")
 
 
 def encode_person(triple: Sequence[str], config: ExtractionConfig) -> tuple[str, int]:
@@ -103,8 +100,8 @@ def letter_rows(result, config: ExtractionConfig) -> list[dict]:
     """One `{person, triple, digits, value, letter}` row per person.
 
     `result` is a solve result; its status must be "unique".  Persons are
-    taken in the config's ordering (alphabetical by name); an error names
-    the person whose triple failed.
+    taken alphabetically by name; an error names the person whose triple
+    failed.
     """
     if str(getattr(result.status, "value", result.status)) != "unique":
         raise ExtractionError(

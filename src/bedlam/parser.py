@@ -498,7 +498,6 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
     if not header.at_end():
         raise header.error_here("extraction entries begin on the following lines")
     categories: list[Category] = []
-    ordering = "alphabetical"
     while True:
         line = fp.peek_line()
         if line is None or line.tokens[0].text not in ("category", "order"):
@@ -518,14 +517,14 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
                 raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         else:
             line.next(expect_text=":")
-            ordering = line.next(expect_text="alphabetical").text
+            line.next(expect_text="alphabetical")  # the one person order
         if not line.at_end():
             raise line.error_here("unexpected text after extraction entry")
     if len(categories) != 3:
         raise ParseError("extraction needs exactly three categories",
                          header.end_line, 1)
     try:
-        return ExtractionConfig(tuple(categories), ordering)
+        return ExtractionConfig(tuple(categories))
     except ExtractionError as exc:
         raise ParseError(str(exc), header.end_line, 1) from None
 

@@ -28,12 +28,14 @@ combination of type classes, those readings, and the other type
 combinations reuse its rows and count its nodes again.  It visits
 worlds in canonical order, so they come out sorted.
 
-Both solvers check each distinct fluent assignment once, where they
-intern it (`worlds.checked_rows`).  Where `World`'s own checks cannot
-fail, on types from `ALL_TYPES` and rows so interned, they build worlds
-without them (`worlds._trusted_world`): the search for the worlds it
-copies from a reused subtree, the oracle for each world it keeps.  A
-fluent search's leaves and `enumerate_worlds` build through `World`.
+Where `World`'s own checks cannot fail, on types from `ALL_TYPES` and
+rows built from each fluent's values, worlds are built without them
+(`worlds._trusted_world`): by the search for the worlds it copies from a
+reused subtree, by the oracle for each world it keeps, and by
+`enumerate_worlds`.  A fluent search's leaves build through `World`, so
+the search checks each world it finds there once, in full, and worlds
+that share an assignment share its rows.
+
 Both solvers pause the cyclic garbage collector while their world list
 fills: a `World` is in no reference cycle, so reference counting frees
 it (as `test_found_worlds_die_with_their_result` pins), and a collection
@@ -59,7 +61,7 @@ from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
 from .puzzle import PuzzleSpec, Step
 from .semantics import ALL_TYPES, Answer, ExtendedType
 from .statements import SemanticError, UNKNOWN, render_statement
-from .worlds import World, _trusted_world, checked_rows
+from .worlds import World, _trusted_world
 
 # Unused here; bench/tracing.py wraps the reference evaluators by these names.
 eval_closed, eval_partial = st.eval_closed, st.eval_partial
@@ -230,24 +232,25 @@ _no_gc = _GCPause()
 # --- Brute-force oracle ---
 
 def _assignments(puzzle: PuzzleSpec) -> list[tuple[tuple, ...]]:
-    """Every fluent assignment, in canonical order, each built and checked
-    once (`worlds.checked_rows`), so the worlds of every type combination
-    share its rows."""
-    n, decls = len(puzzle.person_names), puzzle.fluent_decls
-    return [checked_rows(decls, n, values)
-            for values in itertools.product(*[
-                tuple(itertools.product(decl.values(), repeat=n))
-                for decl in decls])]
+    """Every fluent assignment, in canonical order: one row per fluent,
+    each a tuple of values from its `values()`, one per person.  Each is
+    built once, so the worlds of every type combination share its rows."""
+    n = len(puzzle.person_names)
+    return list(itertools.product(*[
+        tuple(itertools.product(decl.values(), repeat=n))
+        for decl in puzzle.fluent_decls]))
 
 
 def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
     """Every possible world, in canonical order: type combinations, and
-    under each every fluent assignment."""
+    under each every fluent assignment.  Each is built trusted
+    (`worlds._trusted_world`), as its types come from `ALL_TYPES` and its
+    rows from `_assignments`."""
     names, decls = puzzle.person_names, puzzle.fluent_decls
     assignments = _assignments(puzzle)
     for types in itertools.product(ALL_TYPES, repeat=len(names)):
         for values in assignments:
-            yield World(names, types, decls, values)
+            yield _trusted_world(names, types, decls, values)
 
 
 def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
@@ -452,8 +455,8 @@ class _Search:
                 len(set(classes)) < len(classes)
                 for classes in self.candidate_classes)
             else None)
-        # Each fluent assignment found, checked once: worlds that share it
-        # share its rows.
+        # Each fluent assignment found: worlds that share it share its
+        # rows.
         self.assignments: dict[tuple, tuple] = {}
         self.types = [None] * len(names)
         self.classes = [None] * len(names)  # the class of each of `types`
@@ -541,12 +544,9 @@ class _Search:
         if depth == len(self.variables):
             puzzle = self.puzzle
             rows = tuple(map(tuple, values))
-            checked = self.assignments.get(rows)
-            if checked is None:
-                checked = self.assignments[rows] = checked_rows(
-                    puzzle.fluent_decls, len(puzzle.person_names), rows)
+            rows = self.assignments.setdefault(rows, rows)
             self.found.append(World(puzzle.person_names, types,
-                                    puzzle.fluent_decls, checked))
+                                    puzzle.fluent_decls, rows))
             return
         fi, pi = self.variables[depth]
         row = values[fi]

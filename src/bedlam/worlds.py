@@ -35,41 +35,6 @@ class FluentDecl:
         return self.values().index(value)
 
 
-class _CheckedRows(tuple):
-    """Fluent rows that `checked_rows` accepted for `decls` and `persons`."""
-
-    decls: tuple[FluentDecl, ...]
-    persons: int
-
-
-def _check_rows(decls: tuple[FluentDecl, ...], persons: int,
-                rows: tuple[tuple, ...]) -> None:
-    """Raise ValueError unless `rows` holds one row per fluent of `decls`,
-    each with a value from its domain for each of `persons` persons."""
-    if len(rows) != len(decls):
-        raise ValueError("one value tuple per declared fluent required")
-    for decl, values in zip(decls, rows):
-        if len(values) != persons:
-            raise ValueError(f"fluent '{decl.name}' must cover every person")
-        domain = decl.domain  # None means boolean
-        for v in values:
-            # Booleans match by identity: 0 == False and 1 == True.
-            if (v is not False and v is not True if domain is None
-                    else v not in domain):
-                raise ValueError(f"value {v!r} not in domain of '{decl.name}'")
-
-
-def checked_rows(decls: tuple[FluentDecl, ...], persons: int,
-                 rows: tuple[tuple, ...]) -> tuple[tuple, ...]:
-    """`rows`, checked as `World` checks its fluent rows, and marked so
-    that a `World` with the same `decls` object and person count takes
-    them without checking each value again.  The rows must be tuples."""
-    _check_rows(decls, persons, rows)
-    marked = _CheckedRows(rows)
-    marked.decls, marked.persons = decls, persons
-    return marked
-
-
 # Bound once: `_trusted_world` builds most of the worlds a solve lists.
 _new, _setattr = object.__new__, object.__setattr__
 
@@ -81,8 +46,8 @@ def _trusted_world(person_names: tuple[str, ...],
     """`World(person_names, types, fluent_decls, fluent_values)` without
     `World`'s checks, which the caller must know would pass:
     - `types` holds one type per person, each from `ALL_TYPES`;
-    - `fluent_values` was marked by `checked_rows` for this very
-      `fluent_decls` object and `len(person_names)` persons.
+    - `fluent_values` holds one row per entry of `fluent_decls`, each a
+      tuple of `len(person_names)` values taken from its `decl.values()`.
 
     It sets each field with one `object.__setattr__` call, in field
     order, as the dataclass `__init__` does, so the world keeps its
@@ -105,19 +70,16 @@ class World:
     fluent value tuples align with the person declaration order.  Worlds
     may share their type and fluent rows, which are immutable tuples.
 
-    Every world checks that it has one type per person, and checks its
-    fluent rows value by value unless `checked_rows` marked them for these
-    very `fluent_decls` and this many persons.  The solver and the oracle
-    check each distinct assignment once, where they intern it; rows from
-    the parser, other code or `dataclasses.replace` are checked in full.
-
-    Two paths skip these checks and build worlds with `_trusted_world`:
-    the solver, copying a reused subtree's worlds onto another type
-    combination, and the oracle, for each world it keeps.  Neither can
-    fail them: both take one type per person from `ALL_TYPES`, and rows
-    that `checked_rows` marked for the puzzle's own `fluent_decls` and
-    person count.  The worlds a fluent search finds at its leaves, the
-    enumerated space and every other caller build through `World(...)`.
+    Every world built through `World(...)` checks that it has one type
+    per person and a row per declared fluent, each holding a value from
+    that fluent's domain for each person.  Three paths skip these checks
+    and build worlds with `_trusted_world`: the solver, copying a reused
+    subtree's worlds onto another type combination; the oracle, for each
+    world it keeps; and `enumerate_worlds`.  None can fail them: each
+    takes one type per person from `ALL_TYPES`, and rows built from each
+    fluent's `values()` for the puzzle's own persons.  The worlds a
+    fluent search finds at its leaves, the parser and every other caller
+    build through `World(...)`.
 
     A world refers to nothing that refers back to it, so reference
     counting frees it, and solves pause the cyclic garbage collector
@@ -133,10 +95,18 @@ class World:
         n = len(self.person_names)
         if len(self.types) != n:
             raise ValueError("one type per person required")
-        rows = self.fluent_values
-        if not (type(rows) is _CheckedRows and rows.persons == n
-                and rows.decls is self.fluent_decls):
-            _check_rows(self.fluent_decls, n, rows)
+        if len(self.fluent_values) != len(self.fluent_decls):
+            raise ValueError("one value tuple per declared fluent required")
+        for decl, values in zip(self.fluent_decls, self.fluent_values):
+            if len(values) != n:
+                raise ValueError(f"fluent '{decl.name}' must cover every person")
+            domain = decl.domain  # None means boolean
+            for v in values:
+                # Booleans match by identity: 0 == False and 1 == True.
+                if (v is not False and v is not True if domain is None
+                        else v not in domain):
+                    raise ValueError(
+                        f"value {v!r} not in domain of '{decl.name}'")
 
     def index_of(self, person: str) -> int:
         try:

@@ -178,5 +178,3 @@ def test_config_validation():
         ExtractionConfig((
             Category("sanity", ("partial", "delusional", "mad")),
             CONFIG.categories[1], CONFIG.categories[2]))
-    with pytest.raises(ExtractionError):
-        ExtractionConfig(CONFIG.categories, ordering="by-height")

@@ -243,7 +243,10 @@ extraction:
      "sanity classes"),
     ("sanity: partial, delusional, sane", "guilt: accomplice, guilty, innocent",
      "line 3, column 1: extraction categories must be distinct"),
-], ids=["duplicate-values", "foreign-sanity-value", "repeated-name"])
+    ("guilty, innocent\n", "guilty, innocent\n  order: by-height\n",
+     "line 7, column 10: expected 'alphabetical', found 'by-height'"),
+], ids=["duplicate-values", "foreign-sanity-value", "repeated-name",
+        "unknown-order"])
 def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
                                                             tmp_path, capsys):
     text = EXTRACTION_PUZZLE.replace(old, new)
@@ -254,6 +257,11 @@ def test_bad_extraction_section_is_a_positioned_parse_error(old, new, message,
     path.write_text(text)
     assert main(["solve", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_the_alphabetical_order_line_changes_nothing():
+    ordered = EXTRACTION_PUZZLE + "  order: alphabetical\n"
+    assert parse_puzzle_file(ordered) == parse_puzzle_file(EXTRACTION_PUZZLE)
 
 
 SAID = parse_statement("patient(me)")
@@ -754,8 +762,8 @@ def test_parse_outcomes_are_pinned(asylum, asylum_text):
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert kinds == {"ParseError": 1335, "PuzzleSpec": 69, "SemanticError": 67,
                      "World": 18, "AtLeast": 4, "Believes": 4, "Implies": 3}
-    assert digest == ("2744e8b3e3cb01b8916878dfbc01207a"
-                      "93435884a98f325a0582596673c82e02")
+    assert digest == ("859c93c47c42d3b20150d03db60ff152"
+                      "11852a21f9a257d95e951502b89d2b6c")
 
 
 # --- Parser fuzz ---

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from bedlam import fixture_path, solver, statements, worlds
+from bedlam import fixture_path, solver, statements
 from bedlam.parser import parse_puzzle_file, parse_statement, parse_world_file
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL
@@ -202,8 +202,9 @@ def test_oracle_builds_and_checks_only_the_worlds_it_keeps(monkeypatch):
 
 
 def test_trusted_worlds_are_the_worlds_world_builds(monkeypatch, asylum):
-    # A reused subtree's worlds and the oracle's kept worlds skip `World`'s
-    # checks; each must be the world `World(...)` builds from its fields.
+    # A reused subtree's worlds, the oracle's kept worlds and the
+    # enumerated space skip `World`'s checks; each must be the world
+    # `World(...)` builds from its fields.
     # Two persons with two free booleans share one fluent search over
     # their 256 type pairs, so it builds 16 worlds and the other
     # combinations copy them.  The asylum shares no search, and is far
@@ -218,11 +219,16 @@ def test_trusted_worlds_are_the_worlds_world_builds(monkeypatch, asylum):
     kept = brute_force_solve(pair)
     assert built == {"trusted": 4096}
     built.clear()
+    space = list(enumerate_worlds(parse_puzzle_file(
+        "persons: Ann\nfluent f : bool\n"
+        "fluent guilt : { innocent, guilty }\n")))
+    assert len(space) == 64 and built == {"trusted": 64}
+    built.clear()
     rng = random.Random(0x7A57)
     puzzles = ([random_puzzle(rng) for _ in range(12)]
                + [random_categorical_puzzle(rng, hidden=i % 2 == 0)
                   for i in range(12)])
-    solved = [found, kept, solve_all(asylum).worlds]
+    solved = [found, kept, space, solve_all(asylum).worlds]
     for puzzle in puzzles:
         result, expected = solve_all(puzzle).worlds, brute_force_solve(puzzle)
         assert result == expected
@@ -242,7 +248,7 @@ def test_a_trusted_world_takes_no_more_memory_than_a_public_one():
     # `__dict__` at once took 249 bytes a world against 113, and raised
     # the corpus benchmark's peak RSS from 91 to 164 MB.
     names, decls = ("Ann", "Beth"), (FluentDecl("f"), FluentDecl("g"))
-    rows = worlds.checked_rows(decls, 2, ((False, True), (True, True)))
+    rows = ((False, True), (True, True))
     types = ALL_TYPES[:2]
     held = [_held_per_world(lambda: [build(names, types, decls, rows)
                                      for _ in range(2000)])[1]
@@ -732,22 +738,27 @@ def test_solves_pause_the_collector_and_leave_it_as_they_found_it(
             gc.enable()
 
 
-def test_each_fluent_assignment_is_checked_once(monkeypatch):
+def test_only_public_worlds_run_the_row_check(monkeypatch):
     # Two persons and two free booleans: 16 assignments under each of 256
-    # type combinations.
-    checked = []
+    # type combinations.  The search builds its 16 leaf worlds through
+    # `World(...)`, one per assignment, and checks each in full; the
+    # worlds it copies and every world the oracle keeps are trusted.
+    built, checked = _count_built_worlds(monkeypatch), []
+    post_init = World.__post_init__
 
-    def spy(decls, persons, rows, original=worlds._check_rows):
-        checked.append(rows)
-        return original(decls, persons, rows)
-    monkeypatch.setattr(worlds, "_check_rows", spy)
+    def spy(self):
+        checked.append(self.fluent_values)
+        post_init(self)
+    monkeypatch.setattr(World, "__post_init__", spy)
     puzzle = parse_puzzle_file(
         "persons: Ann, Beth\nfluent f : bool\nfluent g : bool\n")
-    for solve in (lambda: solve_all(puzzle).worlds,
-                  lambda: brute_force_solve(puzzle)):
+    for solve, runs in ((lambda: solve_all(puzzle).worlds, 16),
+                        (lambda: brute_force_solve(puzzle), 0)):
+        built.clear()
         checked.clear()
         assert len(solve()) == 4096
-        assert len(checked) == len(set(checked)) == 16
+        assert len(checked) == len(set(checked)) == built["public"] == runs
+        assert built["public"] + built["trusted"] == 4096
 
 
 def test_checked_rows_hold_only_for_their_fluents_and_persons():
