@@ -26,7 +26,7 @@ from .solver import (Budget, BudgetExceededError, CheckResult, SolveResult,
                      SolveStatus, brute_force_solve, check_world,
                      enumerate_worlds, explain_solution, solve_all)
 from .statements import (SemanticError, Statement, eval_closed,
-                         render_statement)
+                         is_type_local, render_statement)
 from .worlds import FluentDecl, World
 
 __version__ = "0.1.0"

@@ -15,18 +15,18 @@ trusted, and decided by `check_world`, only where every check passed.
 
 `solve_all` must agree with the oracle wherever the space is enumerable.
 One `_Search` holds a solve and gets there in three stages: each
-person's type candidates are pruned by what that person says about
-themselves; persons are typed one by one, each fluent-free check running
-once the last type it reads is set, so a failure skips every combination
-under that prefix; then fluent values are backtracked over, each fluent
-check watched from its compiled `start`, the first slot at which it can
-be False, which no other path asks for.  Of each person's type that
-fluent search reads only what its checks read: builtins, and for a
-speaker whether the type wants each utterance true, which a sane
-truth-teller and an insane liar answer alike.  So it runs once per
-combination of type classes, those readings, and the other type
-combinations reuse its rows and count its nodes again.  It visits
-worlds in canonical order, so they come out sorted.
+person's type candidates are pruned by every check, step or axiom, that
+reads no fluent and that person's type alone; persons are typed one by
+one, each other fluent-free check running once the last type it reads is
+set, so a failure skips every combination under that prefix; then fluent
+values are backtracked over, each fluent check watched from its compiled
+`start`, the first slot at which it can be False, which no other path
+asks for.  Of each person's type that fluent search reads only what its
+checks read: builtins, and for a speaker whether the type wants each
+utterance true, which a sane truth-teller and an insane liar answer
+alike.  So it runs once per combination of type classes, those readings,
+and the other type combinations reuse its rows and count its nodes
+again.  It visits worlds in canonical order, so they come out sorted.
 
 Where `World`'s own checks cannot fail, on types from `ALL_TYPES` and
 rows built from each fluent's values, worlds are built without them
@@ -336,20 +336,20 @@ class _Search:
     rows they run on, the worlds found and the node and time budget.
 
     The search runs three stages, each check at the first point where it
-    is decided.  Type-local steps, which read only their speaker's type,
-    leave each person p the `candidates[p]` they allow.  The other steps
-    and the axioms run as the puzzle's compiled checks over the `types`
-    and `values` rows, filed by the fluent slots and types that
-    `PuzzleSpec.compiled` reports they read.  Those that read no fluent
-    slot are fluent-free: `decided[p]` holds those whose last type read is
-    person p's, run as soon as types up to p are set; one that skips an
-    earlier person runs once per combination of the types it reads.
-    `constant` holds those that read no type at all, run once per solve.
-    `watchers[v]` holds the checks that read fluent slot v and can be
-    False once slots up to v are set: v is at least the check's
-    `start()`, computed here, by the read-once law `compile_statement`
-    states.  Each runs whenever such a slot is assigned, so it still runs
-    at the last slot it reads, and no run it skips could have pruned.
+    is decided, by the fluent slots and types that `PuzzleSpec.compiled`
+    reports it reads; each runs over the `types` and `values` rows.  A
+    check that reads no fluent slot is fluent-free, and one that reads one
+    person p's type alone, step or axiom, leaves p the `candidates[p]` it
+    allows.  Of the other fluent-free checks, `decided[p]` holds those
+    whose last type read is person p's, run as soon as types up to p are
+    set; one that skips an earlier person runs once per combination of the
+    types it reads.  `constant` holds those that read no type at all, run
+    once per solve.  `watchers[v]` holds the checks that read fluent slot
+    v and can be False once slots up to v are set: v is at least the
+    check's `start()`, computed here, by the read-once law
+    `compile_statement` states.  Each runs whenever such a slot is
+    assigned, so it still runs at the last slot it reads, and no run it
+    skips could have pruned.
 
     Once every person is typed, `combination` holds the types and the
     fluent search runs on it.  Only the watched checks run there, and of
@@ -383,14 +383,10 @@ class _Search:
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
         axioms, steps = puzzle.compiled
-        local: list[list] = [[] for _ in names]  # type-local step checks
-        checks = []  # each other step check, then each axiom check
-        for step, compiled in zip(puzzle.transcript, steps):
-            if st.is_type_local(step.body, step.person):
-                local[step.person_index].append(compiled[0])
-            else:
-                checks.append((*compiled, step))
+        checks = [(*compiled, step)  # the steps in order, then the axioms
+                  for step, compiled in zip(puzzle.transcript, steps)]
         checks += [(*compiled, None) for compiled in axioms]
+        local: list[list] = [[] for _ in names]  # one-person type checks
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
         self.decided: list[list] = [[] for _ in names]
@@ -414,6 +410,9 @@ class _Search:
                 self.constant.append(check)
                 continue
             last = max(typed)
+            if len(typed) == 1:
+                local[last].append(check)
+                continue
             # It runs once per prefix of types up to `last`; when it skips
             # a person there, most of those runs repeat.
             if len(typed) <= last:

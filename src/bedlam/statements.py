@@ -244,10 +244,11 @@ def fluents_used(stmt: Statement) -> set[str]:
 
 
 def is_type_local(stmt: Statement, speaker: str) -> bool:
-    """True when truth depends only on the speaker's own behavioral type.
-
-    Such statements use builtin predicates applied to the speaker alone, so
-    a solver may check them before any other person or fluent is fixed.
+    """True when builtin predicates applied to the speaker alone make the
+    statement's truth depend only on the speaker's type: the puzzle
+    generators' rule.  The solver's rule, read from the compiled `reads`
+    and `typed`, differs only in a one-person puzzle, where a quantified
+    builtin such as `exists y . sane(y)` reads the speaker's type alone.
     """
     for node in walk(stmt):
         if not isinstance(node, Atom):

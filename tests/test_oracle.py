@@ -332,6 +332,44 @@ def test_a_duplicated_axiom_changes_nothing():
     assert duplicated >= 15
 
 
+CLASS_PREDICATES = ("sane", "delusional", "partial",
+                    "truthteller", "liar", "alternator")
+
+
+def _with_axiom(puzzle, axiom):
+    return dataclasses.replace(puzzle, axioms=puzzle.axioms + (axiom,))
+
+
+def test_a_one_person_type_axiom_keeps_the_worlds_it_holds_in(
+        asylum, solution_world):
+    # An axiom on one person's type class prunes that person's candidates
+    # before the search; it must keep exactly the worlds it holds in.
+    for person in asylum.person_names:
+        for predicate in CLASS_PREDICATES:
+            fact = Atom(predicate, Person(person))
+            if not eval_closed(solution_world, fact):
+                fact = Not(fact)
+            result = solve_all(_with_axiom(asylum, fact), ASYLUM_BUDGET)
+            assert result.worlds == (solution_world,)
+            result = solve_all(_with_axiom(asylum, Not(fact)), ASYLUM_BUDGET)
+            assert result.status is SolveStatus.NONE
+    # The probed puzzles pin each person's type class, so there a fact
+    # keeps every world or none; the small random ones keep some.
+    rng = random.Random(0x1A0E)
+    kept = Counter()
+    for puzzle in _metamorphic_puzzles(rng):
+        fact = Atom(rng.choice(CLASS_PREDICATES),
+                    Person(rng.choice(puzzle.person_names)))
+        if rng.random() < 0.5:
+            fact = Not(fact)
+        before = solve_all(puzzle, BUDGET).worlds
+        after = solve_all(_with_axiom(puzzle, fact), BUDGET).worlds
+        assert after == tuple(world for world in before
+                              if eval_closed(world, fact))
+        kept["all" if after == before else "some" if after else "none"] += 1
+    assert kept["none"] >= 10 and kept["some"] >= 5 and kept["all"] >= 10
+
+
 def _every_statement(puzzle, rewrite):
     """The spec with `rewrite` applied to each axiom and uttered statement."""
     rounds = tuple(

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies
 from bedlam import fixture_path, solver, statements
 from bedlam.parser import parse_puzzle_file, parse_statement, parse_world_file
 from bedlam.puzzle import PuzzleSpec, QuestionRound
-from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL
+from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL, Sanity
 from bedlam.solver import (Budget, BudgetExceededError, CheckResult,
                            SolveStatus, brute_force_solve, check_world,
                            enumerate_worlds, explain_solution, solve_all)
@@ -599,11 +599,12 @@ def test_parsing_and_solving_walk_each_uttered_body_once(monkeypatch,
     assert len(walked) == 30
 
 
-# Digest of repr([(nodes, status, [sort_key of each world]), ...]) over
-# the generated puzzles below; any change to what the solver computes or
-# how many nodes it visits moves it.
+# Digest of repr([(status, [sort_key of each world]), ...]) over the
+# generated puzzles below; any change to what the solver computes moves
+# it.  Node counts are pinned apart, so a change that moves only them
+# leaves it as it is.
 GENERATED_SOLVES_SHA256 = (
-    "1027aafb2dfa97ee46da33356d4ab65484a492f028b34f5dc5054db6019b6f3f")
+    "3ce7bf3bdf7e9723470d56dc26eca574bdc8bbbb7ec778ef25a967a34980b1ef")
 
 
 def test_generated_solves_are_pinned():
@@ -618,9 +619,10 @@ def test_generated_solves_are_pinned():
         result = solve_all(puzzle)
         runs.append((result.statistics.nodes, result.status.value,
                      [world.sort_key() for world in result.worlds]))
-    assert sum(nodes for nodes, _, _ in runs) == 269_342
+    assert sum(nodes for nodes, _, _ in runs) == 268_550
     assert sum(len(keys) for _, _, keys in runs) == 77_437
-    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    outcomes = [(status, keys) for _, status, keys in runs]
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == GENERATED_SOLVES_SHA256
 
 
@@ -1018,13 +1020,63 @@ def test_no_check_is_false_before_its_watch_starts(seed):
 
 
 def test_a_prefix_ruled_out_still_counts_its_combinations():
+    # The axiom reads Ann's and Beth's types, so it is decided once both
+    # are set, and each pair it rules out skips 256 combinations.
     puzzle = parse_puzzle_file(
-        FOUR_PERSONS + "axiom doctor(Ann) and not doctor(Ann)\n")
+        FOUR_PERSONS
+        + "axiom doctor(Ann) and not doctor(Ann) and sane(Beth)\n")
     result = solve_all(puzzle)
     assert result.status is SolveStatus.NONE
     assert result.statistics.nodes == 65_536
     with pytest.raises(BudgetExceededError):
         solve_all(puzzle, budget=Budget(max_nodes=100))
+
+
+def test_a_one_person_axiom_filters_candidates():
+    # An axiom that reads one person's type alone prunes that person's
+    # candidates before the search: where it allows no type of Ann's, no
+    # combination is left to search or count.
+    puzzle = parse_puzzle_file(
+        FOUR_PERSONS + "axiom doctor(Ann) and not doctor(Ann)\n")
+    result = solve_all(puzzle)
+    assert result.status is SolveStatus.NONE
+    assert result.statistics.nodes == 0
+    assert brute_force_solve(puzzle) == ()
+
+
+def test_one_person_axioms_keep_few_worlds_within_the_budget(tmp_path):
+    # Each axiom reads one person's type, so it prunes that person's
+    # candidates.  Decided on a type prefix instead, each would skip whole
+    # blocks of combinations, all counted against the node budget, which
+    # this 12-world puzzle would then exceed.
+    from bedlam.cli import main
+    others = "BCDEFGH"
+    text = (f"persons: A, {', '.join(others)}\naxiom not sane(A)\n"
+            + "".join(f"axiom sane({x}) and truthteller({x})\n"
+                      for x in others))
+    result = solve_all(parse_puzzle_file(text))
+    assert result.status is SolveStatus.MULTIPLE
+    assert len(result.worlds) == 12
+    assert result.statistics.nodes == 12
+    assert [world.types[0] for world in result.worlds] == [
+        t for t in ALL_TYPES if t.sanity is not Sanity.SANE]
+    assert {world.types[1:] for world in result.worlds} == {
+        (TYPES_BY_LABEL["ST"],) * len(others)}
+    path = tmp_path / "eight.puzzle"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+
+
+def test_a_one_person_quantified_step_filters_candidates():
+    # With one person, `exists y . sane(y)` reads the speaker's type
+    # alone, so it prunes Ann's candidates before the search.
+    for fluents, nodes in (("", 8), ("fluent f : bool\n", 24)):
+        puzzle = parse_puzzle_file(
+            f"persons: Ann\n{fluents}round statements:\n"
+            "  Ann: exists y . sane(y)\n")
+        result = solve_all(puzzle)
+        assert result.worlds == brute_force_solve(puzzle)
+        assert result.statistics.nodes == nodes
 
 
 def test_worlds_are_canonically_ordered():
