@@ -136,16 +136,6 @@ class PuzzleSpec:
         """
         return _Walked(weakref.ref(self))
 
-    @cached_property
-    def violations(self) -> dict:
-        """`check_world`'s failed results, each built once: keyed by axiom
-        index, or by (step index, speaker type index).
-
-        At most `len(axioms) + 16 * len(transcript)` entries.  Threads that
-        race to fill one entry store equal frozen results.
-        """
-        return {}
-
     def validate(self) -> None:
         """Raise SemanticError on the first declaration, axiom, round or
         extraction inconsistency, in reading order: the spec's walk, run

@@ -153,9 +153,6 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
 
     The first violation found, in round order, is reported.  The puzzle's
     compiled checks run on the world's rows, where no slot is UNKNOWN.
-    Each violation is built once per puzzle and returned again to every
-    world that breaks the same axiom, or the same step with the same
-    speaker type.
     """
     if world.person_names != puzzle.person_names:
         raise SemanticError("world persons do not match the puzzle")
@@ -165,22 +162,13 @@ def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
     types, values = world.types, world.fluent_values
     for i, (check, _, _, _) in enumerate(axioms):
         if not check(types, values):
-            built = puzzle.violations
-            result = built.get(i)
-            if result is None:
-                result = built[i] = CheckResult(
-                    False, None, None, f"axiom {i + 1} is violated: "
-                    f"{render_statement(puzzle.axioms[i])}")
-            return result
+            return CheckResult(
+                False, None, None, f"axiom {i + 1} is violated: "
+                f"{render_statement(puzzle.axioms[i])}")
     for k, (check, _, _, _) in enumerate(steps):
         if not check(types, values):
             step = puzzle.transcript[k]
-            type_ = types[step.person_index]
-            built, key = puzzle.violations, (k, type_.index)
-            result = built.get(key)
-            if result is None:
-                result = built[key] = _step_violation(step, type_)
-            return result
+            return _step_violation(step, types[step.person_index])
     return _CONSISTENT
 
 

@@ -18,7 +18,7 @@ from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
 from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_categorical_statement,
                      random_categorical_trio, random_probed_puzzle,
-                     random_puzzle, random_world)
+                     random_puzzle, random_statement, random_world)
 
 
 def test_solver_matches_oracle_on_mixed_sizes():
@@ -368,6 +368,45 @@ def test_a_one_person_type_axiom_keeps_the_worlds_it_holds_in(
                               if eval_closed(world, fact))
         kept["all" if after == before else "some" if after else "none"] += 1
     assert kept["none"] >= 10 and kept["some"] >= 5 and kept["all"] >= 10
+
+
+def test_an_added_axiom_keeps_the_worlds_it_holds_in():
+    # A random closed axiom reads fluents and the types of several
+    # persons, so the search files it as a watched or prefix check, not a
+    # candidate filter; it must keep exactly the worlds it holds in.
+    rng = random.Random(0xADD)
+    kept = Counter()
+    for puzzle in _metamorphic_puzzles(rng):
+        axiom = random_statement(
+            rng, depth=3, persons=puzzle.person_names,
+            fluents=[d.name for d in puzzle.fluent_decls if d.is_boolean],
+            allow_me=False)
+        before = solve_all(puzzle, BUDGET).worlds
+        after = solve_all(_with_axiom(puzzle, axiom), BUDGET).worlds
+        assert after == tuple(world for world in before
+                              if eval_closed(world, axiom))
+        kept["all" if after == before else "some" if after else "none"] += 1
+    assert kept["none"] >= 10 and kept["some"] >= 10 and kept["all"] >= 10
+
+
+def test_a_fluent_cell_axiom_keeps_the_worlds_it_holds_in(
+        asylum, solution_world):
+    # An axiom on one person's value of one fluent is a watched fluent
+    # check; stated as the solution has it, it keeps the asylum's one
+    # world, and negated it leaves none.
+    for decl in asylum.fluent_decls:
+        for person in asylum.person_names:
+            value = solution_world.fluent_value(decl.name, person)
+            if decl.is_boolean:
+                fact = Atom(decl.name, Person(person))
+                if not value:
+                    fact = Not(fact)
+            else:
+                fact = Atom(decl.name, Person(person), value)
+            result = solve_all(_with_axiom(asylum, fact), ASYLUM_BUDGET)
+            assert result.worlds == (solution_world,)
+            result = solve_all(_with_axiom(asylum, Not(fact)), ASYLUM_BUDGET)
+            assert result.status is SolveStatus.NONE
 
 
 def _every_statement(puzzle, rewrite):

@@ -102,9 +102,9 @@ def test_check_world_flags_axiom_violations(asylum):
     assert "axiom" in outcome.message
 
 
-def test_check_world_builds_each_violation_once():
+def test_check_world_reports_each_violation_by_value():
     # Worlds that break the same axiom, or the same step with the same
-    # speaker type, get one shared result; another speaker type its own.
+    # speaker type, get equal results; another speaker type its own.
     puzzle = parse_puzzle_file(
         "persons: Ann, Beth\nfluent f : bool\naxiom f(Ann)\n"
         "round statements:\n  Ann: f(Beth)\n")
@@ -118,14 +118,30 @@ def test_check_world_builds_each_violation_once():
     axiom = outcome((st_, st_), (False, False))
     assert axiom == CheckResult(False, None, None,
                                 "axiom 1 is violated: f(Ann)")
-    assert outcome((sl, dl), (False, True)) is axiom
+    assert outcome((sl, dl), (False, True)) == axiom
     step = outcome((st_, sl), (True, False))
     assert step == CheckResult(False, 0, "Ann",
                                "round 0: Ann (ST) would not say: f(Beth)")
-    assert outcome((st_, dl), (True, False)) is step
+    assert outcome((st_, dl), (True, False)) == step
     liar = outcome((sl, st_), (True, True))
     assert liar.message == "round 0: Ann (SL) would not say: f(Beth)"
-    assert outcome((sl, dl), (True, True)) is liar
+    assert outcome((sl, dl), (True, True)) == liar
+
+
+def test_a_spec_keeps_only_its_fields_and_its_walk():
+    # Solving, checking every world of the space (consistent or not) and
+    # explaining leave on the spec nothing but its declared fields and
+    # its walk: no per-spec cache of results.
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\nfluent f : bool\naxiom f(Ann)\n"
+        "round statements:\n  Ann: f(Beth)\n")
+    result = solve_all(puzzle)
+    outcomes = [check_world(puzzle, world)
+                for world in enumerate_worlds(puzzle)]
+    assert any(outcomes) and not all(outcomes)
+    explain_solution(puzzle, result.worlds[0])
+    fields = {field.name for field in dataclasses.fields(PuzzleSpec)}
+    assert set(vars(puzzle)) == fields | {"transcript", "_walked"}
 
 
 def _held_per_world(solve) -> tuple[tuple, float]:
@@ -1088,7 +1104,9 @@ def test_worlds_are_canonically_ordered():
 
 
 def test_explain_requires_consistent_world(asylum, ann_sl_world):
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match=(
+            r"^world is not consistent: round 4: Ann \(SL\) would not say: "
+            r"lover\(Beth\)$")):
         explain_solution(asylum, ann_sl_world)
 
 
