@@ -17,16 +17,18 @@ trusted, and decided by `check_world`, only where every check passed.
 One `_Search` holds a solve and gets there in three stages: each
 person's type candidates are pruned by every check, step or axiom, that
 reads no fluent and that person's type alone; persons are typed one by
-one, each other fluent-free check running once the last type it reads is
+one, each other fluent-free check decided once the last type it reads is
 set, so a failure skips every combination under that prefix; then fluent
 values are backtracked over, each fluent check watched from its compiled
 `start`, the first slot at which it can be False, which no other path
-asks for.  Of each person's type that fluent search reads only what its
-checks read: builtins, and for a speaker whether the type wants each
+asks for.  Of each person's type a check reads only a class: the
+builtins its `typed` names, and for a speaker whether the type wants the
 utterance true, which a sane truth-teller and an insane liar answer
-alike.  So it runs once per combination of type classes, those readings,
-and the other type combinations reuse its rows and count its nodes
-again.  It visits worlds in canonical order, so they come out sorted.
+alike.  So a fluent-free check runs once per combination of the classes
+it reads, and the fluent search once per combination of the classes its
+checks read; the other type combinations reuse its rows and count its
+nodes again.  It visits worlds in canonical order, so they come out
+sorted.
 
 Where `World`'s own checks cannot fail, on types from `ALL_TYPES` and
 rows built from each fluent's values, worlds are built without them
@@ -329,15 +331,17 @@ class _Search:
     check that reads no fluent slot is fluent-free, and one that reads one
     person p's type alone, step or axiom, leaves p the `candidates[p]` it
     allows.  Of the other fluent-free checks, `decided[p]` holds those
-    whose last type read is person p's, run as soon as types up to p are
-    set; one that skips an earlier person runs once per combination of the
-    types it reads.  `constant` holds those that read no type at all, run
-    once per solve.  `watchers[v]` holds the checks that read fluent slot
-    v and can be False once slots up to v are set: v is at least the
-    check's `start()`, computed here, by the read-once law
-    `compile_statement` states.  Each runs whenever such a slot is
-    assigned, so it still runs at the last slot it reads, and no run it
-    skips could have pruned.
+    whose last type read is person p's, decided as soon as types up to p
+    are set.  Of each typed person's type such a check reads only its
+    class, the builtins `typed` names for the person and, for the speaker,
+    `Step.required_by_type`; so it runs once per combination of those
+    classes, and keeps its outcomes by the classes of the persons before
+    p.  `constant` holds those that read no type at all, run once per
+    solve.  `watchers[v]` holds the checks that read fluent slot v and
+    can be False once slots up to v are set: v is at least the check's
+    `start()`, computed here, by the read-once law `compile_statement`
+    states.  Each runs whenever such a slot is assigned, so it still runs
+    at the last slot it reads, and no run it skips could have pruned.
 
     Once every person is typed, `combination` holds the types and the
     fluent search runs on it.  Only the watched checks run there, and of
@@ -377,7 +381,7 @@ class _Search:
         local: list[list] = [[] for _ in names]  # one-person type checks
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
-        self.decided: list[list] = [[] for _ in names]
+        shared = []  # (check, typed, step) of the other fluent-free ones
         self.constant = []
         watched = []  # (check, reads, first slot at which it can be False)
         # What the fluent search reads of each person's type: builtins,
@@ -397,15 +401,10 @@ class _Search:
             if not typed:
                 self.constant.append(check)
                 continue
-            last = max(typed)
             if len(typed) == 1:
-                local[last].append(check)
-                continue
-            # It runs once per prefix of types up to `last`; when it skips
-            # a person there, most of those runs repeat.
-            if len(typed) <= last:
-                check = _memoized(check, sorted(typed))
-            self.decided[last].append(check)
+                local[max(typed)].append(check)
+            else:
+                shared.append((check, typed, step))
         # A run before that slot could only pass, so it is skipped.
         self.watchers = [[check for check, reads, start in watched
                           if slot in reads and v >= start]
@@ -419,6 +418,27 @@ class _Search:
             for person_checks, kept in zip(local, self.candidates):
                 if all(check(row, ()) for check in person_checks):
                     kept.append(t)
+        # `decided[last]` files a shared check as `(check, prefix, mine,
+        # memo)`: the typed persons before `last`, each with its class
+        # table `class_of[q]`, by type index; the class of each of `last`'s
+        # candidates; and its outcomes by the prefix's classes.  Checks
+        # that read a person alike share a class table.
+        tables: dict[tuple, list[int]] = {}
+        self.decided: list[list] = [[] for _ in names]
+        for check, typed, step in shared:
+            last = max(typed)
+            speaker = step.person_index if step else None
+            class_of = {}
+            for q, read in typed.items():
+                wants = (step.required_by_type,) if q == speaker else ()
+                key = (frozenset(read), wants)
+                table = tables.get(key)
+                if table is None:
+                    table = tables[key] = _classes(read, wants, ALL_TYPES)
+                class_of[q] = table
+            self.decided[last].append((
+                check, [(q, class_of[q]) for q in typed if q < last],
+                [class_of[last][t.index] for t in self.candidates[last]], {}))
         # Type combinations under one type of person p: a prefix ruled
         # out there skips that many.
         self.below = [math.prod(map(len, self.candidates[p + 1:]))
@@ -427,16 +447,10 @@ class _Search:
         # the search takes those types as one product.
         self.typed = max((p + 1 for p, checks in enumerate(self.decided)
                           if checks), default=0)
-        # Types that all person p's tables, each a value by type index,
-        # map alike share a class; `candidate_classes[p]` gives the class
-        # of each of p's candidates.
-        self.candidate_classes = []
-        for read, tables, kept in zip(builtins, wanted, self.candidates):
-            tables = [*tables, *[_BUILTIN_TABLES[name] for name in read]]
-            readings = list(zip(*tables)) or [()] * len(ALL_TYPES)
-            ids: dict[tuple, int] = {}
-            self.candidate_classes.append([
-                ids.setdefault(readings[t.index], len(ids)) for t in kept])
+        # `candidate_classes[p]` gives the class of each of p's candidates
+        # for the fluent search.
+        self.candidate_classes = list(map(_classes, builtins, wanted,
+                                          self.candidates))
         self.subtrees: Optional[dict[tuple, tuple]] = (
             {} if self.variables and any(
                 len(set(classes)) < len(classes)
@@ -490,12 +504,23 @@ class _Search:
                 self.combination = prefix + rest
                 self._search_once(key + classes)
             return
-        values, checks, below = self.values, self.decided[p], self.below[p]
-        classes = self.classes
-        for t, class_ in zip(self.candidates[p], self.candidate_classes[p]):
-            types[p], classes[p] = t, class_
-            for check in checks:
-                if not check(types, values):
+        values, below = self.values, self.below[p]
+        # Each check with its outcomes under this prefix, by class of p's
+        # type, None where not yet run, and the class of each of p's
+        # candidates.
+        checks = [(check, memo.setdefault(
+                       tuple([class_of[types[q].index]
+                              for q, class_of in prefix]),
+                       [None] * len(ALL_TYPES)), mine)
+                  for check, prefix, mine, memo in self.decided[p]]
+        classes, candidate_classes = self.classes, self.candidate_classes[p]
+        for i, t in enumerate(self.candidates[p]):
+            types[p], classes[p] = t, candidate_classes[i]
+            for check, outcomes, mine in checks:
+                ok = outcomes[mine[i]]
+                if ok is None:
+                    ok = outcomes[mine[i]] = check(types, values)
+                if not ok:
                     self.skip(below)
                     break
             else:
@@ -581,17 +606,15 @@ _BUILTIN_TABLES = {predicate: tuple(t.builtins[predicate] for t in ALL_TYPES)
                    for predicate in st.BUILTIN_PREDICATES}
 
 
-def _memoized(check, persons: list[int]):
-    """A fluent-free check, run once per combination of its persons' types."""
-    memo = {}
-
-    def check_once(types, values):
-        key = tuple([types[p].index for p in persons])
-        result = memo.get(key)
-        if result is None:
-            result = memo[key] = check(types, values)
-        return result
-    return check_once
+def _classes(read, wanted, types) -> list[int]:
+    """The class of each of `types`, for checks that read of it the
+    builtins named in `read` and the tables in `wanted`, each a value by
+    type index: types that all of those map alike share a class, and the
+    classes are numbered from 0 up."""
+    tables = [*wanted, *[_BUILTIN_TABLES[name] for name in read]]
+    readings = list(zip(*tables)) or [()] * len(ALL_TYPES)
+    ids: dict[tuple, int] = {}
+    return [ids.setdefault(readings[t.index], len(ids)) for t in types]
 
 
 def _build_report(puzzle: PuzzleSpec,

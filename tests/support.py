@@ -148,16 +148,16 @@ def random_puzzle(rng: random.Random) -> PuzzleSpec:
     return puzzle
 
 
-def random_nonlocal_puzzle(rng: random.Random) -> PuzzleSpec:
-    """A three-person puzzle over one or two boolean fluents, replaying a
-    hidden world, in which no utterance is type-local.
+def random_nonlocal_puzzle(rng: random.Random, persons=NAME_POOL,
+                           fluent_free: bool = False) -> PuzzleSpec:
+    """A puzzle over one or two boolean fluents, or none if `fluent_free`,
+    replaying a hidden world, in which no utterance is type-local.
 
     Each statement reads a fluent or another person's type, so every
     person keeps all 16 type candidates, as in the no-probe benchmark.
     """
-    persons = NAME_POOL
-    decls = tuple(FluentDecl(name)
-                  for name in FLUENT_POOL[:rng.randint(1, 2)])
+    decls = () if fluent_free else tuple(
+        FluentDecl(name) for name in FLUENT_POOL[:rng.randint(1, 2)])
     fluents = [decl.name for decl in decls]
     world = random_world(rng, persons, decls)
     counts = {p: 0 for p in persons}

@@ -16,8 +16,9 @@ from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, Not, Or, Person, Statement,
                                eval_closed, render_statement)
 from bedlam.worlds import FluentDecl, World
-from support import (random_categorical_puzzle, random_categorical_statement,
-                     random_categorical_trio, random_probed_puzzle,
+from support import (WIDE_NAME_POOL, random_categorical_puzzle,
+                     random_categorical_statement, random_categorical_trio,
+                     random_nonlocal_puzzle, random_probed_puzzle,
                      random_puzzle, random_statement, random_world)
 
 
@@ -129,6 +130,20 @@ def test_solver_matches_oracle_on_three_persons_with_a_categorical_fluent():
         assert solve_all(puzzle).worlds == expected
         if i % 2 == 0:
             assert expected
+
+
+def test_solver_matches_oracle_on_four_fluent_free_persons():
+    # 16**4 type combinations, each one world, with quantifiers over four
+    # persons.  Every utterance reads another person's type, so checks
+    # that read two to four persons' types, each decided once per
+    # combination of the type classes it reads, make the whole search.
+    rng = random.Random(0x4FF)
+    for _ in range(10):
+        puzzle = random_nonlocal_puzzle(rng, WIDE_NAME_POOL[:4],
+                                        fluent_free=True)
+        expected = brute_force_solve(puzzle)
+        assert expected  # the hidden world
+        assert solve_all(puzzle).worlds == expected
 
 
 def test_solver_matches_a_restricted_oracle_on_wider_puzzles():

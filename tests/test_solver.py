@@ -878,14 +878,61 @@ FOUR_PERSONS = "persons: Ann, Beth, Cedric, David\n"
 
 def test_fluent_free_check_runs_once_its_last_type_is_set(monkeypatch):
     # Beth's utterance reads only Ann's and Beth's types, so it is decided
-    # once per pair of their types, not once per type combination.
+    # once Beth is typed, and of those types it reads only their classes:
+    # whether Ann is a doctor (2 classes), and whether Beth is a liar and
+    # wants the body true (4).  So it runs 2 * 4 times, not once per type
+    # combination or per pair of types.
     calls = _count_check_runs(monkeypatch)
     puzzle = parse_puzzle_file(
         FOUR_PERSONS + "round statements:\n  Beth: doctor(Ann) or liar(me)\n")
     result = solve_all(puzzle)
-    assert 0 < calls["Beth"] <= 256
+    assert calls["Beth"] == 8
     assert result.statistics.nodes == 65_536
     assert result.worlds == brute_force_solve(puzzle)
+
+
+def test_a_check_with_no_two_prefixes_alike_runs_on_each(monkeypatch):
+    # Ann is a sane truth-teller and Beth a sane truth-teller or liar, so
+    # Ann's utterance has as many class combinations as prefixes to run
+    # on; it runs on each, and prunes.
+    calls = _count_check_runs(monkeypatch)
+    puzzle = parse_puzzle_file(
+        "persons: Ann, Beth\naxiom sane(Ann) and truthteller(Ann)\n"
+        "axiom sane(Beth) and not alternator(Beth)\n"
+        "round statements:\n  Ann: liar(Beth)\n")
+    result = solve_all(puzzle)
+    assert calls["Ann"] == 2
+    assert [world.types for world in result.worlds] == [
+        (TYPES_BY_LABEL["ST"], TYPES_BY_LABEL["SL"])]
+    assert result.worlds == brute_force_solve(puzzle)
+
+
+# A no-probe benchmark input (`4-0/2`): every check reads two or more
+# persons' types and no fluent, and all 16 types stay candidates.
+NO_PROBE_QUARTET = FOUR_PERSONS + """\
+round question "probe" to Ann, Cedric, David: believes(exists z . alternator(z))
+  answers: Ann=no, Cedric=yes, David=no
+round statements:
+  Beth: not ((partial(me) implies delusional(me)) implies liar(Cedric))
+  David: truthteller(Beth) or truthteller(me) or delusional(David) implies \
+alternator(me) and truthteller(Beth) and liar(me)
+round question "probe" to Beth, David: believes(atleast 1 z . sane(Ann))
+  answers: Beth=no, David=no
+round question "probe" to Ann, Beth, Cedric, David: partial(me) or \
+doctor(David) or delusional(Cedric)
+  answers: Ann=no, Beth=no, Cedric=yes, David=yes
+"""
+
+
+def test_type_checks_run_once_per_combination_of_classes(monkeypatch):
+    # Each of its 11 checks reads two to four persons' types and no
+    # fluent, and runs once per combination of the classes it reads, not
+    # once per prefix of types up to its last typed person.
+    calls = _count_check_runs(monkeypatch)
+    result = solve_all(parse_puzzle_file(NO_PROBE_QUARTET))
+    assert sum(calls.values()) == 176
+    assert result.statistics.nodes == 65_536
+    assert len(result.worlds) == 50
 
 
 def test_fluent_search_runs_once_per_class_of_its_key_persons(monkeypatch):

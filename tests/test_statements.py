@@ -15,7 +15,7 @@ from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                UNKNOWN, Var, compile_statement, eval_closed,
                                eval_partial, render_peeled, render_statement,
                                substitute_me)
-from bedlam.semantics import ALL_TYPES
+from bedlam.semantics import ALL_TYPES, asserted_truth
 from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
 
@@ -313,8 +313,9 @@ def test_puzzle_checks_say_whether_the_rows_rule_out_the_wanted_value(seed):
 @settings(max_examples=300, deadline=None)
 def test_types_outside_types_read_never_change_a_check(seed):
     # The solver decides a fluent-free check once the last person in
-    # `typed` is typed, and memoizes it on their types, so no other
-    # person's type may move its value, whatever the fluent slots hold.
+    # `typed` is typed, and keeps its outcome by what it reads of their
+    # types, so no other person's type may move its value, whatever the
+    # fluent slots hold.
     rng = random.Random(seed)
     persons = support.WIDE_NAME_POOL[:rng.randint(1, 4)]
     if rng.random() < 0.5:
@@ -334,6 +335,44 @@ def test_types_outside_types_read_never_change_a_check(seed):
             types = list(world.types)
             types[p] = t
             assert check(types, values) is expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_types_read_alike_never_change_a_check(seed):
+    # Of a typed person's type a check reads only its class: the builtins
+    # `typed` names for the person and, for an utterance's speaker, the
+    # value its type wants.  The solver decides a fluent-free check once
+    # per combination of those classes, so any type of the same class may
+    # stand in for a typed person's, whatever the fluent slots hold.
+    rng = random.Random(seed)
+    persons = support.WIDE_NAME_POOL[:rng.randint(1, 4)]
+    if rng.random() < 0.5:
+        decls = DECLS
+        stmt = random_statement(rng, persons=persons)
+    else:
+        decls = CATEGORICAL_DECLS
+        stmt = support.random_categorical_statement(rng, 3, persons, decls)
+    speaker = rng.choice(persons)
+    me = persons.index(speaker)
+    odd, is_belief, answered_no = (rng.random() < 0.5 for _ in range(3))
+    required = tuple(asserted_truth(t, odd, is_belief) != answered_no
+                     for t in ALL_TYPES)
+    check, _, typed, _ = compile_statement(stmt, speaker, persons, decls,
+                                           required)
+    world = random_world(rng, persons, decls)
+    values = [[UNKNOWN if rng.random() < 0.3 else value for value in row]
+              for row in world.fluent_values]
+    expected = check(world.types, values)
+    for p, read in typed.items():
+        def reading(t):
+            return ([t.builtins[name] for name in sorted(read)],
+                    p == me and required[t.index])
+        for t in ALL_TYPES:
+            if reading(t) == reading(world.types[p]):
+                types = list(world.types)
+                types[p] = t
+                assert check(types, values) is expected
 
 
 def _deep_quantifiers(depth: int):
