@@ -100,7 +100,7 @@ def solve(puzzle_path, explain, extract_flag, expect_unique,
         document = _solve_document(text, puzzle, result, word, letters, derivation)
         click.echo(json.dumps(document, indent=2, sort_keys=True))
     else:
-        _print_solve_text(puzzle, result, word, letters, derivation, explain)
+        _print_solve_text(result, word, letters, derivation, explain)
     if result.status is SolveStatus.NONE:
         sys.exit(EXIT_NO_WORLD)
     if expect_unique and result.status is SolveStatus.MULTIPLE:
@@ -150,7 +150,7 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _print_solve_text(puzzle, result, word, letters, derivation, explain):
+def _print_solve_text(result, word, letters, derivation, explain):
     click.echo(f"status: {result.status.value}")
     click.echo(f"worlds: {result.statistics.worlds_found}")
     click.echo(f"nodes: {result.statistics.nodes}")

@@ -103,10 +103,10 @@ def letter_rows(result, config: ExtractionConfig) -> list[dict]:
     taken alphabetically by name; an error names the person whose triple
     failed.
     """
-    if str(getattr(result.status, "value", result.status)) != "unique":
+    if result.status.value != "unique":
         raise ExtractionError(
             "extraction requires a unique solution "
-            f"(status is {getattr(result.status, 'value', result.status)})")
+            f"(status is {result.status.value})")
     world = result.worlds[0]
     rows = []
     for person in sorted(world.person_names):

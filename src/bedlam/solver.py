@@ -35,8 +35,8 @@ rows built from each fluent's values, worlds are built without them
 (`worlds._trusted_world`): by the search for the worlds it copies from a
 reused subtree, by the oracle for each world it keeps, and by
 `enumerate_worlds`.  A fluent search's leaves build through `World`, so
-the search checks each world it finds there once, in full, and worlds
-that share an assignment share its rows.
+the search checks each world it finds there once, in full; a world
+copied from a reused subtree shares the rows of the world it copies.
 
 Both solvers pause the cyclic garbage collector while their world list
 fills: a `World` is in no reference cycle, so reference counting frees
@@ -343,12 +343,13 @@ class _Search:
     states.  Each runs whenever such a slot is assigned, so it still runs
     at the last slot it reads, and no run it skips could have pruned.
 
-    Once every person is typed, `combination` holds the types and the
-    fluent search runs on it.  Only the watched checks run there, and of
-    person p's type they read only the builtins their `typed` names for
-    p and, for p's steps, `Step.required_by_type`.  Types alike in all of
-    those share a class: `candidate_classes[p]` gives the class of each
-    of p's candidates, and `classes` that of each of `types`.  So on any
+    Once every person is typed, the fluent search runs on `types`.  Only
+    the watched checks run there, and they too read of person p's type
+    only the builtins their `typed` names for p and, for p's steps,
+    `Step.required_by_type`.  Types alike in all of those share a class:
+    `candidate_classes[p]` gives the class of each of p's candidates, and
+    `classes` that of each of `types`.  Both stages take a class table,
+    by type index, for each such reading, built once per solve.  So on any
     type combination the search finds the same rows, in the same order,
     over the same nodes as on any other whose persons' types fall in the
     same classes.  `subtrees` maps a combination's classes to what its
@@ -375,40 +376,43 @@ class _Search:
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
         axioms, steps = puzzle.compiled
-        checks = [(*compiled, step)  # the steps in order, then the axioms
-                  for step, compiled in zip(puzzle.transcript, steps)]
-        checks += [(*compiled, None) for compiled in axioms]
         local: list[list] = [[] for _ in names]  # one-person type checks
         # A quantified fluent atom reads its fluent for every person, so in
         # a puzzle without persons it reads nothing and is fluent-free.
-        shared = []  # (check, typed, step) of the other fluent-free ones
+        shared = []  # (check, reading) of the other fluent-free ones
         self.constant = []
-        watched = []  # (check, reads, first slot at which it can be False)
-        # What the fluent search reads of each person's type: builtins,
-        # and the wanted values of their steps, by type index.
-        builtins: list[set[str]] = [set() for _ in names]
-        wanted: list[set[tuple]] = [set() for _ in names]
-        for check, reads, typed, first_false, step in checks:
+        self.watchers: list[list] = [[] for _ in self.variables]
+        searched = [frozenset()] * len(names)  # what the watchers read
+        for (check, reads, typed, first_false), step in zip(
+                steps + axioms, puzzle.transcript + (None,) * len(axioms)):
             if reads:
+                # A run before slot `start` could only pass, so a check
+                # watches only the slots it reads from there on.
                 start = first_false()
-                watched.append((check, reads, start))
-                if any(f * len(names) + p >= start for f, p in reads):
-                    for p, predicates in typed.items():
-                        builtins[p] |= predicates
-                    if step is not None:
-                        wanted[step.person_index].add(step.required_by_type)
-                continue
-            if not typed:
+                slots = [v for v in (f * len(names) + p for f, p in reads)
+                         if v >= start]
+                for v in slots:
+                    self.watchers[v].append(check)
+                if not slots:
+                    continue
+            elif not typed:
                 self.constant.append(check)
                 continue
-            if len(typed) == 1:
+            elif len(typed) == 1:
                 local[max(typed)].append(check)
+                continue
+            # The check's reading of each typed person's type, as tables
+            # by type index: the builtins `typed` names, and for a step's
+            # speaker the value the step wants.
+            reading = {p: frozenset([_BUILTIN_TABLES[name] for name in read])
+                       for p, read in typed.items()}
+            if step is not None:
+                reading[step.person_index] |= {step.required_by_type}
+            if reads:
+                for p, read in reading.items():
+                    searched[p] |= read
             else:
-                shared.append((check, typed, step))
-        # A run before that slot could only pass, so it is skipped.
-        self.watchers = [[check for check, reads, start in watched
-                          if slot in reads and v >= start]
-                         for v, slot in enumerate(self.variables)]
+                shared.append((check, reading))
         # Each type is tried with everyone given it, since quantifiers
         # range over everyone, as in `atleast 2 x . patient(me)`.  A check
         # that reads no fluent slot needs no row.
@@ -418,27 +422,21 @@ class _Search:
             for person_checks, kept in zip(local, self.candidates):
                 if all(check(row, ()) for check in person_checks):
                     kept.append(t)
+        # One class table, by type index, per reading.
+        tables = {read: _classes(read) for read in {*searched, *[
+            read for _, reading in shared for read in reading.values()]}}
         # `decided[last]` files a shared check as `(check, prefix, mine,
         # memo)`: the typed persons before `last`, each with its class
-        # table `class_of[q]`, by type index; the class of each of `last`'s
-        # candidates; and its outcomes by the prefix's classes.  Checks
-        # that read a person alike share a class table.
-        tables: dict[tuple, list[int]] = {}
+        # table; the class of each of `last`'s candidates; and its
+        # outcomes by the prefix's classes.
         self.decided: list[list] = [[] for _ in names]
-        for check, typed, step in shared:
-            last = max(typed)
-            speaker = step.person_index if step else None
-            class_of = {}
-            for q, read in typed.items():
-                wants = (step.required_by_type,) if q == speaker else ()
-                key = (frozenset(read), wants)
-                table = tables.get(key)
-                if table is None:
-                    table = tables[key] = _classes(read, wants, ALL_TYPES)
-                class_of[q] = table
+        for check, reading in shared:
+            last = max(reading)
             self.decided[last].append((
-                check, [(q, class_of[q]) for q in typed if q < last],
-                [class_of[last][t.index] for t in self.candidates[last]], {}))
+                check, [(q, tables[read]) for q, read in reading.items()
+                        if q < last],
+                [tables[reading[last]][t.index]
+                 for t in self.candidates[last]], {}))
         # Type combinations under one type of person p: a prefix ruled
         # out there skips that many.
         self.below = [math.prod(map(len, self.candidates[p + 1:]))
@@ -449,20 +447,17 @@ class _Search:
                           if checks), default=0)
         # `candidate_classes[p]` gives the class of each of p's candidates
         # for the fluent search.
-        self.candidate_classes = list(map(_classes, builtins, wanted,
-                                          self.candidates))
+        self.candidate_classes = [
+            [tables[read][t.index] for t in candidates]
+            for read, candidates in zip(searched, self.candidates)]
         self.subtrees: Optional[dict[tuple, tuple]] = (
             {} if self.variables and any(
                 len(set(classes)) < len(classes)
                 for classes in self.candidate_classes)
             else None)
-        # Each fluent assignment found: worlds that share it share its
-        # rows.
-        self.assignments: dict[tuple, tuple] = {}
         self.types = [None] * len(names)
         self.classes = [None] * len(names)  # the class of each of `types`
         self.values = [[UNKNOWN] * len(names) for _ in self.domains]
-        self.combination: tuple = ()
         self.found: list[World] = []
         self.nodes = self.searches = 0
 
@@ -489,19 +484,18 @@ class _Search:
         if p == self.typed:
             # One product for the rest: recursing to the last person instead
             # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.
-            prefix = tuple(types[:p])
             rests = itertools.product(*self.candidates[p:])
             if self.subtrees is None:  # no two share a search
                 for rest in rests:
                     self.tick()
-                    self.combination = prefix + rest
+                    types[p:] = rest
                     self._search()
                 return
             key = tuple(self.classes[:p])
             for rest, classes in zip(rests, itertools.product(
                     *self.candidate_classes[p:])):
                 self.tick()
-                self.combination = prefix + rest
+                types[p:] = rest
                 self._search_once(key + classes)
             return
         values, below = self.values, self.below[p]
@@ -527,10 +521,10 @@ class _Search:
                 self._choose(p + 1)
 
     def _search_once(self, key: tuple) -> None:
-        """`_search`, once per `key`, the classes of `combination`'s
-        types: a combination whose classes were searched before takes the
-        rows of the worlds found then, in worlds built trusted, and
-        counts their nodes again."""
+        """`_search`, once per `key`, the classes of `types`: a type
+        combination whose classes were searched before takes the rows of
+        the worlds found then, in worlds built trusted, and counts their
+        nodes again."""
         subtree = self.subtrees.get(key)
         found = self.found
         if subtree is None:
@@ -541,24 +535,23 @@ class _Search:
         first, end, nodes = subtree
         self.skip(nodes)
         names, decls = self.puzzle.person_names, self.puzzle.fluent_decls
-        types = self.combination
+        types = tuple(self.types)
         found.extend([_trusted_world(names, types, decls, world.fluent_values)
                       for world in found[first:end]])
 
     def _search(self) -> None:
-        """The fluent search of `combination`, from its root."""
+        """The fluent search of `types`, from its root."""
         self.searches += 1
         self._descend(0)
 
     def _descend(self, depth: int) -> None:
         """Assign variables from `depth` on, keeping worlds that pass."""
-        types, values = self.combination, self.values
+        types, values = self.types, self.values
         if depth == len(self.variables):
             puzzle = self.puzzle
-            rows = tuple(map(tuple, values))
-            rows = self.assignments.setdefault(rows, rows)
-            self.found.append(World(puzzle.person_names, types,
-                                    puzzle.fluent_decls, rows))
+            self.found.append(World(puzzle.person_names, tuple(types),
+                                    puzzle.fluent_decls,
+                                    tuple(map(tuple, values))))
             return
         fi, pi = self.variables[depth]
         row = values[fi]
@@ -606,15 +599,13 @@ _BUILTIN_TABLES = {predicate: tuple(t.builtins[predicate] for t in ALL_TYPES)
                    for predicate in st.BUILTIN_PREDICATES}
 
 
-def _classes(read, wanted, types) -> list[int]:
-    """The class of each of `types`, for checks that read of it the
-    builtins named in `read` and the tables in `wanted`, each a value by
-    type index: types that all of those map alike share a class, and the
-    classes are numbered from 0 up."""
-    tables = [*wanted, *[_BUILTIN_TABLES[name] for name in read]]
-    readings = list(zip(*tables)) or [()] * len(ALL_TYPES)
+def _classes(tables) -> list[int]:
+    """The class of each type, by type index, for checks that read of it
+    the `tables`, each a value by type index: types that every table maps
+    alike share a class, and the classes are numbered from 0 up."""
     ids: dict[tuple, int] = {}
-    return [ids.setdefault(readings[t.index], len(ids)) for t in types]
+    return [ids.setdefault(values, len(ids))
+            for values in list(zip(*tables)) or [()] * len(ALL_TYPES)]
 
 
 def _build_report(puzzle: PuzzleSpec,

@@ -68,7 +68,9 @@ class World:
 
     Types are anchored at each person's first utterance in the transcript;
     fluent value tuples align with the person declaration order.  Worlds
-    may share their type and fluent rows, which are immutable tuples.
+    may share their type and fluent rows, which are immutable tuples: the
+    solver's worlds copied from a reused subtree share the rows of the
+    worlds they copy, and the oracle's share each fluent assignment's.
 
     Every world built through `World(...)` checks that it has one type
     per person and a row per declared fluent, each holding a value from

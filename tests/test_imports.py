@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import and helper is used, and no
-cache outlives the puzzle or solve it serves."""
+"""Source hygiene: every module-level import and helper and every
+parameter is used, and no cache outlives the puzzle or solve it serves."""
 
 import ast
 from collections import Counter
@@ -127,3 +127,32 @@ def test_no_module_level_caches():
     assert modules
     assert [entry for path in modules
             for entry in _module_level_caches(path)] == []
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    """Parameters of each `def` that its body never reads, leaving out
+    `self`, `cls`, `*args`, `**kwargs` and dunder methods."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        arguments = node.args
+        read = {child.id for statement in node.body
+                for child in ast.walk(statement)
+                if isinstance(child, ast.Name)
+                and isinstance(child.ctx, ast.Load)}
+        found += [f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+                  for arg in (*arguments.posonlyargs, *arguments.args,
+                              *arguments.kwonlyargs)
+                  if arg.arg not in ("self", "cls") and arg.arg not in read]
+    return found
+
+
+def test_no_unused_parameters():
+    # A parameter no body reads is a caller's work for nothing.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [entry for path in modules
+            for entry in _unused_parameters(path)] == []
