@@ -2,7 +2,9 @@
 
 Exit codes: 0 solved / consistent, 1 parse or usage error, 10 no
 consistent world, 11 --expect-unique with several worlds, 12 budget
-exceeded, 13 world check failed.  All diagnostics go to stderr.
+exceeded (the node or time limit, or a search nested deeper than
+Python's recursion limit), 13 world check failed.  All diagnostics go
+to stderr.
 
 The structured output format is a single JSON document with these keys:
 puzzle {digest, persons}, status, statistics {nodes, worlds_found},

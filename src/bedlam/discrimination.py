@@ -112,7 +112,8 @@ def _as_signature(answers) -> str:
 # The widely circulated two-question table swaps the liar rows' belief
 # answers; the collapse rule (and the four-question table) disagree.
 LEGACY_TWO_QUESTION_SIGNATURES = {"ST": "NN", "SL": "YN", "DT": "NY", "DL": "YY"}
-NON_SWITCHING_LABELS = ("ST", "SL", "DT", "DL")
+NON_SWITCHING_LABELS = tuple(t.label for t in ALL_TYPES
+                             if t.phases[0] == t.phases[1])
 
 
 def two_question_table() -> dict[str, str]:

@@ -520,9 +520,6 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
             line.next(expect_text="alphabetical")  # the one person order
         if not line.at_end():
             raise line.error_here("unexpected text after extraction entry")
-    if len(categories) != 3:
-        raise ParseError("extraction needs exactly three categories",
-                         header.end_line, 1)
     try:
         return ExtractionConfig(tuple(categories))
     except ExtractionError as exc:

@@ -50,6 +50,22 @@ class Answer(Enum):
         return "Y" if self is Answer.YES else "N"
 
 
+# Each class's label letters by its start flag (sane or truthful at the
+# first utterance), in ALL_TYPES order: only a partial or an alternator
+# may start in either phase.
+_SANITY_LETTERS = {(Sanity.SANE, True): "S", (Sanity.DELUSIONAL, False): "D",
+                   (Sanity.PARTIAL, False): "Pi", (Sanity.PARTIAL, True): "Ps"}
+_TRUTH_LETTERS = {(Truthfulness.TRUTHTELLER, True): "T",
+                  (Truthfulness.LIAR, False): "L",
+                  (Truthfulness.ALTERNATOR, True): "At",
+                  (Truthfulness.ALTERNATOR, False): "Al"}
+# Why a class with one start flag refuses the other.
+_START_RULES = {Truthfulness.TRUTHTELLER: "truth-tellers start truthful",
+                Truthfulness.LIAR: "liars start lying",
+                Sanity.SANE: "sane people start sane",
+                Sanity.DELUSIONAL: "delusional people start insane"}
+
+
 @dataclass(frozen=True)
 class ExtendedType:
     """Sanity class, truthfulness class, and phases at the first utterance."""
@@ -60,30 +76,15 @@ class ExtendedType:
     sane_at_start: bool
 
     def __post_init__(self):
-        if self.truthfulness is Truthfulness.TRUTHTELLER and not self.truthful_at_start:
-            raise ValueError("truth-tellers start truthful")
-        if self.truthfulness is Truthfulness.LIAR and self.truthful_at_start:
-            raise ValueError("liars start lying")
-        if self.sanity is Sanity.SANE and not self.sane_at_start:
-            raise ValueError("sane people start sane")
-        if self.sanity is Sanity.DELUSIONAL and self.sane_at_start:
-            raise ValueError("delusional people start insane")
+        if (self.truthfulness, self.truthful_at_start) not in _TRUTH_LETTERS:
+            raise ValueError(_START_RULES[self.truthfulness])
+        if (self.sanity, self.sane_at_start) not in _SANITY_LETTERS:
+            raise ValueError(_START_RULES[self.sanity])
 
     @cached_property
     def label(self) -> str:
-        if self.sanity is Sanity.SANE:
-            first = "S"
-        elif self.sanity is Sanity.DELUSIONAL:
-            first = "D"
-        else:
-            first = "Ps" if self.sane_at_start else "Pi"
-        if self.truthfulness is Truthfulness.TRUTHTELLER:
-            second = "T"
-        elif self.truthfulness is Truthfulness.LIAR:
-            second = "L"
-        else:
-            second = "At" if self.truthful_at_start else "Al"
-        return first + second
+        return (_SANITY_LETTERS[self.sanity, self.sane_at_start]
+                + _TRUTH_LETTERS[self.truthfulness, self.truthful_at_start])
 
     @cached_property
     def phases(self) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
@@ -96,7 +97,7 @@ class ExtendedType:
     @cached_property
     def index(self) -> int:
         """The type's position in ALL_TYPES: a small int that keys it fast."""
-        return TYPE_INDEX[self]
+        return ALL_TYPES.index(self)
 
     @cached_property
     def builtins(self) -> dict[str, bool]:
@@ -124,29 +125,11 @@ class ExtendedType:
         return f"ExtendedType({self.label})"
 
 
-def _make_all_types() -> tuple[ExtendedType, ...]:
-    types = []
-    sanity_states = [
-        (Sanity.SANE, (True,)),
-        (Sanity.DELUSIONAL, (False,)),
-        (Sanity.PARTIAL, (False, True)),  # Pi before Ps
-    ]
-    truth_states = [
-        (Truthfulness.TRUTHTELLER, (True,)),
-        (Truthfulness.LIAR, (False,)),
-        (Truthfulness.ALTERNATOR, (True, False)),  # At before Al
-    ]
-    for sanity, sane_opts in sanity_states:
-        for sane_start in sane_opts:
-            for truth, truthful_opts in truth_states:
-                for truthful_start in truthful_opts:
-                    types.append(ExtendedType(sanity, truth, truthful_start, sane_start))
-    return tuple(types)
-
-
-ALL_TYPES: tuple[ExtendedType, ...] = _make_all_types()
+ALL_TYPES: tuple[ExtendedType, ...] = tuple(
+    ExtendedType(sanity, truthfulness, truthful_at_start, sane_at_start)
+    for sanity, sane_at_start in _SANITY_LETTERS
+    for truthfulness, truthful_at_start in _TRUTH_LETTERS)
 TYPES_BY_LABEL: dict[str, ExtendedType] = {t.label: t for t in ALL_TYPES}
-TYPE_INDEX: dict[ExtendedType, int] = {t: i for i, t in enumerate(ALL_TYPES)}
 
 
 def type_from_label(label: str) -> ExtendedType:

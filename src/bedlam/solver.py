@@ -109,7 +109,8 @@ class SolveStatistics:
 
 
 class BudgetExceededError(Exception):
-    """The search hit its node or time limit before finishing."""
+    """The search hit its node or time limit, or nested deeper than
+    Python's recursion limit, before finishing."""
 
     def __init__(self, message: str, statistics: SolveStatistics):
         super().__init__(message)
@@ -470,7 +471,13 @@ class _Search:
                     # Every combination is ruled out, and counts as a node.
                     self.skip(math.prod(map(len, self.candidates)))
                 else:
-                    self._choose(0)
+                    try:
+                        self._choose(0)
+                    except RecursionError:
+                        # A frame per typed person and per fluent slot.
+                        raise BudgetExceededError(
+                            "search nests deeper than Python's recursion "
+                            "limit", self.statistics()) from None
                 self.check()
         return self.found
 

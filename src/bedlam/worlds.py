@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .semantics import ExtendedType, TYPE_INDEX
+from .semantics import ExtendedType
 from .statements import SemanticError
 
 
@@ -134,7 +134,7 @@ class World:
 
     def sort_key(self) -> tuple:
         """Canonical ordering key, independent of how the world was found."""
-        type_part = tuple(TYPE_INDEX[t] for t in self.types)
+        type_part = tuple(t.index for t in self.types)
         fluent_part = tuple(
             decl.value_index(v)
             for decl, values in zip(self.fluent_decls, self.fluent_values)

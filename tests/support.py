@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from bedlam.discrimination import FOUR_QUESTION_PLAN
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
@@ -438,3 +439,17 @@ def world_text(world: World) -> str:
             entry.append(f"{decl.name}={value}")
         lines.append(", ".join(entry))
     return "\n".join(lines) + "\n"
+
+
+def too_deep_puzzle_texts() -> dict[str, str]:
+    """Puzzles whose search nests past the recursion limit: one frame per
+    typed person, and one per fluent slot."""
+    limit = sys.getrecursionlimit()
+    names = [f"P{i}" for i in range(limit)]
+    few = names[:limit // 3 + 1]
+    return {
+        "typed persons": (f"persons: {', '.join(names)}\n"
+                          f"round statements:\n  P0: sane({names[-1]})\n"),
+        "fluent slots": (f"persons: {', '.join(few)}\n"
+                         "fluent a : bool\nfluent b : bool\nfluent c : bool\n"),
+    }

@@ -14,11 +14,12 @@ from bedlam.parser import parse_puzzle_file
 from bedlam.semantics import Answer
 from bedlam.statements import eval_closed
 from support import (puzzle_text, random_categorical_puzzle, random_puzzle,
-                     random_world, world_text)
+                     random_world, too_deep_puzzle_texts, world_text)
 
 ASYLUM = str(fixture_path("asylum.puzzle"))
 SOLUTION = str(fixture_path("asylum.solution.world"))
 ANN_SL = str(fixture_path("asylum.ann_sl.world"))
+TOO_DEEP = too_deep_puzzle_texts()
 
 
 @pytest.fixture
@@ -133,6 +134,17 @@ def test_budget_exceeded_exits_12(tmp_path):
     path = tmp_path / "wide.puzzle"
     path.write_text("persons: Ann, Beth, Cedric\n")
     assert main(["solve", str(path), "--budget-nodes", "50"]) == 12
+
+
+@pytest.mark.parametrize("text", list(TOO_DEEP.values()), ids=list(TOO_DEEP))
+def test_too_deep_a_search_exits_12(text, tmp_path, capsys):
+    path = tmp_path / "deep.puzzle"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 12
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: search nests deeper than Python's recursion limit\n")
 
 
 def test_nan_budget_exits_1_with_one_error_line(capsys):

@@ -43,6 +43,32 @@ def test_type_invariants_enforced():
         type_from_label("XQ")
 
 
+# The classes that allow one start flag: the flag and the refusal of the other.
+ONE_START = {Truthfulness.TRUTHTELLER: (True, "truth-tellers start truthful"),
+             Truthfulness.LIAR: (False, "liars start lying"),
+             Sanity.SANE: (True, "sane people start sane"),
+             Sanity.DELUSIONAL: (False, "delusional people start insane")}
+
+
+def test_start_rules_exhaustive():
+    # Of the 36 combinations, exactly ALL_TYPES construct, in its order;
+    # the others raise their class's refusal, truthfulness checked first.
+    built = []
+    for sanity, sane, truthfulness, truthful in itertools.product(
+            Sanity, (False, True), Truthfulness, (True, False)):
+        refusals = [ONE_START[cls][1]
+                    for cls, flag in ((truthfulness, truthful), (sanity, sane))
+                    if cls in ONE_START and ONE_START[cls][0] != flag]
+        if refusals:
+            with pytest.raises(ValueError, match=f"^{refusals[0]}$"):
+                ExtendedType(sanity, truthfulness, truthful, sane)
+        else:
+            built.append(ExtendedType(sanity, truthfulness, truthful, sane))
+    assert tuple(built) == ALL_TYPES
+    assert [t.label for t in built] == [t.label for t in ALL_TYPES]
+    assert [t.index for t in built] == list(range(16))
+
+
 def test_builtin_tables_list_exactly_the_builtin_predicates():
     for t in ALL_TYPES:
         assert set(t.builtins) == BUILTIN_PREDICATES

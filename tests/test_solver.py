@@ -27,8 +27,9 @@ from bedlam.statements import (Atom, Not, Person, SemanticError, UNKNOWN,
 from bedlam.worlds import FluentDecl, World
 from support import (random_categorical_puzzle, random_categorical_trio,
                      random_nonlocal_puzzle, random_probed_puzzle,
-                     random_puzzle, random_world)
+                     random_puzzle, random_world, too_deep_puzzle_texts)
 
+TOO_DEEP = too_deep_puzzle_texts()
 EXPECTED_TYPES = {
     "Ann": "PiAl", "Beth": "DL", "Cedric": "SAl", "David": "PsL",
     "Eve": "SAt", "Fiona": "DL", "Grace": "PsAt", "Holly": "SAl",
@@ -864,6 +865,15 @@ def test_a_budget_abort_reports_the_search_so_far():
     assert str(err.value) == "time budget of -1.5s exceeded"
     statistics = err.value.statistics
     assert (statistics.nodes, statistics.worlds_found) == (2077, 1056)
+
+
+@pytest.mark.parametrize("text", list(TOO_DEEP.values()), ids=list(TOO_DEEP))
+def test_a_search_deeper_than_the_recursion_limit_exceeds_the_budget(text):
+    with pytest.raises(BudgetExceededError) as err:
+        solve_all(parse_puzzle_file(text))
+    assert str(err.value) == "search nests deeper than Python's recursion limit"
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+    assert err.value.statistics.worlds_found == 0
 
 
 def test_a_nan_budget_is_rejected():
