@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .semantics import (ALL_TYPES, AgentState, Answer, ExtendedType,
                         TYPES_BY_LABEL, would_assert)
-from .statements import (AtLeast, Atom, Believes, Exists, ForAll, ME, Person,
-                         Statement, fluents_used, walk)
+from .statements import (AtLeast, Atom, BUILTIN_PREDICATES, Believes, Exists,
+                         ForAll, ME, Person, Statement, walk)
 from .worlds import World
 
 SUBJECT = "subject"
@@ -46,11 +46,14 @@ def answer_signature(type_: ExtendedType, questions) -> str:
 
 def _check_questions(questions: tuple[Statement, ...]) -> None:
     for question in questions:
-        if fluents_used(question):
+        nodes = list(walk(question))
+        fluent = min((n.predicate for n in nodes if isinstance(n, Atom)
+                      and n.predicate not in BUILTIN_PREDICATES), default=None)
+        if fluent is not None:
             raise UnsupportedQuestionError(
                 "questions must be answerable from the type alone; "
-                f"'{sorted(fluents_used(question))[0]}' is a fluent")
-        for node in walk(question):
+                f"'{fluent}' is a fluent")
+        for node in nodes:
             if isinstance(node, Atom) and isinstance(node.term, Person):
                 raise UnsupportedQuestionError(
                     "questions must be answerable from the type alone; "

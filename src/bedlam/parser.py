@@ -249,8 +249,14 @@ class _StatementParser:
 
     def parse_quantified(self, tok: Token) -> Statement:
         self.cursor.next()
-        count = (int(self.cursor.next(expect_kind="nat", what="a count").text)
-                 if tok.text == "atleast" else None)
+        count = None
+        if tok.text == "atleast":
+            nat = self.cursor.next(expect_kind="nat", what="a count")
+            try:
+                count = int(nat.text)
+            except ValueError:  # longer than Python converts to an int
+                raise ParseError("count has too many digits",
+                                 nat.line, nat.col) from None
         var = self.cursor.name("a variable name").text
         self.cursor.next(expect_text=".")
         self.bound.append(var)

@@ -104,13 +104,10 @@ class PuzzleSpec:
     rounds: tuple[Round, ...]
     extraction: Optional[ExtractionConfig] = None
 
-    @cached_property
-    def transcript(self) -> tuple[Step, ...]:
-        """Every utterance in reading order, numbered per speaker."""
-        return self._walked.steps
-
-    # A getter in C, with no Python frame: `check_world` reads this on
-    # every call.
+    # Getters in C, with no Python frame: `check_world` reads `compiled`
+    # on every call.
+    transcript = property(attrgetter("_walked.steps"), doc="""
+        Every utterance in reading order, numbered per speaker.""")
     compiled = property(attrgetter("_walked.compiled"), doc="""
         `(axioms, steps)`: `compile_statement`'s `(check, reads, typed,
         start)` for each axiom and, in `transcript` order, each step's
@@ -166,9 +163,11 @@ class PuzzleSpec:
         axioms = []
         for i, axiom in enumerate(self.axioms):
             where = f"axiom {i + 1}"
-            if any(isinstance(n, Believes) for n in st.walk(axiom)):
+            nodes = list(st.walk(axiom))
+            if any(isinstance(n, Believes) for n in nodes):
                 raise SemanticError(f"{where}: axioms cannot contain believes")
-            if st.mentions_me(axiom):
+            if any(isinstance(n, st.Atom) and isinstance(n.term, st.Me)
+                   for n in nodes):
                 raise SemanticError(f"{where}: axioms have no speaker for 'me'")
             axioms.append(_where(where, st.compile_statement, axiom, None,
                                  names, decls))

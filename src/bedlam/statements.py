@@ -216,10 +216,6 @@ def walk(stmt: Statement):
         yield from walk(child)
 
 
-def mentions_me(stmt: Statement) -> bool:
-    return any(isinstance(n, Atom) and isinstance(n.term, Me) for n in walk(stmt))
-
-
 def substitute_me(stmt: Statement, person_name: str) -> Statement:
     """Replace the speaker keyword with a direct reference to the person."""
     if isinstance(stmt, Atom):
@@ -235,12 +231,6 @@ def substitute_me(stmt: Statement, person_name: str) -> Statement:
     if isinstance(stmt, (Not, Exists, ForAll, AtLeast, Believes)):
         return replace(stmt, body=substitute_me(stmt.body, person_name))
     raise TypeError(f"not a statement node: {stmt!r}")
-
-
-def fluents_used(stmt: Statement) -> set[str]:
-    """Names of non-builtin predicates appearing in the statement."""
-    return {n.predicate for n in walk(stmt)
-            if isinstance(n, Atom) and n.predicate not in BUILTIN_PREDICATES}
 
 
 def is_type_local(stmt: Statement, speaker: str) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 from bedlam.discrimination import FOUR_QUESTION_PLAN
@@ -453,3 +454,29 @@ def too_deep_puzzle_texts() -> dict[str, str]:
         "fluent slots": (f"persons: {', '.join(few)}\n"
                          "fluent a : bool\nfluent b : bool\nfluent c : bool\n"),
     }
+
+
+FUZZ_VOCABULARY = (
+    "believes", "not", "and", "or", "implies", "exists", "forall",
+    "atleast", "me", "persons", "fluent", "axiom", "round", "statements",
+    "question", "to", "all", "answers", "extraction", "category", "order",
+    "alphabetical", "world", "bool", "yes", "no", "Ann", "Zed", "x",
+    "guilt", "guilty", "sanity", "truthfulness", "partial", "liar", "ST",
+    "2", '"q"', "(", ")", "{", "}", ",", ".", ":", "=", "#", "\n", " ", "$",
+)
+
+
+def mutate(rng, text: str) -> str:
+    pieces = re.findall(r"\s+|[\w-]+|.", text, re.S)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(pieces) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            del pieces[i:i + rng.randint(1, 3)]
+        elif op == 1:
+            pieces.insert(i, rng.choice(FUZZ_VOCABULARY))
+        else:
+            j = min(i + rng.randint(1, 12), len(pieces))
+            k = rng.randrange(len(pieces) + 1)
+            pieces[k:k] = pieces[i:j]
+    return "".join(pieces)

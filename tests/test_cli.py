@@ -13,8 +13,9 @@ from bedlam.cli import cli, main
 from bedlam.parser import parse_puzzle_file
 from bedlam.semantics import Answer
 from bedlam.statements import eval_closed
-from support import (puzzle_text, random_categorical_puzzle, random_puzzle,
-                     random_world, too_deep_puzzle_texts, world_text)
+from support import (mutate, puzzle_text, random_categorical_puzzle,
+                     random_puzzle, random_world, too_deep_puzzle_texts,
+                     world_text)
 
 ASYLUM = str(fixture_path("asylum.puzzle"))
 SOLUTION = str(fixture_path("asylum.solution.world"))
@@ -128,6 +129,35 @@ def test_non_utf8_file_exits_1_with_one_error_line(tmp_path, capsys):
         assert captured.err == (
             f"error: cannot read {bad}: 'utf-8' codec can't decode byte "
             "0xff in position 12: invalid start byte\n")
+
+
+def test_too_long_a_count_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "count.puzzle"
+    path.write_text("persons: Ann\nfluent f : bool\n"
+                    f"axiom atleast {'9' * 5000} x . f(x)\n")
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 3, column 15: count has too many digits\n")
+
+
+def test_mutated_puzzles_exit_with_a_code_and_no_traceback(tmp_path, capsys):
+    # Whatever a mangled file holds, each command returns a documented
+    # code and at most one error line; no exception escapes `main`.
+    rng = random.Random(1803)
+    text = fixture_path("asylum.puzzle").read_text()
+    path = tmp_path / "mutated.puzzle"
+    for _ in range(100):
+        path.write_text(mutate(rng, text))
+        for argv in (["check", str(path), SOLUTION],
+                     ["simulate", str(path), SOLUTION],
+                     ["solve", str(path), "--budget-nodes", "1000"]):
+            assert main(argv) in (0, 1, 10, 12, 13)
+            err = capsys.readouterr().err
+            assert err == "" or (err.startswith("error: ")
+                                 and err.count("\n") == 1
+                                 and err.endswith("\n"))
 
 
 def test_budget_exceeded_exits_12(tmp_path):

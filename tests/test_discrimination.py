@@ -10,8 +10,8 @@ from bedlam.discrimination import (BELIEF_QUESTION, FOUR_QUESTION_PLAN,
                                    partition_types, tables_report,
                                    two_question_table)
 from bedlam.semantics import ALL_TYPES, Answer, TYPES_BY_LABEL
-from bedlam.statements import (AtLeast, Atom, Believes, Exists, ForAll, ME,
-                               Not, Person, Var)
+from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
+                               ME, Not, Person, Var)
 
 # The full four-question table, one column per type.
 FOUR_QUESTION_SIGNATURES = {
@@ -125,6 +125,12 @@ def test_two_question_table_and_documented_divergence():
 def test_questions_about_fluents_are_unsupported():
     with pytest.raises(UnsupportedQuestionError):
         answer_signature(TYPES_BY_LABEL["ST"], [Atom("lover", ME)])
+    # The fluent rule comes before the named-person rule, and names the
+    # sorted-first fluent.
+    question = And((Atom("doctor", Person("Ann")), Atom("lover", ME),
+                    Atom("hungry", ME)))
+    with pytest.raises(UnsupportedQuestionError, match="'hungry' is a fluent"):
+        answer_signature(TYPES_BY_LABEL["ST"], [question])
 
 
 def test_quantified_questions_are_unsupported():

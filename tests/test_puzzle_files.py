@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import re
 import threading
 from collections import Counter
 
@@ -22,7 +21,8 @@ from bedlam.statements import (And, Believes, Exists, ForAll, Implies, Not,
                                Or, SemanticError, Statement,
                                compile_statement)
 from bedlam.worlds import FluentDecl, World
-from support import puzzle_text, random_categorical_puzzle, random_probed_puzzle
+from support import (FUZZ_VOCABULARY, mutate, puzzle_text,
+                     random_categorical_puzzle, random_probed_puzzle)
 
 MINIMAL = "persons: Ann\n"
 
@@ -291,6 +291,8 @@ def _asked_of_ann(stmt):
      "axiom 1: axioms have no speaker for 'me'"),
     (("Ann",), (), ("doctor(Ann)", "believes(doctor(Ann))"), (), None,
      "axiom 2: axioms cannot contain believes"),
+    (("Ann",), (), ("believes(doctor(me))",), (), None,
+     "axiom 1: axioms cannot contain believes"),
     (("Ann",), (), (), (StatementsRound((("Zed", SAID),)),), None,
      "round 0: unknown speaker 'Zed'"),
     (("Ann",), (), (), (QuestionRound("q", SAID, ("Ann",), ()),), None,
@@ -317,11 +319,11 @@ def _asked_of_ann(stmt):
      _said_by_ann(Believes(Or((ForAll("x", Believes(SAID)), SAID)))), None,
      "round 0, Ann: " + INNER.format("or[0]/body")),
 ], ids=["duplicate-person", "duplicate-fluent", "builtin-fluent",
-        "axiom-with-me", "axiom-with-believes", "unknown-speaker",
-        "unanswered-person", "speaks-twice", "category-without-fluent",
-        "inner-believes-said", "inner-believes-asked", "implies-left",
-        "implies-right", "quantifier-body", "two-levels-asked",
-        "two-levels-under-a-belief"])
+        "axiom-with-me", "axiom-with-believes", "axiom-with-believed-me",
+        "unknown-speaker", "unanswered-person", "speaks-twice",
+        "category-without-fluent", "inner-believes-said",
+        "inner-believes-asked", "implies-left", "implies-right",
+        "quantifier-body", "two-levels-asked", "two-levels-under-a-belief"])
 def test_specs_built_in_code_get_every_check_validate_makes(
         persons, decls, axioms, rounds, config, message):
     # The one walk of a spec checks it however it was built, so a spec
@@ -697,30 +699,6 @@ extraction:
   category guilt: accomplice, guilty, innocent
   order: alphabetical
 """
-FUZZ_VOCABULARY = (
-    "believes", "not", "and", "or", "implies", "exists", "forall",
-    "atleast", "me", "persons", "fluent", "axiom", "round", "statements",
-    "question", "to", "all", "answers", "extraction", "category", "order",
-    "alphabetical", "world", "bool", "yes", "no", "Ann", "Zed", "x",
-    "guilt", "guilty", "sanity", "truthfulness", "partial", "liar", "ST",
-    "2", '"q"', "(", ")", "{", "}", ",", ".", ":", "=", "#", "\n", " ", "$",
-)
-
-
-def mutate(rng, text: str) -> str:
-    pieces = re.findall(r"\s+|[\w-]+|.", text, re.S)
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(len(pieces) + 1)
-        op = rng.randrange(3)
-        if op == 0:
-            del pieces[i:i + rng.randint(1, 3)]
-        elif op == 1:
-            pieces.insert(i, rng.choice(FUZZ_VOCABULARY))
-        else:
-            j = min(i + rng.randint(1, 12), len(pieces))
-            k = rng.randrange(len(pieces) + 1)
-            pieces[k:k] = pieces[i:j]
-    return "".join(pieces)
 
 
 def parse_outcome(parse, text: str) -> str:
@@ -768,6 +746,8 @@ def test_parse_outcomes_are_pinned(asylum, asylum_text):
 
 # --- Parser fuzz ---
 
+@example(source=3, seed=None,
+         text="atleast " + "9" * 5000 + " x . lover(x)")
 @example(source=1, seed=None, text=EXTRACTION_PUZZLE.replace(
     "sanity: partial, delusional, sane", "guilt: accomplice, guilty, innocent"))
 @given(source=st.integers(0, 5), seed=st.none() | st.integers(0, 2**32 - 1),

@@ -142,7 +142,7 @@ def test_a_spec_keeps_only_its_fields_and_its_walk():
     assert any(outcomes) and not all(outcomes)
     explain_solution(puzzle, result.worlds[0])
     fields = {field.name for field in dataclasses.fields(PuzzleSpec)}
-    assert set(vars(puzzle)) == fields | {"transcript", "_walked"}
+    assert set(vars(puzzle)) == fields | {"_walked"}
 
 
 def _held_per_world(solve) -> tuple[tuple, float]:
