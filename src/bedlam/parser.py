@@ -19,6 +19,9 @@ starts a comment, which runs to the end of its line.
 Puzzle files are line-oriented: a `persons:` line, then `fluent`,
 `axiom`, `round` and `extraction` sections.  World files carry a single
 `world:` section assigning each person a type label and fluent values.
+A statements round, the extraction section and a world file are each a
+header line and the entry lines after it, read by one section reader,
+`_entries`.
 
 Each line is lexed in one pass, one regex match per token; the lexer
 skips comments as it skips whitespace, and it alone decides where a
@@ -30,7 +33,7 @@ rounds are checked, peeled and compiled in one walk (see `puzzle`).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .extraction import Category, ExtractionConfig, ExtractionError
 from .puzzle import PuzzleSpec, QuestionRound, StatementsRound, _where
@@ -320,19 +323,13 @@ def parse_statement(text: str,
 
 # --- Puzzle files ---
 
-def _logical_lines(text: str) -> list[_TokenCursor]:
-    """A cursor for each line of `text` that holds a token."""
-    lines = []
-    for number, line in enumerate(text.split("\n"), start=1):
-        cursor = _tokenize(line, number)
-        if cursor.tokens:
-            lines.append(cursor)
-    return lines
-
-
 class _FileParser:
+    """The lines of a file that hold a token, read front to back."""
+
     def __init__(self, text: str):
-        self.lines = _logical_lines(text)
+        self.lines = [cur for cur in (_tokenize(line, number) for number, line
+                                      in enumerate(text.split("\n"), start=1))
+                      if cur.tokens]
         self.index = 0
 
     def peek_line(self) -> Optional[_TokenCursor]:
@@ -345,6 +342,19 @@ class _FileParser:
             raise ParseError("unexpected end of file", last, 1)
         self.index += 1
         return line
+
+
+def _entries(fp: _FileParser, header: _TokenCursor, what: str,
+             is_entry: Callable[[_TokenCursor], bool]
+             ) -> Iterator[_TokenCursor]:
+    """Read `header`'s ':', which must end its line, then yield each
+    following line while `is_entry` holds for it."""
+    header.next(expect_text=":")
+    if not header.at_end():
+        raise header.error_here(f"{what} begin on the following lines")
+    while (line := fp.peek_line()) is not None and is_entry(line):
+        fp.index += 1
+        yield line
 
 
 def _is_entry_line(line: _TokenCursor) -> bool:
@@ -363,15 +373,13 @@ def parse_puzzle_file(text: str) -> PuzzleSpec:
     axioms: list[Statement] = []
     rounds: list = []
     extraction: Optional[ExtractionConfig] = None
-    while True:
-        line = fp.peek_line()
-        if line is None:
-            break
+    while (line := fp.peek_line()) is not None:
         word = line.tokens[0].text
         if word == "fluent":
             fluents.append(_parse_fluent_line(fp.next_line()))
         elif word == "axiom":
-            axioms.append(_parse_axiom_line(fp.next_line()))
+            fp.next_line().next()  # past 'axiom'
+            axioms.append(_parse_statement_tokens(line))
         elif word == "round":
             rounds.append(_parse_round(fp, persons))
         elif word == "extraction":
@@ -426,27 +434,15 @@ def _parse_fluent_line(cur: _TokenCursor) -> FluentDecl:
         raise ParseError(str(exc), name_tok.line, name_tok.col) from None
 
 
-def _parse_axiom_line(cur: _TokenCursor) -> Statement:
-    cur.next(expect_text="axiom")
-    return _parse_statement_tokens(cur)
-
-
 def _parse_round(fp: _FileParser, persons: list[str]):
     cur = fp.next_line()
     cur.next(expect_text="round")
     kind = cur.next(expect_kind="word", what="'statements' or 'question'")
     if kind.text == "statements":
-        cur.next(expect_text=":")
-        if not cur.at_end():
-            raise cur.error_here("statements begin on the following lines")
         utterances = []
-        while True:
-            entry = fp.peek_line()
-            if entry is None or not _is_entry_line(entry):
-                break
-            fp.next_line()
-            speaker = entry.next(expect_kind="word").text
-            entry.next(expect_text=":")
+        for entry in _entries(fp, cur, "statements", _is_entry_line):
+            speaker = entry.next().text
+            entry.next()  # the ':' that _is_entry_line saw
             utterances.append((speaker, _parse_statement_tokens(entry)))
         if not utterances:
             raise ParseError("a statements round needs at least one speaker",
@@ -500,17 +496,11 @@ def _parse_answers_line(cur: _TokenCursor,
 def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
     header = fp.next_line()
     header.next(expect_text="extraction")
-    header.next(expect_text=":")
-    if not header.at_end():
-        raise header.error_here("extraction entries begin on the following lines")
     categories: list[Category] = []
-    while True:
-        line = fp.peek_line()
-        if line is None or line.tokens[0].text not in ("category", "order"):
-            break
-        fp.next_line()
-        word = line.next().text
-        if word == "category":
+    for line in _entries(
+            fp, header, "extraction entries",
+            lambda line: line.tokens[0].text in ("category", "order")):
+        if line.next().text == "category":
             name_tok = line.next(expect_kind="word", what="a category name")
             line.next(expect_text=":")
             values = _parse_name_list(line)
@@ -539,71 +529,61 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
     fp = _FileParser(text)
     header = fp.next_line()
     header.next(expect_text="world")
-    header.next(expect_text=":")
-    if not header.at_end():
-        raise header.error_here("world entries begin on the following lines")
-    types: dict[str, object] = {}
-    values: dict[str, dict[str, object]] = {}
-    entries: dict[str, Token] = {}
-    while True:
-        line = fp.peek_line()
-        if line is None:
-            break
-        if not _is_entry_line(line):
-            tok = line.tokens[0]
-            raise ParseError(f"expected a person entry, found '{tok.text}'",
-                             tok.line, tok.col)
-        fp.next_line()
-        name_tok = line.next(expect_kind="word")
+    decls = {decl.name: decl for decl in puzzle.fluent_decls}
+    # person -> (name token, type, {fluent name: value}), in file order
+    persons: dict[str, tuple[Token, object, dict[str, object]]] = {}
+    for line in _entries(fp, header, "world entries", _is_entry_line):
+        name_tok = line.next()
         person = name_tok.text
         if person not in puzzle.person_names:
             raise ParseError(f"unknown person '{person}'",
                              name_tok.line, name_tok.col)
-        if person in types:
+        if person in persons:
             raise ParseError(f"duplicate entry for '{person}'",
                              name_tok.line, name_tok.col)
-        entries[person] = name_tok
-        line.next(expect_text=":")
+        line.next()  # the ':' that _is_entry_line saw
         label_tok = line.next(expect_kind="word", what="a type label")
         try:
-            types[person] = type_from_label(label_tok.text)
+            type_ = type_from_label(label_tok.text)
         except ValueError as exc:
             raise ParseError(str(exc), label_tok.line, label_tok.col) from None
-        values[person] = {}
+        values: dict[str, object] = {}
         while not line.at_end():
             line.next(expect_text=",")
             fluent_tok = line.next(expect_kind="word", what="a fluent name")
             line.next(expect_text="=")
             value_tok = line.next(expect_kind="word", what="a value")
-            decl = _find_fluent(puzzle, fluent_tok)
-            if fluent_tok.text in values[person]:
-                raise ParseError(f"duplicate value for '{fluent_tok.text}'",
+            decl = decls.get(fluent_tok.text)
+            if decl is None:
+                raise ParseError(f"undeclared fluent '{fluent_tok.text}'",
                                  fluent_tok.line, fluent_tok.col)
-            values[person][fluent_tok.text] = _fluent_value(decl, value_tok)
-    missing = [p for p in puzzle.person_names if p not in types]
+            if decl.name in values:
+                raise ParseError(f"duplicate value for '{decl.name}'",
+                                 fluent_tok.line, fluent_tok.col)
+            values[decl.name] = _fluent_value(decl, value_tok)
+        persons[person] = (name_tok, type_, values)
+    line = fp.peek_line()
+    if line is not None:
+        tok = line.tokens[0]
+        raise ParseError(f"expected a person entry, found '{tok.text}'",
+                         tok.line, tok.col)
+    missing = [p for p in puzzle.person_names if p not in persons]
     if missing:
         start = header.tokens[0]
         raise ParseError(f"no entry for person '{missing[0]}'",
                          start.line, start.col)
-    for person, assigned in values.items():
+    for name_tok, _, values in persons.values():
         for decl in puzzle.fluent_decls:
-            if decl.name not in assigned:
+            if decl.name not in values:
                 raise ParseError(
-                    f"no value of '{decl.name}' for '{person}'",
-                    entries[person].line, entries[person].col)
+                    f"no value of '{decl.name}' for '{name_tok.text}'",
+                    name_tok.line, name_tok.col)
     return World(
         puzzle.person_names,
-        tuple(types[p] for p in puzzle.person_names),
+        tuple(persons[p][1] for p in puzzle.person_names),
         puzzle.fluent_decls,
-        tuple(tuple(values[p][decl.name] for p in puzzle.person_names)
+        tuple(tuple(persons[p][2][decl.name] for p in puzzle.person_names)
               for decl in puzzle.fluent_decls))
-
-
-def _find_fluent(puzzle: PuzzleSpec, tok: Token) -> FluentDecl:
-    for decl in puzzle.fluent_decls:
-        if decl.name == tok.text:
-            return decl
-    raise ParseError(f"undeclared fluent '{tok.text}'", tok.line, tok.col)
 
 
 def _fluent_value(decl: FluentDecl, tok: Token):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
 from typing import Optional, Union
@@ -132,6 +132,10 @@ class PuzzleSpec:
         reference, so they make no cycle for the collector.
         """
         return _Walked(weakref.ref(self))
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only; a copy walks on first use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def validate(self) -> None:
         """Raise SemanticError on the first declaration, axiom, round or

@@ -116,6 +116,9 @@ class BudgetExceededError(Exception):
         super().__init__(message)
         self.statistics = statistics
 
+    def __reduce__(self):
+        return type(self), (str(self), self.statistics)
+
 
 @dataclass(frozen=True)
 class ReportRow:

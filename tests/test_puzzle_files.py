@@ -1,6 +1,8 @@
 """Puzzle and world file parsing."""
 
+import copy
 import hashlib
+import pickle
 import random
 import threading
 from collections import Counter
@@ -15,8 +17,8 @@ from bedlam.parser import (ParseError, _tokenize, parse_puzzle_file,
                            parse_statement, parse_world_file)
 from bedlam.puzzle import PuzzleSpec, QuestionRound, StatementsRound
 from bedlam.semantics import Answer, TYPES_BY_LABEL
-from bedlam.solver import (brute_force_solve, check_world, explain_solution,
-                           solve_all)
+from bedlam.solver import (Budget, BudgetExceededError, brute_force_solve,
+                           check_world, explain_solution, solve_all)
 from bedlam.statements import (And, Believes, Exists, ForAll, Implies, Not,
                                Or, SemanticError, Statement,
                                compile_statement)
@@ -628,6 +630,70 @@ def test_world_file_missing_value_is_reported_at_the_entry(asylum):
     assert (err.value.line, err.value.col) == (eve_line, 3)
 
 
+WORLD_SPEC = ("persons: Ann, Beth\nfluent f : bool\n"
+              "fluent mood : { calm, cross }\n")
+WORLD = "world:\n  Ann: ST, f=yes, mood=calm\n  Beth: DL, f=no, mood=cross\n"
+
+
+@pytest.mark.parametrize("parser, text, message", [
+    ("world", "world:\n  Ann: ST, f=yes, f=no, mood=calm\n",
+     "line 2, column 19: duplicate value for 'f'"),
+    ("world", "world:\n  Ann: ST, g=yes\n",
+     "line 2, column 12: undeclared fluent 'g'"),
+    ("world", WORLD + "round statements:\n",
+     "line 4, column 1: expected a person entry, found 'round'"),
+    ("world", "world:\n  Ann: XY\n", "line 2, column 8: unknown type label 'XY'"),
+    ("world", "world:\n  Ann: ST, f=maybe\n",
+     "line 2, column 14: boolean fluent 'f' takes yes or no"),
+    ("world", "world:\n  Ann: ST, f=yes, mood=happy\n",
+     "line 2, column 24: 'happy' not in domain of 'mood'"),
+    ("world", "world: Ann\n",
+     "line 1, column 8: world entries begin on the following lines"),
+    ("world", "world:\n  Ann: ST, f=yes\n  Beth: DL, f=no, mood=cross\n",
+     "line 2, column 3: no value of 'mood' for 'Ann'"),
+    ("puzzle", "persons: Ann\nextraction: x\n",
+     "line 2, column 13: extraction entries begin on the following lines"),
+    ("puzzle", "persons: Ann\nfluent g : { a, b, c }\nextraction:\n"
+     "  order: alphabetical now\n",
+     "line 4, column 23: unexpected text after extraction entry"),
+    ("puzzle", "persons: Ann\nextraction:\n  category sanity: sane, partial\n",
+     "line 3, column 12: a category lists exactly three values"),
+    ("puzzle", "persons: Ann\nround statements:\n",
+     "line 2, column 1: a statements round needs at least one speaker"),
+    ("puzzle", "persons: Ann\nround question \"q\" to Ann: sane(me)\n",
+     "line 2, column 1: unexpected end of file"),
+    ("puzzle", "persons: Ann\nround banter:\n",
+     "line 2, column 7: expected 'statements' or 'question', found 'banter'"),
+    ("puzzle", "persons: Ann Beth\n",
+     "line 1, column 14: unexpected text after person list"),
+    ("puzzle", "", "line 1, column 1: unexpected end of file"),
+])
+def test_file_parser_errors_are_pinned(parser, text, message):
+    with pytest.raises(ParseError) as err:
+        if parser == "world":
+            parse_world_file(text, parse_puzzle_file(WORLD_SPEC))
+        else:
+            parse_puzzle_file(text)
+    assert str(err.value) == message
+
+
+def test_specs_and_errors_survive_pickling_and_copying(asylum):
+    worlds = solve_all(asylum).worlds
+    for spec in (pickle.loads(pickle.dumps(asylum)), copy.deepcopy(asylum)):
+        assert spec == asylum
+        assert solve_all(spec).worlds == worlds
+        assert spec.compiled[1][0][0] is not asylum.compiled[1][0][0]
+    with pytest.raises(BudgetExceededError) as budget:
+        solve_all(asylum, Budget(max_nodes=100))
+    with pytest.raises(ParseError) as parse:
+        parse_puzzle_file("persons: Ann Beth\n")
+    back = pickle.loads(pickle.dumps(budget.value))
+    assert (str(back), back.statistics) == (str(budget.value),
+                                            budget.value.statistics)
+    back = pickle.loads(pickle.dumps(parse.value))
+    assert (str(back), back.line, back.col) == (str(parse.value), 1, 14)
+
+
 # --- Comment invariance ---
 
 COMMENTS = ('# he said "no" # twice', '#"', '# "an open quote', '##', '#',
@@ -760,6 +826,10 @@ def test_parsers_return_a_result_or_a_positioned_error(asylum, asylum_text,
         text = mutate(random.Random(seed), base)
     try:
         result = parse(text)
-    except (ParseError, SemanticError):
+    except ParseError as err:
+        assert err.line >= 1 and err.col >= 1
+        assert str(err).startswith(f"line {err.line}, column {err.col}: ")
+        return
+    except SemanticError:
         return
     assert isinstance(result, (PuzzleSpec, World, Statement))
