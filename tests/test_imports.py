@@ -77,6 +77,49 @@ def test_no_unreferenced_private_helpers():
     assert unused == []
 
 
+def _private_assignments(tree: ast.Module) -> list[tuple[int, str]]:
+    """`(line, name)` of each private name a module-level assignment
+    binds, tuple targets included."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [(node.lineno, name.id) for target in targets
+                  for name in ast.walk(target)
+                  if isinstance(name, ast.Name) and name.id.startswith("_")
+                  and not name.id.startswith("__")]
+    return found
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded names, attributes and imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_no_unread_private_module_names():
+    # A private module-level constant or sentinel must be read somewhere
+    # in the package; one left behind by a rewrite is dead weight.
+    trees, _ = _package_references()
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    assigned = [(path, line, name) for path, tree in trees.items()
+                for line, name in _private_assignments(tree)]
+    assert assigned
+    assert [f"{path.name}:{line} {name}" for path, line, name in assigned
+            if name not in read] == []
+
+
 def test_no_unreferenced_public_functions():
     # An undecorated public module-level function must be referenced in
     # the package outside its own definition, or re-exported by

@@ -1,5 +1,6 @@
 """World checking, staged search, and derivations on the fixture."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies
 
 from bedlam import fixture_path, solver, statements
+from bedlam.cli import main
 from bedlam.parser import parse_puzzle_file, parse_statement, parse_world_file
 from bedlam.puzzle import PuzzleSpec, QuestionRound
 from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL, Sanity
@@ -641,6 +643,66 @@ def test_generated_solves_are_pinned():
     outcomes = [(status, keys) for _, status, keys in runs]
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == GENERATED_SOLVES_SHA256
+
+
+def _solve_paths(puzzles, worlds) -> list[tuple]:
+    """What `solve_all`, the oracle (up to three persons), `check_world`
+    and, on a consistent world, `explain_solution` give each puzzle and a
+    world of it."""
+    runs = []
+    for puzzle, world in zip(puzzles, worlds):
+        result = solve_all(puzzle)
+        oracle = (brute_force_solve(puzzle)
+                  if len(puzzle.person_names) <= 3 else None)
+        checked = check_world(puzzle, world)
+        explained = ([step.render() for step in
+                      explain_solution(puzzle, world)] if checked else None)
+        runs.append((result.status, result.worlds, result.report, oracle,
+                     checked, explained))
+    return runs
+
+
+def test_no_solve_path_enters_the_tree_walker(monkeypatch, capsys):
+    # Solving, checking, explaining and simulating run on compiled checks
+    # alone; the tree walker is only the reference they are tested
+    # against.  The generators replay hidden worlds through the walker, so
+    # the puzzles are made first.  Each path must give the same result
+    # with the walker cut off, on fresh copies that compile again.
+    rng = random.Random(39)
+    puzzles = [random_puzzle(rng) for _ in range(30)]
+    worlds = [random_world(rng, puzzle.person_names, puzzle.fluent_decls)
+              for puzzle in puzzles]
+    for _ in range(5):
+        puzzle, world = random_probed_puzzle(rng)
+        puzzles.append(puzzle)
+        worlds.append(world)
+    fresh = copy.deepcopy(puzzles)
+    asylum, solution, ann_sl = (str(fixture_path(name)) for name in (
+        "asylum.puzzle", "asylum.solution.world", "asylum.ann_sl.world"))
+    commands = (["solve", asylum, "--extract", "--explain"],
+                ["solve", asylum, "--extract", "--explain",
+                 "--format", "structured"],
+                ["check", asylum, solution], ["check", asylum, ann_sl],
+                ["simulate", asylum, solution])
+
+    def run(puzzles):
+        outputs = []
+        for argv in commands:
+            code = main(argv)
+            # All but the text solve's `time:` line, which varies.
+            outputs.append((code, [
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("time: ")]))
+        return outputs, _solve_paths(puzzles, worlds)
+
+    expected = run(puzzles)
+    assert [code for code, _ in expected[0]] == [0, 0, 0, 13, 0]
+    assert "ALTERNATE" in expected[0][0][1]
+
+    def walker(*args):
+        raise AssertionError("a solve path entered the tree walker")
+    monkeypatch.setattr(statements, "_eval", walker)
+    assert run(fresh) == expected
 
 
 def test_quantified_fluent_axiom_without_persons_is_checked():

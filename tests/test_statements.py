@@ -1,9 +1,11 @@
 """Statement DSL: parsing, canonical rendering, and evaluation laws."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,9 @@ import support
 from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
-                               UNKNOWN, Var, compile_statement, eval_closed,
-                               eval_partial, render_peeled, render_statement,
-                               substitute_me)
+                               Statement, UNKNOWN, Var, compile_statement,
+                               eval_closed, eval_partial, render_peeled,
+                               render_statement, substitute_me)
 from bedlam.semantics import ALL_TYPES, asserted_truth
 from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
@@ -674,6 +676,80 @@ def test_quantifier_shadowing_restores_outer_binding():
         assert eval_closed(world, stmt) == expected
         holds += expected
     assert holds
+
+
+def _malformed(rng: random.Random, atom: Atom) -> Statement:
+    """`atom` made wrong in one of nine ways: eight the walker rejects,
+    and a value outside its fluent's domain, which it reads as False."""
+    kind = rng.randrange(9)
+    if kind == 0:
+        return Atom(rng.choice(support.BUILTINS), atom.term, "yes")
+    if kind == 1:
+        return Atom("shifty", atom.term, "calm")
+    if kind == 2:
+        return Atom(support.MOOD.name, atom.term)
+    if kind == 3:
+        return Atom("guilty", atom.term)
+    if kind == 4:
+        return dataclasses.replace(atom, term=Person("Zed"))
+    if kind == 5:
+        return dataclasses.replace(atom, term=Var("w"))
+    if kind == 6:
+        return dataclasses.replace(atom, term=ME)
+    if kind == 7:
+        return Believes(atom)
+    return Atom(support.MOOD.name, atom.term, "bogus")
+
+
+def _malform(rng: random.Random, stmt: Statement) -> Statement:
+    """`stmt` with each atom made wrong with probability 1/20."""
+    if isinstance(stmt, Atom):
+        return _malformed(rng, stmt) if rng.random() < 0.05 else stmt
+    if isinstance(stmt, (And, Or)):
+        return type(stmt)(tuple(_malform(rng, item) for item in stmt.items))
+    if isinstance(stmt, Implies):
+        return Implies(_malform(rng, stmt.left), _malform(rng, stmt.right))
+    return dataclasses.replace(stmt, body=_malform(rng, stmt.body))
+
+
+# What `eval_partial` on hidden slots and `eval_closed` on the full world
+# return or raise for 5,000 seeded statements, some with malformed atoms.
+# The digest covers every value and error message in order, so it moves
+# if the walker changes a value, or which fault it meets first.
+WALKER_OUTCOMES = {"False": 3216, "True": 3155, "UNKNOWN": 831,
+                   "SemanticError": 2798}
+WALKER_OUTCOMES_SHA256 = (
+    "b4b3a650c7f16f16392fe9fc0ed3c736de32bf8ee49d628c715e1365a99453a8")
+
+
+def test_walker_outcomes_are_pinned():
+    rng = random.Random(39)
+    outcomes = []
+    for _ in range(5000):
+        persons = support.WIDE_NAME_POOL[:rng.randint(0, 4)]
+        depth = rng.randint(1, 4)
+        if not persons or rng.random() < 0.5:
+            decls = DECLS
+            stmt = random_statement(rng, depth, persons=persons)
+        else:
+            decls = support.WIDE_FLUENT_POOL
+            stmt = support.random_categorical_statement(rng, depth, persons,
+                                                        decls)
+        stmt = _malform(rng, stmt)
+        speaker = rng.choice(persons + (None,))
+        world = random_world(rng, persons, decls)
+        hidden = [(decl.name, person) for decl in decls for person in persons
+                  if rng.random() < 0.5]
+        for evaluate, on in ((eval_partial, _HiddenSlots(world, hidden)),
+                             (eval_closed, world)):
+            try:
+                outcomes.append(repr(evaluate(on, stmt, speaker)))
+            except SemanticError as err:
+                outcomes.append(f"{type(err).__name__}: {err}")
+    assert Counter(outcome.split(":")[0] for outcome in outcomes) == \
+        WALKER_OUTCOMES
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == WALKER_OUTCOMES_SHA256
 
 
 def test_eval_closed_rejects_an_undetermined_statement():
