@@ -150,8 +150,8 @@ def tables_report() -> str:
         cells = "  ".join(f"{rows[i][q]:<4}" for i in range(len(ALL_TYPES)))
         out.append(f"  q{q + 1}:  {cells}".rstrip())
     out.append("")
-    for t in ALL_TYPES:
-        out.append(f"  {t.label:<4} {answer_signature(t, FOUR_QUESTION_PLAN)}")
+    for t, row in zip(ALL_TYPES, rows):
+        out.append(f"  {t.label:<4} {row}")
     out.append("")
     out.append("Three-question partition [patient?, patient?, believe?],")
     out.append("asked after one earlier utterance; labels give the state at")

@@ -50,7 +50,6 @@ class _Unknown:
 
 
 UNKNOWN = _Unknown()
-_MISSING = object()
 
 
 class SemanticError(Exception):
@@ -340,24 +339,18 @@ def _eval(world, stmt, speaker, env):
     if isinstance(stmt, Not):
         inner = _eval(world, stmt.body, speaker, env)
         return UNKNOWN if inner is UNKNOWN else not inner
-    if isinstance(stmt, And):
+    if isinstance(stmt, (And, Or)):
+        # An `or` is decided by an item that is True, an `and` by one that
+        # is False.
+        deciding = isinstance(stmt, Or)
         saw_unknown = False
         for item in stmt.items:
             v = _eval(world, item, speaker, env)
-            if v is False:
-                return False
+            if v is deciding:
+                return deciding
             if v is UNKNOWN:
                 saw_unknown = True
-        return UNKNOWN if saw_unknown else True
-    if isinstance(stmt, Or):
-        saw_unknown = False
-        for item in stmt.items:
-            v = _eval(world, item, speaker, env)
-            if v is True:
-                return True
-            if v is UNKNOWN:
-                saw_unknown = True
-        return UNKNOWN if saw_unknown else False
+        return UNKNOWN if saw_unknown else not deciding
     if isinstance(stmt, Implies):
         left = _eval(world, stmt.left, speaker, env)
         if left is False:
@@ -368,23 +361,18 @@ def _eval(world, stmt, speaker, env):
         if left is UNKNOWN or right is UNKNOWN:
             return UNKNOWN
         return False
-    if isinstance(stmt, Exists):
-        return _eval_counting(world, stmt.var, stmt.body, speaker, env, 1, True)
-    if isinstance(stmt, ForAll):
-        # True unless at least one person makes the body false.
-        inner = _eval_counting(world, stmt.var, stmt.body, speaker, env, 1,
-                               False)
-        return UNKNOWN if inner is UNKNOWN else not inner
-    if isinstance(stmt, AtLeast):
-        return _eval_counting(world, stmt.var, stmt.body, speaker, env,
-                              stmt.count, True)
+    if isinstance(stmt, (Exists, ForAll, AtLeast)):
+        count = (stmt.count if isinstance(stmt, AtLeast)
+                 else 1 if isinstance(stmt, Exists)
+                 else len(world.person_names))
+        return _eval_counting(world, stmt.var, stmt.body, speaker, env, count)
     if isinstance(stmt, Believes):
         raise SemanticError("believes cannot be evaluated as a fact")
     raise TypeError(f"not a statement node: {stmt!r}")
 
 
-def _eval_counting(world, var, body, speaker, env, minimum, wanted):
-    """Whether at least `minimum` persons give the body the `wanted` value."""
+def _eval_counting(world, var, body, speaker, env, minimum):
+    """Whether at least `minimum` persons make the body true."""
     if minimum == 0:
         return True
     # Definite misses that still leave `minimum` hits possible; one more
@@ -392,26 +380,17 @@ def _eval_counting(world, var, body, speaker, env, minimum, wanted):
     slack = len(world.person_names) - minimum
     if slack < 0:
         return False
-    shadowed = env.get(var, _MISSING)
-    hits = 0
-    misses = 0
-    try:
-        for name in world.person_names:
-            env[var] = name
-            v = _eval(world, body, speaker, env)
-            if v is wanted:
-                hits += 1
-                if hits >= minimum:
-                    return True
-            elif v is not UNKNOWN:
-                misses += 1
-                if misses > slack:
-                    return False
-    finally:
-        if shadowed is _MISSING:
-            env.pop(var, None)
-        else:
-            env[var] = shadowed
+    hits = misses = 0
+    for name in world.person_names:
+        v = _eval(world, body, speaker, {**env, var: name})
+        if v is True:
+            hits += 1
+            if hits >= minimum:
+                return True
+        elif v is not UNKNOWN:
+            misses += 1
+            if misses > slack:
+                return False
     return UNKNOWN
 
 
