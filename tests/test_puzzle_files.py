@@ -667,6 +667,23 @@ WORLD = "world:\n  Ann: ST, f=yes, mood=calm\n  Beth: DL, f=no, mood=cross\n"
     ("puzzle", "persons: Ann Beth\n",
      "line 1, column 14: unexpected text after person list"),
     ("puzzle", "", "line 1, column 1: unexpected end of file"),
+    ("puzzle", "persons: Ann, Beth\nround question \"q\" to all: patient(me)\n"
+     "answers: Ann=yes\n", "line 3, column 1: no answer recorded for 'Beth'"),
+    ("puzzle", "persons: Ann, Beth\nround question \"q\" to Ann: patient(me)\n"
+     "answers: Ann=yes, Beth=no\n",
+     "line 3, column 19: answer recorded for unaddressed person 'Beth'"),
+    ("puzzle", "persons: Ann, Beth\nround question \"q\" to all: patient(me)\n"
+     "answers: Ann=maybe\n",
+     "line 3, column 14: expected yes or no, found 'maybe'"),
+    ("puzzle", "persons: Ann\nworld:\n",
+     "line 2, column 1: expected 'fluent', 'axiom', 'round' or 'extraction', "
+     "found 'world'"),
+    ("puzzle", "persons: Ann\naxiom patient(round)\n",
+     "line 2, column 15: 'round' is a reserved word"),
+    ("puzzle", "persons: Ann\naxiom (and)\n",
+     "line 2, column 8: expected a predicate, found 'and'"),
+    ("puzzle", "persons: Ann\naxiom patient(\n",
+     "line 2, column 15: unexpected end of input, expected a term"),
 ])
 def test_file_parser_errors_are_pinned(parser, text, message):
     with pytest.raises(ParseError) as err:
