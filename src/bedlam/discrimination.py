@@ -93,9 +93,7 @@ def filter_types_by_signature(questions, answers) -> frozenset[ExtendedType]:
         raise ValueError(
             f"{len(signature)} answers recorded for "
             f"{len(questions)} questions")
-    return frozenset(
-        t for t in ALL_TYPES
-        if answer_signature(t, questions) == signature)
+    return frozenset(dict(partition_types(questions).classes).get(signature, ()))
 
 
 def _as_signature(answers) -> str:

@@ -21,7 +21,13 @@ Puzzle files are line-oriented: a `persons:` line, then `fluent`,
 `world:` section assigning each person a type label and fluent values.
 A statements round, the extraction section and a world file are each a
 header line and the entry lines after it, read by one section reader,
-`_entries`.
+`_entries`.  `parse_puzzle_file` reads each section's keyword once and
+hands its reader the line just past it.
+
+An error's position comes from one of three places: the token it
+blames, through `Token.error`; the end of a cursor's input, when the
+tokens run out; or column 1 of a line, for an error about a whole line
+or section (and the end of the file).
 
 Each line is lexed in one pass, one regex match per token; the lexer
 skips comments as it skips whitespace, and it alone decides where a
@@ -87,6 +93,9 @@ class Token(NamedTuple):
     line: int
     col: int
 
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.line, self.col)
+
 
 def _tokenize(text: str, line: int = 1) -> _TokenCursor:
     """A cursor over the tokens of `text`, whose first line is line `line`.
@@ -148,15 +157,12 @@ class _TokenCursor:
         tok = self.peek()
         if tok is None:
             wanted = expect_text or what or expect_kind or "more input"
-            raise ParseError(f"unexpected end of input, expected {wanted}",
-                             self.end_line, self.end_col)
+            raise self.error_here(f"unexpected end of input, expected {wanted}")
         if expect_text is not None and tok.text != expect_text:
-            raise ParseError(f"expected '{expect_text}', found '{tok.text}'",
-                             tok.line, tok.col)
+            raise tok.error(f"expected '{expect_text}', found '{tok.text}'")
         if expect_kind is not None and tok.kind != expect_kind:
             wanted = what or expect_kind
-            raise ParseError(f"expected {wanted}, found '{tok.text}'",
-                             tok.line, tok.col)
+            raise tok.error(f"expected {wanted}, found '{tok.text}'")
         self.pos += 1
         return tok
 
@@ -172,8 +178,7 @@ class _TokenCursor:
         """Read a word that is not a reserved word."""
         tok = self.next(expect_kind="word", what=what)
         if tok.text in RESERVED:
-            raise ParseError(f"'{tok.text}' is a reserved word",
-                             tok.line, tok.col)
+            raise tok.error(f"'{tok.text}' is a reserved word")
         return tok
 
     def at_end(self) -> bool:
@@ -183,7 +188,7 @@ class _TokenCursor:
         tok = self.peek()
         if tok is None:
             return ParseError(message, self.end_line, self.end_col)
-        return ParseError(message, tok.line, tok.col)
+        return tok.error(message)
 
 
 # --- Statement parsing ---
@@ -258,8 +263,7 @@ class _StatementParser:
             try:
                 count = int(nat.text)
             except ValueError:  # longer than Python converts to an int
-                raise ParseError("count has too many digits",
-                                 nat.line, nat.col) from None
+                raise nat.error("count has too many digits") from None
         var = self.cursor.name("a variable name").text
         self.cursor.next(expect_text=".")
         self.bound.append(var)
@@ -276,11 +280,9 @@ class _StatementParser:
             self.cursor.next(expect_text=")")
             return body
         if tok.text == "believes":
-            raise ParseError("believes may only appear as the outermost node",
-                             tok.line, tok.col)
+            raise tok.error("believes may only appear as the outermost node")
         if tok.kind != "word" or tok.text in RESERVED:
-            raise ParseError(f"expected a predicate, found '{tok.text}'",
-                             tok.line, tok.col)
+            raise tok.error(f"expected a predicate, found '{tok.text}'")
         self.cursor.next()
         self.cursor.next(expect_text="(")
         if self.cursor.accept("me"):
@@ -374,24 +376,21 @@ def parse_puzzle_file(text: str) -> PuzzleSpec:
     rounds: list = []
     extraction: Optional[ExtractionConfig] = None
     while (line := fp.peek_line()) is not None:
-        word = line.tokens[0].text
-        if word == "fluent":
-            fluents.append(_parse_fluent_line(fp.next_line()))
-        elif word == "axiom":
-            fp.next_line().next()  # past 'axiom'
+        keyword = fp.next_line().next()  # each reader starts past it
+        if keyword.text == "fluent":
+            fluents.append(_parse_fluent_line(line))
+        elif keyword.text == "axiom":
             axioms.append(_parse_statement_tokens(line))
-        elif word == "round":
-            rounds.append(_parse_round(fp, persons))
-        elif word == "extraction":
+        elif keyword.text == "round":
+            rounds.append(_parse_round(fp, line, persons))
+        elif keyword.text == "extraction":
             if extraction is not None:
                 raise ParseError("duplicate extraction section",
                                  line.end_line, 1)
-            extraction = _parse_extraction(fp)
+            extraction = _parse_extraction(fp, line)
         else:
-            tok = line.tokens[0]
-            raise ParseError(
-                f"expected 'fluent', 'axiom', 'round' or 'extraction', "
-                f"found '{tok.text}'", tok.line, tok.col)
+            raise keyword.error("expected 'fluent', 'axiom', 'round' or "
+                                f"'extraction', found '{keyword.text}'")
     spec = PuzzleSpec(tuple(persons), tuple(fluents), tuple(axioms),
                       tuple(rounds), extraction)
     spec.validate()
@@ -417,7 +416,6 @@ def _parse_name_list(cur: _TokenCursor) -> list[str]:
 
 
 def _parse_fluent_line(cur: _TokenCursor) -> FluentDecl:
-    cur.next(expect_text="fluent")
     name_tok = cur.name("a fluent name")
     cur.next(expect_text=":")
     if cur.accept("bool"):
@@ -431,12 +429,10 @@ def _parse_fluent_line(cur: _TokenCursor) -> FluentDecl:
     try:
         return FluentDecl(name_tok.text, domain)
     except ValueError as exc:
-        raise ParseError(str(exc), name_tok.line, name_tok.col) from None
+        raise name_tok.error(str(exc)) from None
 
 
-def _parse_round(fp: _FileParser, persons: list[str]):
-    cur = fp.next_line()
-    cur.next(expect_text="round")
+def _parse_round(fp: _FileParser, cur: _TokenCursor, persons: list[str]):
     kind = cur.next(expect_kind="word", what="'statements' or 'question'")
     if kind.text == "statements":
         utterances = []
@@ -460,8 +456,8 @@ def _parse_round(fp: _FileParser, persons: list[str]):
         answers = _parse_answers_line(fp.next_line(), addressed)
         return QuestionRound(label_tok.text.strip('"'), statement,
                              tuple(addressed), answers)
-    raise ParseError(f"expected 'statements' or 'question', found '{kind.text}'",
-                     kind.line, kind.col)
+    raise kind.error(
+        f"expected 'statements' or 'question', found '{kind.text}'")
 
 
 def _parse_answers_line(cur: _TokenCursor,
@@ -474,15 +470,13 @@ def _parse_answers_line(cur: _TokenCursor,
         cur.next(expect_text="=")
         value_tok = cur.next(expect_kind="word", what="yes or no")
         if value_tok.text not in ("yes", "no"):
-            raise ParseError(f"expected yes or no, found '{value_tok.text}'",
-                             value_tok.line, value_tok.col)
+            raise value_tok.error(
+                f"expected yes or no, found '{value_tok.text}'")
         if name_tok.text in recorded:
-            raise ParseError(f"duplicate answer for '{name_tok.text}'",
-                             name_tok.line, name_tok.col)
+            raise name_tok.error(f"duplicate answer for '{name_tok.text}'")
         if name_tok.text not in addressed:
-            raise ParseError(
-                f"answer recorded for unaddressed person '{name_tok.text}'",
-                name_tok.line, name_tok.col)
+            raise name_tok.error(
+                f"answer recorded for unaddressed person '{name_tok.text}'")
         recorded[name_tok.text] = Answer(value_tok.text)
         if not cur.at_end():
             cur.next(expect_text=",")
@@ -493,9 +487,8 @@ def _parse_answers_line(cur: _TokenCursor,
     return tuple(recorded[p] for p in addressed)
 
 
-def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
-    header = fp.next_line()
-    header.next(expect_text="extraction")
+def _parse_extraction(fp: _FileParser,
+                      header: _TokenCursor) -> ExtractionConfig:
     categories: list[Category] = []
     for line in _entries(
             fp, header, "extraction entries",
@@ -505,12 +498,11 @@ def _parse_extraction(fp: _FileParser) -> ExtractionConfig:
             line.next(expect_text=":")
             values = _parse_name_list(line)
             if len(values) != 3:
-                raise ParseError("a category lists exactly three values",
-                                 name_tok.line, name_tok.col)
+                raise name_tok.error("a category lists exactly three values")
             try:
                 categories.append(Category(name_tok.text, tuple(values)))
             except ExtractionError as exc:
-                raise ParseError(str(exc), name_tok.line, name_tok.col) from None
+                raise name_tok.error(str(exc)) from None
         else:
             line.next(expect_text=":")
             line.next(expect_text="alphabetical")  # the one person order
@@ -536,17 +528,15 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
         name_tok = line.next()
         person = name_tok.text
         if person not in puzzle.person_names:
-            raise ParseError(f"unknown person '{person}'",
-                             name_tok.line, name_tok.col)
+            raise name_tok.error(f"unknown person '{person}'")
         if person in persons:
-            raise ParseError(f"duplicate entry for '{person}'",
-                             name_tok.line, name_tok.col)
+            raise name_tok.error(f"duplicate entry for '{person}'")
         line.next()  # the ':' that _is_entry_line saw
         label_tok = line.next(expect_kind="word", what="a type label")
         try:
             type_ = type_from_label(label_tok.text)
         except ValueError as exc:
-            raise ParseError(str(exc), label_tok.line, label_tok.col) from None
+            raise label_tok.error(str(exc)) from None
         values: dict[str, object] = {}
         while not line.at_end():
             line.next(expect_text=",")
@@ -555,29 +545,23 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
             value_tok = line.next(expect_kind="word", what="a value")
             decl = decls.get(fluent_tok.text)
             if decl is None:
-                raise ParseError(f"undeclared fluent '{fluent_tok.text}'",
-                                 fluent_tok.line, fluent_tok.col)
+                raise fluent_tok.error(f"undeclared fluent '{fluent_tok.text}'")
             if decl.name in values:
-                raise ParseError(f"duplicate value for '{decl.name}'",
-                                 fluent_tok.line, fluent_tok.col)
+                raise fluent_tok.error(f"duplicate value for '{decl.name}'")
             values[decl.name] = _fluent_value(decl, value_tok)
         persons[person] = (name_tok, type_, values)
     line = fp.peek_line()
     if line is not None:
         tok = line.tokens[0]
-        raise ParseError(f"expected a person entry, found '{tok.text}'",
-                         tok.line, tok.col)
+        raise tok.error(f"expected a person entry, found '{tok.text}'")
     missing = [p for p in puzzle.person_names if p not in persons]
     if missing:
-        start = header.tokens[0]
-        raise ParseError(f"no entry for person '{missing[0]}'",
-                         start.line, start.col)
+        raise header.tokens[0].error(f"no entry for person '{missing[0]}'")
     for name_tok, _, values in persons.values():
         for decl in puzzle.fluent_decls:
             if decl.name not in values:
-                raise ParseError(
-                    f"no value of '{decl.name}' for '{name_tok.text}'",
-                    name_tok.line, name_tok.col)
+                raise name_tok.error(
+                    f"no value of '{decl.name}' for '{name_tok.text}'")
     return World(
         puzzle.person_names,
         tuple(persons[p][1] for p in puzzle.person_names),
@@ -589,12 +573,8 @@ def parse_world_file(text: str, puzzle: PuzzleSpec) -> World:
 def _fluent_value(decl: FluentDecl, tok: Token):
     if decl.is_boolean:
         if tok.text not in ("yes", "no"):
-            raise ParseError(
-                f"boolean fluent '{decl.name}' takes yes or no",
-                tok.line, tok.col)
+            raise tok.error(f"boolean fluent '{decl.name}' takes yes or no")
         return tok.text == "yes"
     if tok.text not in decl.domain:
-        raise ParseError(
-            f"'{tok.text}' not in domain of '{decl.name}'",
-            tok.line, tok.col)
+        raise tok.error(f"'{tok.text}' not in domain of '{decl.name}'")
     return tok.text

@@ -13,22 +13,9 @@ canonical order, but each check runs at the outermost level whose rows
 it reads (by the `reads` and `typed` laws), and a `World` is built,
 trusted, and decided by `check_world`, only where every check passed.
 
-`solve_all` must agree with the oracle wherever the space is enumerable.
-One `_Search` holds a solve and gets there in three stages: each
-person's type candidates are pruned by every check, step or axiom, that
-reads no fluent and that person's type alone; persons are typed one by
-one, each other fluent-free check decided once the last type it reads is
-set, so a failure skips every combination under that prefix; then fluent
-values are backtracked over, each fluent check watched from its compiled
-`start`, the first slot at which it can be False, which no other path
-asks for.  Of each person's type a check reads only a class: the
-builtins its `typed` names, and for a speaker whether the type wants the
-utterance true, which a sane truth-teller and an insane liar answer
-alike.  So a fluent-free check runs once per combination of the classes
-it reads, and the fluent search once per combination of the classes its
-checks read; the other type combinations reuse its rows and count its
-nodes again.  It visits worlds in canonical order, so they come out
-sorted.
+`solve_all` must agree with the oracle wherever the space is enumerable,
+and its worlds come out sorted because `_Search`, which states its stages
+and the type classes they share, visits them in canonical order.
 
 Where `World`'s own checks cannot fail, on types from `ALL_TYPES` and
 rows built from each fluent's values, worlds are built without them

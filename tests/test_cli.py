@@ -131,6 +131,20 @@ def test_non_utf8_file_exits_1_with_one_error_line(tmp_path, capsys):
             "0xff in position 12: invalid start byte\n")
 
 
+def test_a_byte_order_mark_changes_no_output(runner, tmp_path):
+    # Some editors start a UTF-8 file with a byte-order mark; it is not
+    # part of the text, so neither the output nor the digest sees it.
+    puzzle, world = tmp_path / "bom.puzzle", tmp_path / "bom.world"
+    for path, fixture in ((puzzle, "asylum.puzzle"),
+                          (world, "asylum.solution.world")):
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_path(fixture).read_bytes())
+    argv = ["--format", "structured", "--extract", "--explain"]
+    result = runner.invoke(cli, ["solve", str(puzzle), *argv])
+    assert _digest(result) == STRUCTURED_SOLVE_SHA256
+    result = runner.invoke(cli, ["check", str(puzzle), str(world)])
+    assert (result.exit_code, result.output) == (0, "consistent\n")
+
+
 def test_too_long_a_count_exits_1_with_one_error_line(tmp_path, capsys):
     path = tmp_path / "count.puzzle"
     path.write_text("persons: Ann\nfluent f : bool\n"

@@ -199,3 +199,36 @@ def test_no_unused_parameters():
     assert modules
     assert [entry for path in modules
             for entry in _unused_parameters(path)] == []
+
+
+def _token_positioned_errors(tree: ast.Module) -> list[tuple[int, bool]]:
+    """`(line, inside Token.error)` of each `ParseError(...)` call whose
+    position arguments are `X.line, X.col` of one expression `X`."""
+    token = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Token")
+    inside = {id(node) for method in token.body
+              if isinstance(method, ast.FunctionDef) and method.name == "error"
+              for node in ast.walk(method)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ParseError"):
+            continue
+        position = [*node.args[1:], *(keyword.value for keyword
+                                      in node.keywords
+                                      if keyword.arg in ("line", "col"))]
+        if (len(position) == 2
+                and all(isinstance(arg, ast.Attribute) for arg in position)
+                and [arg.attr for arg in position] == ["line", "col"]
+                and ast.dump(position[0].value) == ast.dump(position[1].value)):
+            found.append((node.lineno, id(node) in inside))
+    return found
+
+
+def test_parse_errors_are_positioned_by_their_token():
+    # An error that blames a token is built by `Token.error`, so no call
+    # site copies a token's position by hand.
+    tree = ast.parse((PACKAGE / "parser.py").read_text(encoding="utf-8"))
+    found = _token_positioned_errors(tree)
+    assert [f"parser.py:{line}" for line, inside in found if not inside] == []
+    assert [inside for _, inside in found] == [True]
