@@ -24,10 +24,10 @@ header line and the entry lines after it, read by one section reader,
 `_entries`.  `parse_puzzle_file` reads each section's keyword once and
 hands its reader the line just past it.
 
-An error's position comes from one of three places: the token it
-blames, through `Token.error`; the end of a cursor's input, when the
-tokens run out; or column 1 of a line, for an error about a whole line
-or section (and the end of the file).
+An error's position is that of the token it blames, through
+`Token.error`; the end of a cursor's input, when the tokens run out;
+column 1 of a line, for an error about a whole line or section or the
+end of the file; or, in the lexer, the character it cannot read.
 
 Each line is lexed in one pass, one regex match per token; the lexer
 skips comments as it skips whitespace, and it alone decides where a

@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import and helper and every
-parameter is used, and no cache outlives the puzzle or solve it serves."""
+parameter is used, no cache outlives the puzzle or solve it serves, and
+a parse error that blames a token takes its position from the token."""
 
 import ast
 from collections import Counter
@@ -214,9 +215,7 @@ def _token_positioned_errors(tree: ast.Module) -> list[tuple[int, bool]]:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "ParseError"):
             continue
-        position = [*node.args[1:], *(keyword.value for keyword
-                                      in node.keywords
-                                      if keyword.arg in ("line", "col"))]
+        position = node.args[1:]
         if (len(position) == 2
                 and all(isinstance(arg, ast.Attribute) for arg in position)
                 and [arg.attr for arg in position] == ["line", "col"]
