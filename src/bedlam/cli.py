@@ -48,8 +48,10 @@ def cli():
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+        # Not `utf-8-sig`, which counts a bad byte's offset from after the
+        # byte-order mark it drops.
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from None
 

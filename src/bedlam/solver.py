@@ -82,11 +82,12 @@ class SolveStatistics:
 
     `nodes` counts search nodes: one per complete combination of candidate
     types, whether searched or skipped with a ruled-out prefix, plus one
-    per fluent value tried; a reused subtree counts its nodes again.  The
-    node budget is checked against it.  `fluent_searches` counts the
-    fluent searches run from their root: one per combination of type
-    classes (`_Search`) where subtrees are shared, else one per type
-    combination searched.  A reused subtree is not searched again.
+    per fluent value tried; a reused subtree counts its nodes again.  One
+    counter, `_Search.tick`, counts them and checks the node budget.
+    `fluent_searches` counts the fluent searches run from their root: one
+    per combination of type classes (`_Search`) where subtrees are shared,
+    else one per type combination searched.  A reused subtree is not
+    searched again.
     """
 
     nodes: int = 0
@@ -350,9 +351,11 @@ class _Search:
     candidates of any person share a class, so no two combinations could
     share a search.
 
-    `nodes` counts as `SolveStatistics.nodes` says, and the budget is
-    enforced every 2,048 nodes.  `statistics()` reports the search so far,
-    to the result and to a budget abort alike.
+    `tick(count)` is the one node counter.  It counts as
+    `SolveStatistics.nodes` says: one node, or at once the `count` of a
+    ruled-out prefix or a reused subtree.  It checks the budget whenever
+    the count reaches or passes a multiple of 2,048.  `statistics()`
+    reports the search so far, to the result and to a budget abort alike.
     """
 
     _CHECK_EVERY = 2048
@@ -458,8 +461,9 @@ class _Search:
             if all(self.candidates):
                 if not all(check(self.types, self.values)
                            for check in self.constant):
-                    # Every combination is ruled out, and counts as a node.
-                    self.skip(math.prod(map(len, self.candidates)))
+                    # Only a puzzle without persons has such a check, and
+                    # its one, empty, combination is ruled out.
+                    self.tick()
                 else:
                     try:
                         self._choose(0)
@@ -512,7 +516,7 @@ class _Search:
                 if ok is None:
                     ok = outcomes[mine[i]] = check(types, values)
                 if not ok:
-                    self.skip(below)
+                    self.tick(below)
                     break
             else:
                 self._choose(p + 1)
@@ -530,7 +534,7 @@ class _Search:
             self.subtrees[key] = (first, len(found), self.nodes - nodes)
             return
         first, end, nodes = subtree
-        self.skip(nodes)
+        self.tick(nodes)
         names, decls = self.puzzle.person_names, self.puzzle.fluent_decls
         types = tuple(self.types)
         found.extend([_trusted_world(names, types, decls, world.fluent_values)
@@ -563,16 +567,11 @@ class _Search:
                 self._descend(depth + 1)
         row[pi] = UNKNOWN
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes % self._CHECK_EVERY == 0:
-            self.check()
-
-    def skip(self, count: int) -> None:
-        """Count `count` nodes at once, as that many ticks would."""
-        before = self.nodes
+    def tick(self, count: int = 1) -> None:
+        """Count `count` nodes, and check the budget if the count reached
+        or passed a multiple of `_CHECK_EVERY`."""
         self.nodes += count
-        if before // self._CHECK_EVERY != self.nodes // self._CHECK_EVERY:
+        if self.nodes % self._CHECK_EVERY < count:
             self.check()
 
     def check(self) -> None:

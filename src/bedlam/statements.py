@@ -100,21 +100,21 @@ class Not(Statement):
 
 
 @dataclass(frozen=True)
-class And(Statement):
+class _Junction(Statement):
+    """An `and` or `or` of two or more items; `word` is its keyword."""
     items: tuple[Statement, ...]
 
     def __post_init__(self):
         if len(self.items) < 2:
-            raise ValueError("And needs at least two items")
+            raise ValueError(f"{type(self).__name__} needs at least two items")
 
 
-@dataclass(frozen=True)
-class Or(Statement):
-    items: tuple[Statement, ...]
+class And(_Junction):
+    word = "and"
 
-    def __post_init__(self):
-        if len(self.items) < 2:
-            raise ValueError("Or needs at least two items")
+
+class Or(_Junction):
+    word = "or"
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def _inner_believes_path(stmt: Statement) -> Optional[tuple[str, ...]]:
 def _children(stmt: Statement) -> tuple[Statement, ...]:
     if isinstance(stmt, Atom):
         return ()
-    if isinstance(stmt, (And, Or)):
+    if isinstance(stmt, _Junction):
         return stmt.items
     if isinstance(stmt, Implies):
         return stmt.left, stmt.right
@@ -201,8 +201,8 @@ def _children(stmt: Statement) -> tuple[Statement, ...]:
 def _child_label(stmt: Statement, i: int) -> str:
     """How an error path names child `i` of `stmt`, which is no
     `Believes`."""
-    if isinstance(stmt, (And, Or)):
-        return f"{'and' if isinstance(stmt, And) else 'or'}[{i}]"
+    if isinstance(stmt, _Junction):
+        return f"{stmt.word}[{i}]"
     if isinstance(stmt, Implies):
         return ("implies.left", "implies.right")[i]
     return "not" if isinstance(stmt, Not) else "body"
@@ -221,7 +221,7 @@ def substitute_me(stmt: Statement, person_name: str) -> Statement:
         if isinstance(stmt.term, Me):
             return Atom(stmt.predicate, Person(person_name), stmt.value)
         return stmt
-    if isinstance(stmt, (And, Or)):
+    if isinstance(stmt, _Junction):
         return type(stmt)(tuple(substitute_me(i, person_name)
                                 for i in stmt.items))
     if isinstance(stmt, Implies):
@@ -288,25 +288,19 @@ def _render(stmt: Statement, min_level: int) -> str:
         return f"{stmt.predicate}({render_term(stmt.term)}, {stmt.value})"
     if isinstance(stmt, Not):
         level, text = _LEVEL_NOT, "not " + _render(stmt.body, _LEVEL_NOT)
-    elif isinstance(stmt, And):
-        level = _LEVEL_AND
-        text = " and ".join(_render(item, _LEVEL_NOT) for item in stmt.items)
-    elif isinstance(stmt, Or):
-        level = _LEVEL_OR
-        text = " or ".join(_render(item, _LEVEL_AND) for item in stmt.items)
+    elif isinstance(stmt, _Junction):  # each item binds one level tighter
+        level = _LEVEL_AND if isinstance(stmt, And) else _LEVEL_OR
+        text = f" {stmt.word} ".join(_render(item, level + 1)
+                                     for item in stmt.items)
     elif isinstance(stmt, Implies):
         level = _LEVEL_IMPLIES
         text = (_render(stmt.left, _LEVEL_OR) + " implies "
                 + _render(stmt.right, _LEVEL_IMPLIES))
-    elif isinstance(stmt, Exists):
+    elif isinstance(stmt, (Exists, ForAll, AtLeast)):
         level = _LEVEL_QUANT
-        text = f"exists {stmt.var} . {_render(stmt.body, 0)}"
-    elif isinstance(stmt, ForAll):
-        level = _LEVEL_QUANT
-        text = f"forall {stmt.var} . {_render(stmt.body, 0)}"
-    elif isinstance(stmt, AtLeast):
-        level = _LEVEL_QUANT
-        text = f"atleast {stmt.count} {stmt.var} . {_render(stmt.body, 0)}"
+        head = (f"atleast {stmt.count}" if isinstance(stmt, AtLeast)
+                else "exists" if isinstance(stmt, Exists) else "forall")
+        text = f"{head} {stmt.var} . {_render(stmt.body, 0)}"
     else:
         raise TypeError(f"not a statement node: {stmt!r}")
     return f"({text})" if level < min_level else text
@@ -339,7 +333,7 @@ def _eval(world, stmt, speaker, env):
     if isinstance(stmt, Not):
         inner = _eval(world, stmt.body, speaker, env)
         return UNKNOWN if inner is UNKNOWN else not inner
-    if isinstance(stmt, (And, Or)):
+    if isinstance(stmt, _Junction):
         # An `or` is decided by an item that is True, an `and` by one that
         # is False.
         deciding = isinstance(stmt, Or)
@@ -451,17 +445,18 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     only.  Running it writes `bound`, and the value it wants in a cell
     beside it, so one check must not run in two threads at once.
 
-    A check holds no negation node and no third value.  `not` is pushed
-    down to the atoms as the statement compiles, by rules exact in Kleene
-    logic.  De Morgan swaps `and` and `or`; ``not (l implies r)`` is ``l
-    and not r``; and fewer than k of n persons making B true is at least
-    n - k + 1 making it not true, so `forall` and `exists` swap.  Each
-    atom's closure applies its own negation.  Over the `and`, `or` and
-    at-least-k that are left, a Kleene value is False exactly when reading
-    every UNKNOWN literal as True gives False, and True exactly when
-    reading them as False gives True.  So an atom on an UNKNOWN slot reads
-    as the wanted value, and the check asks whether the statement then
-    takes it.
+    A check holds no negation node and no third value: it, and every
+    check it is built from, returns exactly True or False, which `_scan`
+    relies on.  `not` is pushed down to the atoms as the statement
+    compiles, by rules exact in Kleene logic.  De Morgan swaps `and` and
+    `or`; ``not (l implies r)`` is ``l and not r``; and fewer than k of n
+    persons making B true is at least n - k + 1 making it not true, so
+    `forall` and `exists` swap.  Each atom's closure applies its own
+    negation.  Over the `and`, `or` and at-least-k that are left, a Kleene
+    value is False exactly when reading every UNKNOWN literal as True
+    gives False, and True exactly when reading them as False gives True.
+    So an atom on an UNKNOWN slot reads as the wanted value, and the check
+    asks whether the statement then takes it.
 
     `start()` is the first fluent slot ``f * n + p``, which holds
     `values[f][p]`, at which the check can be False.  The read-once law:
@@ -489,7 +484,7 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
         its first slot True and first slot False."""
         if isinstance(node, Not):
             return compile_(node.body, env, not negated)
-        if isinstance(node, (And, Or)):
+        if isinstance(node, _Junction):
             return _junction(isinstance(node, And) == negated, [
                 compile_(item, env, negated) for item in node.items])
         if isinstance(node, Implies):
@@ -616,38 +611,26 @@ def _junction(some: bool, items):
     def slots():
         trues, falses = zip(*[item() for item in item_slots])
         return true(trues), false(falses)
-    return (_some if some else _every)(checks), slots
+    return _scan(checks, some), slots
 
 
-def _some(items):
-    """A check: is some item true?  The first true item decides.  Two
-    items, as every `implies` has, are unrolled."""
+def _scan(items, some: bool):
+    """A check: is some item true (when `some`), or is every item true?
+    The first item whose result `is some` decides; else the check is `not
+    some`.  Two items, as every `implies` has, are unrolled."""
     if len(items) == 2:
         first, second = items
-        return lambda types, values: (first(types, values)
-                                      or second(types, values))
-
-    def check(types, values):
-        for item in items:
-            if item(types, values):
-                return True
-        return False
-    return check
-
-
-def _every(items):
-    """A check: is every item true?  The first false item decides.  Two
-    items are unrolled."""
-    if len(items) == 2:
-        first, second = items
+        if some:
+            return lambda types, values: (first(types, values)
+                                          or second(types, values))
         return lambda types, values: (first(types, values)
                                       and second(types, values))
 
     def check(types, values):
         for item in items:
-            if not item(types, values):
-                return False
-        return True
+            if item(types, values) is some:
+                return some
+        return not some
     return check
 
 

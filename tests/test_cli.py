@@ -120,15 +120,19 @@ def test_parse_error_exits_1():
 
 
 def test_non_utf8_file_exits_1_with_one_error_line(tmp_path, capsys):
-    bad = tmp_path / "bad.puzzle"
+    # The position is the bad byte's offset in the file, a byte-order
+    # mark included.
+    bad, bom = tmp_path / "bad.puzzle", tmp_path / "bom.puzzle"
     bad.write_bytes(b"persons: Ann\xff\n")
-    for argv in (["solve", str(bad)], ["check", ASYLUM, str(bad)]):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: cannot read {bad}: 'utf-8' codec can't decode byte "
-            "0xff in position 12: invalid start byte\n")
+    bom.write_bytes(b"\xef\xbb\xbfpersons: Ann\xff\n")
+    for path, position in ((bad, 12), (bom, 15)):
+        for argv in (["solve", str(path)], ["check", ASYLUM, str(path)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: cannot read {path}: 'utf-8' codec can't decode "
+                f"byte 0xff in position {position}: invalid start byte\n")
 
 
 def test_a_byte_order_mark_changes_no_output(runner, tmp_path):

@@ -1,12 +1,14 @@
 """Source hygiene: every module-level import and helper and every
-parameter is used, no cache outlives the puzzle or solve it serves, and
-a parse error that blames a token takes its position from the token."""
+parameter is used, no cache outlives the puzzle or solve it serves, a
+parse error that blames a token takes its position from the token, and
+every mutant in `mutants.py` still names a text the package holds."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import bedlam
+from mutants import MUTANTS
 
 PACKAGE = Path(bedlam.__file__).parent
 
@@ -231,3 +233,15 @@ def test_parse_errors_are_positioned_by_their_token():
     found = _token_positioned_errors(tree)
     assert [f"parser.py:{line}" for line, inside in found if not inside] == []
     assert [inside for _, inside in found] == [True]
+
+
+def test_each_mutants_old_text_occurs_once():
+    # `tests/mutants.py` replaces one exact text per mutant; a text that
+    # an edit removed or repeated would leave its mutant stale.
+    assert MUTANTS
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in PACKAGE.glob("*.py")}
+    assert [mutant.name for mutant in MUTANTS
+            if texts[mutant.path].count(mutant.old) != 1
+            or mutant.old == mutant.new] == []

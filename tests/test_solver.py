@@ -714,6 +714,7 @@ def test_quantified_fluent_axiom_without_persons_is_checked():
     result = solve_all(puzzle)
     assert result.status is SolveStatus.NONE
     assert result.worlds == ()
+    assert result.statistics.nodes == 1
 
 
 def test_deep_quantifiers_solve_as_the_oracle_does():

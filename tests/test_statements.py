@@ -1,9 +1,11 @@
 """Statement DSL: parsing, canonical rendering, and evaluation laws."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -107,6 +109,29 @@ def test_malformed_nodes_and_unknown_are_refused_with_their_message():
     with pytest.raises(TypeError, match="^UNKNOWN has no boolean value; "
                                         "check identity instead$"):
         bool(UNKNOWN)
+
+
+def test_and_and_or_stay_distinct_nodes():
+    # The two junctions share one definition; each keeps its class,
+    # equality, repr and message, and the quantifiers still round-trip.
+    items = (Atom("sane", Person("Ann")), Not(Atom("f", Var("x"))))
+    both = And(items), Or(items)
+    assert both[0] != both[1] and len(set(both)) == 2
+    for node, name in zip(both, ("And", "Or")):
+        for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node),
+                     dataclasses.replace(node)):
+            assert type(twin) is type(node) and twin == node
+        swapped = dataclasses.replace(node, items=items[::-1])
+        assert type(swapped) is type(node) and swapped.items == items[::-1]
+        assert repr(node) == f"{name}(items={items!r})"
+        with pytest.raises(ValueError,
+                           match=f"^{name} needs at least two items$"):
+            type(node)(items[:1])
+    for text in ("exists x . f(x) and sane(x)", "forall x . not f(x) or f(x)",
+                 "atleast 3 x . forall y . f(y) implies f(x)"):
+        stmt = parse_statement(text)
+        assert render_statement(stmt) == text
+        assert parse_statement(render_statement(stmt)) == stmt
 
 
 def test_unbound_variable_rejected_with_context():
