@@ -117,7 +117,9 @@ class PuzzleSpec:
         includes the speaker, whose type it reads through that table as
         well as through any builtin named there.  `start()`, the first
         fluent slot at which the check can be False, is computed on its
-        first call, and only the solver's fluent search calls it.
+        first call.  Only the solver's fluent search calls it, and
+        `start.watching`, which gives the parts that search re-runs at
+        each later slot, by the watch rule `compile_statement` states.
         """)
 
     @cached_property

@@ -333,7 +333,10 @@ class _Search:
     can be False once slots up to v are set: v is at least the check's
     `start()`, computed here, by the read-once law `compile_statement`
     states.  Each runs whenever such a slot is assigned, so it still runs
-    at the last slot it reads, and no run it skips could have pruned.
+    at the last slot it reads, and no run it skips could have pruned: in
+    full at the first slot it watches, and at each later one as its
+    `start.watching` gives, only the parts that read that slot, by the
+    watch rule `compile_statement` states.
 
     Once every person is typed, the fluent search runs on `types`.  Only
     the watched checks run there, and they too read of person p's type
@@ -383,12 +386,16 @@ class _Search:
                 # A run before slot `start` could only pass, so a check
                 # watches only the slots it reads from there on.
                 start = first_false()
-                slots = [v for v in (f * len(names) + p for f, p in reads)
-                         if v >= start]
-                for v in slots:
-                    self.watchers[v].append(check)
+                slots = sorted(v for v in (f * len(names) + p
+                                           for f, p in reads) if v >= start)
                 if not slots:
                     continue
+                # The first slot watched runs the whole check, each later
+                # one only the parts that read it.
+                self.watchers[slots[0]].append(check)
+                watches = first_false.watching(slots[1:])
+                for v, watch in zip(slots[1:], watches):
+                    self.watchers[v].append(watch)
             elif not typed:
                 self.constant.append(check)
                 continue
@@ -482,6 +489,13 @@ class _Search:
         searched or skipped with its prefix.
         """
         types = self.types
+        if p == len(types):  # every person typed: one combination
+            self.tick()
+            if self.subtrees is None:
+                self._search()
+            else:
+                self._search_once(tuple(self.classes))
+            return
         if p == self.typed:
             # One product for the rest: recursing to the last person instead
             # cost the asylum benchmark 5-8% of ops/s in 7 of 7 paired runs.

@@ -15,7 +15,8 @@ utterance what its speaker's type requires.  Otherwise it is True.  It
 reports which fluent slots each check reads, and which builtin
 predicates of which persons' types, and, computed only when asked, the
 first fluent slot at which the check can be False: where the solver
-starts to watch it.  It pushes ``not`` down to the atoms as it
+starts to watch it, re-running after it only the parts that read the
+slot just set.  It pushes ``not`` down to the atoms as it
 compiles, so a check holds no negation node.  Its name resolution is
 the one set of atom rules; unlike the tree walker, it rejects a value
 outside its fluent's domain.
@@ -470,6 +471,26 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     slot or type.  It is computed on the first call only, from the slots
     and `bound` cells the check resolved, and it writes `bound` as a run
     does; later calls return it again.
+
+    The watch rule.  Where the statement must take w, its check is the
+    conjunction of its parts for w: where w is True an `and` splits into
+    its items and an at-least-n (`forall`) into its n instances, where w
+    is False an `or` and an at-least-1 (`exists`) do, a part that splits
+    splits again, and any other node is one part.  The check passes
+    exactly when every part gives w.  `start.parts(w)` lists each part as
+    `(check, slots)`: a closure the compile built, run with its
+    quantifier slots holding its persons, and the fluent slots it reads.
+    `start.watching(vs)` gives, for each slot v of `vs`, what to run once
+    v is set where the check passed on the same rows with v UNKNOWN: the
+    whole check if every part for w (for an utterance, the w its
+    speaker's type wants) reads v, and else a closure that runs only the
+    parts that do.  It is exact: a part that does not read v reads what
+    it read when the check passed, so it still gives w.  The solver's
+    fluent search sets slots in order and watches each slot a check reads
+    from its `start()` on, so between two slots it watches, no slot the
+    check reads changes.  It runs the whole check at the first of them,
+    whose run no earlier one covers, and `watching`'s closure at each
+    later one.  Both build their answer afresh on each call.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -480,8 +501,9 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     variables: list[int] = []  # the quantifier slot of each variable atom
 
     def compile_(node, env, negated):
-        """`(check, slots)` of `node`, negated if `negated`: `slots()` is
-        its first slot True and first slot False."""
+        """`(check, slots, part)` of `node`, negated if `negated`:
+        `slots()` is its first slot True and first slot False, and `part`
+        what `_parts` splits."""
         if isinstance(node, Not):
             return compile_(node.body, env, not negated)
         if isinstance(node, _Junction):
@@ -537,9 +559,9 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
         if builtin:
             for p in persons:
                 typed.setdefault(p, set()).add(predicate)
-            return (lambda types, values: (
-                types[bound[slot]].builtins[predicate] != negated),
-                lambda: (-1, -1))
+            check = lambda types, values: (
+                types[bound[slot]].builtins[predicate] != negated)
+            return check, lambda: (-1, -1), (check, (), None)
         reads.update((f, p) for p in persons)
         first = f * n
         slots = lambda: (first + bound[slot],) * 2
@@ -547,41 +569,63 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             # A boolean literal holds on True, or on False when negated.
             wanted, negated = not negated, False
         if negated:
-            return (lambda types, values: (
+            check = lambda types, values: (
                 assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
-                else value != wanted), slots)
-        return (lambda types, values: (
-            assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
-            else value == wanted), slots)
+                else value != wanted)
+        else:
+            check = lambda types, values: (
+                assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
+                else value == wanted)
+        return check, slots, (check, ((f, slot),), None)
 
-    body, slots = compile_(stmt, {}, False)
+    body, slots, root = compile_(stmt, {}, False)
     # `compile_` holds itself through its cell.  Dropping the name frees
     # it by reference counting, so a compile leaves no garbage cycle.
     del compile_
+
+    def parts(want):
+        return _parts(root, want, n, bound)
     if required is None:
-        return body, reads, typed, _Start(slots, _FALSE_SLOT)
+        def watching(vs):
+            return _watches(parts(True), vs, body, True)
+        return body, reads, typed, _Start(slots, _FALSE_SLOT, parts, watching)
     me = _index(person_names, speaker, "unknown person")
     typed.setdefault(me, set())
 
     def check(types, values):
         want = assumed[0] = required[types[me].index]
         return body(types, values) == want
-    return check, reads, typed, _Start(slots, min)
+
+    def watch(runs):
+        """A check that runs `runs[want]` for the value it wants."""
+        def watched(types, values):
+            want = assumed[0] = required[types[me].index]
+            return runs[want](types, values) == want
+        return watched
+
+    def watching(vs):
+        return [check if runs == (body, body) else watch(runs)
+                for runs in zip(*[_watches(parts(want), vs, body, want)
+                                  for want in (False, True)])]
+    return check, reads, typed, _Start(slots, min, parts, watching)
 
 
 class _Start:
     """A check's `start`: `pick(slots())` on the first call, and the same
-    value after.
+    value after; beside it, the check's `parts(want)` and `watching(vs)`.
 
     The first call drops `slots`, and with it the slot closures and
     quantifier memos only it reads, so a check holds its analysis no
-    longer than the first solve that asks for it.
+    longer than the first solve that asks for it.  `parts` and `watching`
+    hold only the compiled checks, with each node's fluent atoms, and
+    build their answer afresh on each call.
     """
 
-    __slots__ = ("slots", "pick", "value")
+    __slots__ = ("slots", "pick", "value", "parts", "watching")
 
-    def __init__(self, slots, pick):
+    def __init__(self, slots, pick, parts, watching):
         self.slots, self.pick = slots, pick
+        self.parts, self.watching = parts, watching
 
     def __call__(self):
         if self.slots is not None:
@@ -593,6 +637,50 @@ class _Start:
 _FALSE_SLOT = itemgetter(1)
 
 
+def _parts(part, want: bool, n: int, bound, binding=()) -> list:
+    """The parts of a compiled node's `part` where it must take `want`,
+    each `(check, slots)`: the check, run with each quantifier slot of
+    `binding` holding its person, and the fluent slots it reads.
+
+    A `part` is `(check, atoms, split)`: the node's check, the `(f,
+    bound slot)` of each fluent atom below it, and None or `(wants,
+    slot, children)` for a node that splits into its children where it
+    must take a value in `wants`, each child once per person in `slot`
+    when that is a quantifier's.
+    """
+    check, atoms, split = part
+    if split is not None and want in split[0]:
+        _, slot, children = split
+        if slot is None:
+            return [found for child in children
+                    for found in _parts(child, want, n, bound, binding)]
+        return [found for p in range(n) for found in _parts(
+            children[0], want, n, bound, binding + ((slot, p),))]
+    at = dict(binding)
+    slots = {f * n + p for f, s in atoms for p in (
+        (at[s],) if s in at else range(n) if s >= n else (s,))}
+    if not binding:
+        return [(check, slots)]
+
+    def bound_check(types, values):
+        for quantifier, p in binding:
+            bound[quantifier] = p
+        return check(types, values)
+    return [(bound_check, slots)]
+
+
+def _watches(parts, vs, whole, want: bool) -> list:
+    """For each fluent slot v of `vs`, what must give `want` once v is
+    set, where `whole` gave it with v unset: the `parts` for `want` that
+    read v, or `whole` when every part does."""
+    runs = []
+    for v in vs:
+        checks = [check for check, slots in parts if v in slots]
+        runs.append(whole if len(checks) == len(parts) else checks[0]
+                    if len(checks) == 1 else _scan(checks, not want))
+    return runs
+
+
 def _index(names, name: str, what: str) -> int:
     """`name`'s position in `names`, or a SemanticError naming `what`."""
     try:
@@ -602,16 +690,21 @@ def _index(names, name: str, what: str) -> int:
 
 
 def _junction(some: bool, items):
-    """`(check, slots)` of an `or` (when `some`) or an `and` over compiled
-    items.  An `or` can be True from its items' earliest True slot and
-    False from their latest False slot; an `and` is the dual."""
-    checks, item_slots = zip(*items)
+    """`(check, slots, part)` of an `or` (when `some`) or an `and` over
+    compiled items.  An `or` can be True from its items' earliest True
+    slot and False from their latest False slot; an `and` is the dual.
+    It splits into its items where it must take `not some`."""
+    checks, item_slots, parts = zip(*items)
     true, false = (min, max) if some else (max, min)
 
     def slots():
         trues, falses = zip(*[item() for item in item_slots])
         return true(trues), false(falses)
-    return _scan(checks, some), slots
+    check = _scan(checks, some)
+    atoms = ()
+    for part in parts:
+        atoms += part[1]
+    return check, slots, (check, atoms, ((not some,), None, parts))
 
 
 def _scan(items, some: bool):
@@ -635,21 +728,23 @@ def _scan(items, some: bool):
 
 
 def _quantified(k: int, bound, slot: int, n: int, outer: list[int], body):
-    """`(check, slots)` of at least `k` persons making `body` true, where
-    `body` is a compiled `(check, slots)`.
+    """`(check, slots, part)` of at least `k` persons making `body` true,
+    where `body` is a compiled `(check, slots, part)`.
 
     The check puts each of the n persons in `bound[slot]` in turn; the
     count stops once it is decided, at the n-th person at the latest.  It
     is True at the k-th earliest True slot of its bodies and False at the
     (n - k + 1)-th earliest False one.  Those slots are memoized on the
     persons bound at the `outer` quantifier slots the body reads, so a
-    closed quantifier is analysed once.
+    closed quantifier is analysed once.  It splits into its n instances
+    where it must take True and k is n, or False and k is 1.
     """
     if k <= 0 or k > n:
         constant = k <= 0
         first = (-1, math.inf) if constant else (math.inf, -1)
-        return lambda types, values: constant, lambda: first
-    body, body_slots = body
+        check = lambda types, values: constant
+        return check, lambda: first, (check, (), None)
+    body, body_slots, part = body
     slack = n - k  # misses that still leave k hits
     memo: dict[tuple, tuple] = {}
 
@@ -677,4 +772,5 @@ def _quantified(k: int, bound, slot: int, n: int, outer: list[int], body):
             trues, falses = zip(*pairs)
             known = memo[key] = (sorted(trues)[k - 1], sorted(falses)[n - k])
         return known
-    return check, slots
+    wants = (False,) * (k == 1) + (True,) * (k == n)
+    return check, slots, (check, part[1], (wants, slot, (part,)))

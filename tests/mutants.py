@@ -59,6 +59,11 @@ MUTANTS = (
            "        first = f * n\n",
            "        first = (len(fluent_decls) - 1 - f) * n\n",
            ("tests/test_statements.py::test_compiled_start_on_the_asylums_shapes",)),
+    Mutant("exists-split-while-it-must-be-true", "statements.py",
+           "wants = (False,) * (k == 1) + (True,) * (k == n)",
+           "wants = (False, True) * (k == 1) + (True,) * (k == n)",
+           ("tests/test_statements.py::"
+            "test_a_watched_run_is_the_check_where_it_passed_with_the_slot_unset",)),
     # --- solver.py: the one node counter and the budget it checks ---
     Mutant("counter-threshold-off-by-one", "solver.py",
            "if self.nodes % self._CHECK_EVERY < count:",
@@ -95,6 +100,14 @@ MUTANTS = (
            "reading[step.person_index] |= set()",
            ("tests/test_solver.py::"
             "test_type_checks_run_once_per_combination_of_classes",)),
+    Mutant("first-watched-run-takes-only-parts", "solver.py",
+           "self.watchers[slots[0]].append(check)\n"
+           "                watches = first_false.watching(slots[1:])\n"
+           "                for v, watch in zip(slots[1:], watches):",
+           "watches = first_false.watching(slots)\n"
+           "                for v, watch in zip(slots, watches):",
+           ("tests/test_solver.py::"
+            "test_a_watched_check_runs_whole_at_its_first_slot",)),
     Mutant("two-person-checks-filter-candidates", "solver.py",
            "elif len(typed) == 1:",
            "elif len(typed) <= 2:",

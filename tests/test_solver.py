@@ -518,19 +518,30 @@ def test_fixture_searches_every_type_combination(asylum):
     assert solve_all(asylum).statistics.fluent_searches == 512
 
 
-def _count_check_runs(monkeypatch) -> dict:
+def _count_check_runs(monkeypatch, parted=None) -> dict:
     """Runs of each check compiled from now on, by speaker (None for an
-    axiom)."""
+    axiom), with the runs of the closures its `start.watching` gives the
+    search.  A run of such a closure that is not the check itself counts
+    in `parted` too, when given."""
     calls = {}
     compile_statement = statements.compile_statement
 
     def counting(stmt, speaker, *args):
         check, reads, typed, start = compile_statement(stmt, speaker, *args)
 
-        def counted(types, values):
-            calls[speaker] = calls.get(speaker, 0) + 1
-            return check(types, values)
-        return counted, reads, typed, start
+        def counter(run):
+            def counted(types, values):
+                calls[speaker] = calls.get(speaker, 0) + 1
+                if parted is not None and run is not check:
+                    parted[speaker] = parted.get(speaker, 0) + 1
+                return run(types, values)
+            return counted
+
+        def counted_start():
+            return start()
+        counted_start.watching = lambda slots: [
+            counter(run) for run in start.watching(slots)]
+        return counter(check), reads, typed, counted_start
 
     monkeypatch.setattr(statements, "compile_statement", counting)
     return calls
@@ -539,11 +550,27 @@ def _count_check_runs(monkeypatch) -> dict:
 def test_fixture_check_runs_are_pinned(monkeypatch, asylum_text):
     # The node pin holds how strongly the checks prune, this one how often
     # they run: a fluent check that is watched before the first slot at
-    # which it can be False runs more, and prunes no more.
-    calls = _count_check_runs(monkeypatch)
+    # which it can be False runs more, and prunes no more.  A watched run
+    # after the first runs only the parts that read the slot just set,
+    # unless every part of the check reads it: 2,415 of the runs are of
+    # such closures.
+    parted = {}
+    calls = _count_check_runs(monkeypatch, parted)
     statistics = solve_all(parse_puzzle_file(asylum_text)).statistics
     assert statistics.nodes == 3798
     assert sum(calls.values()) == 6195
+    assert sum(parted.values()) == 2415
+
+
+def test_a_watched_check_runs_whole_at_its_first_slot():
+    # `liar(Beth)` reads no fluent slot, so no slot's parts hold it: the
+    # search must run the whole axiom at `shifty(Beth)`, the one slot it
+    # watches, or Beth's other 15 types get through.
+    puzzle = parse_puzzle_file("persons: Ann, Beth\nfluent shifty : bool\n"
+                               "axiom liar(Beth) and shifty(Beth)\n")
+    result = solve_all(puzzle)
+    assert len(result.worlds) == 16 * 4 * 2
+    assert result.worlds == brute_force_solve(puzzle)
 
 
 def test_parsing_and_solving_compile_each_statement_once(monkeypatch,
@@ -1139,6 +1166,7 @@ def test_no_check_is_false_before_its_watch_starts(seed):
     slots = list(itertools.product(range(len(decls)), range(len(names))))
     axioms, steps = puzzle.compiled
     watchers = solver._Search(puzzle, Budget()).watchers
+    watched = [0] * len(slots)
     for check, reads, _, first_slot in axioms + steps:
         start = first_slot()
         # From -1 a check may be False once types are set, before any slot.
@@ -1149,10 +1177,15 @@ def test_no_check_is_false_before_its_watch_starts(seed):
                 if v < start and rng.random() < 0.8:
                     values[f][p] = rng.choice(decls[f].values())
             assert check(types, values) is not False
-        # One that can be False still runs once all it reads is set.
+        # One that can be False still runs once all it reads is set: whole
+        # at the first slot it watches, and in parts at each slot after.
         if reads and start < math.inf:
-            last = max(f * len(names) + p for f, p in reads)
-            assert check in watchers[last]
+            mine = sorted(v for v in (f * len(names) + p for f, p in reads)
+                          if v >= start)
+            assert check in watchers[mine[0]]
+            for v in mine:
+                watched[v] += 1
+    assert [len(checks) for checks in watchers] == watched
 
 
 def test_a_prefix_ruled_out_still_counts_its_combinations():

@@ -19,7 +19,7 @@ from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Statement, UNKNOWN, Var, compile_statement,
                                eval_closed, eval_partial, render_peeled,
                                render_statement, substitute_me)
-from bedlam.semantics import ALL_TYPES, asserted_truth
+from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL, asserted_truth
 from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
 
@@ -570,6 +570,92 @@ def test_compiled_start_is_exact_when_no_two_atoms_read_one_slot(seed):
     check, reads, typed, start = compile_statement(stmt, None,
                                                    ("Ann", "Beth"), decls)
     assert start() == _first_false_slot(check, reads, typed, decls)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_a_watched_run_is_the_check_where_it_passed_with_the_slot_unset(seed):
+    # The watch law: where a check passes with fluent slot v UNKNOWN, the
+    # closure `watching` gives for v answers as the whole check does once
+    # v is set, to any value.  The check passes exactly when each of its
+    # parts for the wanted value gives that value, and a part reads only
+    # the slots it reports, all of them in `reads`.  An axiom wants True;
+    # a speaker here wants one value, True or False, whatever its type.
+    rng = random.Random(seed)
+    persons = support.NAME_POOL[:rng.randint(1, 3)]
+    if rng.random() < 0.5:
+        decls = DECLS
+        stmt = random_statement(rng, persons=persons)
+    else:
+        decls = CATEGORICAL_DECLS
+        stmt = support.random_categorical_statement(rng, 3, persons, decls)
+    n = len(persons)
+    want = rng.choice((None, False, True))
+    required = None if want is None else (want,) * len(ALL_TYPES)
+    check, reads, _, start = compile_statement(
+        stmt, rng.choice(persons), persons, decls, required)
+    world = random_world(rng, persons, decls)
+    types = world.types
+    values = [[v if rng.random() < 0.5 else UNKNOWN for v in row]
+              for row in world.fluent_values]
+    read = {f * n + p for f, p in reads}
+    check(types, values)  # a step's parts read the value it set here
+    for part, slots in start.parts(want is not False):
+        assert slots <= read
+        before = part(types, values)
+        for slot in set(range(len(decls) * n)) - slots:
+            f, p = divmod(slot, n)
+            for value in decls[f].values() + (UNKNOWN,):
+                changed = [list(row) for row in values]
+                changed[f][p] = value
+                assert part(types, changed) is before
+    for v in sorted(read):
+        f, p = divmod(v, n)
+        row, kept = values[f], values[f][p]
+        row[p] = UNKNOWN
+        if check(types, values):
+            watch, = start.watching([v])
+            for value in decls[f].values():
+                row[p] = value
+                assert watch(types, values) is check(types, values)
+        row[p] = kept
+    parts = start.parts(want is not False)
+    assert check(types, values) is all(
+        part(types, values) is (want is not False) for part, _ in parts)
+
+
+class _CountedTypes(tuple):
+    """A types row that counts the reads of its persons' types."""
+    reads = 0
+
+    def __getitem__(self, p):
+        type(self).reads += 1
+        return super().__getitem__(p)
+
+
+def test_a_watched_exists_runs_only_the_instance_of_the_slot_set(asylum):
+    # A delusional liar's belief is false, so Beth's round-5 "there is a
+    # killer among the doctors" wants no resident to fit: each of the
+    # nine instances is a part, and once one guilt slot is set, only its
+    # instance runs again, reading its person's type once.
+    names, decls = asylum.person_names, asylum.fluent_decls
+    k, step = next((k, step) for k, step in enumerate(asylum.transcript)
+                   if step.round_index == 5 and step.person == "Beth")
+    check, _, _, start = asylum.compiled[1][k]
+    dl = TYPES_BY_LABEL["DL"]
+    assert step.required(dl) is False
+    types = _CountedTypes([dl] * len(names))
+    guilt = [decl.name for decl in decls].index("guilt")
+    values = [[UNKNOWN] * len(names) for _ in decls]
+    cedric = names.index("Cedric")
+    values[guilt][:cedric] = ["innocent"] * cedric
+    assert check(types, values)
+    watch, = start.watching([guilt * len(names) + cedric])
+    values[guilt][cedric] = "guilty"
+    for run, instances in ((watch, 1), (check, len(names))):
+        _CountedTypes.reads = 0
+        assert run(types, values)  # the slot's instance is no doctor
+        assert _CountedTypes.reads == 1 + instances  # and the speaker's
 
 
 def _walk_every_two_person_world(text, decls, types=ALL_TYPES) -> set:
