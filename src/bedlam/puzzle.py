@@ -104,8 +104,8 @@ class PuzzleSpec:
     rounds: tuple[Round, ...]
     extraction: Optional[ExtractionConfig] = None
 
-    # Getters in C, with no Python frame: `check_world` reads `compiled`
-    # on every call.
+    # Getters in C, with no Python frame: `check_world` reads `checks` on
+    # every call.
     transcript = property(attrgetter("_walked.steps"), doc="""
         Every utterance in reading order, numbered per speaker.""")
     compiled = property(attrgetter("_walked.compiled"), doc="""
@@ -121,6 +121,9 @@ class PuzzleSpec:
         `start.watching`, which gives the parts that search re-runs at
         each later slot, by the watch rule `compile_statement` states.
         """)
+    checks = property(attrgetter("_walked.checks"), doc="""
+        The check of each entry of `compiled`, axioms then steps, in
+        `compiled` order: the one loop `check_world` runs.""")
 
     @cached_property
     def _walked(self) -> _Walked:
@@ -244,3 +247,5 @@ class _Walked(threading.local):
 
     def __init__(self, spec: weakref.ref):
         self.steps, self.compiled = spec()._walk()
+        axioms, steps = self.compiled
+        self.checks = tuple([check for check, _, _, _ in axioms + steps])

@@ -18,12 +18,13 @@ and its worlds come out sorted because `_Search`, which states its stages
 and the type classes they share, visits them in canonical order.
 
 Where `World`'s own checks cannot fail, on types from `ALL_TYPES` and
-rows built from each fluent's values, worlds are built without them
-(`worlds._trusted_world`): by the search for the worlds it copies from a
-reused subtree, by the oracle for each world it keeps, and by
-`enumerate_worlds`.  A fluent search's leaves build through `World`, so
-the search checks each world it finds there once, in full; a world
-copied from a reused subtree shares the rows of the world it copies.
+rows built from each fluent's values, worlds are built without them, a
+type combination's at a time (`worlds._trusted_worlds`): by the search
+for the worlds it copies from a reused subtree, by the oracle for the
+worlds it keeps, and by `enumerate_worlds`.  A fluent search's leaves
+build through `World`, so the search checks each world it finds there
+once, in full; a world copied from a reused subtree shares the rows of
+the world it copies.
 
 Both solvers pause the cyclic garbage collector while their world list
 fills: a `World` is in no reference cycle, so reference counting frees
@@ -47,10 +48,10 @@ from typing import Iterator, Optional
 
 from . import statements as st
 from .extraction import SANITY_CATEGORY, TRUTHFULNESS_CATEGORY
-from .puzzle import PuzzleSpec, Step
+from .puzzle import PuzzleSpec
 from .semantics import ALL_TYPES, Answer, ExtendedType
 from .statements import SemanticError, UNKNOWN, render_statement
-from .worlds import World, _trusted_world
+from .worlds import World, _trusted_worlds
 
 # Unused here; bench/tracing.py wraps the reference evaluators by these names.
 eval_closed, eval_partial = st.eval_closed, st.eval_partial
@@ -145,38 +146,46 @@ _CONSISTENT = CheckResult(True, None, None, "consistent")
 def check_world(puzzle: PuzzleSpec, world: World) -> CheckResult:
     """True iff the world satisfies every axiom and transcript round.
 
-    The first violation found, in round order, is reported.  The puzzle's
-    compiled checks run on the world's rows, where no slot is UNKNOWN.
+    The first violation found, in round order, is reported.  One loop runs
+    `PuzzleSpec.checks`, the axioms' compiled checks and then the steps',
+    on the world's rows, where no slot is UNKNOWN.  Only a check that
+    fails is traced back to its axiom or step.  A world built for the
+    puzzle shares its person and fluent tuples, so each is compared by
+    identity before equality.
     """
-    if world.person_names != puzzle.person_names:
+    names, decls = world.person_names, world.fluent_decls
+    if names is not puzzle.person_names and names != puzzle.person_names:
         raise SemanticError("world persons do not match the puzzle")
-    if world.fluent_decls != puzzle.fluent_decls:
+    if decls is not puzzle.fluent_decls and decls != puzzle.fluent_decls:
         raise SemanticError("world fluents do not match the puzzle")
-    axioms, steps = puzzle.compiled
     types, values = world.types, world.fluent_values
-    for i, (check, _, _, _) in enumerate(axioms):
+    checks = puzzle.checks
+    for check in checks:
         if not check(types, values):
-            return CheckResult(
-                False, None, None, f"axiom {i + 1} is violated: "
-                f"{render_statement(puzzle.axioms[i])}")
-    for k, (check, _, _, _) in enumerate(steps):
-        if not check(types, values):
-            step = puzzle.transcript[k]
-            return _step_violation(step, types[step.person_index])
+            # An equal check earlier in `checks` would have failed first.
+            return _violation(puzzle, checks.index(check), types)
     return _CONSISTENT
 
 
-def _step_violation(step: Step, type_: ExtendedType) -> CheckResult:
-    """What `check_world` reports when a `type_` speaker made the step
-    but could not have."""
+def _violation(puzzle: PuzzleSpec, k: int,
+               types: tuple[ExtendedType, ...]) -> CheckResult:
+    """What `check_world` reports when entry `k` of `PuzzleSpec.checks`
+    fails on a world of these `types`: an axiom, or a step whose speaker
+    could not have made it."""
+    axioms = puzzle.axioms
+    if k < len(axioms):
+        return CheckResult(False, None, None, f"axiom {k + 1} is violated: "
+                           f"{render_statement(axioms[k])}")
+    step = puzzle.transcript[k - len(axioms)]
+    label = types[step.person_index].label
     if step.answer is None:
         message = (f"round {step.round_index}: {step.person} "
-                   f"({type_.label}) would not say: {step.label}")
+                   f"({label}) would not say: {step.label}")
     else:
         would = "no" if step.answer is Answer.YES else "yes"
         message = (f"round {step.round_index}: {step.person} answered "
                    f"{step.answer.value} to \"{step.label}\" but a "
-                   f"{type_.label} in this world would answer {would}")
+                   f"{label} in this world would answer {would}")
     return CheckResult(False, step.round_index, step.person, message)
 
 
@@ -225,14 +234,13 @@ def _assignments(puzzle: PuzzleSpec) -> list[tuple[tuple, ...]]:
 
 def enumerate_worlds(puzzle: PuzzleSpec) -> Iterator[World]:
     """Every possible world, in canonical order: type combinations, and
-    under each every fluent assignment.  Each is built trusted
-    (`worlds._trusted_world`), as its types come from `ALL_TYPES` and its
-    rows from `_assignments`."""
+    under each every fluent assignment.  Each combination's worlds are
+    built trusted (`worlds._trusted_worlds`), as their types come from
+    `ALL_TYPES` and their rows from `_assignments`."""
     names, decls = puzzle.person_names, puzzle.fluent_decls
     assignments = _assignments(puzzle)
     for types in itertools.product(ALL_TYPES, repeat=len(names)):
-        for values in assignments:
-            yield _trusted_world(names, types, decls, values)
+        yield from _trusted_worlds(names, types, decls, assignments)
 
 
 def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
@@ -246,16 +254,20 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
       speaker's) filters the fluent assignments once, before the loop;
     - one that reads no fluent slot runs once per type combination, on
       its first assignment, and a failure skips the combination;
-    - every other runs on each (types, assignment) pair.
+    - every other runs on each (types, assignment) pair, and a failure
+      skips the pair.
     A check run at an outer level answers as it would on every pair
     below it, since it reads nothing that the inner loops change, so it
-    skips only worlds that `check_world` rejects.  A `World` is built
-    only for a pair that passes every check, and built trusted
-    (`worlds._trusted_world`): its types come from `ALL_TYPES`, one per
-    person, and its rows from `_assignments`, so `World`'s own checks
-    could not fail.  `check_world`, the one definition of consistency,
-    still decides it: a world returned is one it accepted.  The cyclic
-    garbage collector is paused while the list fills, as in `solve_all`.
+    skips only worlds that `check_world` rejects.  Where no check runs
+    per pair, every assignment left passes under a combination kept.
+    A `World` is built only for a pair that passes every check, a
+    combination's at once and trusted (`worlds._trusted_worlds`): its
+    types come from `ALL_TYPES`, one per person, and its rows from
+    `_assignments`, so `World`'s own checks could not fail.
+    `check_world`, the one definition of consistency, still decides each:
+    a world returned is one it accepted.  The kept worlds fill a list,
+    returned as a tuple, while the cyclic garbage collector is paused, as
+    in `solve_all`.
     """
     names, decls = puzzle.person_names, puzzle.fluent_decls
     axioms, steps = puzzle.compiled
@@ -271,24 +283,28 @@ def brute_force_solve(puzzle: PuzzleSpec) -> tuple[World, ...]:
         else:
             per_types.append(check)
 
-    def kept() -> Iterator[World]:
-        first = assignments[0]
-        for types in itertools.product(ALL_TYPES, repeat=len(names)):
-            if not all(check(types, first) for check in per_types):
-                continue
-            for values in assignments:
-                for check in per_pair:
-                    if not check(types, values):
-                        break
-                else:
-                    world = _trusted_world(names, types, decls, values)
-                    if check_world(puzzle, world):
-                        yield world
-
     if not assignments:
         return ()
+    first, kept = assignments[0], []
     with _no_gc:
-        return tuple(kept())
+        for types in itertools.product(ALL_TYPES, repeat=len(names)):
+            for check in per_types:
+                if not check(types, first):
+                    break
+            else:
+                rows = assignments
+                if per_pair:
+                    rows = []
+                    for values in assignments:
+                        for check in per_pair:
+                            if not check(types, values):
+                                break
+                        else:
+                            rows.append(values)
+                kept += [world for world in _trusted_worlds(
+                             names, types, decls, rows)
+                         if check_world(puzzle, world)]
+        return tuple(kept)
 
 
 # --- Staged search ---
@@ -551,8 +567,8 @@ class _Search:
         self.tick(nodes)
         names, decls = self.puzzle.person_names, self.puzzle.fluent_decls
         types = tuple(self.types)
-        found.extend([_trusted_world(names, types, decls, world.fluent_values)
-                      for world in found[first:end]])
+        found += _trusted_worlds(names, types, decls, [
+            world.fluent_values for world in found[first:end]])
 
     def _search(self) -> None:
         """The fluent search of `types`, from its root."""

@@ -490,7 +490,10 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     from its `start()` on, so between two slots it watches, no slot the
     check reads changes.  It runs the whole check at the first of them,
     whose run no earlier one covers, and `watching`'s closure at each
-    later one.  Both build their answer afresh on each call.
+    later one.  Both build their answer afresh on each call, and
+    `watching` builds no part list where the statement does not split for
+    w: its one part is then the check itself, which reads every slot, so
+    the whole check runs at each.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -585,9 +588,16 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
 
     def parts(want):
         return _parts(root, want, n, bound)
+
+    def watches(want, vs):
+        split = root[2]
+        if split is None or want not in split[0]:
+            # The one part is the root, which reads every slot watched.
+            return [body] * len(vs)
+        return _watches(parts(want), vs, body, want)
     if required is None:
         def watching(vs):
-            return _watches(parts(True), vs, body, True)
+            return watches(True, vs)
         return body, reads, typed, _Start(slots, _FALSE_SLOT, parts, watching)
     me = _index(person_names, speaker, "unknown person")
     typed.setdefault(me, set())
@@ -605,8 +615,7 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
 
     def watching(vs):
         return [check if runs == (body, body) else watch(runs)
-                for runs in zip(*[_watches(parts(want), vs, body, want)
-                                  for want in (False, True)])]
+                for runs in zip(watches(False, vs), watches(True, vs))]
     return check, reads, typed, _Start(slots, min, parts, watching)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .semantics import ExtendedType
 from .statements import SemanticError
@@ -35,31 +35,35 @@ class FluentDecl:
         return self.values().index(value)
 
 
-# Bound once: `_trusted_world` builds most of the worlds a solve lists.
+# Bound once: `_trusted_worlds` builds most of the worlds a solve lists.
 _new, _setattr = object.__new__, object.__setattr__
 
 
-def _trusted_world(person_names: tuple[str, ...],
-                   types: tuple[ExtendedType, ...],
-                   fluent_decls: tuple[FluentDecl, ...],
-                   fluent_values: tuple[tuple, ...]) -> World:
-    """`World(person_names, types, fluent_decls, fluent_values)` without
-    `World`'s checks, which the caller must know would pass:
+def _trusted_worlds(person_names: tuple[str, ...],
+                    types: tuple[ExtendedType, ...],
+                    fluent_decls: tuple[FluentDecl, ...],
+                    rows: Iterable[tuple[tuple, ...]]) -> list[World]:
+    """`[World(person_names, types, fluent_decls, fluent_values) for
+    fluent_values in rows]` without `World`'s checks, which the caller
+    must know would pass:
     - `types` holds one type per person, each from `ALL_TYPES`;
-    - `fluent_values` holds one row per entry of `fluent_decls`, each a
-      tuple of `len(person_names)` values taken from its `decl.values()`.
+    - each entry of `rows` holds one row per entry of `fluent_decls`, each
+      a tuple of `len(person_names)` values taken from its `decl.values()`.
 
     It sets each field with one `object.__setattr__` call, in field
-    order, as the dataclass `__init__` does, so the world keeps its
+    order, as the dataclass `__init__` does, so each world keeps its
     values inline: about 113 bytes a world on CPython 3.11, where filling
     its `__dict__` at once materializes a dict and takes 249.
     """
-    world = _new(World)
-    _setattr(world, "person_names", person_names)
-    _setattr(world, "types", types)
-    _setattr(world, "fluent_decls", fluent_decls)
-    _setattr(world, "fluent_values", fluent_values)
-    return world
+    worlds = []
+    for fluent_values in rows:
+        world = _new(World)
+        _setattr(world, "person_names", person_names)
+        _setattr(world, "types", types)
+        _setattr(world, "fluent_decls", fluent_decls)
+        _setattr(world, "fluent_values", fluent_values)
+        worlds.append(world)
+    return worlds
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,14 @@ class World:
     Every world built through `World(...)` checks that it has one type
     per person and a row per declared fluent, each holding a value from
     that fluent's domain for each person.  Three paths skip these checks
-    and build worlds with `_trusted_world`: the solver, copying a reused
-    subtree's worlds onto another type combination; the oracle, for each
-    world it keeps; and `enumerate_worlds`.  None can fail them: each
-    takes one type per person from `ALL_TYPES`, and rows built from each
-    fluent's `values()` for the puzzle's own persons.  The worlds a
-    fluent search finds at its leaves, the parser and every other caller
-    build through `World(...)`.
+    and build worlds with `_trusted_worlds`, a type combination's at a
+    time: the solver, copying a reused subtree's worlds onto another type
+    combination; the oracle, for the worlds it keeps; and
+    `enumerate_worlds`.  None can fail them: each takes one type per
+    person from `ALL_TYPES`, and rows built from each fluent's `values()`
+    for the puzzle's own persons.  The worlds a fluent search finds at
+    its leaves, the parser and every other caller build through
+    `World(...)`.
 
     A world refers to nothing that refers back to it, so reference
     counting frees it, and solves pause the cyclic garbage collector

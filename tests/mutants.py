@@ -8,8 +8,10 @@ with its new text in that copy, and runs pytest there with `-x` and a
 timeout: first the tests listed to kill the mutant, then, if those all
 pass, the whole tier-1 suite.  It prints one line per mutant: killed
 (by the first failing test), survived, or timed out, and exits 1 if any
-mutant was not killed by its listed tests.  The repository itself is
-never written.
+mutant was not killed by its listed tests.  An equivalent mutant lists
+no tests and says why no result can change; the runner reports what
+tier-1 gives it and does not count it in the exit status.  The
+repository itself is never written.
 
 pytest does not collect this file.  `tests/test_imports.py` checks that
 each old text occurs exactly once in `src/bedlam`, so an edit there
@@ -37,6 +39,8 @@ class Mutant(NamedTuple):
     old: str
     new: str
     killers: tuple[str, ...]  # tier-1 test ids expected to fail
+    # Why no result can change, for a mutant no test is expected to kill.
+    equivalent: str = ""
 
 
 MUTANTS = (
@@ -112,6 +116,30 @@ MUTANTS = (
            "elif len(typed) == 1:",
            "elif len(typed) <= 2:",
            ("tests/test_acceptance.py::test_criterion_7_oracle_equivalence",)),
+    # --- solver.py: check_world's one loop and the oracle's kept worlds ---
+    Mutant("first-step-taken-for-an-axiom", "solver.py",
+           "if k < len(axioms):",
+           "if k <= len(axioms):",
+           ("tests/test_oracle.py::test_check_world_is_the_tree_walkers_replay",)),
+    Mutant("identity-shortcut-accepts-other-persons", "solver.py",
+           "if names is not puzzle.person_names and names != "
+           "puzzle.person_names:",
+           "if names is not puzzle.person_names and False:",
+           ("tests/test_solver.py::"
+            "test_check_world_rejects_mismatched_declarations",)),
+    Mutant("oracle-skips-the-type-filter", "solver.py",
+           "            for check in per_types:\n",
+           "            for check in ():\n",
+           ("tests/test_solver.py::"
+            "test_oracle_without_a_per_pair_check_checks_each_world_it_keeps",)),
+    Mutant("oracle-keeps-worlds-unchecked", "solver.py",
+           "                         if check_world(puzzle, world)]",
+           "                         ]",
+           (),
+           equivalent="every compiled check has passed at an outer loop "
+                      "level before a world is built, so `check_world` "
+                      "accepts each; only tests that count its calls see "
+                      "the change (ROADMAP item 16)"),
 )
 
 TIER_1 = ("-q", "-x", "-p", "no:cacheprovider",
@@ -147,17 +175,19 @@ def _pytest(root: Path, args, timeout: float) -> tuple[str, str]:
 
 
 def run(mutant: Mutant, timeout: float) -> tuple[str, str, bool]:
-    """`(outcome, first failing test, killed by a listed test)`."""
+    """`(outcome, first failing test, as expected)`: killed by a listed
+    test, or, for an equivalent mutant, whatever tier-1 gives."""
     with tempfile.TemporaryDirectory(prefix="bedlam-mutant-") as scratch:
         root = Path(scratch) / "repo"
         shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
         apply(mutant, root)
-        outcome, test = _pytest(root, mutant.killers, timeout)
-        if outcome == "killed":
-            return outcome, test, True
+        if mutant.killers:
+            outcome, test = _pytest(root, mutant.killers, timeout)
+            if outcome == "killed":
+                return outcome, test, True
         outcome, test = _pytest(root, (), timeout)
-        return outcome, test, False
+        return outcome, test, bool(mutant.equivalent)
 
 
 def main(argv=None) -> int:
@@ -174,7 +204,10 @@ def main(argv=None) -> int:
     for mutant in [by_name[name] for name in args.names] or MUTANTS:
         outcome, test, listed = run(mutant, args.timeout)
         clean &= listed
-        note = "" if listed or outcome != "killed" else " (not a listed test)"
+        if mutant.equivalent:
+            note = f" (equivalent: {mutant.equivalent})"
+        else:
+            note = "" if listed or outcome != "killed" else " (not a listed test)"
         print(f"{mutant.name}: {outcome}{' by ' + test if test else ''}{note}",
               flush=True)
     return 0 if clean else 1

@@ -180,18 +180,19 @@ def _count_built_worlds(monkeypatch) -> Counter:
     through the constructor the solver and oracle use where `World`'s
     checks cannot fail."""
     built = Counter()
-    init, trusted = World.__init__, solver._trusted_world
+    init, trusted = World.__init__, solver._trusted_worlds
 
     def counting_init(self, *args, **kwargs):
         built["public"] += 1
         init(self, *args, **kwargs)
 
     def counting_trusted(*args):
-        built["trusted"] += 1
-        return trusted(*args)
+        worlds = trusted(*args)
+        built["trusted"] += len(worlds)
+        return worlds
 
     monkeypatch.setattr(World, "__init__", counting_init)
-    monkeypatch.setattr(solver, "_trusted_world", counting_trusted)
+    monkeypatch.setattr(solver, "_trusted_worlds", counting_trusted)
     return built
 
 
@@ -218,6 +219,33 @@ def test_oracle_builds_and_checks_only_the_worlds_it_keeps(monkeypatch):
         checked.clear()
         assert len(brute_force_solve(puzzle)) == kept
         assert sum(built.values()) == checked["calls"] == kept
+
+
+def test_oracle_without_a_per_pair_check_checks_each_world_it_keeps(
+        monkeypatch):
+    # No check reads both a type and a fluent slot, so every assignment
+    # left passes under each type combination kept: the oracle builds the
+    # combination's worlds over them at once.  The type-only axiom keeps 4
+    # of Ann's 16 types and the row-only one 2 of the 4 assignments.
+    built, checked = _count_built_worlds(monkeypatch), Counter()
+    check = solver.check_world
+
+    def counting_check(puzzle, world):
+        checked["calls"] += 1
+        return check(puzzle, world)
+
+    monkeypatch.setattr(solver, "check_world", counting_check)
+    head = "persons: Ann, Beth\nfluent f : bool\n"
+    for text, kept in ((head, 1024),
+                       (head + "axiom doctor(Ann)\naxiom f(Beth)\n", 128)):
+        puzzle = parse_puzzle_file(text)
+        expected = tuple(world for world in enumerate_worlds(puzzle)
+                         if check(puzzle, world))
+        built.clear()
+        checked.clear()
+        assert brute_force_solve(puzzle) == expected
+        assert len(expected) == kept
+        assert built == {"trusted": kept} and checked["calls"] == kept
 
 
 def test_trusted_worlds_are_the_worlds_world_builds(monkeypatch, asylum):
@@ -269,10 +297,11 @@ def test_a_trusted_world_takes_no_more_memory_than_a_public_one():
     names, decls = ("Ann", "Beth"), (FluentDecl("f"), FluentDecl("g"))
     rows = ((False, True), (True, True))
     types = ALL_TYPES[:2]
-    held = [_held_per_world(lambda: [build(names, types, decls, rows)
-                                     for _ in range(2000)])[1]
-            for build in (World, solver._trusted_world)]
-    assert held[1] <= held[0]
+    public = _held_per_world(lambda: [World(names, types, decls, rows)
+                                      for _ in range(2000)])[1]
+    trusted = _held_per_world(lambda: solver._trusted_worlds(
+        names, types, decls, [rows] * 2000))[1]
+    assert trusted <= public
 
 
 def test_oracle_runs_each_check_once_per_loop_level_it_reads(monkeypatch):
@@ -372,7 +401,8 @@ def test_types_in_one_class_never_change_a_check(seed):
 
 def test_check_world_rejects_mismatched_declarations(asylum, solution_world):
     other = World(("Zed",), (TYPES_BY_LABEL["ST"],))
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError,
+                       match="^world persons do not match the puzzle$"):
         check_world(asylum, other)
     no_fluents = World(asylum.person_names, solution_world.types)
     with pytest.raises(SemanticError,
