@@ -110,16 +110,14 @@ class PuzzleSpec:
         Every utterance in reading order, numbered per speaker.""")
     compiled = property(attrgetter("_walked.compiled"), doc="""
         `(axioms, steps)`: `compile_statement`'s `(check, reads, typed,
-        start)` for each axiom and, in `transcript` order, each step's
+        watch)` for each axiom and, in `transcript` order, each step's
         body held to `Step.required_by_type`.  An axiom's check is False
         once the rows make it false, and a step's once they make its body
         differ from what its speaker's type requires; its `typed`
         includes the speaker, whose type it reads through that table as
-        well as through any builtin named there.  `start()`, the first
-        fluent slot at which the check can be False, is computed on its
-        first call.  Only the solver's fluent search calls it, and
-        `start.watching`, which gives the parts that search re-runs at
-        each later slot, by the watch rule `compile_statement` states.
+        well as through any builtin named there.  Only the solver's
+        fluent search calls `watch()`, for the slots it runs the check at
+        and what it runs at each.
         """)
     checks = property(attrgetter("_walked.checks"), doc="""
         The check of each entry of `compiled`, axioms then steps, in

@@ -345,14 +345,10 @@ class _Search:
     `Step.required_by_type`; so it runs once per combination of those
     classes, and keeps its outcomes by the classes of the persons before
     p.  `constant` holds those that read no type at all, run once per
-    solve.  `watchers[v]` holds the checks that read fluent slot v and
-    can be False once slots up to v are set: v is at least the check's
-    `start()`, computed here, by the read-once law `compile_statement`
-    states.  Each runs whenever such a slot is assigned, so it still runs
-    at the last slot it reads, and no run it skips could have pruned: in
-    full at the first slot it watches, and at each later one as its
-    `start.watching` gives, only the parts that read that slot, by the
-    watch rule `compile_statement` states.
+    solve.  `watchers[v]` holds what runs once fluent slot v is assigned:
+    the run at v of each fluent check's `watch()` list, which says, by
+    the laws `compile_statement` states, where the check runs and what
+    runs there.
 
     Once every person is typed, the fluent search runs on `types`.  Only
     the watched checks run there, and they too read of person p's type
@@ -385,7 +381,8 @@ class _Search:
         names = puzzle.person_names
         self.domains = [d.values() for d in puzzle.fluent_decls]
         # Search variables: one per (fluent, person), declaration order,
-        # so (f, p) is slot f * n + p, as a compiled check's `start` counts.
+        # so (f, p) is slot f * n + p, as a compiled check's `watch()`
+        # numbers them.
         self.variables = list(itertools.product(
             range(len(self.domains)), range(len(names))))
         axioms, steps = puzzle.compiled
@@ -396,22 +393,14 @@ class _Search:
         self.constant = []
         self.watchers: list[list] = [[] for _ in self.variables]
         searched = [frozenset()] * len(names)  # what the watchers read
-        for (check, reads, typed, first_false), step in zip(
+        for (check, reads, typed, watch), step in zip(
                 steps + axioms, puzzle.transcript + (None,) * len(axioms)):
             if reads:
-                # A run before slot `start` could only pass, so a check
-                # watches only the slots it reads from there on.
-                start = first_false()
-                slots = sorted(v for v in (f * len(names) + p
-                                           for f, p in reads) if v >= start)
-                if not slots:
+                watched = watch()
+                if not watched:
                     continue
-                # The first slot watched runs the whole check, each later
-                # one only the parts that read it.
-                self.watchers[slots[0]].append(check)
-                watches = first_false.watching(slots[1:])
-                for v, watch in zip(slots[1:], watches):
-                    self.watchers[v].append(watch)
+                for v, run in watched:
+                    self.watchers[v].append(run)
             elif not typed:
                 self.constant.append(check)
                 continue

@@ -13,13 +13,13 @@ exactly when the rows make ``eval_partial`` definite and different from
 the value the statement must take: True for an axiom, and for an
 utterance what its speaker's type requires.  Otherwise it is True.  It
 reports which fluent slots each check reads, and which builtin
-predicates of which persons' types, and, computed only when asked, the
-first fluent slot at which the check can be False: where the solver
-starts to watch it, re-running after it only the parts that read the
-slot just set.  It pushes ``not`` down to the atoms as it
-compiles, so a check holds no negation node.  Its name resolution is
-the one set of atom rules; unlike the tree walker, it rejects a value
-outside its fluent's domain.
+predicates of which persons' types, and, computed only when asked, its
+watch list: what the solver's fluent search runs at each slot, from the
+first at which the check can be False, the whole check there and after
+it only the parts that read the slot just set.  It pushes ``not`` down
+to the atoms as it compiles, so a check holds no negation node.  Its
+name resolution is the one set of atom rules; unlike the tree walker,
+it rejects a value outside its fluent's domain.
 ``PuzzleSpec.compiled`` keeps each axiom's and utterance's check for the
 solver, ``check_world`` and ``bedlam simulate``.
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Optional, Union
 
 # Predicates derived from a person's behavioral type.  Everything else
@@ -422,7 +421,7 @@ def _eval_atom(world, atom, speaker, env):
 
 def compile_statement(stmt: Statement, speaker: Optional[str],
                       person_names, fluent_decls, required=None):
-    """Compile a believes-free statement into `(check, reads, typed, start)`.
+    """Compile a believes-free statement into `(check, reads, typed, watch)`.
 
     The statement must take a value: True, or for an utterance of
     `speaker`, `required[t.index]` when the speaker has type t.
@@ -459,41 +458,40 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     So an atom on an UNKNOWN slot reads as the wanted value, and the check
     asks whether the statement then takes it.
 
-    `start()` is the first fluent slot ``f * n + p``, which holds
-    `values[f][p]`, at which the check can be False.  The read-once law:
-    on any types, no row that sets only slots before it, leaving the rest
-    UNKNOWN, makes the check False.  -1 means the types alone can, and
-    `math.inf` that nothing can.  In the negation-free form each node has
-    a first slot True and a first slot False: a fluent atom its own slot,
-    a builtin -1, and `_junction` and `_quantified` give the rest.  An
-    axiom starts at its False slot, an utterance at the earlier of the
-    two.  The start is never late, and exact when no two atoms read one
-    slot or type.  It is computed on the first call only, from the slots
-    and `bound` cells the check resolved, and it writes `bound` as a run
-    does; later calls return it again.
+    `watch()` lists where the fluent search, which sets the slots in
+    order, runs the check: `(v, run)` for each fluent slot v the check
+    reads from its start on, in slot order, and nothing if it reads none
+    there.  Slot ``f * n + p`` holds `values[f][p]`.  The start is the
+    first slot at which the check can be False, by the read-once law: on
+    any types, no row that sets only slots before it, leaving the rest
+    UNKNOWN, makes the check False, so a run before it could only pass.
+    In the negation-free form each node has a first slot True and a first
+    slot False: a fluent atom its own slot, a builtin -1, as the types
+    alone decide it, and `_junction` and `_quantified` give the rest,
+    `math.inf` where nothing can.  An axiom starts at its False slot, an
+    utterance at the earlier of the two.  The start is never late, and
+    exact when no two atoms read one slot or type.  The first call
+    computes it, from the slots and `bound` cells the check resolved,
+    writing `bound` as a run does, and then drops the slot closures and
+    quantifier memos only it reads.
 
     The watch rule.  Where the statement must take w, its check is the
     conjunction of its parts for w: where w is True an `and` splits into
     its items and an at-least-n (`forall`) into its n instances, where w
     is False an `or` and an at-least-1 (`exists`) do, a part that splits
     splits again, and any other node is one part.  The check passes
-    exactly when every part gives w.  `start.parts(w)` lists each part as
-    `(check, slots)`: a closure the compile built, run with its
-    quantifier slots holding its persons, and the fluent slots it reads.
-    `start.watching(vs)` gives, for each slot v of `vs`, what to run once
-    v is set where the check passed on the same rows with v UNKNOWN: the
-    whole check if every part for w (for an utterance, the w its
-    speaker's type wants) reads v, and else a closure that runs only the
-    parts that do.  It is exact: a part that does not read v reads what
-    it read when the check passed, so it still gives w.  The solver's
-    fluent search sets slots in order and watches each slot a check reads
-    from its `start()` on, so between two slots it watches, no slot the
-    check reads changes.  It runs the whole check at the first of them,
-    whose run no earlier one covers, and `watching`'s closure at each
-    later one.  Both build their answer afresh on each call, and
-    `watching` builds no part list where the statement does not split for
-    w: its one part is then the check itself, which reads every slot, so
-    the whole check runs at each.
+    exactly when every part gives w.  The run at the first slot watched
+    is the whole check, since no earlier run covers it.  At each later
+    slot v the search runs it only where the check passed on the same
+    rows with v UNKNOWN, as between two slots watched no slot the check
+    reads changes.  So the run is the whole check if every part for w
+    (for an utterance, the w its speaker's type wants) reads v, and else
+    a closure that runs only the parts that do.  It is exact: a part that
+    does not read v reads what it read when the check passed, so it
+    still gives w.  Each call builds the runs afresh, and builds no part
+    list where the statement does not split for w: its one part is then
+    the check itself, which reads every slot, so the whole check runs at
+    each.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -585,65 +583,29 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     # `compile_` holds itself through its cell.  Dropping the name frees
     # it by reference counting, so a compile leaves no garbage cycle.
     del compile_
-
-    def parts(want):
-        return _parts(root, want, n, bound)
-
-    def watches(want, vs):
-        split = root[2]
-        if split is None or want not in split[0]:
-            # The one part is the root, which reads every slot watched.
-            return [body] * len(vs)
-        return _watches(parts(want), vs, body, want)
     if required is None:
-        def watching(vs):
-            return watches(True, vs)
-        return body, reads, typed, _Start(slots, _FALSE_SLOT, parts, watching)
-    me = _index(person_names, speaker, "unknown person")
-    typed.setdefault(me, set())
+        check, wanting = body, None
+    else:
+        me = _index(person_names, speaker, "unknown person")
+        typed.setdefault(me, set())
+        wanting = me, required, assumed
 
-    def check(types, values):
-        want = assumed[0] = required[types[me].index]
-        return body(types, values) == want
-
-    def watch(runs):
-        """A check that runs `runs[want]` for the value it wants."""
-        def watched(types, values):
+        def check(types, values):
             want = assumed[0] = required[types[me].index]
-            return runs[want](types, values) == want
-        return watched
+            return body(types, values) == want
+    watched = None
 
-    def watching(vs):
-        return [check if runs == (body, body) else watch(runs)
-                for runs in zip(watches(False, vs), watches(True, vs))]
-    return check, reads, typed, _Start(slots, min, parts, watching)
-
-
-class _Start:
-    """A check's `start`: `pick(slots())` on the first call, and the same
-    value after; beside it, the check's `parts(want)` and `watching(vs)`.
-
-    The first call drops `slots`, and with it the slot closures and
-    quantifier memos only it reads, so a check holds its analysis no
-    longer than the first solve that asks for it.  `parts` and `watching`
-    hold only the compiled checks, with each node's fluent atoms, and
-    build their answer afresh on each call.
-    """
-
-    __slots__ = ("slots", "pick", "value", "parts", "watching")
-
-    def __init__(self, slots, pick, parts, watching):
-        self.slots, self.pick = slots, pick
-        self.parts, self.watching = parts, watching
-
-    def __call__(self):
-        if self.slots is not None:
-            self.value, self.slots = self.pick(self.slots()), None
-        return self.value
-
-
-# An axiom starts at its first slot False, the second of a node's slots.
-_FALSE_SLOT = itemgetter(1)
+    def watch():
+        nonlocal slots, watched
+        if slots is not None:
+            true, false = slots()
+            start = false if required is None else min(true, false)
+            watched = [v for v in sorted(f * n + p for f, p in reads)
+                       if v >= start]
+            slots = None
+        return list(zip(watched, [
+            check, *_runs(watched[1:], check, root, n, bound, wanting)]))
+    return check, reads, typed, watch
 
 
 def _parts(part, want: bool, n: int, bound, binding=()) -> list:
@@ -678,16 +640,45 @@ def _parts(part, want: bool, n: int, bound, binding=()) -> list:
     return [(bound_check, slots)]
 
 
-def _watches(parts, vs, whole, want: bool) -> list:
+def _runs(vs, check, root, n: int, bound, wanting) -> list:
+    """What to run at each fluent slot v of `vs` once v is set, where
+    `check` passed with v unset: `check` where every part for the value
+    wanted reads v, else a closure that runs only the parts that do.
+    `wanting` is None for an axiom, which wants True, and an utterance's
+    `(me, required, assumed)`: the speaker, the value each type wants,
+    and the cell its checks keep it in."""
+    if wanting is None:
+        return _parted(root, True, vs, n, bound)
+    whole = (root[0],) * 2
+    return [check if runs == whole else _wanted(runs, *wanting)
+            for runs in zip(_parted(root, False, vs, n, bound),
+                            _parted(root, True, vs, n, bound))]
+
+
+def _parted(root, want: bool, vs, n: int, bound) -> list:
     """For each fluent slot v of `vs`, what must give `want` once v is
-    set, where `whole` gave it with v unset: the `parts` for `want` that
-    read v, or `whole` when every part does."""
+    set, where the compiled `root` gave it with v unset: the parts for
+    `want` that read v, or `root`'s whole check when every part does."""
+    whole, _, split = root
+    if split is None or want not in split[0]:
+        # The one part is the root, which reads every slot watched.
+        return [whole] * len(vs)
+    parts = _parts(root, want, n, bound)
     runs = []
     for v in vs:
         checks = [check for check, slots in parts if v in slots]
         runs.append(whole if len(checks) == len(parts) else checks[0]
                     if len(checks) == 1 else _scan(checks, not want))
     return runs
+
+
+def _wanted(runs, me: int, required, assumed):
+    """A check that runs `runs[want]` for the value `want` that
+    `required` gives the type of person `me`, kept in `assumed`."""
+    def wanted(types, values):
+        want = assumed[0] = required[types[me].index]
+        return runs[want](types, values) == want
+    return wanted
 
 
 def _index(names, name: str, what: str) -> int:

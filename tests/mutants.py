@@ -68,6 +68,34 @@ MUTANTS = (
            "wants = (False, True) * (k == 1) + (True,) * (k == n)",
            ("tests/test_statements.py::"
             "test_a_watched_run_is_the_check_where_it_passed_with_the_slot_unset",)),
+    # --- statements.py: the reads and the start a compile analyses ---
+    Mutant("builtin-types-only-its-first-person", "statements.py",
+           "            for p in persons:\n",
+           "            for p in persons[:1]:\n",
+           ("tests/test_statements.py::"
+            "test_types_outside_types_read_never_change_a_check",)),
+    Mutant("quantifier-memo-ignores-outer-persons", "statements.py",
+           "key = tuple([bound[s] for s in outer])",
+           "key = ()",
+           ("tests/test_statements.py::"
+            "test_compiled_start_analyses_a_closed_quantifier_once",)),
+    # --- statements.py: the watch list a check gives the fluent search ---
+    Mutant("first-watched-run-takes-only-parts", "statements.py",
+           "check, *_runs(watched[1:], check,",
+           "*_runs(watched, check,",
+           ("tests/test_solver.py::"
+            "test_a_watched_check_runs_whole_at_its_first_slot",)),
+    Mutant("watch-starts-one-slot-late", "statements.py",
+           "if v >= start]",
+           "if v > start]",
+           ("tests/test_statements.py::"
+            "test_compiled_start_is_exact_when_no_two_atoms_read_one_slot",)),
+    # --- semantics.py: the type tables ---
+    Mutant("liar-may-start-truthful", "semantics.py",
+           "                  (Truthfulness.LIAR, False): \"L\",\n",
+           "                  (Truthfulness.LIAR, False): \"L\",\n"
+           "                  (Truthfulness.LIAR, True): \"Lt\",\n",
+           ("tests/test_semantics.py::test_sixteen_distinct_types",)),
     # --- solver.py: the one node counter and the budget it checks ---
     Mutant("counter-threshold-off-by-one", "solver.py",
            "if self.nodes % self._CHECK_EVERY < count:",
@@ -104,19 +132,16 @@ MUTANTS = (
            "reading[step.person_index] |= set()",
            ("tests/test_solver.py::"
             "test_type_checks_run_once_per_combination_of_classes",)),
-    Mutant("first-watched-run-takes-only-parts", "solver.py",
-           "self.watchers[slots[0]].append(check)\n"
-           "                watches = first_false.watching(slots[1:])\n"
-           "                for v, watch in zip(slots[1:], watches):",
-           "watches = first_false.watching(slots)\n"
-           "                for v, watch in zip(slots, watches):",
-           ("tests/test_solver.py::"
-            "test_a_watched_check_runs_whole_at_its_first_slot",)),
     Mutant("two-person-checks-filter-candidates", "solver.py",
            "elif len(typed) == 1:",
            "elif len(typed) <= 2:",
            ("tests/test_acceptance.py::test_criterion_7_oracle_equivalence",)),
-    # --- solver.py: check_world's one loop and the oracle's kept worlds ---
+    # --- solver.py: check_world's one loop, the oracle's kept worlds and
+    # the derivation's negations ---
+    Mutant("check-world-skips-the-last-check", "solver.py",
+           "    for check in checks:\n",
+           "    for check in checks[:-1]:\n",
+           ("tests/test_oracle.py::test_check_world_is_the_tree_walkers_replay",)),
     Mutant("first-step-taken-for-an-axiom", "solver.py",
            "if k < len(axioms):",
            "if k <= len(axioms):",
@@ -140,6 +165,12 @@ MUTANTS = (
                       "level before a world is built, so `check_world` "
                       "accepts each; only tests that count its calls see "
                       "the change (ROADMAP item 16)"),
+    Mutant("derivation-negates-the-wrong-branch", "solver.py",
+           "if not step.required(type_):",
+           "if step.required(type_):",
+           ("tests/test_solver.py::"
+            "test_explain_decodes_both_negation_branches",
+            "tests/test_solver.py::test_explain_decodes_round_zero_and_five")),
 )
 
 TIER_1 = ("-q", "-x", "-p", "no:cacheprovider",

@@ -1,14 +1,15 @@
 """Source hygiene: every module-level import and helper and every
 parameter is used, no cache outlives the puzzle or solve it serves, a
 parse error that blames a token takes its position from the token, and
-every mutant in `mutants.py` still names a text the package holds."""
+every mutant in `mutants.py` still names a text the package holds and
+tests that tier-1 collects."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import bedlam
-from mutants import MUTANTS
+from mutants import MUTANTS, ROOT
 
 PACKAGE = Path(bedlam.__file__).parent
 
@@ -245,3 +246,20 @@ def test_each_mutants_old_text_occurs_once():
     assert [mutant.name for mutant in MUTANTS
             if texts[mutant.path].count(mutant.old) != 1
             or mutant.old == mutant.new] == []
+
+
+def test_each_mutants_killers_are_tier_1_tests():
+    # The runner reaches a stale killer id only after copying the
+    # repository and running pytest there; the test modules' syntax trees
+    # name every test at once.
+    assert [mutant.name for mutant in MUTANTS
+            if not mutant.killers and not mutant.equivalent] == []
+    killers = {killer.partition("::") for mutant in MUTANTS
+               for killer in mutant.killers}
+    tests = {path: {node.name for node in ast.parse(
+                 (ROOT / path).read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("test_")}
+             for path, _, _ in killers if Path(path).name.startswith("test_")}
+    assert sorted(f"{path}::{name}" for path, _, name in killers
+                  if name not in tests.get(path, ())) == []

@@ -550,14 +550,13 @@ def test_fixture_searches_every_type_combination(asylum):
 
 def _count_check_runs(monkeypatch, parted=None) -> dict:
     """Runs of each check compiled from now on, by speaker (None for an
-    axiom), with the runs of the closures its `start.watching` gives the
-    search.  A run of such a closure that is not the check itself counts
-    in `parted` too, when given."""
+    axiom), with the runs of its `watch()` list.  A run of the list that
+    is not the check itself counts in `parted` too, when given."""
     calls = {}
     compile_statement = statements.compile_statement
 
     def counting(stmt, speaker, *args):
-        check, reads, typed, start = compile_statement(stmt, speaker, *args)
+        check, reads, typed, watch = compile_statement(stmt, speaker, *args)
 
         def counter(run):
             def counted(types, values):
@@ -567,11 +566,9 @@ def _count_check_runs(monkeypatch, parted=None) -> dict:
                 return run(types, values)
             return counted
 
-        def counted_start():
-            return start()
-        counted_start.watching = lambda slots: [
-            counter(run) for run in start.watching(slots)]
-        return counter(check), reads, typed, counted_start
+        def counted_watch():
+            return [(v, counter(run)) for v, run in watch()]
+        return counter(check), reads, typed, counted_watch
 
     monkeypatch.setattr(statements, "compile_statement", counting)
     return calls
@@ -835,19 +832,22 @@ def test_a_solve_leaves_nothing_for_the_cyclic_collector(asylum):
 
 def test_a_checks_start_frees_its_analysis_after_the_first_call(
         asylum_text):
-    # Only a solve's set-up calls `start()`; the slot closures and
-    # quantifier memos it reads would otherwise live as long as the spec.
+    # Only a solve's set-up calls `watch()`; the slot closures and
+    # quantifier memos its first call reads would otherwise live as long
+    # as the spec.
     gc.collect()
     tracemalloc.start()
     try:
         axioms, steps = parse_puzzle_file(asylum_text).compiled
         before, _ = tracemalloc.get_traced_memory()
-        starts = [start() for _, _, _, start in axioms + steps]
+        watched = [[v for v, _ in watch()]
+                   for _, _, _, watch in axioms + steps]
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert after < before
-    assert [start() for _, _, _, start in axioms + steps] == starts
+    assert [[v for v, _ in watch()]
+            for _, _, _, watch in axioms + steps] == watched
 
 
 def test_solves_pause_the_collector_and_leave_it_as_they_found_it(
@@ -1180,10 +1180,9 @@ def test_speakers_share_searches_among_their_type_classes(monkeypatch, seed):
 @settings(max_examples=200, deadline=None)
 def test_no_check_is_false_before_its_watch_starts(seed):
     # The read-once law the watch lists rest on: on any types, a row that
-    # sets only slots before the first slot at which a check can be False
-    # never makes it False, so a run the search skips could not prune.  Probed
-    # puzzles bring 4-5 persons, `atleast`, categorical fluents and
-    # belief rounds.
+    # sets only slots before the first slot a check watches never makes it
+    # False, so a run the search skips could not prune.  Probed puzzles
+    # bring 4-5 persons, `atleast`, categorical fluents and belief rounds.
     rng = random.Random(seed)
     kind = rng.randrange(3)
     if kind == 0:
@@ -1197,23 +1196,27 @@ def test_no_check_is_false_before_its_watch_starts(seed):
     axioms, steps = puzzle.compiled
     watchers = solver._Search(puzzle, Budget()).watchers
     watched = [0] * len(slots)
-    for check, reads, _, first_slot in axioms + steps:
-        start = first_slot()
-        # From -1 a check may be False once types are set, before any slot.
-        for _ in range(16 if start >= 0 else 0):
+    for check, reads, _, watch in axioms + steps:
+        runs = watch()
+        first = runs[0][0] if runs else math.inf
+        for _ in range(16):
             types = [rng.choice(ALL_TYPES) for _ in names]
             values = [[UNKNOWN] * len(names) for _ in decls]
+            if not check(types, values):
+                # Types alone make the check False, on every row: it must
+                # be watched from the first slot it reads.
+                assert first == min((f * len(names) + p for f, p in reads),
+                                    default=math.inf)
+                continue
             for v, (f, p) in enumerate(slots):
-                if v < start and rng.random() < 0.8:
+                if v < first and rng.random() < 0.8:
                     values[f][p] = rng.choice(decls[f].values())
             assert check(types, values) is not False
         # One that can be False still runs once all it reads is set: whole
         # at the first slot it watches, and in parts at each slot after.
-        if reads and start < math.inf:
-            mine = sorted(v for v in (f * len(names) + p for f, p in reads)
-                          if v >= start)
-            assert check in watchers[mine[0]]
-            for v in mine:
+        if runs:
+            assert runs[0][1] is check and check in watchers[first]
+            for v, _ in runs:
                 watched[v] += 1
     assert [len(checks) for checks in watchers] == watched
 

@@ -436,10 +436,11 @@ def test_compiled_check_of_deep_quantifiers_is_the_tree_walker():
 
 
 def _first_slots(stmt, speaker, persons, decls):
-    """The first slots at which `stmt` can be True, and False: the
-    compiled start of `not stmt`, and of `stmt`, as axioms."""
-    return tuple(compile_statement(s, speaker, persons, decls)[3]()
-                 for s in (Not(stmt), stmt))
+    """The first slots that `not stmt`, and `stmt`, watch as axioms: the
+    first slots read from where `stmt` can be True, and False."""
+    watched = [compile_statement(s, speaker, persons, decls)[3]()
+               for s in (Not(stmt), stmt)]
+    return tuple(runs[0][0] if runs else math.inf for runs in watched)
 
 
 def test_compiled_start_on_the_asylums_shapes(asylum):
@@ -460,13 +461,14 @@ def test_compiled_start_on_the_asylums_shapes(asylum):
                                                slot("unlocked", "Ian"))
     assert (slots("forall x . carried(x) implies strong(x)")[1]
             == slot("carried", "Ann"))
-    assert slots("atleast 0 x . lover(x)") == (-1, math.inf)
-    assert slots("atleast 10 x . lover(x)") == (math.inf, -1)
+    first = slot("lover", "Ann")
+    assert slots("atleast 0 x . lover(x)") == (first, math.inf)
+    assert slots("atleast 10 x . lover(x)") == (math.inf, first)
     # `doctor(me)` is definite before any fluent slot is set, so this
     # can be True from the start, which fails an utterance whose speaker
     # must say it is False; it can be False only once `lover(Ann)` is set.
-    assert (slots("doctor(me) or lover(Ann)", "Beth")
-            == (-1, slot("lover", "Ann")))
+    # Both are watched from `lover(Ann)`, the one slot it reads.
+    assert slots("doctor(me) or lover(Ann)", "Beth") == (first, first)
 
 
 def test_compiled_start_analyses_a_closed_quantifier_once():
@@ -563,24 +565,26 @@ def _first_false_slot(check, reads, typed, decls) -> float:
 def test_compiled_start_is_exact_when_no_two_atoms_read_one_slot(seed):
     # The read-once law says the start is never late; where no two atoms
     # read one fluent slot or one person's type, it is not early either:
-    # some row that sets the slots up to it makes the check False.
+    # some row that sets the slots up to it makes the check False.  So the
+    # check watches exactly the slots it reads from there on.
     rng = random.Random(seed)
     decls = (FluentDecl("shifty"), support.MOOD)
     stmt = _read_once_statement(rng, decls)
-    check, reads, typed, start = compile_statement(stmt, None,
+    check, reads, typed, watch = compile_statement(stmt, None,
                                                    ("Ann", "Beth"), decls)
-    assert start() == _first_false_slot(check, reads, typed, decls)
+    first = _first_false_slot(check, reads, typed, decls)
+    assert [v for v, _ in watch()] == [
+        v for v in sorted(f * 2 + p for f, p in reads) if v >= first]
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_a_watched_run_is_the_check_where_it_passed_with_the_slot_unset(seed):
     # The watch law: where a check passes with fluent slot v UNKNOWN, the
-    # closure `watching` gives for v answers as the whole check does once
-    # v is set, to any value.  The check passes exactly when each of its
-    # parts for the wanted value gives that value, and a part reads only
-    # the slots it reports, all of them in `reads`.  An axiom wants True;
-    # a speaker here wants one value, True or False, whatever its type.
+    # run its watch list gives for v answers as the whole check does once
+    # v is set, to any value, and v is a slot the check reads.  An axiom
+    # wants True; a speaker here wants one value, True or False, whatever
+    # its type.
     rng = random.Random(seed)
     persons = support.NAME_POOL[:rng.randint(1, 3)]
     if rng.random() < 0.5:
@@ -592,36 +596,23 @@ def test_a_watched_run_is_the_check_where_it_passed_with_the_slot_unset(seed):
     n = len(persons)
     want = rng.choice((None, False, True))
     required = None if want is None else (want,) * len(ALL_TYPES)
-    check, reads, _, start = compile_statement(
+    check, reads, _, watch = compile_statement(
         stmt, rng.choice(persons), persons, decls, required)
     world = random_world(rng, persons, decls)
     types = world.types
     values = [[v if rng.random() < 0.5 else UNKNOWN for v in row]
               for row in world.fluent_values]
     read = {f * n + p for f, p in reads}
-    check(types, values)  # a step's parts read the value it set here
-    for part, slots in start.parts(want is not False):
-        assert slots <= read
-        before = part(types, values)
-        for slot in set(range(len(decls) * n)) - slots:
-            f, p = divmod(slot, n)
-            for value in decls[f].values() + (UNKNOWN,):
-                changed = [list(row) for row in values]
-                changed[f][p] = value
-                assert part(types, changed) is before
-    for v in sorted(read):
+    for v, run in watch():
+        assert v in read
         f, p = divmod(v, n)
         row, kept = values[f], values[f][p]
         row[p] = UNKNOWN
         if check(types, values):
-            watch, = start.watching([v])
             for value in decls[f].values():
                 row[p] = value
-                assert watch(types, values) is check(types, values)
+                assert run(types, values) is check(types, values)
         row[p] = kept
-    parts = start.parts(want is not False)
-    assert check(types, values) is all(
-        part(types, values) is (want is not False) for part, _ in parts)
 
 
 class _CountedTypes(tuple):
@@ -641,7 +632,7 @@ def test_a_watched_exists_runs_only_the_instance_of_the_slot_set(asylum):
     names, decls = asylum.person_names, asylum.fluent_decls
     k, step = next((k, step) for k, step in enumerate(asylum.transcript)
                    if step.round_index == 5 and step.person == "Beth")
-    check, _, _, start = asylum.compiled[1][k]
+    check, _, _, watch = asylum.compiled[1][k]
     dl = TYPES_BY_LABEL["DL"]
     assert step.required(dl) is False
     types = _CountedTypes([dl] * len(names))
@@ -650,9 +641,9 @@ def test_a_watched_exists_runs_only_the_instance_of_the_slot_set(asylum):
     cedric = names.index("Cedric")
     values[guilt][:cedric] = ["innocent"] * cedric
     assert check(types, values)
-    watch, = start.watching([guilt * len(names) + cedric])
+    instance = dict(watch())[guilt * len(names) + cedric]
     values[guilt][cedric] = "guilty"
-    for run, instances in ((watch, 1), (check, len(names))):
+    for run, instances in ((instance, 1), (check, len(names))):
         _CountedTypes.reads = 0
         assert run(types, values)  # the slot's instance is no doctor
         assert _CountedTypes.reads == 1 + instances  # and the speaker's
