@@ -370,7 +370,7 @@ def _eval_counting(world, var, body, speaker, env, minimum):
     if minimum == 0:
         return True
     # Definite misses that still leave `minimum` hits possible; one more
-    # decides False, as in the compiled `_quantified`.
+    # decides False, as in the compiled `_count`.
     slack = len(world.person_names) - minimum
     if slack < 0:
         return False
@@ -447,16 +447,17 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
 
     A check holds no negation node and no third value: it, and every
     check it is built from, returns exactly True or False, which `_scan`
-    relies on.  `not` is pushed down to the atoms as the statement
-    compiles, by rules exact in Kleene logic.  De Morgan swaps `and` and
-    `or`; ``not (l implies r)`` is ``l and not r``; and fewer than k of n
-    persons making B true is at least n - k + 1 making it not true, so
-    `forall` and `exists` swap.  Each atom's closure applies its own
-    negation.  Over the `and`, `or` and at-least-k that are left, a Kleene
-    value is False exactly when reading every UNKNOWN literal as True
-    gives False, and True exactly when reading them as False gives True.
-    So an atom on an UNKNOWN slot reads as the wanted value, and the check
-    asks whether the statement then takes it.
+    relies on.  Every other node is a count of at least k of m instances
+    (`_count`): an `and` of all its items, an `or` of one, ``l implies
+    r`` of one of ``not l`` and r, and a quantifier of k of its body's n
+    instances.  `not` is pushed down to the atoms as the statement
+    compiles, by one rule exact in Kleene logic: fewer than k of m
+    instances true is at least m - k + 1 of them not true.  Each atom's
+    closure applies its own negation.  Over the counts that are left, a
+    Kleene value is False exactly when reading every UNKNOWN literal as
+    True gives False, and True exactly when reading them as False gives
+    True.  So an atom on an UNKNOWN slot reads as the wanted value, and
+    the check asks whether the statement then takes it.
 
     `watch()` lists where the fluent search, which sets the slots in
     order, runs the check: `(v, run)` for each fluent slot v the check
@@ -465,33 +466,33 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     first slot at which the check can be False, by the read-once law: on
     any types, no row that sets only slots before it, leaving the rest
     UNKNOWN, makes the check False, so a run before it could only pass.
-    In the negation-free form each node has a first slot True and a first
-    slot False: a fluent atom its own slot, a builtin -1, as the types
-    alone decide it, and `_junction` and `_quantified` give the rest,
-    `math.inf` where nothing can.  An axiom starts at its False slot, an
-    utterance at the earlier of the two.  The start is never late, and
-    exact when no two atoms read one slot or type.  The first call
-    computes it, from the slots and `bound` cells the check resolved,
-    writing `bound` as a run does, and then drops the slot closures and
-    quantifier memos only it reads.
+    Each node has a first slot True and a first slot False: a fluent atom
+    its own slot, a builtin -1, as the types alone decide it, and a count
+    the k-th earliest first True slot of its instances and the (m - k +
+    1)-th earliest first False slot, where the j-th is -1 for j < 1 and
+    `math.inf`, never, for j > m.  `_first` memoizes a quantifier's
+    instances on the persons at the outer slots its fluent atoms read: a
+    closed one is analysed once, and an outer person that only builtins
+    read does not multiply the analysis.  An axiom starts at its False
+    slot, an utterance at the earlier of the two.  The start is never
+    late, and exact when no two atoms read one slot or type.  The first
+    call computes it and keeps only the slots watched.
 
     The watch rule.  Where the statement must take w, its check is the
-    conjunction of its parts for w: where w is True an `and` splits into
-    its items and an at-least-n (`forall`) into its n instances, where w
-    is False an `or` and an at-least-1 (`exists`) do, a part that splits
-    splits again, and any other node is one part.  The check passes
-    exactly when every part gives w.  The run at the first slot watched
-    is the whole check, since no earlier run covers it.  At each later
-    slot v the search runs it only where the check passed on the same
-    rows with v UNKNOWN, as between two slots watched no slot the check
-    reads changes.  So the run is the whole check if every part for w
-    (for an utterance, the w its speaker's type wants) reads v, and else
-    a closure that runs only the parts that do.  It is exact: a part that
-    does not read v reads what it read when the check passed, so it
-    still gives w.  Each call builds the runs afresh, and builds no part
-    list where the statement does not split for w: its one part is then
-    the check itself, which reads every slot, so the whole check runs at
-    each.
+    conjunction of its parts for w: a count of all its instances splits
+    into them where w is True, a count of one where w is False, a part
+    that splits splits again, and any other node is one part.  The check
+    passes exactly when every part gives w.  The run at the first slot
+    watched is the whole check, since no earlier run covers it.  At each
+    later slot v the search runs it only where the check passed on the
+    same rows with v UNKNOWN, as between two slots watched no slot the
+    check reads changes.  So the run is the whole check if every part for
+    w (for an utterance, the w its speaker's type wants) reads v, and
+    else a closure that runs only the parts that do.  It is exact: a part
+    that does not read v reads what it read when the check passed, so it
+    still gives w.  Each call builds the runs afresh.  Where the
+    statement does not split for w, its one part is the check itself,
+    which reads every slot, so the whole check runs at each.
     """
     n = len(person_names)
     fluent_names = [decl.name for decl in fluent_decls]
@@ -499,33 +500,32 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     assumed = [True]  # what an UNKNOWN literal reads as: the wanted value
     reads: set[tuple[int, int]] = set()
     typed: dict[int, set[str]] = {}
-    variables: list[int] = []  # the quantifier slot of each variable atom
 
     def compile_(node, env, negated):
-        """`(check, slots, part)` of `node`, negated if `negated`:
-        `slots()` is its first slot True and first slot False, and `part`
-        what `_parts` splits."""
+        """`node`, negated if `negated`, compiled to `(check, atoms,
+        count)`: its check, the `(f, bound slot)` of each fluent atom its
+        check can read, and None for an atom or `(k, slot, children)` for
+        a count of at least k of its children, where a quantifier's
+        `slot` holds the person of each child in turn."""
         if isinstance(node, Not):
             return compile_(node.body, env, not negated)
         if isinstance(node, _Junction):
-            return _junction(isinstance(node, And) == negated, [
-                compile_(item, env, negated) for item in node.items])
+            items = [compile_(item, env, negated) for item in node.items]
+            return _count(len(items) if isinstance(node, And) else 1,
+                          negated, bound, None, items)
         if isinstance(node, Implies):
-            return _junction(not negated, [
+            return _count(1, negated, bound, None, [
                 compile_(node.left, env, not negated),
                 compile_(node.right, env, negated)])
         if isinstance(node, (Exists, ForAll, AtLeast)):
             slot = len(bound)
             bound.append(None)
-            mark = len(variables)
             # Bodies under a constant count are compiled too, so that
             # `reads` and `typed` name every slot the statement mentions.
             body = compile_(node.body, {**env, node.var: slot}, negated)
             count = (node.count if isinstance(node, AtLeast)
                      else 1 if isinstance(node, Exists) else n)
-            outer = sorted({s for s in variables[mark:] if s < slot})
-            return _quantified(n - count + 1 if negated else count,
-                               bound, slot, n, outer, body)
+            return _count(count, negated, bound, slot, (body,) * n)
         if isinstance(node, Believes):
             raise SemanticError("believes cannot be evaluated as a fact")
         # The atom rules, in one order: predicate and value, then term.
@@ -551,7 +551,6 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             if name not in env:
                 raise SemanticError(f"unbound variable '{name}'")
             slot = env[name]
-            variables.append(slot)
         elif name is None:
             raise SemanticError("'me' used outside any utterance")
         else:
@@ -560,12 +559,9 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
         if builtin:
             for p in persons:
                 typed.setdefault(p, set()).add(predicate)
-            check = lambda types, values: (
-                types[bound[slot]].builtins[predicate] != negated)
-            return check, lambda: (-1, -1), (check, (), None)
+            return (lambda types, values: (
+                types[bound[slot]].builtins[predicate] != negated)), (), None
         reads.update((f, p) for p in persons)
-        first = f * n
-        slots = lambda: (first + bound[slot],) * 2
         if wanted is None:
             # A boolean literal holds on True, or on False when negated.
             wanted, negated = not negated, False
@@ -577,12 +573,13 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
             check = lambda types, values: (
                 assumed[0] if (value := values[f][bound[slot]]) is UNKNOWN
                 else value == wanted)
-        return check, slots, (check, ((f, slot),), None)
+        return check, ((f, slot),), None
 
-    body, slots, root = compile_(stmt, {}, False)
+    root = compile_(stmt, {}, False)
     # `compile_` holds itself through its cell.  Dropping the name frees
     # it by reference counting, so a compile leaves no garbage cycle.
     del compile_
+    body = root[0]
     if required is None:
         check, wanting = body, None
     else:
@@ -596,37 +593,64 @@ def compile_statement(stmt: Statement, speaker: Optional[str],
     watched = None
 
     def watch():
-        nonlocal slots, watched
-        if slots is not None:
-            true, false = slots()
+        nonlocal watched
+        if watched is None:
+            true, false = _first(root, n, list(bound), {})
             start = false if required is None else min(true, false)
             watched = [v for v in sorted(f * n + p for f, p in reads)
                        if v >= start]
-            slots = None
         return list(zip(watched, [
             check, *_runs(watched[1:], check, root, n, bound, wanting)]))
     return check, reads, typed, watch
 
 
-def _parts(part, want: bool, n: int, bound, binding=()) -> list:
-    """The parts of a compiled node's `part` where it must take `want`,
-    each `(check, slots)`: the check, run with each quantifier slot of
-    `binding` holding its person, and the fluent slots it reads.
+def _first(part, n: int, at: list, memo: dict) -> tuple:
+    """The first slot True and first slot False of a compiled `part`, by
+    the count rule of `compile_statement`, where an atom on bound slot s
+    reads person `at[s]`.  `memo` keeps the first slots of each
+    quantifier's instances, keyed on the persons at the outer slots its
+    fluent atoms read."""
+    _, atoms, count = part
+    if count is None:
+        if not atoms:
+            return -1, -1
+        (f, s), = atoms
+        return (f * n + at[s],) * 2
+    k, slot, children = count
+    m = len(children)
+    if not 0 < k <= m:
+        return (-1, math.inf) if k <= 0 else (math.inf, -1)
+    if slot is None:
+        firsts = [_first(child, n, at, memo) for child in children]
+    else:
+        key = (slot, *[at[s] for _, s in atoms if n <= s < slot])
+        firsts = memo.get(key)
+        if firsts is None:
+            firsts = memo[key] = []
+            for p, child in enumerate(children):
+                at[slot] = p
+                firsts.append(_first(child, n, at, memo))
+    trues, falses = zip(*firsts)
+    return sorted(trues)[k - 1], sorted(falses)[m - k]
 
-    A `part` is `(check, atoms, split)`: the node's check, the `(f,
-    bound slot)` of each fluent atom below it, and None or `(wants,
-    slot, children)` for a node that splits into its children where it
-    must take a value in `wants`, each child once per person in `slot`
-    when that is a quantifier's.
-    """
-    check, atoms, split = part
-    if split is not None and want in split[0]:
-        _, slot, children = split
-        if slot is None:
-            return [found for child in children
-                    for found in _parts(child, want, n, bound, binding)]
-        return [found for p in range(n) for found in _parts(
-            children[0], want, n, bound, binding + ((slot, p),))]
+
+def _splits(count, want: bool) -> bool:
+    """Whether a compiled node's `count` splits it into its instances
+    where it must take `want`: a count of all of them where True, and a
+    count of one where False."""
+    return count is not None and count[0] == (len(count[2]) if want else 1)
+
+
+def _parts(part, want: bool, n: int, bound, binding=()) -> list:
+    """The parts of a compiled `part` where it must take `want`, each
+    `(check, slots)`: the check, run with each quantifier slot of
+    `binding` holding its person, and the fluent slots it reads."""
+    check, atoms, count = part
+    if _splits(count, want):
+        _, slot, children = count
+        return [found for p, child in enumerate(children) for found in _parts(
+            child, want, n, bound,
+            binding if slot is None else binding + ((slot, p),))]
     at = dict(binding)
     slots = {f * n + p for f, s in atoms for p in (
         (at[s],) if s in at else range(n) if s >= n else (s,))}
@@ -659,8 +683,8 @@ def _parted(root, want: bool, vs, n: int, bound) -> list:
     """For each fluent slot v of `vs`, what must give `want` once v is
     set, where the compiled `root` gave it with v unset: the parts for
     `want` that read v, or `root`'s whole check when every part does."""
-    whole, _, split = root
-    if split is None or want not in split[0]:
+    whole, _, count = root
+    if not _splits(count, want):
         # The one part is the root, which reads every slot watched.
         return [whole] * len(vs)
     parts = _parts(root, want, n, bound)
@@ -689,24 +713,6 @@ def _index(names, name: str, what: str) -> int:
         raise SemanticError(f"{what} '{name}'") from None
 
 
-def _junction(some: bool, items):
-    """`(check, slots, part)` of an `or` (when `some`) or an `and` over
-    compiled items.  An `or` can be True from its items' earliest True
-    slot and False from their latest False slot; an `and` is the dual.
-    It splits into its items where it must take `not some`."""
-    checks, item_slots, parts = zip(*items)
-    true, false = (min, max) if some else (max, min)
-
-    def slots():
-        trues, falses = zip(*[item() for item in item_slots])
-        return true(trues), false(falses)
-    check = _scan(checks, some)
-    atoms = ()
-    for part in parts:
-        atoms += part[1]
-    return check, slots, (check, atoms, ((not some,), None, parts))
-
-
 def _scan(items, some: bool):
     """A check: is some item true (when `some`), or is every item true?
     The first item whose result `is some` decides; else the check is `not
@@ -727,30 +733,28 @@ def _scan(items, some: bool):
     return check
 
 
-def _quantified(k: int, bound, slot: int, n: int, outer: list[int], body):
-    """`(check, slots, part)` of at least `k` persons making `body` true,
-    where `body` is a compiled `(check, slots, part)`.
-
-    The check puts each of the n persons in `bound[slot]` in turn; the
-    count stops once it is decided, at the n-th person at the latest.  It
-    is True at the k-th earliest True slot of its bodies and False at the
-    (n - k + 1)-th earliest False one.  Those slots are memoized on the
-    persons bound at the `outer` quantifier slots the body reads, so a
-    closed quantifier is analysed once.  It splits into its n instances
-    where it must take True and k is n, or False and k is 1.
-    """
-    if k <= 0 or k > n:
+def _count(k: int, negated: bool, bound, slot, children):
+    """The compiled node of at least `k` of the compiled `children`, or
+    when `negated` of fewer: a junction's items where `slot` is None, else
+    a quantifier's n instances, its body with each person in `bound[slot]`
+    in turn, which stops once the count is decided.  A `k` below 1 or
+    above their number makes a constant, which reads no slot."""
+    m = len(children)
+    if negated:  # the children are negated already
+        k = m - k + 1
+    if not 0 < k <= m:
         constant = k <= 0
-        first = (-1, math.inf) if constant else (math.inf, -1)
-        check = lambda types, values: constant
-        return check, lambda: first, (check, (), None)
-    body, body_slots, part = body
-    slack = n - k  # misses that still leave k hits
-    memo: dict[tuple, tuple] = {}
+        return (lambda types, values: constant), (), (k, slot, children)
+    if slot is None:
+        return (_scan([child[0] for child in children], k == 1),
+                sum([child[1] for child in children], ()),
+                (k, slot, children))
+    body, atoms, _ = children[0]
+    slack = m - k  # misses that still leave k hits
 
     def check(types, values):
         hits = misses = 0
-        for p in range(n):
+        for p in range(m):
             bound[slot] = p
             if body(types, values):
                 hits += 1
@@ -760,17 +764,4 @@ def _quantified(k: int, bound, slot: int, n: int, outer: list[int], body):
                 misses += 1
                 if misses > slack:
                     return False
-
-    def slots():
-        key = tuple([bound[s] for s in outer])
-        known = memo.get(key)
-        if known is None:
-            pairs = []
-            for p in range(n):
-                bound[slot] = p
-                pairs.append(body_slots())
-            trues, falses = zip(*pairs)
-            known = memo[key] = (sorted(trues)[k - 1], sorted(falses)[n - k])
-        return known
-    wants = (False,) * (k == 1) + (True,) * (k == n)
-    return check, slots, (check, part[1], (wants, slot, (part,)))
+    return check, atoms, (k, slot, children)

@@ -44,7 +44,8 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # --- statements.py: the one junction node and its compiled scan ---
+    # --- statements.py: the junction nodes, the compiled scan and the split
+    # rule of a count ---
     Mutant("scan-final-return-flipped", "statements.py",
            "        return not some\n    return check\n",
            "        return some\n    return check\n",
@@ -60,12 +61,12 @@ MUTANTS = (
             "tests/test_statements.py::"
             "test_malformed_nodes_and_unknown_are_refused_with_their_message")),
     Mutant("compiled-slot-order-reversed", "statements.py",
-           "        first = f * n\n",
-           "        first = (len(fluent_decls) - 1 - f) * n\n",
+           "return (f * n + at[s],) * 2",
+           "return (f * n + n - 1 - at[s],) * 2",
            ("tests/test_statements.py::test_compiled_start_on_the_asylums_shapes",)),
     Mutant("exists-split-while-it-must-be-true", "statements.py",
-           "wants = (False,) * (k == 1) + (True,) * (k == n)",
-           "wants = (False, True) * (k == 1) + (True,) * (k == n)",
+           "count[0] == (len(count[2]) if want else 1)",
+           "count[0] in ((len(count[2]), 1) if want else (1,))",
            ("tests/test_statements.py::"
             "test_a_watched_run_is_the_check_where_it_passed_with_the_slot_unset",)),
     # --- statements.py: the reads and the start a compile analyses ---
@@ -75,10 +76,22 @@ MUTANTS = (
            ("tests/test_statements.py::"
             "test_types_outside_types_read_never_change_a_check",)),
     Mutant("quantifier-memo-ignores-outer-persons", "statements.py",
-           "key = tuple([bound[s] for s in outer])",
-           "key = ()",
+           "key = (slot, *[at[s] for _, s in atoms if n <= s < slot])",
+           "key = (slot,)",
            ("tests/test_statements.py::"
             "test_compiled_start_analyses_a_closed_quantifier_once",)),
+    Mutant("quantifier-memo-keys-every-outer-slot", "statements.py",
+           "key = (slot, *[at[s] for _, s in atoms if n <= s < slot])",
+           "key = (slot, *at[n:slot])",
+           ("tests/test_statements.py::"
+            "test_a_builtin_nest_is_analysed_once_per_quantifier",)),
+    Mutant("count-of-all-takes-the-latest-false-slot", "statements.py",
+           "sorted(falses)[m - k]",
+           "sorted(falses)[m - 1]",
+           ("tests/test_statements.py::"
+            "test_compiled_start_is_exact_when_no_two_atoms_read_one_slot",
+            "tests/test_solver.py::"
+            "test_no_check_is_false_before_its_watch_starts")),
     # --- statements.py: the watch list a check gives the fluent search ---
     Mutant("first-watched-run-takes-only-parts", "statements.py",
            "check, *_runs(watched[1:], check,",

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+from bedlam import statements
 from bedlam.parser import ParseError, parse_statement
 from bedlam.statements import (And, AtLeast, Atom, Believes, Exists, ForAll,
                                Implies, ME, Not, Or, Person, SemanticError,
                                Statement, UNKNOWN, Var, compile_statement,
                                eval_closed, eval_partial, render_peeled,
-                               render_statement, substitute_me)
+                               render_statement, substitute_me, walk)
 from bedlam.semantics import ALL_TYPES, TYPES_BY_LABEL, asserted_truth
 from bedlam.worlds import FluentDecl, World
 from support import random_statement, random_utterance, random_world
@@ -489,6 +490,31 @@ def test_compiled_start_analyses_a_closed_quantifier_once():
         None, support.NAME_POOL, DECLS) == (2, 5)
 
 
+def test_a_builtin_nest_is_analysed_once_per_quantifier(monkeypatch):
+    # A builtin's first slots are -1 whoever it reads, so the persons that
+    # outer quantifiers bind only for builtins do not key the analysis:
+    # each `exists` is analysed once, where keying on every outer person
+    # would analyse the body 3**24 times.  So `_first` runs at most once
+    # per node per person, and a regression fails at that bound.
+    depth = 24
+    stmt = parse_statement(
+        "".join(f"exists x{i} . " for i in range(depth)) + "(shifty(Ann) or "
+        + " or ".join(f"sane(x{i})" for i in range(depth)) + ")")
+    bound = len(support.NAME_POOL) * len(list(walk(stmt)))
+    calls = 0
+    first = statements._first
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "the analysis is not linear in the nest"
+        return first(*args)
+
+    monkeypatch.setattr(statements, "_first", counted)
+    watch = compile_statement(stmt, None, support.NAME_POOL, DECLS)[3]
+    assert [v for v, _ in watch()] == [0]  # False from `shifty(Ann)` on
+
+
 def _read_once_statement(rng: random.Random, decls):
     """A random statement over Ann and Beth in which no two atoms read
     one fluent slot or one person's type.  Each leaf is an atom on a
@@ -647,6 +673,44 @@ def test_a_watched_exists_runs_only_the_instance_of_the_slot_set(asylum):
         _CountedTypes.reads = 0
         assert run(types, values)  # the slot's instance is no doctor
         assert _CountedTypes.reads == 1 + instances  # and the speaker's
+
+
+def _watched_puzzles(asylum):
+    """The asylum and 40 seeds of each puzzle generator."""
+    yield asylum
+    for seed in range(40):
+        yield support.random_puzzle(random.Random(seed))
+        yield support.random_nonlocal_puzzle(random.Random(seed))
+        yield support.random_probed_puzzle(random.Random(seed))[0]
+        for generate in (support.random_categorical_puzzle,
+                         support.random_categorical_trio):
+            yield generate(random.Random(seed), hidden=seed % 2 == 0)
+
+
+WATCH_LISTS_SHA256 = (
+    3087, "0e295c171638923138199697d4c4702778a888d5abad175a86d243abc04d5492")
+
+
+def test_every_watch_list_is_pinned(asylum):
+    # What the fluent search runs, and where: each `(slot, run is check)`
+    # pair of every compiled check's `watch()` list, and what each run and
+    # its check give on three partial rows per check.  A change to how a
+    # check is compiled or watched must leave all of it as it was.
+    records = []
+    for puzzle in _watched_puzzles(asylum):
+        names, decls = puzzle.person_names, puzzle.fluent_decls
+        rng = random.Random(len(names) * 10 + len(decls))
+        axioms, steps = puzzle.compiled
+        for check, _, _, watch in axioms + steps:
+            rows = [([rng.choice(ALL_TYPES) for _ in names],
+                     [[rng.choice(decl.values()) if rng.random() < 0.5
+                       else UNKNOWN for _ in names] for decl in decls])
+                    for _ in range(3)]
+            records.append(repr([check(*row) for row in rows]))
+            records.extend(repr((v, run is check, [run(*row) for row in rows]))
+                           for v, run in watch())
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert (len(records), digest) == WATCH_LISTS_SHA256
 
 
 def _walk_every_two_person_world(text, decls, types=ALL_TYPES) -> set:
